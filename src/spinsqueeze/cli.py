@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .protocols import (
     NoiseModel,
     build_modulated_drive,
     build_repeated_pulse,
+    effective_drive_record,
     reference_runs,
     run_monte_carlo,
     run_protocol,
@@ -35,28 +36,6 @@ from .protocols import (
 )
 
 SCENARIOS = ("oat", "tact", "pulses", "drive", "noise", "sweep", "husimi")
-
-DEFAULTS = {
-    "n": 1250,
-    "nc": 50,
-    "eta": 0.001,
-    "realizations": 100,
-    "omega_over_chi": 2 * np.pi * 2e4,
-    "omega0_over_omega": 0.9057,
-    "phase": -np.pi / 2,
-    "steps_per_period": 64,
-    "seed": 42,
-    "samples": 600,
-    "freeze": False,
-    "chi_hz": None,
-    "out_dir": ".",
-    "config": None,
-    "model": "oat",
-    "n_list": "100,200,400,800,1600",
-    "state": None,
-    "grid": "128x256",
-    "doubling_check": True,
-}
 
 _COMMON_KEYS = ("n", "chi_hz", "seed", "out_dir", "samples")
 _SCENARIO_KEYS = {
@@ -106,6 +85,9 @@ class ScenarioConfig:
             return int(a), int(b)
         except ValueError:
             raise DomainError(f"invalid grid: {self.grid!r} (want e.g. 128x256)")
+
+
+DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -232,53 +214,30 @@ def _seconds_per_chi_t(chi_hz: float) -> float:
     return 1.0 / (2 * np.pi * chi_hz)
 
 
-def write_run_csv(path, record, chi_hz=None) -> None:
-    header = RUN_HEADER + (",t_seconds" if chi_hz else "")
-    lines = [header]
-    for t, rep in record.samples:
-        row = [
-            _fmt(t),
-            _fmt(rep.xi2),
-            _fmt(rep.xi2_db),
-            _fmt(rep.mean_spin[0]),
-            _fmt(rep.mean_spin[1]),
-            _fmt(rep.mean_spin[2]),
-            _fmt(rep.theta_min),
-        ]
+def _write_run_rows(path, times, xi2, jx, jy, jz, theta, chi_hz) -> Path:
+    lines = [RUN_HEADER + (",t_seconds" if chi_hz else "")]
+    for row in zip(times, xi2, 10.0 * np.log10(xi2), jx, jy, jz, theta):
         if chi_hz:
-            row.append(_fmt(t * _seconds_per_chi_t(chi_hz)))
-        lines.append(",".join(row))
+            row += (row[0] * _seconds_per_chi_t(chi_hz),)
+        lines.append(",".join(_fmt(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
     return Path(path)
+
+
+def write_run_csv(path, record, chi_hz=None) -> None:
+    reps = record.reports()
+    spins = np.array([rep.mean_spin for rep in reps]).reshape(-1, 3).T
+    theta = [rep.theta_min for rep in reps]
+    return _write_run_rows(path, record.times(), record.xi2(), *spins, theta, chi_hz)
 
 
 def write_mean_csv(path, mc_result, chi_hz=None) -> None:
     """Pointwise ensemble means in the run-CSV schema."""
-    header = RUN_HEADER + (",t_seconds" if chi_hz else "")
-    times = mc_result.times
-    stack = {
-        "xi2": mc_result.mean_xi2,
-        "jx": np.mean([[r.mean_spin[0] for r in rec.reports()] for rec in mc_result.records], axis=0),
-        "jy": np.mean([[r.mean_spin[1] for r in rec.reports()] for rec in mc_result.records], axis=0),
-        "jz": np.mean([[r.mean_spin[2] for r in rec.reports()] for rec in mc_result.records], axis=0),
-        "theta": np.mean([[r.theta_min for r in rec.reports()] for rec in mc_result.records], axis=0),
-    }
-    lines = [header]
-    for i, t in enumerate(times):
-        row = [
-            _fmt(t),
-            _fmt(stack["xi2"][i]),
-            _fmt(10 * np.log10(stack["xi2"][i])),
-            _fmt(stack["jx"][i]),
-            _fmt(stack["jy"][i]),
-            _fmt(stack["jz"][i]),
-            _fmt(stack["theta"][i]),
-        ]
-        if chi_hz:
-            row.append(_fmt(t * _seconds_per_chi_t(chi_hz)))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
-    return Path(path)
+    means = np.mean(
+        [[(*rep.mean_spin, rep.theta_min) for rep in rec.reports()] for rec in mc_result.records],
+        axis=0,
+    )
+    return _write_run_rows(path, mc_result.times, mc_result.mean_xi2, *means.T, chi_hz)
 
 
 def write_realizations_csv(path, mc_result) -> None:
@@ -408,8 +367,6 @@ def _scenario_drive(cfg, out_dir, written) -> dict:
     )
     record = run_protocol(bundle.schedule, bundle.initial_state)
     written.append(write_run_csv(out_dir / "drive_run.csv", record, cfg.chi_hz))
-    from .protocols import effective_drive_record
-
     seg = bundle.schedule.segments[0]
     eff_times = [t for t in record.times() if t <= seg.t1]
     eff = effective_drive_record(cfg.n, 1.0, cfg.omega0_over_omega, eff_times)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dicke import DickeState, apply_spin, css_amplitudes, m_values
+from .dicke import DickeState, css_amplitudes, ladder_parts, m_values, spin_action
 from .errors import DegenerateDirectionError, DomainError
 
 MEAN_SPIN_FLOOR = 1e-9  # times j; below this the perpendicular plane is undefined
@@ -21,7 +21,8 @@ class SqueezingReport:
     theta_min is the angle of the minimal-variance direction in the
     deterministic perpendicular frame (n1, n2), mapped to [0, pi);
     isotropic is set when the perpendicular variance has no direction
-    dependence (coherent states).
+    dependence (coherent states). A report of a block (squeezing_columns)
+    holds one array entry per column in every field; column(r) picks one.
     """
 
     xi2: float
@@ -35,76 +36,78 @@ class SqueezingReport:
     def xi2_db(self) -> float:
         return 10.0 * np.log10(self.xi2)
 
+    def column(self, r: int) -> "SqueezingReport":
+        xi2, theta, lo, hi = (float(f[r]) for f in (self.xi2, self.theta_min, self.var_min, self.var_max))
+        spin = tuple(float(c[r]) for c in self.mean_spin)
+        return SqueezingReport(xi2, theta, spin, lo, hi, bool(self.isotropic[r]))
+
+
+def _mean_spin(x: np.ndarray, parts: tuple) -> np.ndarray:
+    """(3, R) mean spin of the columns of x; <J+> = <Jx> + i<Jy>."""
+    jp = (x[:-1].conj() * parts[1]).sum(axis=0)
+    return np.array([jp.real, jp.imag, (x.conj() * parts[0]).real.sum(axis=0)])
+
 
 def mean_spin(state: DickeState) -> np.ndarray:
     """(<Jx>, <Jy>, <Jz>)."""
-    amps = state.amplitudes
-    out = np.array(
-        [
-            np.vdot(amps, apply_spin(state.j, c, amps)).real
-            for c in ((1.0, 0, 0), (0, 1.0, 0), (0, 0, 1.0))
-        ]
-    )
-    return out
+    x = state.amplitudes[:, None]
+    return _mean_spin(x, ladder_parts(state.j, x))[:, 0]
 
 
 def perpendicular_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal pair perpendicular to a unit direction:
-    n1 = normalize(z x n) unless n is within 1e-6 of +-z, then n1 = x."""
+    n1 = normalize(z x n) unless n is within 1e-6 of +-z, then n1 = x, and
+    n2 = n x n1. A (3, R) array gives the pair for each of its columns."""
     n = np.asarray(direction, dtype=float)
-    cross = np.cross([0.0, 0.0, 1.0], n)
-    if np.linalg.norm(cross) < 1e-6:
-        n1 = np.array([1.0, 0.0, 0.0])
-    else:
-        n1 = cross / np.linalg.norm(cross)
-    n2 = np.cross(n, n1)
-    return n1, n2
+    cross = np.hypot(n[0], n[1])  # |z x n|
+    polar = cross < 1e-6
+    safe = np.where(polar, 1.0, cross)
+    n1 = np.array([np.where(polar, 1.0, -n[1] / safe), np.where(polar, 0.0, n[0] / safe), 0.0 * cross])
+    return n1, np.array([-n[2] * n1[1], n[2] * n1[0], n[0] * n1[1] - n[1] * n1[0]])
+
+
+def squeezing_columns(j: float, x: np.ndarray) -> SqueezingReport:
+    """Squeezing report of every column of a (dim, R) block at once.
+
+    The minimal perpendicular variance is in closed form: with
+    A = <J1^2 - J2^2> and B = <{J1, J2}> the variance along
+    cos(t) n1 + sin(t) n2 is [<J1^2+J2^2> + A cos(2t) + B sin(2t)] / 2
+    (mean values vanish perpendicular to the mean spin), minimized at
+    2t = atan2(-B, -A). Every operation acts on each column alone.
+    """
+    parts = ladder_parts(j, x)
+    ms = _mean_spin(x, parts)
+    length = np.sqrt((ms**2).sum(axis=0))
+    if np.any(length <= MEAN_SPIN_FLOOR * j):
+        raise DegenerateDirectionError(
+            f"mean spin length {length.min():.3e} too short to define a direction"
+        )
+    n1, n2 = perpendicular_frame(ms / length)
+    v1 = spin_action(n1, parts)
+    v2 = spin_action(n2, parts)
+    e11 = (v1.real**2 + v1.imag**2).sum(axis=0)
+    e22 = (v2.real**2 + v2.imag**2).sum(axis=0)
+    e12 = (v1.real * v2.real + v1.imag * v2.imag).sum(axis=0)
+    a, b = e11 - e22, 2.0 * e12
+    r = np.hypot(a, b)
+    var_min = (e11 + e22 - r) / 2.0
+    isotropic = r < ISOTROPY_EPS * np.maximum(e11 + e22, 1.0)
+    theta = 0.5 * np.arctan2(-b, -a)
+    theta = np.where(theta < 0, theta + np.pi, theta)
+    theta = np.where(theta >= np.pi, theta - np.pi, theta)
+    return SqueezingReport(
+        xi2=var_min / (2.0 * j / 4.0),
+        theta_min=np.where(isotropic, 0.0, theta),
+        mean_spin=ms,
+        var_min=var_min,
+        var_max=(e11 + e22 + r) / 2.0,
+        isotropic=isotropic,
+    )
 
 
 def squeezing_report(state: DickeState) -> SqueezingReport:
-    """Minimal perpendicular variance in closed form.
-
-    With A = <J1^2 - J2^2> and B = <{J1, J2}> the variance along
-    cos(t) n1 + sin(t) n2 is [<J1^2+J2^2> + A cos(2t) + B sin(2t)] / 2
-    (mean values vanish perpendicular to the mean spin), minimized at
-    2t = atan2(-B, -A).
-    """
-    ms = mean_spin(state)
-    length = float(np.linalg.norm(ms))
-    if length <= MEAN_SPIN_FLOOR * state.j:
-        raise DegenerateDirectionError(
-            f"mean spin length {length:.3e} too short to define a direction"
-        )
-    n = ms / length
-    n1, n2 = perpendicular_frame(n)
-    amps = state.amplitudes
-    v1 = apply_spin(state.j, tuple(n1), amps)
-    v2 = apply_spin(state.j, tuple(n2), amps)
-    e11 = float(np.vdot(v1, v1).real)
-    e22 = float(np.vdot(v2, v2).real)
-    e12 = float(np.vdot(v1, v2).real)
-    a, b = e11 - e22, 2.0 * e12
-    r = float(np.hypot(a, b))
-    var_min = (e11 + e22 - r) / 2.0
-    var_max = (e11 + e22 + r) / 2.0
-    isotropic = r < ISOTROPY_EPS * max(e11 + e22, 1.0)
-    if isotropic:
-        theta = 0.0
-    else:
-        theta = 0.5 * np.arctan2(-b, -a)
-        if theta < 0:
-            theta += np.pi
-        if theta >= np.pi:
-            theta -= np.pi
-    n_particles = 2.0 * state.j
-    return SqueezingReport(
-        xi2=var_min / (n_particles / 4.0),
-        theta_min=float(theta),
-        mean_spin=tuple(ms),
-        var_min=var_min,
-        var_max=var_max,
-        isotropic=isotropic,
-    )
+    """Squeezing report of one state; see squeezing_columns."""
+    return squeezing_columns(state.j, state.amplitudes[:, None]).column(0)
 
 
 @dataclass(frozen=True)

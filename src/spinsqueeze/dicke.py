@@ -189,21 +189,30 @@ def spin_operator(j: float, kind: str) -> SpinOperator:
     return op
 
 
+def ladder_parts(j: float, x: np.ndarray) -> tuple:
+    """Jz x and the nonzero rows of J+ x (rows 0..dim-2) and of J- x (rows
+    1..dim-1) for a (dim, R) block; spin_action combines them."""
+    lad = ladder_values(j)[:, None]
+    return m_values(j)[:, None] * x, lad * x[1:], lad * x[:-1]
+
+
+def spin_action(coeffs, parts: tuple) -> np.ndarray:
+    """(cx*Jx + cy*Jy + cz*Jz) on a block, from its ladder_parts; each
+    coefficient is a real scalar or one value per column."""
+    cx, cy, cz = coeffs
+    zx, up, down = parts
+    out = cz * zx
+    out[:-1] += (cx - 1j * cy) / 2.0 * up  # J+ coefficient
+    out[1:] += (cx + 1j * cy) / 2.0 * down  # J- coefficient
+    return out
+
+
 def apply_spin(j: float, coeffs, vec: np.ndarray) -> np.ndarray:
     """Apply (cx*Jx + cy*Jy + cz*Jz) to a raw amplitude vector.
 
     Tridiagonal action, O(dim); coefficients may be any reals.
     """
-    cx, cy, cz = coeffs
-    lad = ladder_values(j)
-    out = (cz * m_values(j)) * vec
-    a = (cx - 1j * cy) / 2.0  # J+ coefficient
-    b = (cx + 1j * cy) / 2.0  # J- coefficient
-    if a != 0:
-        out[:-1] += a * lad * vec[1:]
-    if b != 0:
-        out[1:] += b * lad * vec[:-1]
-    return out
+    return spin_action(coeffs, ladder_parts(j, vec[:, None]))[:, 0]
 
 
 def expectation(state: DickeState, op: SpinOperator) -> float:
@@ -258,33 +267,56 @@ def axis_eigensystem(j: float, axis: str):
     return exact, vecs
 
 
-def _rotate_vec_axis(j: float, vec: np.ndarray, axis: str, angle: float) -> np.ndarray:
-    if angle == 0.0:
-        return vec.copy()
+def basis_coeffs(vecs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """vecs^H x, taken as conj(vecs^T conj(x)).
+
+    That is the same arithmetic as vecs.conj().T @ x without a dim^2
+    conjugate copy of the basis on every call.
+    """
+    return (vecs.T @ x.conj()).conj()
+
+
+def spectral_apply(vecs: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """vecs diag(phases) vecs^H x for a (dim, R) block x; phases is (dim, 1)
+    or holds one column per column of x."""
+    return vecs @ (phases * basis_coeffs(vecs, x))
+
+
+def _rotate_axis(j: float, x: np.ndarray, axis: str, angle) -> np.ndarray:
+    """exp(-i*angle*J_axis) on a (dim, R) block; angle is a scalar or one
+    value per column."""
+    if not np.any(angle):
+        return x.copy()
     if axis == "z":
-        return np.exp(-1j * angle * m_values(j)) * vec
+        return np.exp(-1j * np.outer(m_values(j), angle)) * x
     vals, vecs = axis_eigensystem(j, axis)
-    return vecs @ (np.exp(-1j * angle * vals) * (vecs.conj().T @ vec))
+    return spectral_apply(vecs, np.exp(-1j * np.outer(vals, angle)), x)
 
 
-def rotate_vector(j: float, vec: np.ndarray, rot: RotationSpec) -> np.ndarray:
-    """Rotation applied to a raw amplitude vector (no renormalization)."""
-    ax = np.array(rot.axis)
-    angle = rot.angle
+def rotate_block(j: float, x: np.ndarray, axis, angle) -> np.ndarray:
+    """Rotation exp(-i*angle*(axis . J)) of every column of a (dim, R) block
+    (no renormalization). The axis is shared; angle is a scalar or one
+    value per column."""
+    ax = np.array(axis, dtype=float)
     for name, unit in (("x", (1, 0, 0)), ("y", (0, 1, 0)), ("z", (0, 0, 1))):
         dot = float(ax @ unit)
         if abs(abs(dot) - 1.0) < UNIT_AXIS_TOL:
-            return _rotate_vec_axis(j, vec, name, np.sign(dot) * angle)
+            return _rotate_axis(j, x, name, np.sign(dot) * np.asarray(angle))
     # general axis: conjugate a z-rotation into place, R_n = F Rz(angle) F^-1
     # with F = Rz(phi_n) Ry(theta_n) mapping z onto the axis
     theta_n = float(np.arccos(np.clip(ax[2], -1.0, 1.0)))
     phi_n = float(np.arctan2(ax[1], ax[0]))
-    out = _rotate_vec_axis(j, vec, "z", -phi_n)
-    out = _rotate_vec_axis(j, out, "y", -theta_n)
-    out = _rotate_vec_axis(j, out, "z", angle)
-    out = _rotate_vec_axis(j, out, "y", theta_n)
-    out = _rotate_vec_axis(j, out, "z", phi_n)
+    out = _rotate_axis(j, x, "z", -phi_n)
+    out = _rotate_axis(j, out, "y", -theta_n)
+    out = _rotate_axis(j, out, "z", angle)
+    out = _rotate_axis(j, out, "y", theta_n)
+    out = _rotate_axis(j, out, "z", phi_n)
     return out
+
+
+def rotate_vector(j: float, vec: np.ndarray, rot: RotationSpec) -> np.ndarray:
+    """Rotation applied to a raw amplitude vector (no renormalization)."""
+    return rotate_block(j, vec[:, None], rot.axis, rot.angle)[:, 0]
 
 
 def rotate(state: DickeState, rot: RotationSpec) -> DickeState:
@@ -308,11 +340,11 @@ def make_css(j: float, theta: float, phi: float) -> DickeState:
     Defined operationally as Rz(phi) Ry(theta) |j,j> so one global phase
     convention holds everywhere; mean spin is j*(sin t cos p, sin t sin p, cos t).
     """
-    vec = np.zeros(dim_for(_check_j(j)), dtype=complex)
+    vec = np.zeros((dim_for(_check_j(j)), 1), dtype=complex)
     vec[0] = 1.0
-    vec = _rotate_vec_axis(j, vec, "y", float(theta))
-    vec = _rotate_vec_axis(j, vec, "z", float(phi))
-    return DickeState(j, vec)
+    vec = _rotate_axis(j, vec, "y", float(theta))
+    vec = _rotate_axis(j, vec, "z", float(phi))
+    return DickeState(j, vec[:, 0])
 
 
 def css_amplitudes(j: float, theta: float, phi: float) -> np.ndarray:

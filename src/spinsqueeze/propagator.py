@@ -1,16 +1,16 @@
 """Time-evolution engines.
 
-Quadratic generators evolve exactly (diagonal phases, cached axis
-eigenbases, or one-time dense eigendecompositions). The driven model uses
-second-order split-stepping on a grid aligned to the drive phase, with a
-one-period Floquet operator fast path for runs spanning many periods. A
-brute-force 2^N tensor-product oracle validates the symmetric-subspace
-reduction at small N.
+One kernel, evolve_block, runs a schedule on a (dim x R) block of states,
+one column per run: pulses turn each column by its own angle, quadratic
+generators evolve exactly (diagonal phases or cached axis eigenbases), and
+the driven model uses second-order split-stepping on a grid aligned to the
+drive phase, with a one-period Floquet operator fast path for runs spanning
+many periods. A single run is a block of one column. A brute-force 2^N
+tensor-product oracle validates the symmetric-subspace reduction at small N.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -21,9 +21,10 @@ from .dicke import (
     DickeState,
     axis_eigensystem,
     m_values,
-    rotate_vector,
+    rotate_block,
+    spectral_apply,
 )
-from .diagnostics import RunRecord, squeezing_report
+from .diagnostics import RunRecord, squeezing_columns
 from .errors import DomainError, ResourceError
 from .hamiltonians import DriveEnvelope, HamiltonianSpec, drive_integral
 from .schedule import (
@@ -36,31 +37,38 @@ from .schedule import (
 
 RENORM_STEP_TOL = 1e-12
 TIME_TOL = 1e-9
+# Width of the blocks that noisy runs share. A column's bits depend on the
+# width of the matrix products it goes through (one column takes the GEMV
+# path, and wider blocks can round differently) but not on its position or
+# on the other columns, so runs that must replay bit for bit always go
+# through blocks of exactly TILE columns.
+TILE = 16
 
 
 # ---------------------------------------------------------------------------
 # quadratic generators
 
+def _quadratic(j: float, axis: str, chi: float, duration: float, x: np.ndarray) -> np.ndarray:
+    """exp(-i chi t J_axis^2) on a (dim, R) block."""
+    if axis == "z":
+        return np.exp(-1j * chi * duration * m_values(j) ** 2)[:, None] * x
+    vals, vecs = axis_eigensystem(j, axis)
+    return spectral_apply(vecs, np.exp(-1j * chi * duration * vals**2)[:, None], x)
+
+
 def evolve_quadratic_diagonal(state: DickeState, chi: float, duration: float) -> DickeState:
     """chi*Jz^2 evolution: c_m -> exp(-i chi t m^2) c_m."""
-    if duration < 0:
-        raise DomainError("duration must be nonnegative")
-    phases = np.exp(-1j * chi * duration * m_values(state.j) ** 2)
-    return DickeState(state.j, phases * state.amplitudes)
+    return evolve_quadratic_axis(state, "z", chi, duration)
 
 
 def evolve_quadratic_axis(state: DickeState, axis: str, chi: float, duration: float) -> DickeState:
     """chi*J_axis^2 evolution via the cached axis eigenbasis."""
     if duration < 0:
         raise DomainError("duration must be nonnegative")
-    if axis == "z":
-        return evolve_quadratic_diagonal(state, chi, duration)
-    if axis not in ("x", "y"):
+    if axis not in ("x", "y", "z"):
         raise DomainError(f"axis must be x/y/z, got {axis!r}")
-    vals, vecs = axis_eigensystem(state.j, axis)
-    phases = np.exp(-1j * chi * duration * vals**2)
-    amps = vecs @ (phases * (vecs.conj().T @ state.amplitudes))
-    return DickeState(state.j, amps)
+    amps = _quadratic(state.j, axis, chi, duration, state.amplitudes[:, None])
+    return DickeState(state.j, amps[:, 0])
 
 
 class SpectralPropagator:
@@ -70,8 +78,8 @@ class SpectralPropagator:
         self.vals, self.vecs = sla.eigh(ham)
 
     def evolve_vec(self, vec: np.ndarray, duration: float) -> np.ndarray:
-        phases = np.exp(-1j * duration * self.vals)
-        return self.vecs @ (phases * (self.vecs.conj().T @ vec))
+        phases = np.exp(-1j * duration * self.vals)[:, None]
+        return spectral_apply(self.vecs, phases, vec[:, None])[:, 0]
 
     def evolve(self, state: DickeState, duration: float) -> DickeState:
         if duration < 0:
@@ -96,20 +104,16 @@ def _aligned_grid(t0: float, t1: float, h: float) -> list:
     return pts
 
 
-def _split_steps(j, vec, chi, env, grid):
-    """Strang steps over consecutive grid points: half Jz^2 phase, exact
-    envelope-integral y-rotation, half Jz^2 phase."""
-    m2 = m_values(j) ** 2
+def _split_steps(j, x, chi, env, grid):
+    """Strang steps over consecutive grid points on a (dim, R) block: half
+    Jz^2 phase, exact envelope-integral y-rotation, half Jz^2 phase."""
+    m2 = m_values(j)[:, None] ** 2
     vals, vecs = axis_eigensystem(j, "y")
-    vecs_h = vecs.conj().T
     for a, b in zip(grid[:-1], grid[1:]):
-        dt = b - a
-        half = np.exp(-1j * chi * (dt / 2) * m2)
+        half = np.exp(-1j * chi * ((b - a) / 2) * m2)
         angle = drive_integral(env, a, b)
-        vec = half * vec
-        vec = vecs @ (np.exp(-1j * angle * vals) * (vecs_h @ vec))
-        vec = half * vec
-    return vec
+        x = half * spectral_apply(vecs, np.exp(-1j * angle * vals)[:, None], half * x)
+    return x
 
 
 def evolve_driven(
@@ -133,9 +137,8 @@ def evolve_driven(
         return state
     if (t1 - t0) < 1e-15 * max(abs(t0), abs(t1)):
         raise DomainError("step underflow: interval too small to resolve")
-    h = env.period / steps_per_period
-    vec = _split_steps(state.j, state.amplitudes.copy(), chi, env, _aligned_grid(t0, t1, h))
-    return DickeState(state.j, vec)
+    engine = DrivenEngine(state.j, chi, env, steps_per_period, use_period_ops=False)
+    return DickeState(state.j, engine.advance(state.amplitudes, t0, t1))
 
 
 class _PeriodOperators:
@@ -149,42 +152,22 @@ class _PeriodOperators:
         if spp % 2:
             raise DomainError("period operators need even steps_per_period")
         dim = int(round(2 * j)) + 1
-        m2 = m_values(j) ** 2
-        vals, vecs = axis_eigensystem(j, "y")
-        vecs_h = np.ascontiguousarray(vecs.conj().T)
         h = env.period / spp
-        mat = np.eye(dim, dtype=complex)
-        half = np.exp(-1j * chi * (h / 2) * m2)
-        for k in range(spp // 2):
-            a, b = k * h, (k + 1) * h
-            angle = drive_integral(env, a, b)
-            mat = half[:, None] * mat
-            mat = vecs @ (np.exp(-1j * angle * vals)[:, None] * (vecs_h @ mat))
-            mat = half[:, None] * mat
-        self.u_half = mat
-        self.rz_pi = np.exp(-1j * np.pi * m_values(j))
-        self.half_time = env.period / 2
+        grid = [k * h for k in range(spp // 2 + 1)]
+        self.u_half = _split_steps(j, np.eye(dim, dtype=complex), chi, env, grid)
+        self.rz_pi = np.exp(-1j * np.pi * m_values(j))[:, None]
 
-    def jump(self, vec: np.ndarray, half_index: int) -> np.ndarray:
-        """Advance one half period starting at half_index * T/2."""
+    def jump(self, x: np.ndarray, half_index: int) -> np.ndarray:
+        """Advance a (dim, R) block one half period starting at
+        half_index * T/2."""
         if half_index % 2 == 0:
-            return self.u_half @ vec
-        return self.rz_pi * (self.u_half @ (self.rz_pi.conj() * vec))
+            return self.u_half @ x
+        return self.rz_pi * (self.u_half @ (self.rz_pi.conj() * x))
 
 
-_PERIOD_CACHE: dict = {}
-_PERIOD_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def period_operators(j: float, chi: float, env: DriveEnvelope, spp: int) -> _PeriodOperators:
-    key = (j, chi, env.omega0, env.omega, env.phase, spp)
-    with _PERIOD_LOCK:
-        ops = _PERIOD_CACHE.get(key)
-    if ops is None:
-        ops = _PeriodOperators(j, chi, env, spp)
-        with _PERIOD_LOCK:
-            _PERIOD_CACHE[key] = ops
-    return ops
+    return _PeriodOperators(j, chi, env, spp)
 
 
 class DrivenEngine:
@@ -194,10 +177,9 @@ class DrivenEngine:
     def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int = 64, use_period_ops=None):
         self.j, self.chi, self.env, self.spp = j, chi, env, spp
         self.h = env.period / spp
-        dim = int(round(2 * j)) + 1
         self._ops = None
         self._use_ops = use_period_ops
-        self._dim = dim
+        self._dim = int(round(2 * j)) + 1
 
     def _want_ops(self, span: float) -> bool:
         if self._use_ops is not None:
@@ -210,10 +192,14 @@ class DrivenEngine:
             self._ops = period_operators(self.j, self.chi, self.env, self.spp)
 
     def advance(self, vec: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
+        """Evolve a state vector, or every column of a (dim, R) block, from
+        t_from to t_to."""
         if t_to < t_from:
             raise DomainError("cannot advance backwards")
         if t_to == t_from:
             return vec
+        if vec.ndim == 1:
+            return self.advance(vec[:, None], t_from, t_to)[:, 0]
         h2 = self.env.period / 2
         if self._ops is not None:
             a = int(np.ceil(t_from / h2 - 1e-9))
@@ -243,9 +229,13 @@ def driven_doubling_check(
 ) -> dict:
     """One-shot integrator self-check: terminal fidelity between the run at
     steps_per_period and at twice that."""
-    coarse = _engine_run(state, chi, env, t0, t1, steps_per_period)
-    fine = _engine_run(state, chi, env, t0, t1, 2 * steps_per_period)
-    fid = abs(np.vdot(fine.amplitudes, coarse.amplitudes))
+
+    def run(spp):
+        engine = DrivenEngine(state.j, chi, env, spp)
+        engine.prepare(t1 - t0)
+        return engine.advance(state.amplitudes, t0, t1)
+
+    fid = abs(np.vdot(run(2 * steps_per_period), run(steps_per_period)))
     return {
         "steps_per_period": steps_per_period,
         "doubled": 2 * steps_per_period,
@@ -253,115 +243,118 @@ def driven_doubling_check(
     }
 
 
-def _engine_run(state, chi, env, t0, t1, spp):
-    eng = DrivenEngine(state.j, chi, env, spp)
-    eng.prepare(t1 - t0)
-    return DickeState(state.j, eng.advance(state.amplitudes.copy(), t0, t1))
-
-
 # ---------------------------------------------------------------------------
 # schedule execution
+
+def _stepper(j: float, seg, t: float) -> tuple:
+    """(advance(x, t_from, t_to), start, end) of a quadratic or driven
+    segment reached at schedule time t."""
+    if isinstance(seg, QuadraticSegment):
+        def advance(x, t_from, t_to):
+            return _quadratic(j, seg.axis, seg.chi, t_to - t_from, x) if t_to > t_from else x
+
+        return advance, t, t + seg.duration
+    if abs(seg.t0 - t) > TIME_TOL * max(1.0, abs(t)):
+        raise DomainError(f"driven segment starts at {seg.t0}, schedule time is {t}")
+    engine = DrivenEngine(j, seg.chi, seg.env, seg.steps_per_period)
+    engine.prepare(seg.duration)
+    return engine.advance, seg.t0, seg.t1
+
+
+def evolve_block(
+    j: float,
+    block: np.ndarray,
+    schedule: ProtocolSchedule,
+    scales: np.ndarray | None = None,
+    parameters=(),
+) -> tuple[np.ndarray, list]:
+    """Apply the segments in order to every column of a (dim, R) block,
+    sampling diagnostics at the requested times.
+
+    Pulse k turns column r by its angle times scales[k, r] (1 when scales
+    is None). Every other segment acts on all columns alike. Returns the
+    final block and one RunRecord for each of the first len(parameters)
+    columns; later columns are padding and leave no record.
+
+    Boundary convention: a sample time equal to a segment boundary is taken
+    before any zero-duration event listed after that boundary. A column
+    whose norm drifts beyond 1e-12 is renormalized and counted in its
+    record.
+    """
+    digest = schedule.digest()
+    records = [RunRecord(parameters={"schedule_digest": digest, **(p or {})}) for p in parameters]
+    x = np.array(block, dtype=complex)
+    if scales is None:
+        scales = np.ones((len(schedule.pulses()), x.shape[1]))
+    renorms = np.zeros(x.shape[1], dtype=int)
+    t = 0.0
+    samples = schedule.sample_times
+    si = 0
+    pulse_index = 0
+
+    def due(limit):
+        return si < len(samples) and samples[si] <= limit + TIME_TOL * max(1.0, abs(limit))
+
+    def emit(time, x):
+        cols = squeezing_columns(j, x)
+        for r, record in enumerate(records):
+            record.add_sample(time, cols.column(r))
+
+    def renormalized(x):
+        norms = np.sqrt((x.real**2 + x.imag**2).sum(axis=0))
+        drift = np.abs(norms - 1.0) > RENORM_STEP_TOL
+        if drift.any():
+            x[:, drift] /= norms[drift]
+            renorms[drift] += 1
+        return x
+
+    if si < len(samples) and samples[si] <= TIME_TOL * max(1.0, abs(samples[si])):
+        emit(samples[si], x)
+        si += 1
+
+    for seg in schedule.segments:
+        if isinstance(seg, Pulse):
+            angles = seg.rotation.angle * (seg.area_scale * scales[pulse_index])
+            pulse_index += 1
+            x = renormalized(rotate_block(j, x, seg.rotation.axis, angles))
+            continue
+        if isinstance(seg, FreezeMarker):
+            for record in records:
+                record.add_event("freeze", time=t)
+            continue
+        if isinstance(seg, (QuadraticSegment, DrivenSegment)):
+            advance, t, end = _stepper(j, seg, t)
+            while due(end):
+                target = min(max(samples[si], t), end)
+                x = advance(x, t, target)
+                t = target
+                emit(samples[si], x)
+                si += 1
+            x = renormalized(advance(x, t, end))
+            t = end
+            continue
+        raise DomainError(f"unknown segment type {type(seg).__name__}")
+
+    while si < len(samples):
+        if not due(t):
+            raise DomainError(f"sample time {samples[si]} beyond schedule end {t}")
+        emit(samples[si], x)
+        si += 1
+
+    for record, count in zip(records, renorms):
+        if count:
+            record.add_event("renormalization", count=int(count))
+    return x, records
+
 
 def evolve_schedule(
     state: DickeState,
     schedule: ProtocolSchedule,
     parameters: dict | None = None,
 ) -> tuple[DickeState, RunRecord]:
-    """Apply segments in order, sampling diagnostics at the requested times.
-
-    Boundary convention: a sample time equal to a segment boundary is taken
-    before any zero-duration event listed after that boundary. Norm drift
-    beyond 1e-12 is renormalized and counted in the record.
-    """
-    record = RunRecord(parameters=dict(parameters or {}))
-    record.parameters.setdefault("schedule_digest", schedule.digest())
-    j = state.j
-    vec = state.amplitudes.copy()
-    t = 0.0
-    samples = list(schedule.sample_times)
-    si = 0
-    renorms = 0
-
-    def maybe_renorm(v):
-        nonlocal renorms
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > RENORM_STEP_TOL:
-            v = v / norm
-            renorms += 1
-        return v
-
-    def emit(time, v):
-        record.add_sample(time, squeezing_report(DickeState(j, v)))
-
-    if si < len(samples) and samples[si] <= TIME_TOL * max(1.0, abs(samples[si])):
-        emit(samples[si], vec)
-        si += 1
-
-    for seg in schedule.segments:
-        if isinstance(seg, Pulse):
-            rot = seg.rotation.scaled(seg.area_scale)
-            vec = maybe_renorm(rotate_vector(j, vec, rot))
-            continue
-        if isinstance(seg, FreezeMarker):
-            record.add_event("freeze", time=t)
-            continue
-        if isinstance(seg, QuadraticSegment):
-            end = t + seg.duration
-            if seg.axis == "z":
-                m2 = m_values(j) ** 2
-
-                def step(v, dt, _m2=m2, _chi=seg.chi):
-                    return np.exp(-1j * _chi * dt * _m2) * v
-            else:
-                vals, vecs = axis_eigensystem(j, seg.axis)
-                vecs_h = vecs.conj().T
-
-                def step(v, dt, _va=vals, _ve=vecs, _vh=vecs_h, _chi=seg.chi):
-                    return _ve @ (np.exp(-1j * _chi * dt * _va**2) * (_vh @ v))
-
-            while si < len(samples) and samples[si] <= end + TIME_TOL * max(1.0, end):
-                target = min(samples[si], end)
-                if target > t:
-                    vec = step(vec, target - t)
-                    t = target
-                emit(samples[si], vec)
-                si += 1
-            if end > t:
-                vec = step(vec, end - t)
-            t = end
-            vec = maybe_renorm(vec)
-            continue
-        if isinstance(seg, DrivenSegment):
-            if abs(seg.t0 - t) > TIME_TOL * max(1.0, abs(t)):
-                raise DomainError(
-                    f"driven segment starts at {seg.t0}, schedule time is {t}"
-                )
-            engine = DrivenEngine(j, seg.chi, seg.env, seg.steps_per_period)
-            engine.prepare(seg.duration)
-            t = seg.t0
-            end = seg.t1
-            while si < len(samples) and samples[si] <= end + TIME_TOL * max(1.0, end):
-                target = min(max(samples[si], t), end)
-                vec = engine.advance(vec, t, target)
-                t = target
-                emit(samples[si], vec)
-                si += 1
-            vec = engine.advance(vec, t, end)
-            t = end
-            vec = maybe_renorm(vec)
-            continue
-        raise DomainError(f"unknown segment type {type(seg).__name__}")
-
-    while si < len(samples):
-        if samples[si] <= t + TIME_TOL * max(1.0, t):
-            emit(samples[si], vec)
-            si += 1
-        else:
-            raise DomainError(f"sample time {samples[si]} beyond schedule end {t}")
-
-    if renorms:
-        record.add_event("renormalization", count=renorms)
-    return DickeState(j, vec), record
+    """Run one state through a schedule: evolve_block on a one-column block."""
+    x, (record,) = evolve_block(state.j, state.amplitudes[:, None], schedule, None, (parameters,))
+    return DickeState(state.j, x[:, 0]), record
 
 
 # ---------------------------------------------------------------------------

@@ -14,23 +14,26 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .dicke import (
     DickeState,
     RotationSpec,
-    apply_spin,
+    basis_coeffs,
     make_css,
     make_dicke_state,
+    m_values,
     rotate_vector,
 )
-from .diagnostics import OptimumResult, RunRecord, find_optimum, squeezing_report
+from .diagnostics import OptimumResult, RunRecord, find_optimum, squeezing_columns
 from .errors import DomainError
 from .hamiltonians import DriveEnvelope, alpha0, quadratic_matrix
 from .propagator import (
+    TILE,
     SpectralPropagator,
-    evolve_quadratic_diagonal,
+    evolve_block,
     evolve_schedule,
 )
 from .schedule import (
@@ -88,10 +91,20 @@ def _drive_effective_propagator(n_particles: int, chi: float, a0: float) -> Spec
     return SpectralPropagator(mat)
 
 
-def _spectral_record(prop, initial, times, parameters) -> RunRecord:
+def _spectral_record(initial, times, parameters, vals, vecs=None) -> RunRecord:
+    """Squeezing at each time under H = vecs diag(vals) vecs^H (diagonal
+    when vecs is None). The initial state enters the eigenbasis once; each
+    TILE consecutive times become the columns of one block."""
+    coeffs = initial.amplitudes if vecs is None else basis_coeffs(vecs, initial.amplitudes)
     record = RunRecord(parameters=parameters)
-    for t in times:
-        record.add_sample(t, squeezing_report(prop.evolve(initial, t)))
+    for k in range(0, len(times), TILE):
+        chunk = np.asarray(times[k : k + TILE], dtype=float)
+        block = np.exp(-1j * np.outer(vals, chunk)) * coeffs[:, None]
+        if vecs is not None:
+            block = vecs @ block
+        cols = squeezing_columns(initial.j, block)
+        for r, t in enumerate(chunk):
+            record.add_sample(t, cols.column(r))
     return record
 
 
@@ -114,24 +127,19 @@ def reference_runs(
     params = {"model": model, "N": n_particles, "chi": chi}
     if model == "oat":
         times = np.linspace(0.0, span_factor * t_opt_oat(n_particles) / chi, n_samples)
-        record = RunRecord(parameters=params)
-        for t in times:
-            record.add_sample(t, squeezing_report(evolve_quadratic_diagonal(initial, chi, t)))
-        return record
+        return _spectral_record(initial, times, params, chi * m_values(initial.j) ** 2)
     times = np.linspace(0.0, span_factor * t_opt_tact(n_particles) / chi, n_samples)
-    return _spectral_record(_tact_propagator(n_particles, chi), initial, times, params)
+    prop = _tact_propagator(n_particles, chi)
+    return _spectral_record(initial, times, params, prop.vals, prop.vecs)
 
 
 def effective_pulse_record(n_particles, chi, times) -> RunRecord:
     """xi^2 under the exact averaged pulse generator chi*(2Jx^2 + Jz^2)/3
     from the north-pole state."""
+    prop = _pulse_effective_propagator(n_particles, chi)
+    params = {"model": "pulse-effective", "N": n_particles, "chi": chi}
     initial = make_dicke_state(n_particles / 2, n_particles / 2)
-    return _spectral_record(
-        _pulse_effective_propagator(n_particles, chi),
-        initial,
-        times,
-        {"model": "pulse-effective", "N": n_particles, "chi": chi},
-    )
+    return _spectral_record(initial, times, params, prop.vals, prop.vecs)
 
 
 def effective_drive_record(n_particles, chi, omega0_over_omega, times) -> RunRecord:
@@ -139,12 +147,9 @@ def effective_drive_record(n_particles, chi, omega0_over_omega, times) -> RunRec
     the nonzero-phase form cancels in xi^2, so the unrotated mixture from
     the x-pointing state covers every drive phase."""
     a0 = alpha0(omega0_over_omega, 1.0)
-    return _spectral_record(
-        _drive_effective_propagator(n_particles, chi, a0),
-        _css_x(n_particles),
-        times,
-        {"model": "drive-effective", "N": n_particles, "chi": chi, "alpha0": a0},
-    )
+    prop = _drive_effective_propagator(n_particles, chi, a0)
+    params = {"model": "drive-effective", "N": n_particles, "chi": chi, "alpha0": a0}
+    return _spectral_record(_css_x(n_particles), times, params, prop.vals, prop.vecs)
 
 
 @lru_cache(maxsize=32)
@@ -169,34 +174,22 @@ class ProtocolBundle:
     def frozen_state(self, noise: NoiseModel | None = None) -> DickeState:
         if self.prefix_schedule is None:
             raise DomainError("protocol was built without a freeze")
-        realized = _realize(self.prefix_schedule, noise)
-        state, _ = evolve_schedule(self.initial_state, realized)
-        return state
+        block, _ = _run_batch(self.prefix_schedule, self.initial_state, [noise], [None])
+        return DickeState(self.initial_state.j, block[:, 0])
 
 
-def _jz_stats(vec: np.ndarray, j: float) -> tuple[float, float]:
-    vz = apply_spin(j, (0.0, 0.0, 1.0), vec)
-    mean = float(np.vdot(vec, vz).real)
-    var = float(np.vdot(vz, vz).real) - mean**2
-    return mean, var
-
-
-def _resolve_signs(state: DickeState, rotations) -> tuple[tuple, list]:
-    """Try every angle-sign combination of the freeze rotations, keep the
-    one minimizing Var(Jz) on the probe state."""
-    from itertools import product
-
-    from .dicke import rotate_vector
-
-    best = None
-    for signs in product((1.0, -1.0), repeat=len(rotations)):
-        vec = state.amplitudes.copy()
-        for s, rot in zip(signs, rotations):
-            vec = rotate_vector(state.j, vec, rot.scaled(s))
-        _, var = _jz_stats(vec, state.j)
-        if best is None or var < best[1]:
-            best = (signs, var)
-    return best
+def _resolve_signs(state: DickeState, rotations) -> tuple[tuple, float]:
+    """Try every angle-sign combination of the freeze rotations, one column
+    each, and keep the one minimizing Var(Jz) on the probe state."""
+    signs = np.array(list(product((1.0, -1.0), repeat=len(rotations))))
+    block = np.repeat(state.amplitudes[:, None], len(signs), axis=1)
+    pulses = ProtocolSchedule(tuple(Pulse(rot) for rot in rotations), ())
+    block, _ = evolve_block(state.j, block, pulses, signs.T, ())
+    m = m_values(state.j)[:, None]
+    p = block.real**2 + block.imag**2
+    var = (m**2 * p).sum(axis=0) - (m * p).sum(axis=0) ** 2
+    best = int(np.argmin(var))
+    return tuple(float(sg) for sg in signs[best]), float(var[best])
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +496,35 @@ def _noise_factors(schedule: ProtocolSchedule, noise: NoiseModel) -> np.ndarray:
     return 1.0 + noise.eta * r
 
 
-def _realize(schedule: ProtocolSchedule, noise: NoiseModel | None) -> ProtocolSchedule:
-    if noise is None or noise.eta == 0:
-        return schedule
-    return schedule.with_pulse_scales(_noise_factors(schedule, noise))
+def _noisy(noise: NoiseModel | None) -> bool:
+    return noise is not None and noise.eta > 0
+
+
+def _run_batch(schedule, initial, noises, parameters) -> tuple[np.ndarray, list]:
+    """Final block and records of runs of one schedule that differ only in
+    their pulse noise.
+
+    Noisy runs (at most TILE) become the columns of one TILE-wide block,
+    padded by repeating the last run, so a run's bits depend neither on its
+    position nor on the other runs. A noiseless run is one column.
+    """
+    block, scales = initial.amplitudes[:, None], None
+    if _noisy(noises[0]):
+        factors = np.stack([_noise_factors(schedule, noise) for noise in noises], axis=1)
+        scales = factors[:, np.minimum(np.arange(TILE), len(noises) - 1)]
+        block = np.repeat(block, TILE, axis=1)
+    params = []
+    for noise, extra in zip(noises, parameters):
+        drawn = {"N": initial.n_particles}
+        if _noisy(noise):
+            drawn.update(noise_eta=noise.eta, seed=noise.seed, draw_scope=noise.draw_scope)
+        params.append({**drawn, **(extra or {})})
+    block, records = evolve_block(initial.j, block, schedule, scales, params)
+    for record in records:
+        for key in ("freeze_time", "freeze_sign", "freeze_signs"):
+            if key in schedule.meta:
+                record.add_event("freeze-decision", key=key, value=schedule.meta[key])
+    return block, records
 
 
 def run_protocol(
@@ -516,18 +534,10 @@ def run_protocol(
     parameters: dict | None = None,
 ) -> RunRecord:
     """Execute a schedule; with noise, every pulse area (freeze included)
-    is scaled by its own 1 + r*eta draw."""
-    params = dict(parameters or {})
-    params.setdefault("N", initial.n_particles)
-    if noise is not None and noise.eta > 0:
-        params.setdefault("noise_eta", noise.eta)
-        params.setdefault("seed", noise.seed)
-        params.setdefault("draw_scope", noise.draw_scope)
-    _, record = evolve_schedule(initial, _realize(schedule, noise), params)
-    for key in ("freeze_time", "freeze_sign", "freeze_signs"):
-        if key in schedule.meta:
-            record.add_event("freeze-decision", key=key, value=schedule.meta[key])
-    return record
+    is scaled by its own 1 + r*eta draw. A noisy run is computed in a
+    TILE-wide block, so it replays the matching Monte Carlo realization bit
+    for bit."""
+    return _run_batch(schedule, initial, [noise], [parameters])[1][0]
 
 
 @dataclass
@@ -541,7 +551,10 @@ class MonteCarloResult:
 def worker_count(default_cap: int = 4) -> int:
     env = os.environ.get("SPINSQUEEZE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise DomainError(f"SPINSQUEEZE_THREADS must be an integer, got {env!r}") from None
     return max(1, min(default_cap, os.cpu_count() or 1))
 
 
@@ -553,22 +566,30 @@ def run_monte_carlo(
     threads: int | None = None,
 ) -> MonteCarloResult:
     """Independent noise realizations with seeds derived from the master
-    seed; deterministic regardless of thread count."""
+    seed, run TILE at a time as the columns of one block; the pool spreads
+    the tiles over threads. A realization's record is bit-identical
+    whatever the pool size or the number of realizations, and equals
+    run_protocol with that realization's seed."""
     if realizations < 1:
         raise DomainError("realizations must be at least 1")
     children = np.random.SeedSequence(noise.seed).spawn(realizations)
     seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
     workers = threads if threads is not None else worker_count()
 
-    def one(i: int) -> RunRecord:
-        child = NoiseModel(noise.eta, seed=seeds[i], draw_scope=noise.draw_scope)
-        return run_protocol(schedule, initial, child, {"realization": i})
+    def tile(start: int) -> list:
+        idx = range(start, min(start + TILE, realizations))
+        if not _noisy(noise):  # every realization is the noiseless run
+            return [run_protocol(schedule, initial, None, {"realization": i}) for i in idx]
+        noises = [NoiseModel(noise.eta, seeds[i], noise.draw_scope) for i in idx]
+        return _run_batch(schedule, initial, noises, [{"realization": i} for i in idx])[1]
 
-    if workers <= 1 or realizations == 1:
-        records = [one(i) for i in range(realizations)]
+    starts = range(0, realizations, TILE)
+    if workers <= 1 or len(starts) == 1:
+        tiles = [tile(k) for k in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, range(realizations)))
+            tiles = list(pool.map(tile, starts))
+    records = [record for recs in tiles for record in recs]
     times = records[0].times()
     mean = np.mean([r.xi2() for r in records], axis=0)
     return MonteCarloResult(records=records, times=times, mean_xi2=mean, seeds=seeds)

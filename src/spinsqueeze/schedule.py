@@ -3,7 +3,7 @@ and the noise model that perturbs pulse areas."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from hashlib import sha256
 
 from .dicke import RotationSpec
@@ -106,20 +106,6 @@ class ProtocolSchedule:
 
     def pulses(self):
         return [seg for seg in self.segments if isinstance(seg, Pulse)]
-
-    def with_pulse_scales(self, factors) -> "ProtocolSchedule":
-        """Copy with each pulse's area_scale multiplied by its factor."""
-        factors = list(factors)
-        if len(factors) != len(self.pulses()):
-            raise DomainError("one scale factor per pulse required")
-        out, k = [], 0
-        for seg in self.segments:
-            if isinstance(seg, Pulse):
-                out.append(replace(seg, area_scale=seg.area_scale * factors[k]))
-                k += 1
-            else:
-                out.append(seg)
-        return ProtocolSchedule(tuple(out), self.sample_times, dict(self.meta))
 
     def digest(self) -> str:
         """Content digest over the timeline (meta excluded)."""

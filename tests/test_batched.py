@@ -1,0 +1,204 @@
+"""The batched evolution kernel: per-column correctness against the
+one-state primitives and the 2^N oracle, and bit-for-bit determinism
+across tile positions, realization counts and thread counts."""
+
+import json
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spinsqueeze.cli import parse_config, run_scenario
+from spinsqueeze.dicke import (
+    DickeState,
+    RotationSpec,
+    fidelity,
+    make_css,
+    rotate_vector,
+)
+from spinsqueeze.diagnostics import squeezing_report
+from spinsqueeze.errors import DomainError
+from spinsqueeze.hamiltonians import DriveEnvelope
+from spinsqueeze.propagator import (
+    TILE,
+    evolve_block,
+    evolve_quadratic_axis,
+    evolve_quadratic_diagonal,
+    full_hilbert_oracle,
+)
+from spinsqueeze.protocols import (
+    NoiseModel,
+    _noise_factors,
+    _resolve_signs,
+    _run_batch,
+    _tact_propagator,
+    build_repeated_pulse,
+    reference_runs,
+    run_monte_carlo,
+    run_protocol,
+    worker_count,
+)
+from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule, Pulse, QuadraticSegment
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(scope="module")
+def pulse_bundle():
+    return build_repeated_pulse(30, n_periods=6)
+
+
+class TestTileDeterminism:
+    def test_records_independent_of_realization_count(self, pulse_bundle):
+        noise = NoiseModel(0.02, seed=11)
+        runs = {
+            r: run_monte_carlo(pulse_bundle.schedule, pulse_bundle.initial_state, noise, r, threads=1)
+            for r in (1, TILE - 1, TILE, TILE + 1)
+        }
+        longest = runs[TILE + 1]
+        for r, mc in runs.items():
+            assert len(mc.records) == r
+            assert mc.seeds == longest.seeds[:r]
+            for i, rec in enumerate(mc.records):
+                assert rec.parameters["realization"] == i
+                assert rec.samples == longest.records[i].samples
+
+    def test_replay_of_last_realization(self, pulse_bundle):
+        mc = run_monte_carlo(
+            pulse_bundle.schedule, pulse_bundle.initial_state, NoiseModel(0.02, seed=5), TILE + 3
+        )
+        for i in (0, TILE - 1, TILE + 2):
+            replay = run_protocol(
+                pulse_bundle.schedule, pulse_bundle.initial_state, NoiseModel(0.02, seed=mc.seeds[i])
+            )
+            assert np.array_equal(replay.xi2(), mc.records[i].xi2())
+
+    def test_thread_count_does_not_change_records(self, pulse_bundle):
+        noise = NoiseModel(0.02, seed=3)
+        one = run_monte_carlo(pulse_bundle.schedule, pulse_bundle.initial_state, noise, 2 * TILE + 1, 1)
+        two = run_monte_carlo(pulse_bundle.schedule, pulse_bundle.initial_state, noise, 2 * TILE + 1, 2)
+        assert all(a.samples == b.samples for a, b in zip(one.records, two.records))
+
+    def test_cli_bytes_across_blas_and_pool_threads(self, tmp_path):
+        digests = set()
+        for blas, pool in product(("1", "2"), ("1", "2")):
+            out = tmp_path / f"b{blas}p{pool}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, SPINSQUEEZE_THREADS=pool)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "spinsqueeze.cli", "noise", "--n", "40", "--nc", "8",
+                 "--realizations", str(TILE + 2), "--samples", "32", "--out-dir", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+            assert set(artifacts) == {p.name for p in out.iterdir()} - {"manifest.json"}
+            digests.add(tuple(sorted((p.name, p.read_bytes()) for p in out.glob("*.csv"))))
+        assert len(digests) == 1
+
+
+class TestKernelCorrectness:
+    def test_monte_carlo_columns_match_single_state_loop(self, pulse_bundle):
+        schedule, initial = pulse_bundle.schedule, pulse_bundle.initial_state
+        noises = [NoiseModel(0.05, seed=s) for s in (1, 2, 3)]
+        block, _ = _run_batch(schedule, initial, noises, [None] * 3)
+        for r, noise in enumerate(noises):
+            factors = iter(_noise_factors(schedule, noise))
+            state = initial
+            for seg in schedule.segments:
+                if isinstance(seg, Pulse):
+                    rot = seg.rotation.scaled(seg.area_scale * next(factors))
+                    state = DickeState(state.j, rotate_vector(state.j, state.amplitudes, rot))
+                else:
+                    state = evolve_quadratic_diagonal(state, seg.chi, seg.duration)
+            assert fidelity(DickeState(initial.j, block[:, r]), state) >= 1 - 1e-10
+
+    def test_two_columns_against_full_oracle(self):
+        n = 5
+        rotations = [
+            RotationSpec((0, 1, 0), np.pi / 2),
+            RotationSpec((1, 0, 0), -0.7),
+            RotationSpec((0.6, 0, 0.8), 1.1),
+        ]
+        segments = []
+        for rot, axis in zip(rotations, "zxy"):
+            segments += [Pulse(rot), QuadraticSegment(axis, 1.0, 0.13)]
+        schedule = ProtocolSchedule(tuple(segments), ())
+        scales = np.array([[1.0, 1.3], [0.8, 1.0], [1.2, 0.5]])
+        initial = make_css(n / 2, 0.4, 0.2)
+        block, _ = evolve_block(initial.j, np.repeat(initial.amplitudes[:, None], 2, axis=1),
+                                schedule, scales, ())
+        for r in range(2):
+            realized = []
+            k = 0
+            for seg in segments:
+                if isinstance(seg, Pulse):
+                    seg = Pulse(seg.rotation, area_scale=scales[k, r])
+                    k += 1
+                realized.append(seg)
+            want, _ = full_hilbert_oracle(initial, ProtocolSchedule(tuple(realized), ()))
+            assert fidelity(DickeState(initial.j, block[:, r]), want) >= 1 - 1e-10
+
+    def test_driven_block_matches_single_runs(self):
+        omega = 2 * np.pi * 300.0
+        env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
+        schedule = ProtocolSchedule((DrivenSegment(env, 1.0, 0.0, 40.5 * env.period),), ())
+        states = [make_css(6, 1.0, 0.0), make_css(6, 0.3, 1.2)]
+        block, _ = evolve_block(6, np.stack([s.amplitudes for s in states], axis=1), schedule, None, ())
+        for r, s in enumerate(states):
+            single, _ = evolve_block(6, s.amplitudes[:, None], schedule, None, ())
+            assert abs(np.vdot(single[:, 0], block[:, r])) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("model", ["oat", "tact"])
+    def test_reference_curve_matches_single_evolves(self, model):
+        n = 60
+        rec = reference_runs(n, model=model, n_samples=2 * TILE + 5)
+        initial = make_css(n / 2, np.pi / 2, 0.0)
+        for t, rep in rec.samples:
+            if model == "oat":
+                state = evolve_quadratic_diagonal(initial, 1.0, t)
+            else:
+                state = _tact_propagator(n, 1.0).evolve(initial, t)
+            assert rep.xi2 == pytest.approx(squeezing_report(state).xi2, rel=1e-12)
+
+    def test_sign_search_matches_loop(self):
+        state = evolve_quadratic_axis(make_css(20, np.pi / 2, 0.0), "z", 1.0, 0.05)
+        rotations = [RotationSpec((0, 1, 0), 0.3), RotationSpec((-1, 0, 0), np.pi / 4)]
+        signs, var = _resolve_signs(state, rotations)
+        best = None
+        for combo in product((1.0, -1.0), repeat=2):
+            vec = state.amplitudes
+            for sg, rot in zip(combo, rotations):
+                vec = rotate_vector(state.j, vec, rot.scaled(sg))
+            m = np.arange(20, -21, -1.0)
+            p = np.abs(vec) ** 2
+            v = p @ m**2 - (p @ m) ** 2
+            if best is None or v < best[1]:
+                best = (combo, v)
+        assert signs == best[0]
+        assert var == pytest.approx(best[1], rel=1e-9)
+
+    def test_zero_eta_monte_carlo_is_the_noiseless_run(self, pulse_bundle):
+        schedule, initial = pulse_bundle.schedule, pulse_bundle.initial_state
+        mc = run_monte_carlo(schedule, initial, NoiseModel(0.0, seed=1), 3)
+        plain = run_protocol(schedule, initial)
+        assert all(np.array_equal(rec.xi2(), plain.xi2()) for rec in mc.records)
+
+
+class TestThreadSetting:
+    def test_bad_value_is_named(self, monkeypatch):
+        monkeypatch.setenv("SPINSQUEEZE_THREADS", "abc")
+        with pytest.raises(DomainError, match="SPINSQUEEZE_THREADS.*'abc'"):
+            worker_count()
+
+    def test_noise_cli_exits_with_one_line(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("SPINSQUEEZE_THREADS", "abc")
+        cfg = parse_config(["noise", "--n", "20", "--nc", "10", "--realizations", "2",
+                            "--samples", "16", "--out-dir", str(tmp_path)])
+        assert run_scenario(cfg) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("spinsqueeze:") and "SPINSQUEEZE_THREADS" in err[0]
