@@ -253,12 +253,13 @@ class RotationSpec:
         return RotationSpec(self.axis, self.angle * factor)
 
 
-@lru_cache(maxsize=None)
-def axis_eigensystem(j: float, axis: str):
-    """One-time eigendecomposition of Jx or Jy; eigenvalues snapped to the
-    exact half-integer ladder so repeated pulses stay exact."""
-    op = spin_operator(j, "jx" if axis == "x" else "jy")
-    vals, vecs = sla.eigh(op.dense())
+@lru_cache(maxsize=8)  # one real dim^2 basis each: 12.5 MB at N = 1250
+def axis_eigensystem(j: float):
+    """Real eigenbasis of Jx, a real symmetric tridiagonal matrix, with the
+    eigenvalues snapped to the exact half-integer ladder so repeated pulses
+    stay exact. It serves y as well: Jy = Rz(pi/2) Jx Rz(pi/2)^dagger."""
+    j = _check_j(j)
+    vals, vecs = sla.eigh_tridiagonal(np.zeros(dim_for(j)), ladder_values(j) / 2)
     exact = np.round(vals * 2) / 2
     if np.max(np.abs(vals - exact)) > 1e-9 * max(1.0, j):
         raise RuntimeError("axis eigenvalues failed half-integer snap")
@@ -267,19 +268,33 @@ def axis_eigensystem(j: float, axis: str):
     return exact, vecs
 
 
-def basis_coeffs(vecs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """vecs^H x, taken as conj(vecs^T conj(x)).
+def basis_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """v @ x for a complex (n, R) block x. A real v takes one GEMM over the
+    2R float64 columns of x's real view: half the flops of the complex
+    product, and no complex copy of v."""
+    if np.iscomplexobj(v):
+        return v @ x
+    x = np.ascontiguousarray(x, dtype=complex).view(np.float64)
+    if v.flags.f_contiguous and x.shape[1] <= 64:
+        # an F-ordered v (LAPACK's eigenvector layout) against at most 32
+        # columns: OpenBLAS streams it slowly there, 4x at dim 1251 and one
+        # column, and (x^T v^T)^T does not
+        return np.ascontiguousarray((x.T @ v.T).T).view(complex)
+    return (v @ x).view(complex)
 
-    That is the same arithmetic as vecs.conj().T @ x without a dim^2
-    conjugate copy of the basis on every call.
-    """
-    return (vecs.T @ x.conj()).conj()
 
-
-def spectral_apply(vecs: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """vecs diag(phases) vecs^H x for a (dim, R) block x; phases is (dim, 1)
-    or holds one column per column of x."""
-    return vecs @ (phases * basis_coeffs(vecs, x))
+def axis_apply(j: float, axis: str, f, x: np.ndarray) -> np.ndarray:
+    """f(J_axis) x on a (dim, R) block, for axis x, y or z; f maps the axis
+    eigenvalues to a (dim, 1) column or to one column per column of x. Jz
+    is diagonal. x and y share the real Jx eigenbasis W: f(Jx) = W f W^T and
+    f(Jy) = Rz(pi/2) W f W^T Rz(pi/2)^dagger, with Rz(pi/2) diagonal."""
+    if axis == "z":
+        return f(m_values(j)) * x
+    vals, vecs = axis_eigensystem(j)
+    if axis == "x":
+        return basis_product(vecs, f(vals) * basis_product(vecs.T, x))
+    turn = np.exp(-0.5j * np.pi * m_values(j))[:, None]
+    return turn * basis_product(vecs, f(vals) * basis_product(vecs.T, turn.conj() * x))
 
 
 def _rotate_axis(j: float, x: np.ndarray, axis: str, angle) -> np.ndarray:
@@ -287,10 +302,7 @@ def _rotate_axis(j: float, x: np.ndarray, axis: str, angle) -> np.ndarray:
     value per column."""
     if not np.any(angle):
         return x.copy()
-    if axis == "z":
-        return np.exp(-1j * np.outer(m_values(j), angle)) * x
-    vals, vecs = axis_eigensystem(j, axis)
-    return spectral_apply(vecs, np.exp(-1j * np.outer(vals, angle)), x)
+    return axis_apply(j, axis, lambda vals: np.exp(-1j * np.outer(vals, angle)), x)
 
 
 def rotate_block(j: float, x: np.ndarray, axis, angle) -> np.ndarray:
@@ -352,8 +364,8 @@ def css_amplitudes(j: float, theta: float, phi: float) -> np.ndarray:
 
     c_m = binom(2j, j-m)^(1/2) cos(t/2)^(j+m) sin(t/2)^(j-m) e^(-i m phi)
     for theta in [0, pi], evaluated through log-gamma so large j stays
-    stable. Used for fast Husimi grids; agreement with make_css is covered
-    by tests.
+    stable. Used for initial states and fast Husimi grids; agreement with
+    make_css is covered by tests.
     """
     from scipy.special import gammaln
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import j0 as _scipy_j0
 
-from .dicke import RotationSpec, m_values, spin_operator
+from .dicke import RotationSpec, ladder_values, m_values
 from .errors import DomainError
 
 
@@ -115,29 +115,43 @@ def driven(envelope: DriveEnvelope, chi: float = 1.0) -> HamiltonianSpec:
     return HamiltonianSpec(chi, "driven", drive=envelope)
 
 
-@lru_cache(maxsize=None)
-def quadratic_matrix(j: float, axis: str) -> np.ndarray:
-    """Dense J_axis^2 (pentadiagonal in practice, dense for simplicity)."""
-    op = spin_operator(j, f"j{axis}").dense()
-    mat = op @ op
-    mat.setflags(write=False)
-    return mat
+def quadratic_bands(j: float, cz: float, cx: float, cy: float) -> tuple:
+    """(diagonal, band) of cz*Jz^2 + cx*Jx^2 + cy*Jy^2, built in O(dim).
+
+    The generator couples m only to m +- 2: the diagonal is
+    cz*m^2 + (cx + cy)*(j(j+1) - m^2)/2, and band entry k, coupling basis
+    indices k and k+2, is (cx - cy)/4 times the ladder values of k and k+1.
+    So each parity of the basis index is a real symmetric tridiagonal block.
+    """
+    m2 = m_values(j) ** 2
+    lad = ladder_values(j)
+    return cz * m2 + (cx + cy) * (j * (j + 1) - m2) / 2, (cx - cy) / 4 * lad[:-1] * lad[1:]
 
 
 def matrix(j: float, spec: HamiltonianSpec) -> np.ndarray:
-    """Dense matrix of a time-independent spec (driven is rejected)."""
+    """Dense real matrix of a time-independent spec (driven is rejected),
+    assembled from quadratic_bands; a reference for tests."""
+    chi = spec.chi
     if spec.form == "oat":
-        return spec.chi * np.diag(m_values(j).astype(complex) ** 2)
-    if spec.form == "tact":
-        return spec.chi * (quadratic_matrix(j, "z") - quadratic_matrix(j, "y"))
-    if spec.form == "quadratic":
-        return spec.chi * quadratic_matrix(j, spec.axis)
-    if spec.form == "mixture":
-        return spec.chi * (
-            spec.alpha0 * quadratic_matrix(j, "z")
-            + (1.0 - spec.alpha0) * quadratic_matrix(j, "x")
-        )
-    raise DomainError(f"no static matrix for form {spec.form!r}")
+        coeffs = (chi, 0.0, 0.0)
+    elif spec.form == "tact":
+        coeffs = (chi, 0.0, -chi)
+    elif spec.form == "quadratic":
+        coeffs = tuple(chi * float(spec.axis == a) for a in "zxy")
+    elif spec.form == "mixture":
+        coeffs = (chi * spec.alpha0, chi * (1.0 - spec.alpha0), 0.0)
+    else:
+        raise DomainError(f"no static matrix for form {spec.form!r}")
+    diag, band = quadratic_bands(j, *coeffs)
+    return np.diag(diag) + np.diag(band, 2) + np.diag(band, -2)
+
+
+@lru_cache(maxsize=8)
+def quadratic_matrix(j: float, axis: str) -> np.ndarray:
+    """Dense real J_axis^2; a reference for tests."""
+    mat = matrix(j, quadratic(axis))
+    mat.setflags(write=False)
+    return mat
 
 
 def build_effective(

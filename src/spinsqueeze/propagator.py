@@ -2,7 +2,7 @@
 
 One kernel, evolve_block, runs a schedule on a (dim x R) block of states,
 one column per run: pulses turn each column by its own angle, quadratic
-generators evolve exactly (diagonal phases or cached axis eigenbases), and
+generators evolve exactly (diagonal phases or the cached real axis basis), and
 the driven model uses second-order split-stepping on a grid aligned to the
 drive phase, with a one-period Floquet operator fast path for runs spanning
 many periods. A single run is a block of one column. A brute-force 2^N
@@ -19,14 +19,15 @@ from scipy.integrate import solve_ivp
 
 from .dicke import (
     DickeState,
+    axis_apply,
     axis_eigensystem,
+    basis_product,
     m_values,
     rotate_block,
-    spectral_apply,
 )
 from .diagnostics import RunRecord, squeezing_columns
 from .errors import DomainError, ResourceError
-from .hamiltonians import DriveEnvelope, HamiltonianSpec, drive_integral
+from .hamiltonians import DriveEnvelope, HamiltonianSpec, drive_integral, quadratic_bands
 from .schedule import (
     DrivenSegment,
     FreezeMarker,
@@ -50,10 +51,7 @@ TILE = 16
 
 def _quadratic(j: float, axis: str, chi: float, duration: float, x: np.ndarray) -> np.ndarray:
     """exp(-i chi t J_axis^2) on a (dim, R) block."""
-    if axis == "z":
-        return np.exp(-1j * chi * duration * m_values(j) ** 2)[:, None] * x
-    vals, vecs = axis_eigensystem(j, axis)
-    return spectral_apply(vecs, np.exp(-1j * chi * duration * vals**2)[:, None], x)
+    return axis_apply(j, axis, lambda vals: np.exp(-1j * chi * duration * vals**2)[:, None], x)
 
 
 def evolve_quadratic_diagonal(state: DickeState, chi: float, duration: float) -> DickeState:
@@ -71,20 +69,54 @@ def evolve_quadratic_axis(state: DickeState, axis: str, chi: float, duration: fl
     return DickeState(state.j, amps[:, 0])
 
 
-class SpectralPropagator:
-    """Exact evolution under a fixed Hermitian matrix via one eigh."""
+def _tridiagonal_eigh(diag: np.ndarray, band: np.ndarray) -> tuple:
+    """Eigensystem of a real symmetric tridiagonal matrix; without a band it
+    is diagonal already and has no eigenvectors to store."""
+    return sla.eigh_tridiagonal(diag, band) if np.any(band) else (diag, None)
 
-    def __init__(self, ham: np.ndarray):
-        self.vals, self.vecs = sla.eigh(ham)
+
+class SpectralPropagator:
+    """Exact evolution under a fixed Hermitian generator, held as the
+    eigensystems of independent blocks of basis indices: one eigh of a
+    dense matrix, or for quadratic_bands one real tridiagonal eigensolve
+    per parity of the basis index."""
+
+    def __init__(self, ham):
+        if isinstance(ham, np.ndarray):
+            self.blocks = ((slice(None), *sla.eigh(ham)),)
+        else:
+            diag, band = ham
+            self.blocks = tuple(
+                (slice(p, None, 2), *_tridiagonal_eigh(diag[p::2], band[p::2])) for p in (0, 1)
+            )
+        self.dim = sum(len(vals) for _, vals, _ in self.blocks)
+
+    def coefficients(self, x: np.ndarray) -> list:
+        """Eigenbasis coefficients V^H x of each block of a (dim, R) block x."""
+        return [x[i] if v is None else basis_product(v.conj().T, x[i]) for i, _, v in self.blocks]
+
+    def synthesize(self, coeffs: list, times) -> np.ndarray:
+        """The block at the given times from its coefficients: one column per
+        time from one-column coefficients, or every column at one time."""
+        out = np.empty((self.dim, max(len(times), coeffs[0].shape[1])), dtype=complex)
+        for (idx, vals, vecs), c in zip(self.blocks, coeffs):
+            part = np.exp(-1j * np.outer(vals, times)) * c
+            out[idx] = part if vecs is None else basis_product(vecs, part)
+        return out
 
     def evolve_vec(self, vec: np.ndarray, duration: float) -> np.ndarray:
-        phases = np.exp(-1j * duration * self.vals)[:, None]
-        return spectral_apply(self.vecs, phases, vec[:, None])[:, 0]
+        return self.synthesize(self.coefficients(vec[:, None]), [duration])[:, 0]
 
     def evolve(self, state: DickeState, duration: float) -> DickeState:
         if duration < 0:
             raise DomainError("duration must be nonnegative")
         return DickeState(state.j, self.evolve_vec(state.amplitudes, duration))
+
+
+@lru_cache(maxsize=8)  # two real (dim/2)^2 bases each: 6 MB at N = 1250
+def spectral(j: float, cz: float, cx: float, cy: float) -> SpectralPropagator:
+    """Parity-split eigensystem of cz*Jz^2 + cx*Jx^2 + cy*Jy^2."""
+    return SpectralPropagator(quadratic_bands(j, cz, cx, cy))
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +138,17 @@ def _aligned_grid(t0: float, t1: float, h: float) -> list:
 
 def _split_steps(j, x, chi, env, grid):
     """Strang steps over consecutive grid points on a (dim, R) block: half
-    Jz^2 phase, exact envelope-integral y-rotation, half Jz^2 phase."""
-    m2 = m_values(j)[:, None] ** 2
-    vals, vecs = axis_eigensystem(j, "y")
+    Jz^2 phase, exact envelope-integral y-rotation, half Jz^2 phase. The
+    rotation runs in the real Jx basis, its Rz(pi/2) conjugation folded
+    into the two half-step phases (see dicke.axis_apply)."""
+    m = m_values(j)[:, None]
+    vals, vecs = axis_eigensystem(j)
     for a, b in zip(grid[:-1], grid[1:]):
-        half = np.exp(-1j * chi * ((b - a) / 2) * m2)
+        half = chi * ((b - a) / 2) * m**2
         angle = drive_integral(env, a, b)
-        x = half * spectral_apply(vecs, np.exp(-1j * angle * vals)[:, None], half * x)
+        x = np.exp(-1j * (half - np.pi / 2 * m)) * x
+        x = basis_product(vecs, np.exp(-1j * angle * vals)[:, None] * basis_product(vecs.T, x))
+        x = np.exp(-1j * (half + np.pi / 2 * m)) * x
     return x
 
 
@@ -165,7 +201,7 @@ class _PeriodOperators:
         return self.rz_pi * (self.u_half @ (self.rz_pi.conj() * x))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # one complex dim^2 operator each: 25 MB at N = 1250
 def period_operators(j: float, chi: float, env: DriveEnvelope, spp: int) -> _PeriodOperators:
     return _PeriodOperators(j, chi, env, spp)
 

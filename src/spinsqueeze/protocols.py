@@ -21,20 +21,20 @@ import numpy as np
 from .dicke import (
     DickeState,
     RotationSpec,
-    basis_coeffs,
-    make_css,
+    css_amplitudes,
     make_dicke_state,
     m_values,
-    rotate_vector,
+    rotate,
 )
 from .diagnostics import OptimumResult, RunRecord, find_optimum, squeezing_columns
 from .errors import DomainError
-from .hamiltonians import DriveEnvelope, alpha0, quadratic_matrix
+from .hamiltonians import DriveEnvelope, alpha0
 from .propagator import (
     TILE,
     SpectralPropagator,
     evolve_block,
     evolve_schedule,
+    spectral,
 )
 from .schedule import (
     DrivenSegment,
@@ -66,43 +66,33 @@ def t_opt_protocol(n_particles: float) -> float:
 
 
 def _css_x(n_particles: int) -> DickeState:
-    return make_css(n_particles / 2, np.pi / 2, 0.0)
+    return DickeState(n_particles / 2, css_amplitudes(n_particles / 2, np.pi / 2, 0.0))
 
 
 # ---------------------------------------------------------------------------
 # reference runs
 
-@lru_cache(maxsize=32)
 def _tact_propagator(n_particles: int, chi: float) -> SpectralPropagator:
-    j = n_particles / 2
-    return SpectralPropagator(chi * (quadratic_matrix(j, "z") - quadratic_matrix(j, "y")))
+    return spectral(n_particles / 2, chi, 0.0, -chi)
 
 
-@lru_cache(maxsize=32)
 def _pulse_effective_propagator(n_particles: int, chi: float) -> SpectralPropagator:
-    j = n_particles / 2
-    return SpectralPropagator(chi / 3.0 * (2 * quadratic_matrix(j, "x") + quadratic_matrix(j, "z")))
+    return spectral(n_particles / 2, chi / 3.0, 2.0 * chi / 3.0, 0.0)
 
 
-@lru_cache(maxsize=32)
 def _drive_effective_propagator(n_particles: int, chi: float, a0: float) -> SpectralPropagator:
-    j = n_particles / 2
-    mat = chi * (a0 * quadratic_matrix(j, "z") + (1 - a0) * quadratic_matrix(j, "x"))
-    return SpectralPropagator(mat)
+    return spectral(n_particles / 2, chi * a0, chi * (1.0 - a0), 0.0)
 
 
-def _spectral_record(initial, times, parameters, vals, vecs=None) -> RunRecord:
-    """Squeezing at each time under H = vecs diag(vals) vecs^H (diagonal
-    when vecs is None). The initial state enters the eigenbasis once; each
-    TILE consecutive times become the columns of one block."""
-    coeffs = initial.amplitudes if vecs is None else basis_coeffs(vecs, initial.amplitudes)
+def _spectral_record(initial, times, parameters, prop: SpectralPropagator) -> RunRecord:
+    """Squeezing at each time under prop's generator. The initial state
+    enters the eigenbasis once; each TILE consecutive times become the
+    columns of one block."""
+    coeffs = prop.coefficients(initial.amplitudes[:, None])
     record = RunRecord(parameters=parameters)
     for k in range(0, len(times), TILE):
         chunk = np.asarray(times[k : k + TILE], dtype=float)
-        block = np.exp(-1j * np.outer(vals, chunk)) * coeffs[:, None]
-        if vecs is not None:
-            block = vecs @ block
-        cols = squeezing_columns(initial.j, block)
+        cols = squeezing_columns(initial.j, prop.synthesize(coeffs, chunk))
         for r, t in enumerate(chunk):
             record.add_sample(t, cols.column(r))
     return record
@@ -118,8 +108,8 @@ def reference_runs(
     """Squeezing time series for the bare one-axis or two-axis model.
 
     one-axis: x-pointing coherent state under chi*Jz^2 (diagonal phases);
-    two-axis: same state under chi*(Jz^2 - Jy^2) via a one-time
-    eigendecomposition. Spans [0, span_factor * analytic optimum].
+    two-axis: same state under chi*(Jz^2 - Jy^2) via its cached parity-split
+    eigensystem. Spans [0, span_factor * analytic optimum].
     """
     if model not in ("oat", "tact"):
         raise DomainError(f"model must be 'oat' or 'tact', got {model!r}")
@@ -127,19 +117,17 @@ def reference_runs(
     params = {"model": model, "N": n_particles, "chi": chi}
     if model == "oat":
         times = np.linspace(0.0, span_factor * t_opt_oat(n_particles) / chi, n_samples)
-        return _spectral_record(initial, times, params, chi * m_values(initial.j) ** 2)
+        return _spectral_record(initial, times, params, spectral(initial.j, chi, 0.0, 0.0))
     times = np.linspace(0.0, span_factor * t_opt_tact(n_particles) / chi, n_samples)
-    prop = _tact_propagator(n_particles, chi)
-    return _spectral_record(initial, times, params, prop.vals, prop.vecs)
+    return _spectral_record(initial, times, params, _tact_propagator(n_particles, chi))
 
 
 def effective_pulse_record(n_particles, chi, times) -> RunRecord:
     """xi^2 under the exact averaged pulse generator chi*(2Jx^2 + Jz^2)/3
     from the north-pole state."""
-    prop = _pulse_effective_propagator(n_particles, chi)
     params = {"model": "pulse-effective", "N": n_particles, "chi": chi}
     initial = make_dicke_state(n_particles / 2, n_particles / 2)
-    return _spectral_record(initial, times, params, prop.vals, prop.vecs)
+    return _spectral_record(initial, times, params, _pulse_effective_propagator(n_particles, chi))
 
 
 def effective_drive_record(n_particles, chi, omega0_over_omega, times) -> RunRecord:
@@ -147,9 +135,9 @@ def effective_drive_record(n_particles, chi, omega0_over_omega, times) -> RunRec
     the nonzero-phase form cancels in xi^2, so the unrotated mixture from
     the x-pointing state covers every drive phase."""
     a0 = alpha0(omega0_over_omega, 1.0)
-    prop = _drive_effective_propagator(n_particles, chi, a0)
     params = {"model": "drive-effective", "N": n_particles, "chi": chi, "alpha0": a0}
-    return _spectral_record(_css_x(n_particles), times, params, prop.vals, prop.vecs)
+    prop = _drive_effective_propagator(n_particles, chi, a0)
+    return _spectral_record(_css_x(n_particles), times, params, prop)
 
 
 @lru_cache(maxsize=32)
@@ -359,7 +347,6 @@ def build_modulated_drive(
         raise DomainError("omega0_over_omega must be nonnegative")
     if n_particles < 2:
         raise DomainError("need at least 2 particles")
-    j = n_particles / 2
     omega = omega_over_chi * chi
     env = DriveEnvelope(omega0_over_omega * omega, omega, phase)
     meta = {
@@ -382,14 +369,8 @@ def build_modulated_drive(
     else:
         meta["high_frequency_ok"] = True
 
-    tilt = (env.omega0 / env.omega) * np.sin(phase)
-    base = _css_x(n_particles)
-    if tilt == 0:
-        initial = base
-    else:
-        initial = DickeState(
-            j, rotate_vector(j, base.amplitudes, RotationSpec((0.0, 1.0, 0.0), tilt))
-        )
+    tilt = RotationSpec((0.0, 1.0, 0.0), (env.omega0 / env.omega) * np.sin(phase))
+    initial = rotate(_css_x(n_particles), tilt)
 
     center = 3 * reference_optimum(n_particles, chi).chi_t
     if t_end is None:

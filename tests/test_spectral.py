@@ -1,0 +1,98 @@
+"""The real structured spectral layer: parity-split tridiagonal generators,
+the one real Jx basis that serves x and y rotations, and the bounds of
+the spectral caches."""
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+from spinsqueeze.dicke import axis_eigensystem, dim_for, rotate_block, spin_operator
+from spinsqueeze.hamiltonians import DriveEnvelope, matrix, mixture, quadratic, tact
+from spinsqueeze.propagator import period_operators, spectral
+
+J_VALUES = [0.5, 1, 1.5, 2.5, 30]
+
+# (name, (cz, cx, cy), spec) for every quadratic generator the engine
+# diagonalizes; the pulse-effective (2Jx^2 + Jz^2)/3 has no spec form, and
+# mixture(1) has a zero band
+GENERATORS = [
+    ("tact", (1.0, 0.0, -1.0), tact()),
+    ("quadratic-x", (0.0, 1.0, 0.0), quadratic("x")),
+    ("quadratic-y", (0.0, 0.0, 1.0), quadratic("y")),
+    ("quadratic-z", (1.0, 0.0, 0.0), quadratic("z")),
+    ("pulse-effective", (1.0 / 3.0, 2.0 / 3.0, 0.0), None),
+    *[(f"mixture-{a0}", (a0, 1.0 - a0, 0.0), mixture(a0)) for a0 in (1.0, 0.5, -0.4)],
+]
+
+
+def random_block(j, cols, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim_for(j), cols)) + 1j * rng.normal(size=(dim_for(j), cols))
+    return x / np.linalg.norm(x, axis=0)
+
+
+def spin_squares(j, coeffs):
+    """cz*Jz^2 + cx*Jx^2 + cy*Jy^2 from dense spin operators, independent
+    of the band formulas."""
+    ops = [spin_operator(j, kind).dense() for kind in ("jz", "jx", "jy")]
+    return sum(c * (op @ op) for c, op in zip(coeffs, ops))
+
+
+@pytest.mark.parametrize("j", J_VALUES)
+@pytest.mark.parametrize("name,coeffs,spec", GENERATORS, ids=[g[0] for g in GENERATORS])
+def test_parity_split_matches_dense_eigh(j, name, coeffs, spec):
+    h = spin_squares(j, coeffs)
+    scale = max(1.0, j * j)
+    if spec is not None:
+        assert np.max(np.abs(matrix(j, spec) - h)) <= 1e-12 * scale
+    vals, vecs = sla.eigh(h)
+    prop = spectral(float(j), *coeffs)
+    split = np.sort(np.concatenate([block_vals for _, block_vals, _ in prop.blocks]))
+    assert np.max(np.abs(split - vals)) <= 1e-12 * scale
+    x = random_block(j, 3)
+    for t in (0.0, 0.37, 2.1):
+        want = vecs @ (np.exp(-1j * t * vals)[:, None] * (vecs.conj().T @ x))
+        got = prop.synthesize(prop.coefficients(x), [t])
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(prop.evolve_vec(x[:, 0], t) - want[:, 0])) <= 1e-12
+
+
+@pytest.mark.parametrize("j", J_VALUES)
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_real_basis_rotations_match_expm(j, axis):
+    op = spin_operator(j, f"j{axis}").dense()
+    unit = (float(axis == "x"), float(axis == "y"), 0.0)
+    x = random_block(j, 3, seed=1)
+    want = sla.expm(-1j * 0.83 * op) @ x
+    assert np.max(np.abs(rotate_block(j, x, unit, 0.83) - want)) <= 1e-12
+    angles = np.array([0.3, -1.7, np.pi])
+    want = np.stack([sla.expm(-1j * a * op) @ x[:, r] for r, a in enumerate(angles)], axis=1)
+    assert np.max(np.abs(rotate_block(j, x, unit, angles) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("j", J_VALUES)
+def test_axis_basis_is_real_and_snapped(j):
+    vals, vecs = axis_eigensystem(j)
+    assert vecs.dtype == np.float64
+    assert np.array_equal(vals, np.round(2 * vals) / 2)
+    jx = spin_operator(j, "jx").dense().real
+    assert np.max(np.abs(jx @ vecs - vecs * vals)) <= 1e-9 * j
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(dim_for(j)))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "cached,call",
+    [
+        (axis_eigensystem, lambda j: axis_eigensystem(j)),
+        (spectral, lambda j: spectral(j, 1.0, 0.0, -1.0)),
+        (period_operators, lambda j: period_operators(j, 1.0, DriveEnvelope(2.0, 10.0, 0.3), 16)),
+    ],
+    ids=["axis_eigensystem", "spectral", "period_operators"],
+)
+def test_caches_are_bounded(cached, call):
+    limit = cached.cache_info().maxsize
+    assert limit is not None
+    for k in range(1, limit + 4):
+        call(k / 2)
+        assert cached.cache_info().currsize <= limit
+    assert cached.cache_info().currsize == limit
