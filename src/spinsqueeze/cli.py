@@ -214,14 +214,18 @@ def _seconds_per_chi_t(chi_hz: float) -> float:
     return 1.0 / (2 * np.pi * chi_hz)
 
 
-def _write_run_rows(path, times, xi2, jx, jy, jz, theta, chi_hz) -> Path:
-    lines = [RUN_HEADER + (",t_seconds" if chi_hz else "")]
-    for row in zip(times, xi2, 10.0 * np.log10(xi2), jx, jy, jz, theta):
-        if chi_hz:
-            row += (row[0] * _seconds_per_chi_t(chi_hz),)
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_csv(path, header: str, rows) -> Path:
+    """Header plus one comma-joined line per row of already formatted fields."""
+    Path(path).write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
     return Path(path)
+
+
+def _write_run_rows(path, times, xi2, jx, jy, jz, theta, chi_hz) -> Path:
+    rows = zip(times, xi2, 10.0 * np.log10(xi2), jx, jy, jz, theta)
+    if chi_hz:
+        rows = (row + (row[0] * _seconds_per_chi_t(chi_hz),) for row in rows)
+    header = RUN_HEADER + (",t_seconds" if chi_hz else "")
+    return _write_csv(path, header, (map(_fmt, row) for row in rows))
 
 
 def write_run_csv(path, record, chi_hz=None) -> None:
@@ -241,21 +245,21 @@ def write_mean_csv(path, mc_result, chi_hz=None) -> None:
 
 
 def write_realizations_csv(path, mc_result) -> None:
-    lines = ["realization,chi_t,xi2"]
-    for i, rec in enumerate(mc_result.records):
-        for t, rep in rec.samples:
-            lines.append(f"{i},{_fmt(t)},{_fmt(rep.xi2)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-    return Path(path)
+    rows = (
+        (str(i), _fmt(t), _fmt(rep.xi2))
+        for i, rec in enumerate(mc_result.records)
+        for t, rep in rec.samples
+    )
+    return _write_csv(path, "realization,chi_t,xi2", rows)
 
 
 def write_husimi_csv(path, thetas, phis, q) -> None:
-    lines = ["theta,phi,q"]
-    for i, th in enumerate(thetas):
-        for k, ph in enumerate(phis):
-            lines.append(f"{_fmt(th)},{_fmt(ph)},{_fmt(q[i, k])}")
-    Path(path).write_text("\n".join(lines) + "\n")
-    return Path(path)
+    rows = (
+        (_fmt(th), _fmt(ph), _fmt(q[i, k]))
+        for i, th in enumerate(thetas)
+        for k, ph in enumerate(phis)
+    )
+    return _write_csv(path, "theta,phi,q", rows)
 
 
 def _sha256(path) -> str:
@@ -332,11 +336,10 @@ def _scenario_reference(cfg, out_dir, written) -> dict:
     }
 
 
-def _scenario_pulses(cfg, out_dir, written) -> dict:
-    freeze = FreezePolicy() if cfg.freeze else None
-    bundle = build_repeated_pulse(cfg.n, 1.0, cfg.nc, freeze)
-    record = run_protocol(bundle.schedule, bundle.initial_state)
-    written.append(write_run_csv(out_dir / "pulses_run.csv", record, cfg.chi_hz))
+def _protocol_outputs(cfg, out_dir, written, bundle, record, convergence) -> dict:
+    """The part the pulses and drive scenarios share: the run CSV, the limit
+    curves, the frozen state when frozen, and the manifest block."""
+    written.append(write_run_csv(out_dir / f"{cfg.scenario}_run.csv", record, cfg.chi_hz))
     limits = _emit_limits(out_dir, cfg.n, cfg.samples, cfg.chi_hz, written)
     if cfg.freeze:
         bundle.frozen_state().save(out_dir / "frozen_state.json")
@@ -347,11 +350,17 @@ def _scenario_pulses(cfg, out_dir, written) -> dict:
         "protocol": meta,
         "limits": limits,
         "events": record.events,
-        "convergence": {
-            "method": "pulses and quadratic phases are exact; no integrator error"
-        },
+        "convergence": convergence,
         "unit_report": _unit_report(cfg, bundle.meta),
     }
+
+
+def _scenario_pulses(cfg, out_dir, written) -> dict:
+    freeze = FreezePolicy() if cfg.freeze else None
+    bundle = build_repeated_pulse(cfg.n, 1.0, cfg.nc, freeze)
+    record = run_protocol(bundle.schedule, bundle.initial_state)
+    convergence = {"method": "pulses and quadratic phases are exact; no integrator error"}
+    return _protocol_outputs(cfg, out_dir, written, bundle, record, convergence)
 
 
 def _scenario_drive(cfg, out_dir, written) -> dict:
@@ -366,29 +375,16 @@ def _scenario_drive(cfg, out_dir, written) -> dict:
         steps_per_period=cfg.steps_per_period,
     )
     record = run_protocol(bundle.schedule, bundle.initial_state)
-    written.append(write_run_csv(out_dir / "drive_run.csv", record, cfg.chi_hz))
     seg = bundle.schedule.segments[0]
     eff_times = [t for t in record.times() if t <= seg.t1]
     eff = effective_drive_record(cfg.n, 1.0, cfg.omega0_over_omega, eff_times)
     written.append(write_run_csv(out_dir / "drive_effective.csv", eff, cfg.chi_hz))
-    limits = _emit_limits(out_dir, cfg.n, cfg.samples, cfg.chi_hz, written)
-    if cfg.freeze:
-        bundle.frozen_state().save(out_dir / "frozen_state.json")
-        written.append(out_dir / "frozen_state.json")
     convergence = {"method": "strang split-step, exact envelope integral"}
     if cfg.doubling_check:
         convergence["doubling"] = driven_doubling_check(
             bundle.initial_state, 1.0, seg.env, seg.t0, seg.t1, cfg.steps_per_period
         )
-    meta = dict(bundle.meta)
-    meta.pop("freeze_candidates", None)
-    return {
-        "protocol": meta,
-        "limits": limits,
-        "events": record.events,
-        "convergence": convergence,
-        "unit_report": _unit_report(cfg, bundle.meta),
-    }
+    return _protocol_outputs(cfg, out_dir, written, bundle, record, convergence)
 
 
 def _scenario_noise(cfg, out_dir, written) -> dict:
@@ -418,12 +414,8 @@ def _scenario_sweep(cfg, out_dir, written) -> dict:
         rec = reference_runs(n, 1.0, cfg.model, n_samples=cfg.samples)
         opt = find_optimum(rec)
         rows.append((n, opt.chi_t, opt.xi2))
-    path = out_dir / f"sweep_{cfg.model}.csv"
-    lines = ["N,chi_t_opt,xi2_min"]
-    for n, t, v in rows:
-        lines.append(f"{n},{_fmt(t)},{_fmt(v)}")
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
+    table = ((str(n), _fmt(t), _fmt(v)) for n, t, v in rows)
+    written.append(_write_csv(out_dir / f"sweep_{cfg.model}.csv", "N,chi_t_opt,xi2_min", table))
     exponent, prefactor, resid = scaling_fit([(n, v) for n, t, v in rows])
     return {
         "scaling_fit": {"exponent": exponent, "prefactor": prefactor, "rms_residual": resid},

@@ -276,9 +276,10 @@ def basis_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
         return v @ x
     x = np.ascontiguousarray(x, dtype=complex).view(np.float64)
     if v.flags.f_contiguous and x.shape[1] <= 64:
-        # an F-ordered v (LAPACK's eigenvector layout) against at most 32
-        # columns: OpenBLAS streams it slowly there, 4x at dim 1251 and one
-        # column, and (x^T v^T)^T does not
+        # an F-ordered v (LAPACK's layout) and at most 32 complex columns: on
+        # one OpenBLAS thread (x^T v^T)^T is 1.6-3.5x faster at dim 1251 and
+        # within 0.5-1.3x of v @ x at dim 201-401; from 64 columns at dim 301,
+        # and at full width at every dim, v @ x is faster (1.1-1.7x)
         return np.ascontiguousarray((x.T @ v.T).T).view(complex)
     return (v @ x).view(complex)
 

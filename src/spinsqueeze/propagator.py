@@ -20,7 +20,6 @@ from scipy.integrate import solve_ivp
 from .dicke import (
     DickeState,
     axis_apply,
-    axis_eigensystem,
     basis_product,
     m_values,
     rotate_block,
@@ -69,12 +68,6 @@ def evolve_quadratic_axis(state: DickeState, axis: str, chi: float, duration: fl
     return DickeState(state.j, amps[:, 0])
 
 
-def _tridiagonal_eigh(diag: np.ndarray, band: np.ndarray) -> tuple:
-    """Eigensystem of a real symmetric tridiagonal matrix; without a band it
-    is diagonal already and has no eigenvectors to store."""
-    return sla.eigh_tridiagonal(diag, band) if np.any(band) else (diag, None)
-
-
 class SpectralPropagator:
     """Exact evolution under a fixed Hermitian generator, held as the
     eigensystems of independent blocks of basis indices: one eigh of a
@@ -84,10 +77,12 @@ class SpectralPropagator:
     def __init__(self, ham):
         if isinstance(ham, np.ndarray):
             self.blocks = ((slice(None), *sla.eigh(ham)),)
-        else:
+        else:  # (diagonal, band): a block without a band is diagonal and stores no vectors
             diag, band = ham
             self.blocks = tuple(
-                (slice(p, None, 2), *_tridiagonal_eigh(diag[p::2], band[p::2])) for p in (0, 1)
+                (slice(p, None, 2), *sla.eigh_tridiagonal(diag[p::2], band[p::2]))
+                if band[p::2].any() else (slice(p, None, 2), diag[p::2], None)
+                for p in (0, 1)
             )
         self.dim = sum(len(vals) for _, vals, _ in self.blocks)
 
@@ -138,17 +133,12 @@ def _aligned_grid(t0: float, t1: float, h: float) -> list:
 
 def _split_steps(j, x, chi, env, grid):
     """Strang steps over consecutive grid points on a (dim, R) block: half
-    Jz^2 phase, exact envelope-integral y-rotation, half Jz^2 phase. The
-    rotation runs in the real Jx basis, its Rz(pi/2) conjugation folded
-    into the two half-step phases (see dicke.axis_apply)."""
-    m = m_values(j)[:, None]
-    vals, vecs = axis_eigensystem(j)
+    Jz^2 phase, exact envelope-integral y-rotation, half Jz^2 phase."""
+    m2 = m_values(j)[:, None] ** 2
     for a, b in zip(grid[:-1], grid[1:]):
-        half = chi * ((b - a) / 2) * m**2
+        half = np.exp(-1j * chi * ((b - a) / 2) * m2)
         angle = drive_integral(env, a, b)
-        x = np.exp(-1j * (half - np.pi / 2 * m)) * x
-        x = basis_product(vecs, np.exp(-1j * angle * vals)[:, None] * basis_product(vecs.T, x))
-        x = np.exp(-1j * (half + np.pi / 2 * m)) * x
+        x = half * axis_apply(j, "y", lambda vals: np.exp(-1j * angle * vals)[:, None], half * x)
     return x
 
 

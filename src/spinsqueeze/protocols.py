@@ -28,7 +28,7 @@ from .dicke import (
 )
 from .diagnostics import OptimumResult, RunRecord, find_optimum, squeezing_columns
 from .errors import DomainError
-from .hamiltonians import DriveEnvelope, alpha0
+from .hamiltonians import DriveEnvelope, alpha0, drive_value
 from .propagator import (
     TILE,
     SpectralPropagator,
@@ -245,9 +245,7 @@ def build_repeated_pulse(
         return out
 
     if freeze is None:
-        segments = []
-        for _ in range(n_periods):
-            segments += _pulse_period_segments(chi, delta_t)
+        segments = _pulse_period_segments(chi, delta_t) * n_periods
         schedule = ProtocolSchedule(tuple(segments), tuple(mid_samples(n_periods)), meta)
         return ProtocolBundle(schedule, initial, meta)
 
@@ -260,9 +258,7 @@ def build_repeated_pulse(
         n_center = max(0, int(round((center - delta_t) / t_c)))
         candidates = [n for n in range(max(0, n_center - window), n_center + window + 1)]
         probe_samples = tuple(n * t_c + delta_t for n in candidates)
-        probe_segments = []
-        for _ in range(max(candidates) + 1):
-            probe_segments += _pulse_period_segments(chi, delta_t)
+        probe_segments = _pulse_period_segments(chi, delta_t) * (max(candidates) + 1)
         probe_schedule = ProtocolSchedule(tuple(probe_segments), probe_samples)
         _, probe_record = evolve_schedule(initial, probe_schedule)
         k = int(np.argmin(probe_record.xi2()))
@@ -270,10 +266,7 @@ def build_repeated_pulse(
         meta["freeze_candidates"] = list(zip(probe_samples, probe_record.xi2().tolist()))
     t_star = n_star * t_c + delta_t
 
-    prefix_segments = []
-    for _ in range(n_star):
-        prefix_segments += _pulse_period_segments(chi, delta_t)
-    prefix_segments += [
+    prefix_segments = _pulse_period_segments(chi, delta_t) * n_star + [
         Pulse(RotationSpec((0.0, 1.0, 0.0), np.pi / 2)),
         QuadraticSegment("z", chi, delta_t),
     ]
@@ -297,17 +290,9 @@ def build_repeated_pulse(
     post_time = freeze.post_time_factor * meta["t_opt"]
     pre = mid_samples(n_star) + [t_star]
     post = (t_star + np.linspace(0.0, post_time, freeze.post_samples + 1)[1:]).tolist()
-    segments = prefix_segments + [
-        FreezeMarker(t_star),
-        Pulse(freeze_rot.scaled(sign), label="freeze"),
-        QuadraticSegment("z", chi, post_time),
-    ]
-    schedule = ProtocolSchedule(tuple(segments), tuple(pre + post), meta)
-    prefix = ProtocolSchedule(
-        tuple(prefix_segments + [FreezeMarker(t_star), Pulse(freeze_rot.scaled(sign), label="freeze")]),
-        (),
-    )
-    return ProtocolBundle(schedule, initial, meta, prefix_schedule=prefix)
+    frozen = (*prefix_segments, FreezeMarker(t_star), Pulse(freeze_rot.scaled(sign), label="freeze"))
+    schedule = ProtocolSchedule(frozen + (QuadraticSegment("z", chi, post_time),), tuple(pre + post), meta)
+    return ProtocolBundle(schedule, initial, meta, prefix_schedule=ProtocolSchedule(frozen, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +362,13 @@ def build_modulated_drive(
         t_end = 1.25 * meta["t_opt"]
     period = env.period
 
-    def window_samples(t_lo, t_hi):
-        step = period / 8
-        n = int(np.floor((t_hi - t_lo) / step))
-        return (t_lo + step * np.arange(n + 1)).tolist()
-
     if freeze is None:
         zeros = drive_zero_times(env, t_end).tolist()
         if fine_window is None:
             fine_window = (max(0.0, 0.85 * center), min(t_end, 1.1 * center))
-        samples = sorted(set(zeros + window_samples(*fine_window)))
+        t_lo, t_hi = fine_window
+        fine = t_lo + (period / 8) * np.arange(int(np.floor((t_hi - t_lo) / (period / 8))) + 1)
+        samples = sorted(set(zeros + fine.tolist()))
         samples = _dedupe_times(samples)
         segments = (DrivenSegment(env, chi, 0.0, t_end, steps_per_period),)
         schedule = ProtocolSchedule(segments, tuple(samples), meta)
@@ -430,9 +412,7 @@ def build_modulated_drive(
             "freeze_time": t_star,
             "freeze_signs": signs,
             "freeze_var_z": var_z,
-            "drive_value_at_freeze": float(
-                env.omega0 * np.cos(env.omega * t_star + env.phase)
-            ),
+            "drive_value_at_freeze": float(drive_value(env, t_star)),
         }
     )
 
@@ -441,19 +421,13 @@ def build_modulated_drive(
     samples = sorted(set(zeros_pre + [t_star]))
     post = (t_star + np.linspace(0.0, post_time, freeze.post_samples + 1)[1:]).tolist()
     samples = _dedupe_times(samples + post)
-    freeze_pulses = [
+    frozen = prefix_core + (
+        FreezeMarker(t_star),
         Pulse(rot_align.scaled(signs[0]), label="freeze-align"),
         Pulse(rot_freeze.scaled(signs[1]), label="freeze"),
-    ]
-    segments = (
-        prefix_core
-        + (FreezeMarker(t_star),)
-        + tuple(freeze_pulses)
-        + (QuadraticSegment("z", chi, post_time),)
     )
-    schedule = ProtocolSchedule(segments, tuple(samples), meta)
-    prefix = ProtocolSchedule(prefix_core + (FreezeMarker(t_star),) + tuple(freeze_pulses), ())
-    return ProtocolBundle(schedule, initial, meta, prefix_schedule=prefix)
+    schedule = ProtocolSchedule(frozen + (QuadraticSegment("z", chi, post_time),), tuple(samples), meta)
+    return ProtocolBundle(schedule, initial, meta, prefix_schedule=ProtocolSchedule(frozen, ()))
 
 
 def _dedupe_times(times, rel=1e-12):
