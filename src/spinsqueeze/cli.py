@@ -88,9 +88,12 @@ class ScenarioConfig:
 
 
 DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING}
+_FLAG_TYPES = {"chi_hz": float, "state": str}  # the keys whose default is None
+_CHOICES = {"model": ("oat", "tact")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One --flag per config key of each scenario, typed by its default."""
     parser = argparse.ArgumentParser(
         prog="spinsqueeze",
         description="Collective-spin squeezing scenarios; emits figure-data CSVs.",
@@ -99,43 +102,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SCENARIOS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="flat JSON config file")
-        p.add_argument("--out-dir", dest="out_dir", type=str, default=None)
-        keys = _SCENARIO_KEYS[name]
-        if "n" in keys:
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--chi-hz", dest="chi_hz", type=float, default=None)
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--samples", type=int, default=None)
-        if "nc" in keys:
-            p.add_argument("--nc", type=int, default=None)
-        if "freeze" in keys:
-            p.add_argument(
-                "--freeze", dest="freeze", action=argparse.BooleanOptionalAction, default=None
-            )
-        if "eta" in keys:
-            p.add_argument("--eta", type=float, default=None)
-            p.add_argument("--realizations", type=int, default=None)
-        if name == "drive":
-            p.add_argument("--omega-over-chi", dest="omega_over_chi", type=float, default=None)
-            p.add_argument(
-                "--omega0-over-omega", dest="omega0_over_omega", type=float, default=None
-            )
-            p.add_argument("--phase", type=float, default=None)
-            p.add_argument(
-                "--steps-per-period", dest="steps_per_period", type=int, default=None
-            )
-            p.add_argument(
-                "--doubling-check",
-                dest="doubling_check",
-                action=argparse.BooleanOptionalAction,
-                default=None,
-            )
-        if name == "sweep":
-            p.add_argument("--n-list", dest="n_list", type=str, default=None)
-            p.add_argument("--model", type=str, choices=("oat", "tact"), default=None)
-        if name == "husimi":
-            p.add_argument("--state", type=str, default=None)
-            p.add_argument("--grid", type=str, default=None)
+        for key in _SCENARIO_KEYS[name]:
+            flag, kind = "--" + key.replace("_", "-"), _FLAG_TYPES.get(key, type(DEFAULTS[key]))
+            if kind is bool:
+                p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction, default=None)
+            else:
+                p.add_argument(flag, dest=key, type=kind, default=None, choices=_CHOICES.get(key))
     return parser
 
 
@@ -210,22 +182,29 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _fmt_column(values) -> list:
+    """_fmt of every value of an array-like, each formatted once."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
 def _seconds_per_chi_t(chi_hz: float) -> float:
     return 1.0 / (2 * np.pi * chi_hz)
 
 
 def _write_csv(path, header: str, rows) -> Path:
-    """Header plus one comma-joined line per row of already formatted fields."""
-    Path(path).write_text("\n".join([header, *(",".join(row) for row in rows)]) + "\n")
+    """Header plus one comma-joined line per row of formatted fields, streamed row by row."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
     return Path(path)
 
 
 def _write_run_rows(path, times, xi2, jx, jy, jz, theta, chi_hz) -> Path:
-    rows = zip(times, xi2, 10.0 * np.log10(xi2), jx, jy, jz, theta)
+    cols = [times, xi2, 10.0 * np.log10(xi2), jx, jy, jz, theta]
     if chi_hz:
-        rows = (row + (row[0] * _seconds_per_chi_t(chi_hz),) for row in rows)
+        cols.append(np.asarray(times) * _seconds_per_chi_t(chi_hz))
     header = RUN_HEADER + (",t_seconds" if chi_hz else "")
-    return _write_csv(path, header, (map(_fmt, row) for row in rows))
+    return _write_csv(path, header, zip(*map(_fmt_column, cols)))
 
 
 def write_run_csv(path, record, chi_hz=None) -> None:
@@ -254,11 +233,10 @@ def write_realizations_csv(path, mc_result) -> None:
 
 
 def write_husimi_csv(path, thetas, phis, q) -> None:
-    rows = (
-        (_fmt(th), _fmt(ph), _fmt(q[i, k]))
-        for i, th in enumerate(thetas)
-        for k, ph in enumerate(phis)
-    )
+    # q is formatted one theta row at a time, so no second copy of the grid is held
+    phs = _fmt_column(phis)
+    rows = ((th, ph, v) for th, qrow in zip(_fmt_column(thetas), q)
+            for ph, v in zip(phs, _fmt_column(qrow)))
     return _write_csv(path, "theta,phi,q", rows)
 
 

@@ -284,6 +284,12 @@ def basis_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (v @ x).view(complex)
 
 
+def quarter_turn(j: float) -> np.ndarray:
+    """Rz(pi/2) as a (dim, 1) column of phases. Jy = Rz(pi/2) Jx Rz(pi/2)^dagger,
+    so Rz(pi/2) W is an eigenbasis of Jy for the real Jx eigenbasis W."""
+    return np.exp(-0.5j * np.pi * m_values(j))[:, None]
+
+
 def axis_apply(j: float, axis: str, f, x: np.ndarray) -> np.ndarray:
     """f(J_axis) x on a (dim, R) block, for axis x, y or z; f maps the axis
     eigenvalues to a (dim, 1) column or to one column per column of x. Jz
@@ -294,7 +300,7 @@ def axis_apply(j: float, axis: str, f, x: np.ndarray) -> np.ndarray:
     vals, vecs = axis_eigensystem(j)
     if axis == "x":
         return basis_product(vecs, f(vals) * basis_product(vecs.T, x))
-    turn = np.exp(-0.5j * np.pi * m_values(j))[:, None]
+    turn = quarter_turn(j)
     return turn * basis_product(vecs, f(vals) * basis_product(vecs.T, turn.conj() * x))
 
 

@@ -20,8 +20,10 @@ from scipy.integrate import solve_ivp
 from .dicke import (
     DickeState,
     axis_apply,
+    axis_eigensystem,
     basis_product,
     m_values,
+    quarter_turn,
     rotate_block,
 )
 from .diagnostics import RunRecord, squeezing_columns
@@ -119,27 +121,56 @@ def spectral(j: float, cz: float, cx: float, cy: float) -> SpectralPropagator:
 
 def _aligned_grid(t0: float, t1: float, h: float) -> list:
     """Substep boundaries: t0, interior multiples of h, t1."""
-    pts = [t0]
-    k0 = int(np.ceil(t0 / h - 1e-9))
-    k1 = int(np.floor(t1 / h + 1e-9))
+    inner = (np.arange(np.ceil(t0 / h - 1e-9), np.floor(t1 / h + 1e-9) + 1) * h).tolist()
     tol = 1e-12 * h
-    for k in range(k0, k1 + 1):
-        t = k * h
-        if t0 + tol < t < t1 - tol:
-            pts.append(t)
-    pts.append(t1)
-    return pts
+    return [t0, *(t for t in inner if t0 + tol < t < t1 - tol), t1]
 
 
-def _split_steps(j, x, chi, env, grid):
-    """Strang steps over consecutive grid points on a (dim, R) block: half
-    Jz^2 phase, exact envelope-integral y-rotation, half Jz^2 phase."""
-    m2 = m_values(j)[:, None] ** 2
-    for a, b in zip(grid[:-1], grid[1:]):
-        half = np.exp(-1j * chi * ((b - a) / 2) * m2)
-        angle = drive_integral(env, a, b)
-        x = half * axis_apply(j, "y", lambda vals: np.exp(-1j * angle * vals)[:, None], half * x)
-    return x
+def _jz2_phase(j: float, t: float) -> np.ndarray:
+    """exp(-i t Jz^2) as a (dim, 1) column."""
+    return np.exp(-1j * t * m_values(j)[:, None] ** 2)
+
+
+@lru_cache(maxsize=8)  # two complex (dim/2)^2 blocks each: 12.5 MB at N = 1250
+def junction_blocks(j: float, chi_h: float) -> tuple:
+    """The two parity blocks of W^T exp(-i chi h Jz^2) W, W the real Jx
+    eigenbasis. Jz^2 and Jx commute with Rx(pi), which W diagonalizes with
+    eigenvalue exp(-i pi lambda), so no entry joins the classes
+    (lambda + j) mod 2: the even and the odd columns of W, as lambda ascends
+    from -j in unit steps."""
+    vecs, phase = axis_eigensystem(j)[1], _jz2_phase(j, chi_h)
+    return tuple(basis_product(vecs[:, p::2].T, phase * vecs[:, p::2]) for p in (0, 1))
+
+
+def _drive_walk(j, y, chi, env, h, grid) -> np.ndarray:
+    """Strang steps over the grid, less the outer two Jz^2 half-steps, in place
+    on a block y in the Jy eigenbasis Rz(pi/2) W, where each y-rotation is
+    diagonal. Rz(pi/2) commutes with Jz^2, so the two half-steps that meet
+    between substeps fuse into W^T exp(-i chi s Jz^2) W for the mean step s:
+    junction_blocks on the even and odd rows when s = h, else via the z basis."""
+    vals, vecs = axis_eigensystem(j)
+    for k in range(1, len(grid)):
+        if k > 1:
+            s = (grid[k] - grid[k - 2]) / 2
+            if abs(s - h) <= 1e-9 * h:
+                for p, block in enumerate(junction_blocks(j, chi * h)):
+                    y[p::2] = block @ y[p::2]
+            else:
+                y = basis_product(vecs.T, _jz2_phase(j, chi * s) * basis_product(vecs, y))
+        y *= np.exp(-1j * drive_integral(env, grid[k - 1], grid[k]) * vals)[:, None]
+    return y
+
+
+def _split_steps(j, x, chi, env, h, t0, t1):
+    """Strang steps on the substep grid aligned to h from t0 to t1 on a
+    (dim, R) block: half Jz^2 phase, exact envelope-integral y-rotation, half
+    Jz^2 phase. The block enters the Jy eigenbasis once, walks and leaves."""
+    grid = _aligned_grid(t0, t1, h)
+    vecs = axis_eigensystem(j)[1]
+    turn = quarter_turn(j)
+    y = basis_product(vecs.T, (_jz2_phase(j, chi * (grid[1] - grid[0]) / 2) * turn.conj()) * x)
+    y = _drive_walk(j, y, chi, env, h, grid)
+    return (_jz2_phase(j, chi * (grid[-1] - grid[-2]) / 2) * turn) * basis_product(vecs, y)
 
 
 def evolve_driven(
@@ -177,10 +208,18 @@ class _PeriodOperators:
     def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int):
         if spp % 2:
             raise DomainError("period operators need even steps_per_period")
-        dim = int(round(2 * j)) + 1
         h = env.period / spp
-        grid = [k * h for k in range(spp // 2 + 1)]
-        self.u_half = _split_steps(j, np.eye(dim, dtype=complex), chi, env, grid)
+        vecs = axis_eigensystem(j)[1]
+        # the parity blocks P_0, P_1 start as identities in the even and odd rows
+        y = np.repeat(np.eye((len(vecs) + 1) // 2, dtype=complex), 2, axis=0)[: len(vecs)]
+        y = _drive_walk(j, y, chi, env, h, [k * h for k in range(spp // 2 + 1)])
+        # u_half = Zh Rz(pi/2) W diag(P_0, P_1) W^T Rz(pi/2)^dagger Zh
+        zh, turn = _jz2_phase(j, chi * h / 2), quarter_turn(j)
+        right = (vecs * (zh * turn.conj())).T
+        for p in (0, 1):
+            right[p::2] = y[p::2, : len(right[p::2])] @ right[p::2]
+        self.u_half = basis_product(vecs, right)
+        self.u_half *= zh * turn
         self.rz_pi = np.exp(-1j * np.pi * m_values(j))[:, None]
 
     def jump(self, x: np.ndarray, half_index: int) -> np.ndarray:
@@ -210,6 +249,8 @@ class DrivenEngine:
     def _want_ops(self, span: float) -> bool:
         if self._use_ops is not None:
             return self._use_ops and self.spp % 2 == 0
+        # measured break-even (spp 64, one thread): 3.5, 32 and 71 periods at N = 100,
+        # 300 and 1250; no dim/c fits both 300 (c ~ 9) and 1250 (c ~ 18), 12 sits between
         periods = span / self.env.period
         return self.spp % 2 == 0 and periods >= max(16, self._dim / 12)
 
@@ -233,16 +274,13 @@ class DrivenEngine:
             if b > a and (b - a) * h2 > 2 * self.h:
                 ta, tb = a * h2, b * h2
                 if ta > t_from + 1e-12 * h2:
-                    vec = _split_steps(self.j, vec, self.chi, self.env,
-                                       _aligned_grid(t_from, ta, self.h))
+                    vec = _split_steps(self.j, vec, self.chi, self.env, self.h, t_from, ta)
                 for k in range(a, b):
                     vec = self._ops.jump(vec, k)
                 if t_to > tb + 1e-12 * h2:
-                    vec = _split_steps(self.j, vec, self.chi, self.env,
-                                       _aligned_grid(tb, t_to, self.h))
+                    vec = _split_steps(self.j, vec, self.chi, self.env, self.h, tb, t_to)
                 return vec
-        return _split_steps(self.j, vec, self.chi, self.env,
-                            _aligned_grid(t_from, t_to, self.h))
+        return _split_steps(self.j, vec, self.chi, self.env, self.h, t_from, t_to)
 
 
 def driven_doubling_check(
