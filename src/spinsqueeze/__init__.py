@@ -1,6 +1,6 @@
 """Collective-spin squeezing simulator in the Dicke basis.
 
-Core layers: dicke (states, operators, rotations), hamiltonians (generator
+Core layers: dicke (states, spin action, rotations), hamiltonians (generator
 builders), propagator (evolution engines), protocols (pulse and drive
 schedules with freeze), diagnostics (squeezing observables), cli (scenario
 runner and figure-data emission).
@@ -9,14 +9,10 @@ runner and figure-data emission).
 from .dicke import (
     DickeState,
     RotationSpec,
-    SpinOperator,
-    expectation,
     fidelity,
     make_css,
     make_dicke_state,
-    pair_moment,
     rotate,
-    spin_operator,
 )
 from .errors import DegenerateDirectionError, DomainError, ResourceError
 

@@ -32,7 +32,6 @@ from .protocols import (
     run_protocol,
     t_opt_oat,
     t_opt_tact,
-    worker_count,
 )
 
 SCENARIOS = ("oat", "tact", "pulses", "drive", "noise", "sweep", "husimi")
@@ -74,10 +73,9 @@ class ScenarioConfig:
 
     def n_values(self) -> list:
         try:
-            vals = [int(x) for x in str(self.n_list).split(",") if x.strip()]
+            return [int(x) for x in str(self.n_list).split(",") if x.strip()]
         except ValueError:
             raise DomainError(f"invalid n_list: {self.n_list!r}")
-        return vals
 
     def grid_shape(self) -> tuple:
         try:
@@ -92,6 +90,26 @@ _FLAG_TYPES = {"chi_hz": float, "state": str}  # the keys whose default is None
 _CHOICES = {"model": ("oat", "tact")}
 
 
+def _flag_type(key: str) -> type:
+    return _FLAG_TYPES.get(key, type(DEFAULTS[key]))
+
+
+def _file_value(parser, key: str, val):
+    """A config-file value as its flag would parse it: JSON true/false for a
+    switch, an integral number for an int, a number for a float, a string
+    for a string, and null where the default is None."""
+    kind = _flag_type(key)
+    if val is None and key in _FLAG_TYPES:
+        return None
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    integral = number and (isinstance(val, int) or val.is_integer())
+    if not {bool: isinstance(val, bool), str: isinstance(val, str), float: number, int: integral}[kind]:
+        parser.error(f"config key {key}: expected {kind.__name__}, got {val!r}")
+    if val not in _CHOICES.get(key, (val,)):
+        parser.error(f"config key {key}: must be one of {_CHOICES[key]}, got {val!r}")
+    return kind(val)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """One --flag per config key of each scenario, typed by its default."""
     parser = argparse.ArgumentParser(
@@ -103,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="flat JSON config file")
         for key in _SCENARIO_KEYS[name]:
-            flag, kind = "--" + key.replace("_", "-"), _FLAG_TYPES.get(key, type(DEFAULTS[key]))
+            flag, kind = "--" + key.replace("_", "-"), _flag_type(key)
             if kind is bool:
                 p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction, default=None)
             else:
@@ -129,7 +147,7 @@ def parse_config(argv) -> ScenarioConfig:
         for key, val in file_vals.items():
             if key not in allowed:
                 parser.error(f"unknown config key for scenario {scenario!r}: {key}")
-            merged[key] = val
+            merged[key] = _file_value(parser, key, val)
     for key in allowed:
         flag_val = getattr(ns, key, None)
         if flag_val is not None:
@@ -368,9 +386,7 @@ def _scenario_drive(cfg, out_dir, written) -> dict:
 def _scenario_noise(cfg, out_dir, written) -> dict:
     bundle = build_repeated_pulse(cfg.n, 1.0, cfg.nc, None)
     noise = NoiseModel(cfg.eta, seed=cfg.seed)
-    mc = run_monte_carlo(
-        bundle.schedule, bundle.initial_state, noise, cfg.realizations, threads=worker_count()
-    )
+    mc = run_monte_carlo(bundle.schedule, bundle.initial_state, noise, cfg.realizations)
     written.append(write_mean_csv(out_dir / "noise_mean.csv", mc, cfg.chi_hz))
     written.append(write_realizations_csv(out_dir / "noise_realizations.csv", mc))
     limits = _emit_limits(out_dir, cfg.n, cfg.samples, cfg.chi_hz, written)

@@ -1,4 +1,4 @@
-"""Dicke-basis states, collective spin operators, and exact rotations.
+"""Dicke-basis states, the tridiagonal spin action, and exact rotations.
 
 Everything lives in the maximal-spin symmetric subspace of N spin-1/2
 particles: dimension N+1 instead of 2^N. States are amplitude vectors over
@@ -111,13 +111,22 @@ class DickeState:
 
     @staticmethod
     def from_snapshot(data: dict) -> "DickeState":
+        if not isinstance(data, dict):
+            raise DomainError("snapshot must be a JSON object")
         if data.get("basis") != BASIS_LABEL:
             raise DomainError(f"unsupported basis {data.get('basis')!r}")
-        amps = np.array(
-            [complex(float(re), float(im)) for re, im in data["amplitudes"]]
-        )
-        state = DickeState(float(data["j"]), amps)
-        if int(data["N"]) != state.n_particles:
+
+        def field(key, convert):
+            if key not in data:
+                raise DomainError(f"snapshot has no {key!r} field")
+            try:
+                return convert(data[key])
+            except (TypeError, ValueError):
+                raise DomainError(f"snapshot field {key!r} is malformed") from None
+
+        amps = field("amplitudes", lambda rows: np.array([complex(float(a), float(b)) for a, b in rows]))
+        state = DickeState(field("j", float), amps)
+        if field("N", int) != state.n_particles:
             raise DomainError("snapshot N inconsistent with j")
         return state
 
@@ -127,66 +136,17 @@ class DickeState:
 
     @staticmethod
     def load(path) -> "DickeState":
-        with open(path) as fh:
-            return DickeState.from_snapshot(json.load(fh))
-
-
-@dataclass(frozen=True)
-class SpinOperator:
-    """Collective spin component as a banded (tridiagonal) matrix.
-
-    Stores the main diagonal and the first off-diagonals; upper[k] couples
-    index k+1 to k, lower[k] couples index k to k+1.
-    """
-
-    j: float
-    kind: str
-    diag: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        out = self.diag * vec
-        out[:-1] += self.upper * vec[1:]
-        out[1:] += self.lower * vec[:-1]
-        return out
-
-    def dense(self) -> np.ndarray:
-        n = len(self.diag)
-        mat = np.diag(self.diag)
-        mat[np.arange(n - 1), np.arange(1, n)] = self.upper
-        mat[np.arange(1, n), np.arange(n - 1)] = self.lower
-        return mat
-
-
-_KINDS = ("jx", "jy", "jz", "jplus", "jminus")
-
-
-@lru_cache(maxsize=None)
-def spin_operator(j: float, kind: str) -> SpinOperator:
-    """Jx, Jy, Jz or the ladder operators J+/J- for spin length j."""
-    j = _check_j(j)
-    kind = kind.lower()
-    if kind not in _KINDS:
-        raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
-    n = dim_for(j)
-    lad = ladder_values(j)
-    zero_d = np.zeros(n, dtype=complex)
-    zero_o = np.zeros(n - 1, dtype=complex)
-    if kind == "jz":
-        op = SpinOperator(j, kind, m_values(j).astype(complex), zero_o, zero_o.copy())
-    elif kind == "jplus":
-        op = SpinOperator(j, kind, zero_d, lad.astype(complex), zero_o)
-    elif kind == "jminus":
-        op = SpinOperator(j, kind, zero_d, zero_o, lad.astype(complex))
-    elif kind == "jx":
-        half = (lad / 2).astype(complex)
-        op = SpinOperator(j, kind, zero_d, half, half.copy())
-    else:  # jy = (J+ - J-)/(2i)
-        op = SpinOperator(j, kind, zero_d, -0.5j * lad, 0.5j * lad)
-    for arr in (op.diag, op.upper, op.lower):
-        arr.setflags(write=False)
-    return op
+        """Read a snapshot file; a file that is not JSON, or not a valid
+        snapshot, raises DomainError naming the file."""
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DomainError(f"snapshot {path} is not JSON: {exc}") from None
+        try:
+            return DickeState.from_snapshot(data)
+        except DomainError as exc:
+            raise DomainError(f"snapshot {path}: {exc}") from None
 
 
 def ladder_parts(j: float, x: np.ndarray) -> tuple:
@@ -215,19 +175,10 @@ def apply_spin(j: float, coeffs, vec: np.ndarray) -> np.ndarray:
     return spin_action(coeffs, ladder_parts(j, vec[:, None]))[:, 0]
 
 
-def expectation(state: DickeState, op: SpinOperator) -> float:
-    """<state|op|state>, guaranteed real for the Hermitian kinds."""
-    if op.j != state.j:
-        raise DomainError(f"operator j={op.j} does not match state j={state.j}")
-    val = np.vdot(state.amplitudes, op.apply(state.amplitudes))
-    return float(val.real)
-
-
-def pair_moment(state: DickeState, op_a: SpinOperator, op_b: SpinOperator) -> complex:
-    """<A B> evaluated with two banded applications."""
-    if op_a.j != state.j or op_b.j != state.j:
-        raise DomainError("operator spin length does not match state")
-    return complex(np.vdot(state.amplitudes, op_a.apply(op_b.apply(state.amplitudes))))
+def spin_matrix(j: float, coeffs) -> np.ndarray:
+    """Dense cx*Jx + cy*Jy + cz*Jz from spin_action: a test reference, like
+    hamiltonians.matrix; the package itself never forms it."""
+    return spin_action(coeffs, ladder_parts(j, np.eye(dim_for(j), dtype=complex)))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .dicke import (
     axis_apply,
     axis_eigensystem,
     basis_product,
+    dim_for,
     m_values,
     quarter_turn,
     rotate_block,
@@ -53,21 +54,6 @@ TILE = 16
 def _quadratic(j: float, axis: str, chi: float, duration: float, x: np.ndarray) -> np.ndarray:
     """exp(-i chi t J_axis^2) on a (dim, R) block."""
     return axis_apply(j, axis, lambda vals: np.exp(-1j * chi * duration * vals**2)[:, None], x)
-
-
-def evolve_quadratic_diagonal(state: DickeState, chi: float, duration: float) -> DickeState:
-    """chi*Jz^2 evolution: c_m -> exp(-i chi t m^2) c_m."""
-    return evolve_quadratic_axis(state, "z", chi, duration)
-
-
-def evolve_quadratic_axis(state: DickeState, axis: str, chi: float, duration: float) -> DickeState:
-    """chi*J_axis^2 evolution via the cached axis eigenbasis."""
-    if duration < 0:
-        raise DomainError("duration must be nonnegative")
-    if axis not in ("x", "y", "z"):
-        raise DomainError(f"axis must be x/y/z, got {axis!r}")
-    amps = _quadratic(state.j, axis, chi, duration, state.amplitudes[:, None])
-    return DickeState(state.j, amps[:, 0])
 
 
 class SpectralPropagator:
@@ -173,31 +159,6 @@ def _split_steps(j, x, chi, env, h, t0, t1):
     return (_jz2_phase(j, chi * (grid[-1] - grid[-2]) / 2) * turn) * basis_product(vecs, y)
 
 
-def evolve_driven(
-    state: DickeState,
-    chi: float,
-    env: DriveEnvelope,
-    t0: float,
-    t1: float,
-    steps_per_period: int = 64,
-) -> DickeState:
-    """Split-step evolution under chi*Jz^2 + Omega(t)*Jy from t0 to t1.
-
-    The substep grid sits at absolute multiples of T/steps_per_period, so
-    piecewise calls compose consistently with a single call.
-    """
-    if t1 < t0:
-        raise DomainError("t1 must be >= t0")
-    if steps_per_period < 16:
-        raise DomainError("steps_per_period must be at least 16")
-    if t1 == t0:
-        return state
-    if (t1 - t0) < 1e-15 * max(abs(t0), abs(t1)):
-        raise DomainError("step underflow: interval too small to resolve")
-    engine = DrivenEngine(state.j, chi, env, steps_per_period, use_period_ops=False)
-    return DickeState(state.j, engine.advance(state.amplitudes, t0, t1))
-
-
 class _PeriodOperators:
     """Dense propagator over the first half drive period.
 
@@ -237,26 +198,17 @@ def period_operators(j: float, chi: float, env: DriveEnvelope, spp: int) -> _Per
 
 class DrivenEngine:
     """Stateful walker for one driven stretch, mixing half-period jumps with
-    fine split-steps so arbitrary sample times stay cheap."""
+    fine split-steps so arbitrary sample times stay cheap. The span the
+    engine will cover decides whether the period operators pay for their
+    build; a span of 0 keeps it on split steps alone."""
 
-    def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int = 64, use_period_ops=None):
+    def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int = 64, span: float = 0.0):
         self.j, self.chi, self.env, self.spp = j, chi, env, spp
         self.h = env.period / spp
-        self._ops = None
-        self._use_ops = use_period_ops
-        self._dim = int(round(2 * j)) + 1
-
-    def _want_ops(self, span: float) -> bool:
-        if self._use_ops is not None:
-            return self._use_ops and self.spp % 2 == 0
         # measured break-even (spp 64, one thread): 3.5, 32 and 71 periods at N = 100,
         # 300 and 1250; no dim/c fits both 300 (c ~ 9) and 1250 (c ~ 18), 12 sits between
-        periods = span / self.env.period
-        return self.spp % 2 == 0 and periods >= max(16, self._dim / 12)
-
-    def prepare(self, span: float) -> None:
-        if self._ops is None and self._want_ops(span):
-            self._ops = period_operators(self.j, self.chi, self.env, self.spp)
+        fast = spp % 2 == 0 and span / env.period >= max(16, dim_for(j) / 12)
+        self._ops = period_operators(j, chi, env, spp) if fast else None
 
     def advance(self, vec: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
         """Evolve a state vector, or every column of a (dim, R) block, from
@@ -295,9 +247,7 @@ def driven_doubling_check(
     steps_per_period and at twice that."""
 
     def run(spp):
-        engine = DrivenEngine(state.j, chi, env, spp)
-        engine.prepare(t1 - t0)
-        return engine.advance(state.amplitudes, t0, t1)
+        return DrivenEngine(state.j, chi, env, spp, t1 - t0).advance(state.amplitudes, t0, t1)
 
     fid = abs(np.vdot(run(2 * steps_per_period), run(steps_per_period)))
     return {
@@ -320,8 +270,7 @@ def _stepper(j: float, seg, t: float) -> tuple:
         return advance, t, t + seg.duration
     if abs(seg.t0 - t) > TIME_TOL * max(1.0, abs(t)):
         raise DomainError(f"driven segment starts at {seg.t0}, schedule time is {t}")
-    engine = DrivenEngine(j, seg.chi, seg.env, seg.steps_per_period)
-    engine.prepare(seg.duration)
+    engine = DrivenEngine(j, seg.chi, seg.env, seg.steps_per_period, seg.duration)
     return engine.advance, seg.t0, seg.t1
 
 
@@ -540,19 +489,15 @@ def full_hilbert_oracle(
         raise ResourceError(f"full-Hilbert oracle limited to N<={MAX_ORACLE_N}")
     vec = lift_to_full(state)
     if isinstance(generator, HamiltonianSpec):
+        if duration is None:
+            raise DomainError("oracle needs a duration")
         if generator.form == "driven":
-            if duration is None:
-                raise DomainError("driven oracle needs a duration")
             vec = _full_driven_evolve(n, vec, generator.chi, generator.drive, 0.0, duration)
         else:
-            if duration is None:
-                raise DomainError("oracle needs a duration")
-            u = sla.expm(-1j * duration * _full_generator(n, generator))
-            vec = u @ vec
+            vec = sla.expm(-1j * duration * _full_generator(n, generator)) @ vec
         return project_to_dicke(n, vec)
     if isinstance(generator, ProtocolSchedule):
         jx, jy, jz = full_spin_ops(n)
-        t = 0.0
         for seg in generator.segments:
             if isinstance(seg, Pulse):
                 axis_op = sum(a * op for a, op in zip(seg.rotation.axis, (jx, jy, jz)))
@@ -560,10 +505,8 @@ def full_hilbert_oracle(
             elif isinstance(seg, QuadraticSegment):
                 op = {"x": jx, "y": jy, "z": jz}[seg.axis]
                 vec = sla.expm(-1j * seg.chi * seg.duration * (op @ op)) @ vec
-                t += seg.duration
             elif isinstance(seg, DrivenSegment):
                 vec = _full_driven_evolve(n, vec, seg.chi, seg.env, seg.t0, seg.t1)
-                t = seg.t1
             elif isinstance(seg, FreezeMarker):
                 continue
             else:

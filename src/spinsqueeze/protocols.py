@@ -159,11 +159,10 @@ class ProtocolBundle:
     meta: dict = field(default_factory=dict)
     prefix_schedule: ProtocolSchedule | None = None
 
-    def frozen_state(self, noise: NoiseModel | None = None) -> DickeState:
+    def frozen_state(self) -> DickeState:
         if self.prefix_schedule is None:
             raise DomainError("protocol was built without a freeze")
-        block, _ = _run_batch(self.prefix_schedule, self.initial_state, [noise], [None])
-        return DickeState(self.initial_state.j, block[:, 0])
+        return evolve_schedule(self.initial_state, self.prefix_schedule)[0]
 
 
 def _resolve_signs(state: DickeState, rotations) -> tuple[tuple, float]:
@@ -227,22 +226,16 @@ def build_repeated_pulse(
         "t_opt": t_opt_protocol(n_particles) / chi,
         "trotter_gate": gate,
     }
+    meta["trotter_gate_ok"] = bool(gate < 1.0)
     if gate >= 1.0:
         warnings.warn(
             f"2*chi*delta_t*N = {gate:.3f} is not small; the pulse sequence "
             "will not track the effective two-axis model"
         )
-        meta["trotter_gate_ok"] = False
-    else:
-        meta["trotter_gate_ok"] = True
     initial = make_dicke_state(j, j)
 
     def mid_samples(n_full: int):
-        out = []
-        for n in range(n_full):
-            out.append(n * t_c + delta_t)
-            out.append(n * t_c + 2.5 * delta_t)
-        return out
+        return [n * t_c + d for n in range(n_full) for d in (delta_t, 2.5 * delta_t)]
 
     if freeze is None:
         segments = _pulse_period_segments(chi, delta_t) * n_periods
@@ -345,14 +338,12 @@ def build_modulated_drive(
         "steps_per_period": steps_per_period,
         "t_opt": t_opt_protocol(n_particles) / chi,
     }
+    meta["high_frequency_ok"] = bool(omega_over_chi >= 10 * n_particles)
     if omega_over_chi < 10 * n_particles:
         warnings.warn(
             f"omega/chi = {omega_over_chi:.3g} is not far above N = {n_particles}; "
             "the high-frequency average will be rough"
         )
-        meta["high_frequency_ok"] = False
-    else:
-        meta["high_frequency_ok"] = True
 
     tilt = RotationSpec((0.0, 1.0, 0.0), (env.omega0 / env.omega) * np.sin(phase))
     initial = rotate(_css_x(n_particles), tilt)

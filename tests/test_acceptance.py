@@ -15,9 +15,10 @@ from spinsqueeze.dicke import (
     RotationSpec,
     apply_spin,
     fidelity,
+    m_values,
     make_css,
     rotate,
-    spin_operator,
+    spin_matrix,
 )
 from spinsqueeze.diagnostics import find_optimum, husimi_q, squeezing_report
 from spinsqueeze.hamiltonians import (
@@ -32,7 +33,6 @@ from spinsqueeze.propagator import (
     DrivenEngine,
     SpectralPropagator,
     driven_doubling_check,
-    evolve_quadratic_diagonal,
     evolve_schedule,
     full_hilbert_oracle,
 )
@@ -49,6 +49,7 @@ from spinsqueeze.protocols import (
     run_protocol,
 )
 from spinsqueeze.hamiltonians import matrix as ham_matrix
+from spinsqueeze.schedule import ProtocolSchedule, QuadraticSegment
 
 N_MAIN = 1250
 PAPER_RATIO = 0.9057
@@ -92,7 +93,7 @@ def test_criterion_02_oracle_equivalence():
         j = n / 2
         css = make_css(j, np.pi / 2, 0.0)
         # one-axis twisting
-        got = evolve_quadratic_diagonal(css, 1.0, 0.3)
+        got, _ = evolve_schedule(css, ProtocolSchedule((QuadraticSegment("z", 1.0, 0.3),), ()))
         want, _ = full_hilbert_oracle(css, oat(), 0.3)
         f_oat = fidelity(got, want)
         # two-axis
@@ -278,17 +279,13 @@ def test_criterion_09_phase_covariance():
     # drive-off moments of the shifted run
     k = int(round(0.5 * 3 * reference_optimum(n).chi_t / env0.period))
     t_k = k * env0.period
-    eng0 = DrivenEngine(n / 2, 1.0, env0, 64)
-    eng0.prepare(t_k)
-    ref = eng0.advance(base.initial_state.amplitudes.copy(), 0.0, t_k)
+    ref = DrivenEngine(n / 2, 1.0, env0, 64, t_k).advance(base.initial_state.amplitudes.copy(), 0.0, t_k)
     from spinsqueeze.dicke import rotate_vector
 
     for phase in (-np.pi / 2, 0.8, 2.1):
         b = build_modulated_drive(n, omega_over_chi=omega, phase=phase)
         env = b.schedule.segments[0].env
-        eng = DrivenEngine(n / 2, 1.0, env, 64)
-        eng.prepare(t_k)
-        got = eng.advance(b.initial_state.amplitudes.copy(), 0.0, t_k)
+        got = DrivenEngine(n / 2, 1.0, env, 64, t_k).advance(b.initial_state.amplitudes.copy(), 0.0, t_k)
         want = rotate_vector(
             n / 2, ref, RotationSpec((0, 1, 0), (env.omega0 / env.omega) * np.sin(phase))
         )
@@ -327,14 +324,13 @@ def test_criterion_11_property_suite(tmp_path):
     # commutator identities
     ok_comm = True
     for j in (0.5, 2, 5):
-        jx = spin_operator(j, "jx").dense()
-        jy = spin_operator(j, "jy").dense()
-        jz = spin_operator(j, "jz").dense()
+        jx, jy, jz = (spin_matrix(j, unit) for unit in np.eye(3))
         ok_comm &= np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) < 1e-12
     checks["commutators"] = ok_comm
     # rotation covariance of xi^2
     rng = np.random.default_rng(3)
-    state = evolve_quadratic_diagonal(make_css(50, np.pi / 2, 0.0), 1.0, 0.02)
+    css = make_css(50, np.pi / 2, 0.0)
+    state = DickeState(css.j, np.exp(-0.02j * m_values(css.j) ** 2) * css.amplitudes)
     base = squeezing_report(state).xi2
     ok_rot = True
     for _ in range(5):

@@ -17,6 +17,7 @@ from spinsqueeze.dicke import (
     DickeState,
     RotationSpec,
     fidelity,
+    m_values,
     make_css,
     rotate_vector,
 )
@@ -26,8 +27,6 @@ from spinsqueeze.hamiltonians import DriveEnvelope
 from spinsqueeze.propagator import (
     TILE,
     evolve_block,
-    evolve_quadratic_axis,
-    evolve_quadratic_diagonal,
     full_hilbert_oracle,
 )
 from spinsqueeze.protocols import (
@@ -45,6 +44,11 @@ from spinsqueeze.protocols import (
 from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule, Pulse, QuadraticSegment
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def jz2_phase(state, chi_t):
+    """exp(-i chi t Jz^2) |state>, one phase per m."""
+    return DickeState(state.j, np.exp(-1j * chi_t * m_values(state.j) ** 2) * state.amplitudes)
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +117,8 @@ class TestKernelCorrectness:
                     rot = seg.rotation.scaled(seg.area_scale * next(factors))
                     state = DickeState(state.j, rotate_vector(state.j, state.amplitudes, rot))
                 else:
-                    state = evolve_quadratic_diagonal(state, seg.chi, seg.duration)
+                    assert seg.axis == "z"
+                    state = jz2_phase(state, seg.chi * seg.duration)
             assert fidelity(DickeState(initial.j, block[:, r]), state) >= 1 - 1e-10
 
     def test_two_columns_against_full_oracle(self):
@@ -159,13 +164,13 @@ class TestKernelCorrectness:
         initial = make_css(n / 2, np.pi / 2, 0.0)
         for t, rep in rec.samples:
             if model == "oat":
-                state = evolve_quadratic_diagonal(initial, 1.0, t)
+                state = jz2_phase(initial, t)
             else:
                 state = _tact_propagator(n, 1.0).evolve(initial, t)
             assert rep.xi2 == pytest.approx(squeezing_report(state).xi2, rel=1e-12)
 
     def test_sign_search_matches_loop(self):
-        state = evolve_quadratic_axis(make_css(20, np.pi / 2, 0.0), "z", 1.0, 0.05)
+        state = jz2_phase(make_css(20, np.pi / 2, 0.0), 0.05)
         rotations = [RotationSpec((0, 1, 0), 0.3), RotationSpec((-1, 0, 0), np.pi / 4)]
         signs, var = _resolve_signs(state, rotations)
         best = None

@@ -49,6 +49,39 @@ class TestParseConfig:
             parse_config(["oat", "--n", "1"])
         assert "n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario,values",
+        [
+            ("pulses", {"freeze": "no"}),
+            ("pulses", {"freeze": 1}),
+            ("pulses", {"n": "abc"}),
+            ("pulses", {"n": 40.5}),
+            ("pulses", {"n": True}),
+            ("noise", {"eta": "0.1"}),
+            ("sweep", {"model": "xyz"}),
+            ("sweep", {"n_list": [100, 200, 400]}),
+        ],
+    )
+    def test_config_value_of_wrong_type_named(self, tmp_path, capsys, scenario, values):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps(values))
+        with pytest.raises(SystemExit) as exc:
+            parse_config([scenario, "--config", str(conf)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"config key {next(iter(values))}:" in err
+        assert "Traceback" not in err
+
+    def test_config_values_take_their_flag_types(self, tmp_path):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"n": 40.0, "chi_hz": 5, "freeze": False}))
+        cfg = parse_config(["pulses", "--config", str(conf)])
+        assert (cfg.n, cfg.freeze) == (40, False)
+        assert type(cfg.n) is int and type(cfg.chi_hz) is float
+        conf.write_text(json.dumps({"chi_hz": None, "freeze": True}))
+        cfg = parse_config(["pulses", "--config", str(conf)])
+        assert cfg.chi_hz is None and cfg.freeze is True
+
     def test_husimi_needs_state(self):
         with pytest.raises(SystemExit):
             parse_config(["husimi"])
@@ -159,3 +192,23 @@ class TestScenarios:
                             "--out-dir", str(tmp_path)])
         assert run_scenario(cfg) == 1
         assert "spinsqueeze:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ('{"N": 2, "j": 1.0, "basis": "Jz-descending"}', "'amplitudes'"),
+            ('{"j": 1.0, "basis": "Jz-descending", "amplitudes": [[1, 0], [0, 0], [0, 0]]}', "'N'"),
+            ('{"N": 2, "j": 1.0, "basis": "Jz-descending", "amplitudes": [1, 0, 0]}', "'amplitudes'"),
+            ("not json at all", "is not JSON"),
+            ("[1, 2]", "JSON object"),
+        ],
+        ids=["no-amplitudes", "no-N", "bad-amplitudes", "not-json", "not-object"],
+    )
+    def test_malformed_snapshot_is_one_named_error(self, tmp_path, capsys, text, named):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        cfg = parse_config(["husimi", "--state", str(path), "--out-dir", str(tmp_path / "o")])
+        assert run_scenario(cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("spinsqueeze: snapshot ")
+        assert str(path) in err and named in err

@@ -4,6 +4,7 @@ import pytest
 from spinsqueeze.dicke import (
     DickeState,
     RotationSpec,
+    m_values,
     make_css,
     make_dicke_state,
     rotate,
@@ -19,11 +20,12 @@ from spinsqueeze.diagnostics import (
 )
 from spinsqueeze.errors import DegenerateDirectionError, DomainError
 from spinsqueeze.hamiltonians import matrix, oat, tact
-from spinsqueeze.propagator import (
-    SpectralPropagator,
-    evolve_quadratic_diagonal,
-    full_hilbert_oracle,
-)
+from spinsqueeze.propagator import SpectralPropagator, full_hilbert_oracle
+
+
+def jz2_phase(state, chi_t):
+    """exp(-i chi t Jz^2) |state>, one phase per m."""
+    return DickeState(state.j, np.exp(-1j * chi_t * m_values(state.j) ** 2) * state.amplitudes)
 
 
 class TestMeanSpin:
@@ -59,7 +61,7 @@ class TestSqueezingReport:
         assert rep.xi2 == pytest.approx(1.0, abs=1e-9)
 
     def test_internal_consistency(self):
-        s = evolve_quadratic_diagonal(make_css(10, np.pi / 2, 0), 1.0, 0.05)
+        s = jz2_phase(make_css(10, np.pi / 2, 0), 0.05)
         rep = squeezing_report(s)
         n = 2 * 10
         assert rep.xi2 == pytest.approx(4 * rep.var_min / n, abs=1e-12)
@@ -68,7 +70,7 @@ class TestSqueezingReport:
 
     def test_oat_matches_full_oracle(self):
         s = make_css(2, np.pi / 2, 0)
-        evolved = evolve_quadratic_diagonal(s, 1.0, 0.1)
+        evolved = jz2_phase(s, 0.1)
         oracle_state, _ = full_hilbert_oracle(s, oat(), 0.1)
         a = squeezing_report(evolved).xi2
         b = squeezing_report(oracle_state).xi2
@@ -76,7 +78,7 @@ class TestSqueezingReport:
 
     def test_rotation_covariance(self):
         rng = np.random.default_rng(4)
-        s = evolve_quadratic_diagonal(make_css(15, np.pi / 2, 0), 1.0, 0.04)
+        s = jz2_phase(make_css(15, np.pi / 2, 0), 0.04)
         base = squeezing_report(s).xi2
         for _ in range(5):
             axis = rng.normal(size=3)
@@ -86,7 +88,7 @@ class TestSqueezingReport:
             assert rep.xi2 == pytest.approx(base, abs=1e-9)
 
     def test_variance_sum_identity(self):
-        s = evolve_quadratic_diagonal(make_css(12, np.pi / 2, 0), 1.0, 0.03)
+        s = jz2_phase(make_css(12, np.pi / 2, 0), 0.03)
         rep = squeezing_report(s)
         # var_min + var_max must equal the total perpendicular moment
         from spinsqueeze.dicke import apply_spin
@@ -160,7 +162,7 @@ class TestHusimi:
         assert abs((phis[ip] - phi0 + np.pi) % (2 * np.pi) - np.pi) <= 2 * np.pi / 128
 
     def test_normalization(self):
-        s = evolve_quadratic_diagonal(make_css(20, np.pi / 2, 0), 1.0, 0.02)
+        s = jz2_phase(make_css(20, np.pi / 2, 0), 0.02)
         thetas, phis, q = husimi_q(s, 128, 256)
         dth = np.pi / 128
         dph = 2 * np.pi / 256

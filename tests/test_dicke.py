@@ -4,35 +4,35 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from spinsqueeze.diagnostics import mean_spin
 from spinsqueeze.dicke import (
     DickeState,
     RotationSpec,
     apply_spin,
     css_amplitudes,
-    expectation,
     fidelity,
     make_css,
     make_dicke_state,
-    pair_moment,
     rotate,
     rotate_classical,
     rotate_vector,
-    spin_operator,
+    spin_matrix,
 )
 from spinsqueeze.errors import DomainError
+from spinsqueeze.propagator import dicke_isometry, full_spin_ops
+
+UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def mean_spin_vec(state):
-    return np.array(
-        [expectation(state, spin_operator(state.j, k)) for k in ("jx", "jy", "jz")]
-    )
+def second_moment(state, unit_a, unit_b):
+    """<A B> for A = unit_a . J and B = unit_b . J, as the inner product of
+    A|state> and B|state> (A is Hermitian)."""
+    j, amps = state.j, state.amplitudes
+    return complex(np.vdot(apply_spin(j, unit_a, amps), apply_spin(j, unit_b, amps)))
 
 
 def dense_rotation(j, axis, angle):
-    gen = sum(
-        a * spin_operator(j, k).dense() for a, k in zip(axis, ("jx", "jy", "jz"))
-    )
-    return sla.expm(-1j * angle * gen)
+    return sla.expm(-1j * angle * spin_matrix(j, axis))
 
 
 class TestBasisStates:
@@ -66,71 +66,65 @@ class TestBasisStates:
 class TestOperators:
     @pytest.mark.parametrize("j", [0.5, 1, 1.5, 2, 5])
     def test_commutators_cyclic(self, j):
-        jx = spin_operator(j, "jx").dense()
-        jy = spin_operator(j, "jy").dense()
-        jz = spin_operator(j, "jz").dense()
+        jx, jy, jz = (spin_matrix(j, unit) for unit in UNITS)
         for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jz, jx, jy)):
             assert np.max(np.abs(a @ b - b @ a - 1j * c)) < 1e-12
 
     @pytest.mark.parametrize("j", [0.5, 1, 2.5])
     def test_hermitian(self, j):
-        for kind in ("jx", "jy", "jz"):
-            mat = spin_operator(j, kind).dense()
+        for unit in UNITS:
+            mat = spin_matrix(j, unit)
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
     def test_ladder_entries(self):
-        jp = spin_operator(1, "jplus").dense()
+        jp = spin_matrix(1, (1, 0, 0)) + 1j * spin_matrix(1, (0, 1, 0))
         # <1,1|J+|1,0> = <1,0|J+|1,-1> = sqrt(2)
         assert jp[0, 1] == pytest.approx(np.sqrt(2))
         assert jp[1, 2] == pytest.approx(np.sqrt(2))
 
-    def test_apply_spin_matches_dense(self):
-        rng = np.random.default_rng(1)
-        j = 3.5
-        vec = rng.normal(size=8) + 1j * rng.normal(size=8)
-        coeffs = (0.3, -1.2, 0.8)
-        dense = sum(
-            c * spin_operator(j, k).dense()
-            for c, k in zip(coeffs, ("jx", "jy", "jz"))
-        )
-        assert np.allclose(apply_spin(j, coeffs, vec), dense @ vec, atol=1e-12)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "coeffs", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0.3, -1.2, 0.8), (-2.0, 0.5, -0.7)]
+    )
+    def test_spin_action_matches_full_space_oracle(self, n, coeffs):
+        # the symmetric-subspace block of the collective spin, built from
+        # 2^N tensor products: independent of the ladder values
+        iso = dicke_isometry(n)
+        full = sum(c * op for c, op in zip(coeffs, full_spin_ops(n)))
+        want = iso.conj().T @ full @ iso
+        assert np.max(np.abs(spin_matrix(n / 2, coeffs) - want)) <= 1e-12
+        rng = np.random.default_rng(n)
+        vec = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        assert np.max(np.abs(apply_spin(n / 2, coeffs, vec) - want @ vec)) <= 1e-12
 
     def test_expectation_eigenstate(self):
         s = make_dicke_state(3, 3)
-        assert expectation(s, spin_operator(3, "jz")) == pytest.approx(3.0)
+        assert mean_spin(s)[2] == pytest.approx(3.0)
 
-    def test_pair_moment_css_variance(self):
+    def test_second_moment_css_variance(self):
         # <Jz^2> on the x-pointing CSS is N/4 with N = 2j
         for j in (1, 5, 12.5):
-            s = make_css(j, np.pi / 2, 0.0)
-            jz = spin_operator(j, "jz")
-            val = pair_moment(s, jz, jz)
+            val = second_moment(make_css(j, np.pi / 2, 0.0), (0, 0, 1), (0, 0, 1))
             assert val.real == pytest.approx(j / 2, rel=1e-10)
             assert abs(val.imag) < 1e-12
 
-    def test_pair_moment_jx2_on_m0(self):
+    def test_second_moment_jx2_on_m0(self):
         s = make_dicke_state(1, 0)
-        jx = spin_operator(1, "jx")
-        assert pair_moment(s, jx, jx).real == pytest.approx(1.0)
+        assert second_moment(s, (1, 0, 0), (1, 0, 0)).real == pytest.approx(1.0)
 
-    def test_pair_moment_variance_inequality(self):
+    def test_second_moment_variance_inequality(self):
         rng = np.random.default_rng(7)
         j = 4
         vec = rng.normal(size=9) + 1j * rng.normal(size=9)
         s = DickeState(j, vec / np.linalg.norm(vec))
-        for kind in ("jx", "jy", "jz"):
-            op = spin_operator(j, kind)
-            assert pair_moment(s, op, op).real >= expectation(s, op) ** 2 - 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            expectation(make_dicke_state(1, 0), spin_operator(2, "jz"))
+        for unit, mean in zip(UNITS, mean_spin(s)):
+            assert second_moment(s, unit, unit).real >= mean**2 - 1e-12
 
 
 class TestRotations:
     def test_north_pole_to_x(self):
         s = rotate(make_dicke_state(4, 4), RotationSpec((0, 1, 0), np.pi / 2))
-        assert np.allclose(mean_spin_vec(s), [4, 0, 0], atol=1e-9)
+        assert np.allclose(mean_spin(s), [4, 0, 0], atol=1e-9)
 
     def test_spin_flip(self):
         s = rotate(make_dicke_state(3, 3), RotationSpec((1, 0, 0), np.pi))
@@ -175,8 +169,8 @@ class TestRotations:
             axis /= np.linalg.norm(axis)
             angle = rng.uniform(0, 2 * np.pi)
             rotated = rotate(state, RotationSpec(tuple(axis), angle))
-            expected = rotate_classical(mean_spin_vec(state), axis, angle)
-            assert np.allclose(mean_spin_vec(rotated), expected, atol=1e-8 * j)
+            expected = rotate_classical(mean_spin(state), axis, angle)
+            assert np.allclose(mean_spin(rotated), expected, atol=1e-8 * j)
 
     def test_group_action_composition(self):
         rng = np.random.default_rng(13)
@@ -216,14 +210,14 @@ class TestCss:
         assert fidelity(make_css(j, np.pi / 2, 0.0), direct) == pytest.approx(
             1.0, abs=1e-12
         )
-        assert np.allclose(mean_spin_vec(direct), [j, 0, 0], atol=1e-9)
+        assert np.allclose(mean_spin(direct), [j, 0, 0], atol=1e-9)
 
     def test_spin_half_y_pointing(self):
         # closed 2x2 rotation by hand: amplitudes (1/sqrt2, i/sqrt2) up to phase
         s = make_css(0.5, np.pi / 2, np.pi / 2)
         ref = np.array([1.0, 1j]) / np.sqrt(2)
         assert abs(np.vdot(ref, s.amplitudes)) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(mean_spin_vec(s), [0, 0.5, 0], atol=1e-12)
+        assert np.allclose(mean_spin(s), [0, 0.5, 0], atol=1e-12)
 
     @pytest.mark.parametrize("j", [0.5, 2, 10.5, 40])
     def test_mean_spin_direction(self, j):
@@ -232,7 +226,7 @@ class TestCss:
         want = j * np.array(
             [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
         )
-        assert np.allclose(mean_spin_vec(s), want, atol=1e-9 * j)
+        assert np.allclose(mean_spin(s), want, atol=1e-9 * j)
 
     @pytest.mark.parametrize("j", [0.5, 1, 9.5, 100])
     def test_closed_form_matches_rotation(self, j):
@@ -244,10 +238,7 @@ class TestCss:
     def test_casimir(self):
         for j in (0.5, 2, 9):
             s = make_css(j, 0.77, 1.2)
-            total = sum(
-                pair_moment(s, spin_operator(j, k), spin_operator(j, k)).real
-                for k in ("jx", "jy", "jz")
-            )
+            total = sum(second_moment(s, unit, unit).real for unit in UNITS)
             assert abs(total - j * (j + 1)) < 1e-9 * max(1.0, j**2)
 
 
@@ -277,3 +268,16 @@ class TestSnapshot:
         data["basis"] = "Jz-ascending"
         with pytest.raises(DomainError):
             DickeState.from_snapshot(data)
+
+    @pytest.mark.parametrize("key", ["N", "j", "amplitudes"])
+    def test_missing_field_named(self, key):
+        data = json.loads(make_css(1, 0.4, 0.1).to_snapshot_json())
+        del data[key]
+        with pytest.raises(DomainError, match=f"'{key}'"):
+            DickeState.from_snapshot(data)
+
+    def test_not_json_names_file(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("{truncated")
+        with pytest.raises(DomainError, match="state.json is not JSON"):
+            DickeState.load(path)

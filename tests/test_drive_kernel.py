@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from spinsqueeze.dicke import axis_eigensystem, dim_for, m_values, spin_operator
+from spinsqueeze.dicke import axis_eigensystem, dim_for, m_values, spin_matrix
 from spinsqueeze.hamiltonians import DriveEnvelope, drive_integral, matrix, quadratic
 from spinsqueeze.propagator import (
     DrivenEngine,
@@ -34,7 +34,7 @@ def random_block(j, cols, seed=0):
 def dense_split_steps(j, chi, env, grid):
     """Strang steps as one dense product of expm factors."""
     jz2 = matrix(j, quadratic("z"))
-    jy = spin_operator(j, "jy").dense()
+    jy = spin_matrix(j, (0, 1, 0))
     u = np.eye(dim_for(j), dtype=complex)
     for a, b in zip(grid[:-1], grid[1:]):
         half = sla.expm(-0.5j * chi * (b - a) * jz2)
@@ -96,9 +96,9 @@ def test_period_operator_path_matches_plain_split_stepping(n, phase):
     env = envelope(phase, omega=2 * np.pi * 300.0)
     t0, t1 = 0.123 * env.period, 23.61 * env.period
     x = random_block(j, 1, seed=n)[:, 0]
-    direct = DrivenEngine(j, chi, env, SPP, use_period_ops=False)
-    fast = DrivenEngine(j, chi, env, SPP, use_period_ops=True)
-    fast.prepare(t1 - t0)
+    direct = DrivenEngine(j, chi, env, SPP)
+    fast = DrivenEngine(j, chi, env, SPP, t1 - t0)
+    assert direct._ops is None and fast._ops is not None
     a = direct.advance(x, t0, t1)
     b = fast.advance(x, t0, t1)
     assert np.max(np.abs(a - b)) <= 1e-10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinsqueeze.dicke import spin_operator
+from spinsqueeze.dicke import spin_matrix
 from spinsqueeze.errors import DomainError
 from spinsqueeze.hamiltonians import (
     DriveEnvelope,
@@ -201,6 +201,6 @@ class TestTrigMoments:
             time_averaged_trig_moments(1.0, 1.0, 0.0, quadrature_points=32)
 
 
-def test_spin_operator_reused_by_matrix_builders():
-    jz = spin_operator(3, "jz").dense()
+def test_spin_matrix_squares_match_matrix_builders():
+    jz = spin_matrix(3, (0, 0, 1))
     assert np.allclose(matrix(3, oat()), jz @ jz)

@@ -7,6 +7,7 @@ from spinsqueeze.dicke import (
     RotationSpec,
     fidelity,
     make_css,
+    m_values,
     make_dicke_state,
     rotate,
 )
@@ -18,9 +19,6 @@ from spinsqueeze.propagator import (
     SpectralPropagator,
     dicke_isometry,
     driven_doubling_check,
-    evolve_driven,
-    evolve_quadratic_axis,
-    evolve_quadratic_diagonal,
     evolve_schedule,
     full_hilbert_oracle,
     full_spin_ops,
@@ -43,40 +41,55 @@ def random_state(j, seed=0):
     return DickeState(j, vec / np.linalg.norm(vec))
 
 
+def jz2_phase(state, chi_t):
+    """exp(-i chi t Jz^2) |state>, one phase per m."""
+    return DickeState(state.j, np.exp(-1j * chi_t * m_values(state.j) ** 2) * state.amplitudes)
+
+
+def quadratic_run(state, axis, chi_t):
+    """exp(-i chi t J_axis^2) |state> through evolve_schedule."""
+    return evolve_schedule(state, ProtocolSchedule((QuadraticSegment(axis, 1.0, chi_t),), ()))[0]
+
+
+def drive_run(state, chi, env, t0, t1, spp=64):
+    """The driven model from t0 to t1 on split steps alone (an engine of span 0)."""
+    return DickeState(state.j, DrivenEngine(state.j, chi, env, spp).advance(state.amplitudes, t0, t1))
+
+
 class TestQuadratic:
     def test_zero_duration_identity(self):
         s = random_state(3, 1)
-        out = evolve_quadratic_diagonal(s, 1.0, 0.0)
+        out = quadratic_run(s, "z", 0.0)
         assert np.array_equal(out.amplitudes, s.amplitudes)
 
     def test_eigenstate_global_phase(self):
         s = make_dicke_state(2, -1)
-        out = evolve_quadratic_diagonal(s, 1.0, 0.7)
+        out = quadratic_run(s, "z", 0.7)
         assert fidelity(out, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_m_revival(self):
         j = 1
         vec = np.array([1, 0, 1]) / np.sqrt(2)
         s = DickeState(j, vec)
-        out = evolve_quadratic_diagonal(s, 1.0, np.pi)
+        out = quadratic_run(s, "z", np.pi)
         assert fidelity(out, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(DomainError):
-            evolve_quadratic_diagonal(random_state(1), 1.0, -0.1)
+            QuadraticSegment("z", 1.0, -0.1)
 
     def test_axis_zero_duration(self):
         s = random_state(2.5, 2)
-        out = evolve_quadratic_axis(s, "x", 1.0, 0.0)
+        out = quadratic_run(s, "x", 0.0)
         assert fidelity(out, s) == pytest.approx(1.0, abs=1e-13)
 
     def test_axis_x_equals_rotation_sandwich(self):
         # exp(-i chi t Jx^2) == Ry(-pi/2) exp(-i chi t Jz^2) Ry(pi/2)
         j, chi_t = 10, 0.3
         s = make_css(j, 0.9, 0.3)
-        direct = evolve_quadratic_axis(s, "x", 1.0, chi_t)
+        direct = quadratic_run(s, "x", chi_t)
         sandwich = rotate(s, RotationSpec((0, 1, 0), np.pi / 2))
-        sandwich = evolve_quadratic_diagonal(sandwich, 1.0, chi_t)
+        sandwich = jz2_phase(sandwich, chi_t)
         sandwich = rotate(sandwich, RotationSpec((0, 1, 0), -np.pi / 2))
         assert fidelity(direct, sandwich) >= 1 - 1e-10
 
@@ -86,12 +99,12 @@ class TestQuadratic:
         s = random_state(j, 3)
         h = matrix(j, quadratic(axis))
         want = sla.expm(-1j * chi_t * h) @ s.amplitudes
-        got = evolve_quadratic_axis(s, axis, 1.0, chi_t)
+        got = quadratic_run(s, axis, chi_t)
         assert np.max(np.abs(got.amplitudes - want)) < 1e-12
 
     def test_invalid_axis(self):
         with pytest.raises(DomainError):
-            evolve_quadratic_axis(random_state(1), "w", 1.0, 0.1)
+            QuadraticSegment("w", 1.0, 0.1)
 
 
 class TestSpectral:
@@ -117,15 +130,15 @@ class TestDriven:
     def test_drive_off_equals_diagonal(self):
         s = make_css(4, np.pi / 2, 0.0)
         env = DriveEnvelope(0.0, 2 * np.pi * 100, -np.pi / 2)
-        a = evolve_driven(s, 1.0, env, 0.0, 0.05)
-        b = evolve_quadratic_diagonal(s, 1.0, 0.05)
+        a = drive_run(s, 1.0, env, 0.0, 0.05)
+        b = jz2_phase(s, 0.05)
         assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_chi_zero_is_pure_rotation(self):
         s = make_css(6, np.pi / 2, 0.0)
         env = DriveEnvelope(3.0, 2 * np.pi * 5, 0.4)
         t0, t1 = 0.013, 0.31
-        out = evolve_driven(s, 0.0, env, t0, t1)
+        out = drive_run(s, 0.0, env, t0, t1)
         angle = (env.omega0 / env.omega) * (
             np.sin(env.omega * t1 + env.phase) - np.sin(env.omega * t0 + env.phase)
         )
@@ -138,7 +151,7 @@ class TestDriven:
         omega = 2 * np.pi * 2000.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         s0 = rotate(s, RotationSpec((0, 1, 0), (env.omega0 / env.omega) * np.sin(env.phase)))
-        got = evolve_driven(s0, 1.0, env, 0.0, 0.2)
+        got = drive_run(s0, 1.0, env, 0.0, 0.2)
         want, deficit = full_hilbert_oracle(s0, driven(env), 0.2)
         assert deficit < 1e-10
         assert fidelity(got, want) >= 1 - 1e-6
@@ -147,9 +160,9 @@ class TestDriven:
         s = make_css(10, np.pi / 2, 0.0)
         omega = 2 * np.pi * 300.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
-        once = evolve_driven(s, 1.0, env, 0.0, 0.02)
+        once = drive_run(s, 1.0, env, 0.0, 0.02)
         split_t = 0.0123456  # deliberately off-grid
-        twice = evolve_driven(evolve_driven(s, 1.0, env, 0.0, split_t), 1.0, env, split_t, 0.02)
+        twice = drive_run(drive_run(s, 1.0, env, 0.0, split_t), 1.0, env, split_t, 0.02)
         assert fidelity(once, twice) >= 1 - 1e-9
 
     def test_second_order_convergence(self):
@@ -159,10 +172,10 @@ class TestDriven:
         omega = 2 * np.pi * 20.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         t1 = 0.3
-        ref = evolve_driven(s, 1.0, env, 0.0, t1, steps_per_period=1024)
+        ref = drive_run(s, 1.0, env, 0.0, t1, spp=1024)
         errs = []
         for spp in (32, 64, 128):
-            out = evolve_driven(s, 1.0, env, 0.0, t1, steps_per_period=spp)
+            out = drive_run(s, 1.0, env, 0.0, t1, spp=spp)
             # phase-minimized state error sqrt(2(1-fid)) is the 2nd-order one
             errs.append(np.sqrt(max(2 * (1 - fidelity(out, ref)), 0.0)))
         r1 = errs[0] / errs[1]
@@ -172,17 +185,17 @@ class TestDriven:
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(DomainError):
-            evolve_driven(random_state(1), 1.0, DriveEnvelope(1, 1, 0), 0, 1, steps_per_period=8)
+            DrivenSegment(DriveEnvelope(1, 1, 0), 1.0, 0, 1, steps_per_period=8)
 
     def test_backwards_rejected(self):
         with pytest.raises(DomainError):
-            evolve_driven(random_state(1), 1.0, DriveEnvelope(1, 1, 0), 1.0, 0.5)
+            drive_run(random_state(1), 1.0, DriveEnvelope(1, 1, 0), 1.0, 0.5)
 
     def test_norm_preserved_long_run(self):
         s = make_css(20, np.pi / 2, 0.0)
         omega = 2 * np.pi * 100.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
-        out = evolve_driven(s, 1.0, env, 0.0, 0.5)
+        out = drive_run(s, 1.0, env, 0.0, 0.5)
         assert out.norm_error() < 1e-10
 
 
@@ -193,9 +206,9 @@ class TestPeriodOperators:
         omega = 2 * np.pi * 500.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         t1 = 137.25 * env.period
-        direct = DrivenEngine(j, 1.0, env, 64, use_period_ops=False)
-        fast = DrivenEngine(j, 1.0, env, 64, use_period_ops=True)
-        fast.prepare(t1)
+        direct = DrivenEngine(j, 1.0, env, 64)
+        fast = DrivenEngine(j, 1.0, env, 64, t1)
+        assert direct._ops is None and fast._ops is not None
         a = direct.advance(s.amplitudes.copy(), 0.0, t1)
         b = fast.advance(s.amplitudes.copy(), 0.0, t1)
         assert abs(np.vdot(a, b)) >= 1 - 1e-11
@@ -206,9 +219,9 @@ class TestPeriodOperators:
         omega = 2 * np.pi * 400.0
         env = DriveEnvelope(0.7 * omega, omega, 0.9)
         t1 = 55 * env.period
-        direct = DrivenEngine(j, 1.0, env, 32, use_period_ops=False)
-        fast = DrivenEngine(j, 1.0, env, 32, use_period_ops=True)
-        fast.prepare(t1)
+        direct = DrivenEngine(j, 1.0, env, 32)
+        fast = DrivenEngine(j, 1.0, env, 32, t1)
+        assert direct._ops is None and fast._ops is not None
         a = direct.advance(s.amplitudes.copy(), 0.0, t1)
         b = fast.advance(s.amplitudes.copy(), 0.0, t1)
         assert abs(np.vdot(a, b)) >= 1 - 1e-11
@@ -248,7 +261,7 @@ class TestSchedule:
         s = make_css(j, np.pi / 2, 0.0)
         _, record = evolve_schedule(s, sched)
         assert np.allclose(record.times(), [0.0, 0.07, 0.2])
-        direct = squeezing_report(evolve_quadratic_diagonal(s, 1.0, 0.07))
+        direct = squeezing_report(jz2_phase(s, 0.07))
         assert record.samples[1][1].xi2 == pytest.approx(direct.xi2, rel=1e-12)
 
     def test_boundary_sample_before_pulse(self):
@@ -263,7 +276,7 @@ class TestSchedule:
         )
         s = make_css(j, np.pi / 2, 0.0)
         _, record = evolve_schedule(s, sched)
-        want = squeezing_report(evolve_quadratic_diagonal(s, 1.0, 0.1))
+        want = squeezing_report(jz2_phase(s, 0.1))
         got = record.samples[0][1]
         assert got.xi2 == pytest.approx(want.xi2, rel=1e-12)
         assert np.allclose(got.mean_spin, want.mean_spin, atol=1e-9)
@@ -321,7 +334,7 @@ class TestFullHilbert:
 
     def test_n2_oat_matches_dicke(self):
         s = make_dicke_state(1, 1)
-        got = evolve_quadratic_diagonal(s, 1.0, 0.83)
+        got = quadratic_run(s, "z", 0.83)
         want, deficit = full_hilbert_oracle(s, oat(), 0.83)
         assert deficit < 1e-10
         assert fidelity(got, want) >= 1 - 1e-10

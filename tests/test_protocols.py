@@ -223,10 +223,8 @@ class TestDriveFreeze:
 
         def run(phase):
             b = build_modulated_drive(n, omega_over_chi=omega_over_chi, phase=phase)
-            eng = DrivenEngine(n / 2, 1.0, b.schedule.segments[0].env, 64)
-            eng.prepare(t_k)
-            vec = eng.advance(b.initial_state.amplitudes.copy(), 0.0, t_k)
-            return vec
+            eng = DrivenEngine(n / 2, 1.0, b.schedule.segments[0].env, 64, t_k)
+            return eng.advance(b.initial_state.amplitudes.copy(), 0.0, t_k)
 
         ref = run(0.0)
         for phase in (-np.pi / 2, 0.8):
@@ -350,9 +348,7 @@ class TestSpecInvariants:
             bundle = build_modulated_drive(n, omega_over_chi=2 * np.pi * om_fac, phase=phase)
             env = bundle.schedule.segments[0].env
             t_k = round(3 * reference_optimum(n).chi_t / env.period) * env.period
-            eng = DrivenEngine(n / 2, 1.0, env, 64)
-            eng.prepare(t_k)
-            got = eng.advance(bundle.initial_state.amplitudes.copy(), 0.0, t_k)
+            got = DrivenEngine(n / 2, 1.0, env, 64, t_k).advance(bundle.initial_state.amplitudes.copy(), 0.0, t_k)
             eff = prop.evolve_vec(make_css(n / 2, np.pi / 2, 0.0).amplitudes, t_k)
             want = rotate_vector(
                 n / 2,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from spinsqueeze.dicke import axis_eigensystem, dim_for, rotate_block, spin_operator
+from spinsqueeze.dicke import axis_eigensystem, dim_for, rotate_block, spin_matrix
 from spinsqueeze.hamiltonians import DriveEnvelope, matrix, mixture, quadratic, tact
 from spinsqueeze.propagator import period_operators, spectral
 
@@ -34,7 +34,7 @@ def random_block(j, cols, seed=0):
 def spin_squares(j, coeffs):
     """cz*Jz^2 + cx*Jx^2 + cy*Jy^2 from dense spin operators, independent
     of the band formulas."""
-    ops = [spin_operator(j, kind).dense() for kind in ("jz", "jx", "jy")]
+    ops = [spin_matrix(j, unit) for unit in ((0, 0, 1), (1, 0, 0), (0, 1, 0))]
     return sum(c * (op @ op) for c, op in zip(coeffs, ops))
 
 
@@ -60,8 +60,8 @@ def test_parity_split_matches_dense_eigh(j, name, coeffs, spec):
 @pytest.mark.parametrize("j", J_VALUES)
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_real_basis_rotations_match_expm(j, axis):
-    op = spin_operator(j, f"j{axis}").dense()
     unit = (float(axis == "x"), float(axis == "y"), 0.0)
+    op = spin_matrix(j, unit)
     x = random_block(j, 3, seed=1)
     want = sla.expm(-1j * 0.83 * op) @ x
     assert np.max(np.abs(rotate_block(j, x, unit, 0.83) - want)) <= 1e-12
@@ -75,7 +75,7 @@ def test_axis_basis_is_real_and_snapped(j):
     vals, vecs = axis_eigensystem(j)
     assert vecs.dtype == np.float64
     assert np.array_equal(vals, np.round(2 * vals) / 2)
-    jx = spin_operator(j, "jx").dense().real
+    jx = spin_matrix(j, (1, 0, 0)).real
     assert np.max(np.abs(jx @ vecs - vecs * vals)) <= 1e-9 * j
     assert np.max(np.abs(vecs.T @ vecs - np.eye(dim_for(j)))) <= 1e-12
 
