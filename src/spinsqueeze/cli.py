@@ -158,6 +158,9 @@ def parse_config(argv) -> ScenarioConfig:
 
 
 def _validate(parser, cfg: ScenarioConfig) -> None:
+    for key in (k for k in DEFAULTS if _flag_type(k) is float):
+        if getattr(cfg, key) is not None and not np.isfinite(getattr(cfg, key)):
+            parser.error(f"field {key}: must be finite, got {getattr(cfg, key)}")
     if cfg.scenario != "husimi" and cfg.n < 2:
         parser.error(f"field n: need at least 2 particles, got {cfg.n}")
     if cfg.chi_hz is not None and not cfg.chi_hz > 0:

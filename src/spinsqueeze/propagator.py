@@ -292,26 +292,39 @@ def evolve_block(
     Boundary convention: a sample time equal to a segment boundary is taken
     before any zero-duration event listed after that boundary. A column
     whose norm drifts beyond 1e-12 is renormalized and counted in its
-    record.
+    record. Reports go TILE columns at a time: a narrower block is queued as
+    a copy, TILE // width samples a report, padded with its last column.
     """
     digest = schedule.digest()
     records = [RunRecord(parameters={"schedule_digest": digest, **(p or {})}) for p in parameters]
     x = np.array(block, dtype=complex)
+    width = x.shape[1]
     if scales is None:
-        scales = np.ones((len(schedule.pulses()), x.shape[1]))
-    renorms = np.zeros(x.shape[1], dtype=int)
+        scales = np.ones((len(schedule.pulses()), width))
+    renorms = np.zeros(width, dtype=int)
     t = 0.0
     samples = schedule.sample_times
     si = 0
     pulse_index = 0
+    queue = []  # (time, block) awaiting their report
 
     def due(limit):
         return si < len(samples) and samples[si] <= limit + TIME_TOL * max(1.0, abs(limit))
 
+    def flush():
+        if queue:
+            times, blocks = zip(*queue)
+            pad = (blocks[-1][:, -1:],) * (TILE - width * len(blocks))
+            rep = squeezing_columns(j, np.concatenate(blocks + pad, axis=1) if width < TILE else blocks[0])
+            for k, time in enumerate(times):
+                for r, record in enumerate(records):
+                    record.add_sample(time, rep.column(k * width + r))
+            queue.clear()
+
     def emit(time, x):
-        cols = squeezing_columns(j, x)
-        for r, record in enumerate(records):
-            record.add_sample(time, cols.column(r))
+        queue.append((time, x.copy() if width < TILE else x))
+        if len(queue) >= TILE // width:
+            flush()
 
     def renormalized(x):
         norms = np.sqrt((x.real**2 + x.imag**2).sum(axis=0))
@@ -353,6 +366,7 @@ def evolve_block(
             raise DomainError(f"sample time {samples[si]} beyond schedule end {t}")
         emit(samples[si], x)
         si += 1
+    flush()
 
     for record, count in zip(records, renorms):
         if count:

@@ -152,17 +152,19 @@ def reference_optimum(n_particles: int, chi: float = 1.0) -> OptimumResult:
 @dataclass
 class ProtocolBundle:
     """A built protocol: timeline, initial state, metadata, and (when a
-    freeze is resolved) the prefix ending right after the freeze pulses."""
+    freeze is resolved) the prefix through the freeze pulses and its end
+    state, run on from the trigger block before a DickeState renormalizes it."""
 
     schedule: ProtocolSchedule
     initial_state: DickeState
     meta: dict = field(default_factory=dict)
     prefix_schedule: ProtocolSchedule | None = None
+    frozen: DickeState | None = None
 
     def frozen_state(self) -> DickeState:
-        if self.prefix_schedule is None:
+        if self.frozen is None:
             raise DomainError("protocol was built without a freeze")
-        return evolve_schedule(self.initial_state, self.prefix_schedule)[0]
+        return self.frozen
 
 
 def _resolve_signs(state: DickeState, rotations) -> tuple[tuple, float]:
@@ -263,12 +265,11 @@ def build_repeated_pulse(
         Pulse(RotationSpec((0.0, 1.0, 0.0), np.pi / 2)),
         QuadraticSegment("z", chi, delta_t),
     ]
-    probe_prefix = ProtocolSchedule(tuple(prefix_segments), ())
-    trigger_state, _ = evolve_schedule(initial, probe_prefix)
+    trigger, _ = evolve_block(j, initial.amplitudes[:, None], ProtocolSchedule(tuple(prefix_segments), ()))
 
     freeze_rot = RotationSpec((-1.0, 0.0, 0.0), np.pi / 4)
     if freeze.resolve_signs:
-        (sign,), var_z = _resolve_signs(trigger_state, [freeze_rot])
+        (sign,), var_z = _resolve_signs(DickeState(j, trigger[:, 0]), [freeze_rot])
     else:
         sign, var_z = 1.0, float("nan")
     meta.update(
@@ -283,9 +284,11 @@ def build_repeated_pulse(
     post_time = freeze.post_time_factor * meta["t_opt"]
     pre = mid_samples(n_star) + [t_star]
     post = (t_star + np.linspace(0.0, post_time, freeze.post_samples + 1)[1:]).tolist()
-    frozen = (*prefix_segments, FreezeMarker(t_star), Pulse(freeze_rot.scaled(sign), label="freeze"))
+    tail = (FreezeMarker(t_star), Pulse(freeze_rot.scaled(sign), label="freeze"))
+    frozen = (*prefix_segments, *tail)
     schedule = ProtocolSchedule(frozen + (QuadraticSegment("z", chi, post_time),), tuple(pre + post), meta)
-    return ProtocolBundle(schedule, initial, meta, prefix_schedule=ProtocolSchedule(frozen, ()))
+    x, _ = evolve_block(j, trigger, ProtocolSchedule(tail, ()))
+    return ProtocolBundle(schedule, initial, meta, ProtocolSchedule(frozen, ()), DickeState(j, x[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +394,11 @@ def build_modulated_drive(
         )
 
     prefix_core = (DrivenSegment(env, chi, 0.0, t_star, steps_per_period),)
-    trigger_state, _ = evolve_schedule(initial, ProtocolSchedule(prefix_core, ()))
+    trigger, _ = evolve_block(initial.j, initial.amplitudes[:, None], ProtocolSchedule(prefix_core, ()))
     rot_align = RotationSpec((0.0, 1.0, 0.0), env.omega0 / env.omega)
     rot_freeze = RotationSpec((-1.0, 0.0, 0.0), np.pi / 4)
     if freeze.resolve_signs:
-        signs, var_z = _resolve_signs(trigger_state, [rot_align, rot_freeze])
+        signs, var_z = _resolve_signs(DickeState(initial.j, trigger[:, 0]), [rot_align, rot_freeze])
     else:
         signs, var_z = (1.0, 1.0), float("nan")
     meta.update(
@@ -412,13 +415,13 @@ def build_modulated_drive(
     samples = sorted(set(zeros_pre + [t_star]))
     post = (t_star + np.linspace(0.0, post_time, freeze.post_samples + 1)[1:]).tolist()
     samples = _dedupe_times(samples + post)
-    frozen = prefix_core + (
-        FreezeMarker(t_star),
-        Pulse(rot_align.scaled(signs[0]), label="freeze-align"),
-        Pulse(rot_freeze.scaled(signs[1]), label="freeze"),
-    )
+    tail = (FreezeMarker(t_star), Pulse(rot_align.scaled(signs[0]), label="freeze-align"),
+            Pulse(rot_freeze.scaled(signs[1]), label="freeze"))
+    frozen = prefix_core + tail
     schedule = ProtocolSchedule(frozen + (QuadraticSegment("z", chi, post_time),), tuple(samples), meta)
-    return ProtocolBundle(schedule, initial, meta, prefix_schedule=ProtocolSchedule(frozen, ()))
+    x, _ = evolve_block(initial.j, trigger, ProtocolSchedule(tail, ()))
+    frozen_state = DickeState(initial.j, x[:, 0])
+    return ProtocolBundle(schedule, initial, meta, ProtocolSchedule(frozen, ()), frozen_state)
 
 
 def _dedupe_times(times, rel=1e-12):

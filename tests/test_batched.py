@@ -21,7 +21,7 @@ from spinsqueeze.dicke import (
     make_css,
     rotate_vector,
 )
-from spinsqueeze.diagnostics import squeezing_report
+from spinsqueeze.diagnostics import squeezing_columns, squeezing_report
 from spinsqueeze.errors import DomainError
 from spinsqueeze.hamiltonians import DriveEnvelope
 from spinsqueeze.propagator import (
@@ -30,18 +30,26 @@ from spinsqueeze.propagator import (
     full_hilbert_oracle,
 )
 from spinsqueeze.protocols import (
+    FreezePolicy,
     NoiseModel,
     _noise_factors,
     _resolve_signs,
     _run_batch,
     _tact_propagator,
     build_repeated_pulse,
+    drive_zero_times,
     reference_runs,
     run_monte_carlo,
     run_protocol,
     worker_count,
 )
-from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule, Pulse, QuadraticSegment
+from spinsqueeze.schedule import (
+    DrivenSegment,
+    FreezeMarker,
+    ProtocolSchedule,
+    Pulse,
+    QuadraticSegment,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -49,6 +57,46 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def jz2_phase(state, chi_t):
     """exp(-i chi t Jz^2) |state>, one phase per m."""
     return DickeState(state.j, np.exp(-1j * chi_t * m_values(state.j) ** 2) * state.amplitudes)
+
+
+def cut_at(schedule, s):
+    """The segments of a schedule up to time s, the one running at s cut
+    short there; pulses and markers at s come after a sample at s. A driven
+    segment is also split at the earlier sample times, which are substep
+    boundaries of the sampled run."""
+    segments, t, tol = [], 0.0, 1e-9 * max(1.0, s)
+    for seg in schedule.segments:
+        if t >= s - tol:
+            break
+        if isinstance(seg, (Pulse, FreezeMarker)):
+            segments.append(seg)
+        elif isinstance(seg, QuadraticSegment):
+            segments.append(seg if t + seg.duration <= s else QuadraticSegment(seg.axis, seg.chi, s - t))
+            t += seg.duration
+        else:
+            end = min(seg.t1, s)
+            stops = [u for u in schedule.sample_times if seg.t0 < u < end] + [end]
+            for a, b in zip([seg.t0, *stops], stops):
+                segments.append(DrivenSegment(seg.env, seg.chi, a, b, seg.steps_per_period))
+            t = seg.t1
+    return ProtocolSchedule(tuple(segments), ())
+
+
+def one_column_reports(j, x, schedule):
+    """The reports of a one-column run without the kernel's report queue:
+    the state at each sample time from a run of the schedule cut there,
+    through its own one-column squeezing_columns call."""
+    return [
+        squeezing_columns(j, evolve_block(j, x, cut_at(schedule, s))[0]).column(0)
+        for s in schedule.sample_times
+    ]
+
+
+def assert_reports_close(got, want, rel=1e-10):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.xi2 == pytest.approx(b.xi2, rel=rel)
+        assert np.linalg.norm(np.subtract(a.mean_spin, b.mean_spin)) <= rel * np.linalg.norm(b.mean_spin)
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +239,64 @@ class TestKernelCorrectness:
         mc = run_monte_carlo(schedule, initial, NoiseModel(0.0, seed=1), 3)
         plain = run_protocol(schedule, initial)
         assert all(np.array_equal(rec.xi2(), plain.xi2()) for rec in mc.records)
+
+
+class TestReportTiles:
+    def test_report_independent_of_tile_mates(self):
+        # at phase -pi/2 every drive zero is a half-period boundary, so the
+        # chain of jumps is the same whichever zeros are sampled
+        n = 40
+        omega = 2 * np.pi * 300.0
+        env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
+        zeros = drive_zero_times(env, 40 * env.period)
+        segment = DrivenSegment(env, 1.0, 0.0, float(zeros[-1]))
+        initial = make_css(n / 2, np.pi / 2, 0.0).amplitudes[:, None]
+        target = 40
+        reports, finals = [], []
+        for count in (1, TILE - 1, TILE, TILE + 1):
+            for before in {0, count // 2, count - 1}:  # the target first, mid and last
+                times = zeros[target - before : target - before + count]
+                schedule = ProtocolSchedule((segment,), tuple(times.tolist()))
+                final, (record,) = evolve_block(n / 2, initial, schedule, None, [None])
+                assert len(record.samples) == count
+                reports.append(record.samples[before])
+                finals.append(final)
+        assert all(r == reports[0] for r in reports)
+        assert all(np.array_equal(f, finals[0]) for f in finals)
+        assert reports[0][0] == zeros[target] and reports[0][1].xi2 < 0.5
+
+    def test_pulse_records_match_one_column_loop(self):
+        bundle = build_repeated_pulse(30, n_periods=8, freeze=FreezePolicy())
+        record = run_protocol(bundle.schedule, bundle.initial_state)
+        x = bundle.initial_state.amplitudes[:, None]
+        assert len(record.samples) > TILE
+        assert_reports_close(record.reports(), one_column_reports(15, x, bundle.schedule))
+
+    def test_drive_records_match_one_column_loop(self):
+        omega = 2 * np.pi * 300.0
+        env = DriveEnvelope(0.9057 * omega, omega, 0.3)
+        end = 20 * env.period
+        rng = np.random.default_rng(4)
+        times = np.sort(np.concatenate([drive_zero_times(env, end)[::3], rng.uniform(0, end, 9)]))
+        schedule = ProtocolSchedule((DrivenSegment(env, 1.0, 0.0, end),), tuple(times.tolist()))
+        x = make_css(6, np.pi / 2, 0.0).amplitudes[:, None]
+        _, (record,) = evolve_block(6, x, schedule, None, [None])
+        assert len(record.samples) > TILE
+        assert_reports_close(record.reports(), one_column_reports(6, x, schedule))
+
+    def test_renormalization_after_a_sample_leaves_its_report(self):
+        # the first sample sits on a segment end whose renormalization
+        # divides the block in place; its report must keep the drifted norm
+        j = 10
+        segments = (QuadraticSegment("z", 1.0, 0.3), Pulse(RotationSpec((1, 0, 0), 0.4)),
+                    QuadraticSegment("x", 1.0, 0.2))
+        x = make_css(j, np.pi / 2, 0.0).amplitudes[:, None] * (1 + 1e-8)
+        schedule = ProtocolSchedule(segments, (0.3, 0.5))
+        final, (record,) = evolve_block(j, x, schedule, None, [None])
+        assert record.events == [{"kind": "renormalization", "count": 1}]
+        at_first = np.exp(-0.3j * m_values(j)[:, None] ** 2) * x
+        want = [squeezing_columns(j, y).column(0) for y in (at_first, final)]
+        assert_reports_close(record.reports(), want)
 
 
 class TestThreadSetting:

@@ -90,6 +90,28 @@ class TestParseConfig:
         with pytest.raises(SystemExit):
             parse_config(["noise", "--eta", "-0.1"])
 
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["noise", "--eta", "nan"], "eta"),
+            (["pulses", "--chi-hz", "inf"], "chi_hz"),
+            (["drive", "--phase", "inf"], "phase"),
+        ],
+    )
+    def test_non_finite_flag_named(self, capsys, argv, key):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+        assert f"field {key}: must be finite" in capsys.readouterr().err
+
+    def test_non_finite_config_value_named(self, tmp_path, capsys):
+        conf = tmp_path / "c.json"
+        conf.write_text('{"eta": NaN}')  # a literal json.loads accepts
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["noise", "--config", str(conf)])
+        assert exc.value.code == 2
+        assert "field eta: must be finite, got nan" in capsys.readouterr().err
+
 
 class TestScenarios:
     def test_oat_small_run(self, tmp_path):

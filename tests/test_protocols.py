@@ -5,7 +5,7 @@ from spinsqueeze.dicke import RotationSpec, fidelity, make_css, make_dicke_state
 from spinsqueeze.diagnostics import find_optimum, squeezing_report
 from spinsqueeze.errors import DomainError
 from spinsqueeze.hamiltonians import drive_value
-from spinsqueeze.propagator import evolve_schedule
+from spinsqueeze.propagator import _PeriodOperators, evolve_schedule
 from spinsqueeze.protocols import (
     FreezePolicy,
     NoiseModel,
@@ -236,6 +236,44 @@ class TestDriveFreeze:
                 n / 2, ref, RotationSpec((0, 1, 0), ratio * np.sin(phase))
             )
             assert abs(np.vdot(want, got)) >= 1 - 1e-3
+
+
+class TestFrozenStateHandoff:
+    """The builders run only the freeze tail from their trigger block; the
+    state they hand over has the bits of a run of the whole prefix."""
+
+    @staticmethod
+    def build(protocol, phase, trigger, resolve_signs):
+        freeze = FreezePolicy(trigger=trigger, window=1, resolve_signs=resolve_signs)
+        if protocol == "pulses":
+            return build_repeated_pulse(60, n_periods=10, freeze=freeze)
+        return build_modulated_drive(60, omega_over_chi=2 * np.pi * 2e3, phase=phase, freeze=freeze)
+
+    @pytest.mark.parametrize("resolve_signs", [True, False])
+    @pytest.mark.parametrize("trigger", ["numeric-minimum", "analytic-time"])
+    @pytest.mark.parametrize(
+        "protocol,phase", [("pulses", None), ("drive", -np.pi / 2), ("drive", 0.3)]
+    )
+    def test_equals_prefix_run_bit_for_bit(self, protocol, phase, trigger, resolve_signs):
+        bundle = self.build(protocol, phase, trigger, resolve_signs)
+        want, _ = evolve_schedule(bundle.initial_state, bundle.prefix_schedule)
+        assert bundle.frozen_state().amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    def test_makes_no_jumps(self, monkeypatch):
+        bundle = self.build("drive", 0.3, "numeric-minimum", True)
+        calls = []
+        jump = _PeriodOperators.jump
+        monkeypatch.setattr(
+            _PeriodOperators, "jump", lambda ops, x, k: calls.append(k) or jump(ops, x, k)
+        )
+        bundle.frozen_state()
+        assert calls == []
+        evolve_schedule(bundle.initial_state, bundle.prefix_schedule)  # the counter counts
+        assert len(calls) > 100
+
+    def test_unfrozen_bundle_has_no_frozen_state(self):
+        with pytest.raises(DomainError, match="without a freeze"):
+            build_repeated_pulse(60, n_periods=10).frozen_state()
 
 
 class TestNoiseAndMonteCarlo:
