@@ -3,9 +3,9 @@
 One kernel, evolve_block, runs a schedule on a (dim x R) block of states,
 one column per run: pulses turn each column by its own angle, quadratic
 generators evolve exactly (diagonal phases or the cached real axis basis), and
-the driven model uses second-order split-stepping on a grid aligned to the
-drive phase, with a one-period Floquet operator fast path for runs spanning
-many periods. A single run is a block of one column. A brute-force 2^N
+the driven model uses second-order split-stepping in the Jy eigenbasis on a
+grid aligned to the drive phase, with half- and whole-period operators as
+parity blocks for long runs. A single run is a block of one column; a 2^N
 tensor-product oracle validates the symmetric-subspace reduction at small N.
 """
 
@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import solve_ivp
 
 from .dicke import (
     DickeState,
@@ -103,7 +102,7 @@ def spectral(j: float, cz: float, cx: float, cy: float) -> SpectralPropagator:
 
 
 # ---------------------------------------------------------------------------
-# driven model: split-step, aligned grid, period operators
+# driven model: split-step, aligned grid, period operators, all in the Jy frame
 
 def _aligned_grid(t0: float, t1: float, h: float) -> list:
     """Substep boundaries: t0, interior multiples of h, t1."""
@@ -117,122 +116,139 @@ def _jz2_phase(j: float, t: float) -> np.ndarray:
     return np.exp(-1j * t * m_values(j)[:, None] ** 2)
 
 
+def frame_enter(j: float, x: np.ndarray) -> np.ndarray:
+    """A z-basis block in the drive's frame, the Jy eigenbasis Rz(pi/2) W."""
+    return basis_product(axis_eigensystem(j)[1].T, quarter_turn(j).conj() * x)
+
+
+def frame_leave(j: float, y: np.ndarray) -> np.ndarray:
+    """The z-basis block Rz(pi/2) W y of a frame block y."""
+    return quarter_turn(j) * basis_product(axis_eigensystem(j)[1], y)
+
+
 @lru_cache(maxsize=8)  # two complex (dim/2)^2 blocks each: 12.5 MB at N = 1250
 def junction_blocks(j: float, chi_h: float) -> tuple:
-    """The two parity blocks of W^T exp(-i chi h Jz^2) W, W the real Jx
-    eigenbasis. Jz^2 and Jx commute with Rx(pi), which W diagonalizes with
-    eigenvalue exp(-i pi lambda), so no entry joins the classes
-    (lambda + j) mod 2: the even and the odd columns of W, as lambda ascends
-    from -j in unit steps."""
+    """The two parity blocks of W^T exp(-i chi h Jz^2) W. Jz^2 and Jx commute
+    with Rx(pi), diagonal in W with eigenvalue exp(-i pi lambda), so no entry
+    joins the classes (lambda + j) mod 2: W's even and odd columns, as lambda
+    ascends from -j in unit steps."""
     vecs, phase = axis_eigensystem(j)[1], _jz2_phase(j, chi_h)
     return tuple(basis_product(vecs[:, p::2].T, phase * vecs[:, p::2]) for p in (0, 1))
 
 
+def _by_parity(blocks: tuple, y: np.ndarray) -> np.ndarray:
+    """diag(blocks) y for a frame block y, the classes on its even and odd rows."""
+    out = np.empty_like(y)
+    for p, block in enumerate(blocks):
+        out[p::2] = block @ y[p::2]
+    return out
+
+
+def _junction(j: float, y: np.ndarray, chi_s: float, chi_h: float) -> np.ndarray:
+    """W^T exp(-i chi s Jz^2) W y: junction_blocks when chi s is chi h, else via z."""
+    if abs(chi_s - chi_h) <= 1e-9 * abs(chi_h):
+        return _by_parity(junction_blocks(j, chi_h), y)
+    return frame_enter(j, _jz2_phase(j, chi_s) * frame_leave(j, y))  # Rz(pi/2) commutes with Jz^2
+
+
 def _drive_walk(j, y, chi, env, h, grid) -> np.ndarray:
-    """Strang steps over the grid, less the outer two Jz^2 half-steps, in place
-    on a block y in the Jy eigenbasis Rz(pi/2) W, where each y-rotation is
-    diagonal. Rz(pi/2) commutes with Jz^2, so the two half-steps that meet
-    between substeps fuse into W^T exp(-i chi s Jz^2) W for the mean step s:
-    junction_blocks on the even and odd rows when s = h, else via the z basis."""
-    vals, vecs = axis_eigensystem(j)
+    """Strang steps over the grid, less the outer two Jz^2 half-steps, on a
+    frame block y, where each y-rotation is diagonal. Rz(pi/2) commutes with
+    Jz^2, so the half-steps that meet fuse into the junction for their sum."""
+    vals = axis_eigensystem(j)[0]
     for k in range(1, len(grid)):
         if k > 1:
-            s = (grid[k] - grid[k - 2]) / 2
-            if abs(s - h) <= 1e-9 * h:
-                for p, block in enumerate(junction_blocks(j, chi * h)):
-                    y[p::2] = block @ y[p::2]
-            else:
-                y = basis_product(vecs.T, _jz2_phase(j, chi * s) * basis_product(vecs, y))
+            y = _junction(j, y, chi * (grid[k] - grid[k - 2]) / 2, chi * h)
         y *= np.exp(-1j * drive_integral(env, grid[k - 1], grid[k]) * vals)[:, None]
     return y
 
 
-def _split_steps(j, x, chi, env, h, t0, t1):
-    """Strang steps on the substep grid aligned to h from t0 to t1 on a
-    (dim, R) block: half Jz^2 phase, exact envelope-integral y-rotation, half
-    Jz^2 phase. The block enters the Jy eigenbasis once, walks and leaves."""
+def _split_steps(j, x, chi, env, h, t0, t1, frame=(False, False)):
+    """Strang steps on the grid aligned to h from t0 to t1 on a (dim, R)
+    block: half Jz^2 phase, exact y-rotation, half Jz^2 phase. frame says
+    whether it comes and goes in the frame; a z end costs one product."""
     grid = _aligned_grid(t0, t1, h)
-    vecs = axis_eigensystem(j)[1]
-    turn = quarter_turn(j)
-    y = basis_product(vecs.T, (_jz2_phase(j, chi * (grid[1] - grid[0]) / 2) * turn.conj()) * x)
+    first, last = chi * (grid[1] - grid[0]) / 2, chi * (grid[-1] - grid[-2]) / 2
+    y = _junction(j, x, first, chi * h / 2) if frame[0] else frame_enter(j, _jz2_phase(j, first) * x)
     y = _drive_walk(j, y, chi, env, h, grid)
-    return (_jz2_phase(j, chi * (grid[-1] - grid[-2]) / 2) * turn) * basis_product(vecs, y)
+    return _junction(j, y, last, chi * h / 2) if frame[1] else _jz2_phase(j, last) * frame_leave(j, y)
 
 
 class _PeriodOperators:
-    """Dense propagator over the first half drive period.
-
-    The envelope obeys Omega(t + T/2) = -Omega(t), so the second half is the
-    first conjugated by Rz(pi); a full period is their product.
-    """
+    """Drive periods in the frame as parity blocks: U = Mh P Mh over the first
+    half (Mh the half-step junction, P the walk between), and the whole period
+    R U R^dagger U, as Omega(t + T/2) = -Omega(t). R = W^T Rz(pi) W sends i to
+    dim-1-i with a phase, keeping the classes for even N, swapping odd N's."""
 
     def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int):
         if spp % 2:
             raise DomainError("period operators need even steps_per_period")
-        h = env.period / spp
-        vecs = axis_eigensystem(j)[1]
-        # the parity blocks P_0, P_1 start as identities in the even and odd rows
-        y = np.repeat(np.eye((len(vecs) + 1) // 2, dtype=complex), 2, axis=0)[: len(vecs)]
-        y = _drive_walk(j, y, chi, env, h, [k * h for k in range(spp // 2 + 1)])
-        # u_half = Zh Rz(pi/2) W diag(P_0, P_1) W^T Rz(pi/2)^dagger Zh
-        zh, turn = _jz2_phase(j, chi * h / 2), quarter_turn(j)
-        right = (vecs * (zh * turn.conj())).T
-        for p in (0, 1):
-            right[p::2] = y[p::2, : len(right[p::2])] @ right[p::2]
-        self.u_half = basis_product(vecs, right)
-        self.u_half *= zh * turn
-        self.rz_pi = np.exp(-1j * np.pi * m_values(j))[:, None]
+        h, vecs = env.period / spp, axis_eigensystem(j)[1]
+        # identities in the even and odd rows, the classes' blocks after the walk
+        ident = np.repeat(np.eye((len(vecs) + 1) // 2, dtype=complex), 2, axis=0)[: len(vecs)]
+        y = _drive_walk(j, ident.copy(), chi, env, h, [k * h for k in range(spp // 2 + 1)])
+        self.blocks = tuple(m @ y[p::2, : len(m)] @ m for p, m in enumerate(junction_blocks(j, chi * h / 2)))
+        # R[dim-1-i, i], with Rz(pi) = Rz(pi/2)^2, rounded to its exact value: +-1 or +-i
+        self.phase = np.round(np.einsum("ki,ki->i", vecs[:, ::-1], quarter_turn(j) ** 2 * vecs))[:, None]
+        whole = self.jump(self.jump(ident, 0), 1)
+        self.period = tuple(np.ascontiguousarray(whole[p::2, : len(b)]) for p, b in enumerate(self.blocks))
 
-    def jump(self, x: np.ndarray, half_index: int) -> np.ndarray:
-        """Advance a (dim, R) block one half period starting at
-        half_index * T/2."""
+    def jump(self, y: np.ndarray, half_index: int, halves: int = 1) -> np.ndarray:
+        """Advance a (dim, R) frame block from half_index * T/2 by one half
+        period (U, or R U R^dagger for an odd half) or, from an even one, two."""
         if half_index % 2 == 0:
-            return self.u_half @ x
-        return self.rz_pi * (self.u_half @ (self.rz_pi.conj() * x))
+            return _by_parity(self.period if halves == 2 else self.blocks, y)
+        return self.phase[::-1] * _by_parity(self.blocks, self.phase.conj() * y[::-1])[::-1]
 
 
-@lru_cache(maxsize=4)  # one complex dim^2 operator each: 25 MB at N = 1250
+@lru_cache(maxsize=4)  # four complex (dim/2)^2 blocks each: 25 MB at N = 1250
 def period_operators(j: float, chi: float, env: DriveEnvelope, spp: int) -> _PeriodOperators:
     return _PeriodOperators(j, chi, env, spp)
 
 
 class DrivenEngine:
-    """Stateful walker for one driven stretch, mixing half-period jumps with
-    fine split-steps so arbitrary sample times stay cheap. The span the
-    engine will cover decides whether the period operators pay for their
-    build; a span of 0 keeps it on split steps alone."""
+    """Walker for one driven stretch: half-period jumps and split steps, the
+    block in the frame at multiples of h and in z elsewhere. The span it will
+    cover decides whether the period operators pay for their build."""
 
     def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int = 64, span: float = 0.0):
-        self.j, self.chi, self.env, self.spp = j, chi, env, spp
-        self.h = env.period / spp
-        # measured break-even (spp 64, one thread): 3.5, 32 and 71 periods at N = 100,
-        # 300 and 1250; no dim/c fits both 300 (c ~ 9) and 1250 (c ~ 18), 12 sits between
-        fast = spp % 2 == 0 and span / env.period >= max(16, dim_for(j) / 12)
+        self.j, self.chi, self.env, self.h = j, chi, env, env.period / spp
+        # measured break-even (spp 64, one thread): 3, 15-20 and 52-59 periods at N = 100,
+        # 300 and 1250, so dim/c with c ~ 15-20 at 300 and 21-24 at 1250; 20 fits both
+        fast = spp % 2 == 0 and span / env.period >= max(16, dim_for(j) / 20)
         self._ops = period_operators(j, chi, env, spp) if fast else None
 
-    def advance(self, vec: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
-        """Evolve a state vector, or every column of a (dim, R) block, from
-        t_from to t_to."""
+    def framed(self, t: float) -> bool:
+        """Whether step holds the block at time t in the frame."""
+        return abs(t / self.h - round(t / self.h)) <= 1e-9
+
+    def _walk(self, y, t0, t1):
+        return _split_steps(self.j, y, self.chi, self.env, self.h, t0, t1, (self.framed(t0), self.framed(t1)))
+
+    def step(self, y: np.ndarray, t_from: float, t_to: float, whole: bool = False) -> np.ndarray:
+        """Evolve a (dim, R) block from t_from to t_to, ends held as framed() says.
+        whole lets jumps take whole periods; a sampled stretch leaves it off, so
+        its bits do not depend on which on-grid times it samples."""
         if t_to < t_from:
             raise DomainError("cannot advance backwards")
-        if t_to == t_from:
-            return vec
+        h2 = self.env.period / 2
+        a, b = int(np.ceil(t_from / h2 - 1e-9)), int(np.floor(t_to / h2 + 1e-9))
+        if self._ops is None or b <= a or (b - a) * h2 <= 2 * self.h:
+            return self._walk(y, t_from, t_to) if t_to > t_from else y
+        y = self._walk(y, t_from, a * h2) if a * h2 > t_from + 1e-12 * h2 else y
+        while a < b:
+            halves = 2 if whole and a % 2 == 0 and a + 1 < b else 1
+            y, a = self._ops.jump(y, a, halves), a + halves
+        return self._walk(y, b * h2, t_to) if t_to > b * h2 + 1e-12 * h2 else y
+
+    def advance(self, vec: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
+        """Evolve a z-basis vector, or each column of a block, from t_from to t_to."""
         if vec.ndim == 1:
             return self.advance(vec[:, None], t_from, t_to)[:, 0]
-        h2 = self.env.period / 2
-        if self._ops is not None:
-            a = int(np.ceil(t_from / h2 - 1e-9))
-            b = int(np.floor(t_to / h2 + 1e-9))
-            if b > a and (b - a) * h2 > 2 * self.h:
-                ta, tb = a * h2, b * h2
-                if ta > t_from + 1e-12 * h2:
-                    vec = _split_steps(self.j, vec, self.chi, self.env, self.h, t_from, ta)
-                for k in range(a, b):
-                    vec = self._ops.jump(vec, k)
-                if t_to > tb + 1e-12 * h2:
-                    vec = _split_steps(self.j, vec, self.chi, self.env, self.h, tb, t_to)
-                return vec
-        return _split_steps(self.j, vec, self.chi, self.env, self.h, t_from, t_to)
+        if t_to <= t_from:
+            return self.step(vec, t_from, t_to)
+        y = self.step(frame_enter(self.j, vec) if self.framed(t_from) else vec, t_from, t_to, True)
+        return frame_leave(self.j, y) if self.framed(t_to) else y
 
 
 def driven_doubling_check(
@@ -261,17 +277,16 @@ def driven_doubling_check(
 # schedule execution
 
 def _stepper(j: float, seg, t: float) -> tuple:
-    """(advance(x, t_from, t_to), start, end) of a quadratic or driven
-    segment reached at schedule time t."""
+    """(step, framed, start, end) as in DrivenEngine for a segment reached at time t."""
     if isinstance(seg, QuadraticSegment):
-        def advance(x, t_from, t_to):
+        def step(x, t_from, t_to, *_):
             return _quadratic(j, seg.axis, seg.chi, t_to - t_from, x) if t_to > t_from else x
 
-        return advance, t, t + seg.duration
+        return step, lambda _: False, t, t + seg.duration
     if abs(seg.t0 - t) > TIME_TOL * max(1.0, abs(t)):
         raise DomainError(f"driven segment starts at {seg.t0}, schedule time is {t}")
     engine = DrivenEngine(j, seg.chi, seg.env, seg.steps_per_period, seg.duration)
-    return engine.advance, seg.t0, seg.t1
+    return engine.step, engine.framed, seg.t0, seg.t1
 
 
 def evolve_block(
@@ -293,7 +308,8 @@ def evolve_block(
     before any zero-duration event listed after that boundary. A column
     whose norm drifts beyond 1e-12 is renormalized and counted in its
     record. Reports go TILE columns at a time: a narrower block is queued as
-    a copy, TILE // width samples a report, padded with its last column.
+    a copy (in the frame while a driven segment holds it there), TILE // width
+    samples a report, padded with its last column.
     """
     digest = schedule.digest()
     records = [RunRecord(parameters={"schedule_digest": digest, **(p or {})}) for p in parameters]
@@ -313,16 +329,20 @@ def evolve_block(
 
     def flush():
         if queue:
-            times, blocks = zip(*queue)
-            pad = (blocks[-1][:, -1:],) * (TILE - width * len(blocks))
-            rep = squeezing_columns(j, np.concatenate(blocks + pad, axis=1) if width < TILE else blocks[0])
+            times, blocks, framed = zip(*queue)
+            pad = max(0, TILE - width * len(blocks))
+            tile = np.concatenate(blocks + (blocks[-1][:, -1:],) * pad, axis=1) if width < TILE else blocks[0]
+            if any(framed):  # the tile leaves the frame in one product; z columns keep their bits
+                mask = np.repeat(framed + framed[-1:], [width] * len(blocks) + [pad])
+                tile = np.where(mask, frame_leave(j, tile), tile)
+            rep = squeezing_columns(j, tile)
             for k, time in enumerate(times):
                 for r, record in enumerate(records):
                     record.add_sample(time, rep.column(k * width + r))
             queue.clear()
 
-    def emit(time, x):
-        queue.append((time, x.copy() if width < TILE else x))
+    def emit(time, x, framed=False):
+        queue.append((time, x.copy() if width < TILE else x, framed))
         if len(queue) >= TILE // width:
             flush()
 
@@ -349,14 +369,17 @@ def evolve_block(
                 record.add_event("freeze", time=t)
             continue
         if isinstance(seg, (QuadraticSegment, DrivenSegment)):
-            advance, t, end = _stepper(j, seg, t)
+            step, framed, t, end = _stepper(j, seg, t)
+            x = frame_enter(j, x) if framed(t) else x
+            whole = not due(end)  # a segment without samples may jump whole periods
             while due(end):
                 target = min(max(samples[si], t), end)
-                x = advance(x, t, target)
+                x = step(x, t, target)
                 t = target
-                emit(samples[si], x)
+                emit(samples[si], x, framed(t))
                 si += 1
-            x = renormalized(advance(x, t, end))
+            x = step(x, t, end, whole)
+            x = renormalized(frame_leave(j, x) if framed(end) else x)
             t = end
             continue
         raise DomainError(f"unknown segment type {type(seg).__name__}")
@@ -463,6 +486,8 @@ def _full_generator(n: int, spec: HamiltonianSpec) -> np.ndarray:
 
 
 def _full_driven_evolve(n, vec, chi, env, t0, t1):
+    from scipy.integrate import solve_ivp  # pulls in scipy.optimize: only the oracle pays for it
+
     jx, jy, jz = full_spin_ops(n)
     jz2 = (jz @ jz).real
     dim = 2**n

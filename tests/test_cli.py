@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinsqueeze
 from spinsqueeze.cli import parse_config, run_scenario
 from spinsqueeze.dicke import make_css
 
@@ -11,6 +15,15 @@ def run_cli(argv):
     cfg = parse_config(argv)
     status = run_scenario(cfg)
     return cfg, status
+
+
+def test_cli_import_leaves_the_ode_solver_out():
+    # scipy.integrate pulls in scipy.optimize; only the test-only 2^N oracle needs it
+    src = os.path.dirname(os.path.dirname(spinsqueeze.__file__))
+    code = "import sys, spinsqueeze.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestParseConfig:

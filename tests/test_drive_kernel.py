@@ -1,21 +1,27 @@
 """The drive kernel in the Jy eigenbasis: the parity blocks of the fused
 Jz^2 junction, split steps against a dense product of exact exponentials,
-the period operators against plain split stepping, and the bound of the
-junction cache."""
+the frame's half-period blocks and the reversal R against their dense
+definitions, the period operators and a sampled frame chain against plain
+split stepping, and the bound of the junction cache."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from spinsqueeze.dicke import axis_eigensystem, dim_for, m_values, spin_matrix
+from spinsqueeze.diagnostics import squeezing_columns
+from spinsqueeze.dicke import DickeState, axis_eigensystem, dim_for, m_values, spin_matrix
 from spinsqueeze.hamiltonians import DriveEnvelope, drive_integral, matrix, quadratic
 from spinsqueeze.propagator import (
     DrivenEngine,
     _aligned_grid,
     _PeriodOperators,
     _split_steps,
+    evolve_schedule,
+    frame_enter,
+    frame_leave,
     junction_blocks,
 )
+from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule
 
 PHASES = [0.0, 0.3, np.pi / 2, -np.pi / 2, 0.9]
 SPP = 32
@@ -82,14 +88,62 @@ def test_half_period_operators_match_split_steps(n, phase):
     h, half = env.period / SPP, env.period / 2
     ops = _PeriodOperators(j, chi, env, SPP)
     x = random_block(j, 2, seed=n)
-    first = _split_steps(j, x, chi, env, h, 0.0, half)
-    second = _split_steps(j, x, chi, env, h, half, 2 * half)
-    assert np.max(np.abs(ops.jump(x, 0) - first)) <= 1e-12
-    assert np.max(np.abs(ops.jump(x, 1) - second)) <= 1e-12
-    assert np.max(np.abs(ops.u_half.conj().T @ ops.u_half - np.eye(dim_for(j)))) <= 1e-12
+    for k, halves in ((0, 1), (1, 1), (0, 2)):  # the jumps act on frame blocks: enter, jump, leave
+        want = _split_steps(j, x, chi, env, h, k * half, (k + halves) * half)
+        got = frame_leave(j, ops.jump(frame_enter(j, x), k, halves))
+        assert np.max(np.abs(got - want)) <= 1e-12
+    for block in ops.blocks:
+        assert np.max(np.abs(block.conj().T @ block - np.eye(len(block)))) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [6, 41, 100])
+def dense_reversal(j):
+    """R = W^T Rz(pi) W in the frame, dense."""
+    vecs = axis_eigensystem(j)[1]
+    return vecs.T @ (np.exp(-1j * np.pi * m_values(j))[:, None] * vecs)
+
+
+@pytest.mark.parametrize("n", [5, 6, 41, 100])
+def test_frame_blocks_are_unitary(n):
+    ops = _PeriodOperators(n / 2, 1.0, envelope(0.3), SPP)
+    assert [len(block) for block in ops.blocks] == [(n + 2) // 2, (n + 1) // 2]
+    for block in ops.blocks:
+        assert np.max(np.abs(block.conj().T @ block - np.eye(len(block)))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 6, 41, 100])
+def test_reversal_is_a_phased_reversal_by_class(n):
+    j, dim = n / 2, n + 1
+    dense = dense_reversal(j)
+    rows = dim - 1 - np.arange(dim)
+    on = dense[rows, np.arange(dim)]
+    off = dense.copy()
+    off[rows, np.arange(dim)] = 0
+    assert np.max(np.abs(off)) <= 1e-12
+    ops = _PeriodOperators(j, 1.0, envelope(0.3), SPP)
+    assert np.max(np.abs(ops.phase[:, 0] - on)) <= 1e-12
+    assert set(np.abs(ops.phase[:, 0]).tolist()) == {1.0}
+    # even N keeps the classes (lambda + j) mod 2 = index mod 2, odd N swaps them
+    assert np.all((rows % 2 == np.arange(dim) % 2) == (n % 2 == 0))
+
+
+@pytest.mark.parametrize("n", [5, 6, 41, 100])
+@pytest.mark.parametrize("phase", PHASES)
+def test_odd_half_and_whole_period_by_reversal(n, phase):
+    j = n / 2
+    ops = _PeriodOperators(j, 1.0, envelope(phase), SPP)
+    u = np.zeros((n + 1, n + 1), dtype=complex)
+    for p, block in enumerate(ops.blocks):
+        u[p::2, p::2] = block
+    r = dense_reversal(j)
+    y = random_block(j, 3, seed=n)
+    assert np.max(np.abs(ops.jump(y, 0) - u @ y)) <= 1e-12
+    assert np.max(np.abs(ops.jump(y, 1) - r @ u @ r.conj().T @ y)) <= 1e-12
+    assert np.max(np.abs(ops.jump(y, 0, 2) - r @ u @ r.conj().T @ u @ y)) <= 1e-12
+    for block in ops.period:
+        assert np.max(np.abs(block.conj().T @ block - np.eye(len(block)))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 6, 41, 100])
 @pytest.mark.parametrize("phase", PHASES)
 def test_period_operator_path_matches_plain_split_stepping(n, phase):
     j, chi = n / 2, 1.0
@@ -102,6 +156,28 @@ def test_period_operator_path_matches_plain_split_stepping(n, phase):
     a = direct.advance(x, t0, t1)
     b = fast.advance(x, t0, t1)
     assert np.max(np.abs(a - b)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [5, 6, 41, 100])
+@pytest.mark.parametrize("phase", PHASES)
+def test_sampled_frame_chain_matches_plain_split_stepping(n, phase):
+    # samples on the h grid (half periods among them) and off it, so the
+    # chain holds the block in the frame and in z, jumps and walks, and
+    # reports tiles that mix frame copies with z-basis columns
+    j, chi = n / 2, 1.0
+    env = envelope(phase, omega=2 * np.pi * 300.0)
+    h, half = env.period / SPP, env.period / 2
+    t1 = 23.5 * env.period
+    times = [0.0, 3 * half, 3 * half + 0.37 * h, 3 * half + 5 * h, 11.3 * half, 20 * half, 20 * half + h, t1]
+    x0 = random_block(j, 1, seed=n)
+    schedule = ProtocolSchedule((DrivenSegment(env, chi, 0.0, t1, SPP),), tuple(times))
+    final, record = evolve_schedule(DickeState(j, x0[:, 0]), schedule)
+    x, want = x0, []
+    for a, b in zip([0.0, *times], times):
+        x = _split_steps(j, x, chi, env, h, a, b) if b > a else x
+        want.append(squeezing_columns(j, x).column(0).xi2)
+    assert abs(np.vdot(final.amplitudes, x[:, 0] / np.linalg.norm(x))) >= 1 - 1e-10
+    assert np.allclose(record.xi2(), want, rtol=1e-10, atol=0)
 
 
 def test_junction_cache_is_bounded():

@@ -1,15 +1,21 @@
 """Property tests on random inputs: small schedules of pulses and quadratic
-segments through evolve_schedule against the 2^N tensor-product oracle, and
-the group law that turns Jz^2 twisting into Jx^2 twisting. Examples are
-derandomized, so every run checks the same cases."""
+segments through evolve_schedule against the 2^N tensor-product oracle, the
+group law that turns Jz^2 twisting into Jx^2 twisting, and schedules with
+driven stretches and samples on and off the step grid through the period
+operators against split steps alone. Examples are derandomized, so every run
+checks the same cases."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinsqueeze import propagator
 from spinsqueeze.dicke import DickeState, RotationSpec, fidelity
-from spinsqueeze.propagator import evolve_schedule, full_hilbert_oracle
-from spinsqueeze.schedule import ProtocolSchedule, Pulse, QuadraticSegment
+from spinsqueeze.hamiltonians import DriveEnvelope
+from spinsqueeze.propagator import DrivenEngine, evolve_schedule, full_hilbert_oracle
+from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule, Pulse, QuadraticSegment
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -70,3 +76,58 @@ def test_y_quarter_turns_carry_jz2_onto_jx2(n, chi, duration, seed):
     sandwich, _ = evolve_schedule(state, ProtocolSchedule(turns, ()))
     direct, _ = evolve_schedule(state, ProtocolSchedule((QuadraticSegment("x", chi, duration),), ()))
     assert np.max(np.abs(sandwich.amplitudes - direct.amplitudes)) <= 1e-10
+
+
+DRIVE_OMEGA = 2 * np.pi * 50.0
+
+
+def increasing(times, gap=1e-9):
+    out = []
+    for t in sorted(times):
+        if not out or t - out[-1] > gap:
+            out.append(t)
+    return out
+
+
+@st.composite
+def driven_schedules(draw):
+    """Pulses, quadratic segments and driven stretches of 16.5 to 20 periods
+    (enough for the period operators at N <= 12), with sample times on the
+    step grid, on half-period boundaries and off the grid."""
+    t, segments, samples = 0.0, [], []
+    kinds = draw(st.lists(st.sampled_from(["pulse", "quadratic", "driven"]), min_size=1, max_size=4))
+    for kind in kinds + ["driven"]:
+        if kind == "pulse":
+            segments.append(draw(pulses))
+        elif kind == "quadratic":
+            segments.append(draw(quadratics))
+            t += segments[-1].duration
+        else:
+            phase = draw(st.sampled_from([0.0, 0.3, np.pi / 2, -np.pi / 2, 0.9]))
+            env = DriveEnvelope(0.9057 * DRIVE_OMEGA, DRIVE_OMEGA, phase)
+            spp = draw(st.sampled_from([16, 32]))
+            h, t1 = env.period / spp, t + env.period * draw(st.floats(16.5, 20.0))
+            segments.append(DrivenSegment(env, 1.0, t, t1, spp))
+            for step, count in ((h, 4), (env.period / 2, 2)):
+                grid = st.integers(int(np.ceil(t / step)), int(np.floor(t1 / step)))
+                samples += [k * step for k in draw(st.lists(grid, max_size=count))]
+            samples += draw(st.lists(st.floats(t, t1), max_size=4))
+            t = t1
+    return ProtocolSchedule(tuple(segments), tuple(increasing(samples)))
+
+
+@PROPERTY
+@given(n=st.integers(1, 12), schedule=driven_schedules(), seed=st.integers(0, 2**16))
+def test_period_operators_match_split_steps_in_random_schedules(n, schedule, seed):
+    for seg in schedule.segments:
+        if isinstance(seg, DrivenSegment):
+            assert DrivenEngine(n / 2, seg.chi, seg.env, seg.steps_per_period, seg.duration)._ops is not None
+    state = random_state(n / 2, seed)
+    fast, fast_record = evolve_schedule(state, schedule)
+    with mock.patch.object(  # every driven stretch on split steps alone
+        propagator, "DrivenEngine", lambda j, chi, env, spp, span: DrivenEngine(j, chi, env, spp)
+    ):
+        slow, slow_record = evolve_schedule(state, schedule)
+    assert fidelity(fast, slow) >= 1 - 1e-10
+    assert np.array_equal(fast_record.times(), slow_record.times())
+    assert np.allclose(fast_record.xi2(), slow_record.xi2(), rtol=1e-10, atol=0)

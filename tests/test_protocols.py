@@ -264,7 +264,7 @@ class TestFrozenStateHandoff:
         calls = []
         jump = _PeriodOperators.jump
         monkeypatch.setattr(
-            _PeriodOperators, "jump", lambda ops, x, k: calls.append(k) or jump(ops, x, k)
+            _PeriodOperators, "jump", lambda ops, x, k, *n: calls.append(k) or jump(ops, x, k, *n)
         )
         bundle.frozen_state()
         assert calls == []
