@@ -22,6 +22,7 @@ from .diagnostics import find_optimum, husimi_q, scaling_fit
 from .errors import DomainError
 from .propagator import driven_doubling_check
 from .protocols import (
+    PAPER_RATIO,
     FreezePolicy,
     NoiseModel,
     build_modulated_drive,
@@ -62,7 +63,7 @@ class ScenarioConfig:
     eta: float = 0.001
     realizations: int = 100
     omega_over_chi: float = 2 * np.pi * 2e4
-    omega0_over_omega: float = 0.9057
+    omega0_over_omega: float = PAPER_RATIO
     phase: float = -np.pi / 2
     steps_per_period: int = 64
     doubling_check: bool = True
@@ -73,16 +74,22 @@ class ScenarioConfig:
 
     def n_values(self) -> list:
         try:
-            return [int(x) for x in str(self.n_list).split(",") if x.strip()]
+            values = [int(x) for x in str(self.n_list).split(",") if x.strip()]
         except ValueError:
-            raise DomainError(f"invalid n_list: {self.n_list!r}")
+            raise DomainError(f"field n_list: not a list of integers, got {self.n_list!r}") from None
+        if min(values, default=0) < 2 or len(set(values)) < 3:
+            raise DomainError(f"field n_list: need 3 distinct N values of at least 2, got {self.n_list!r}")
+        return values
 
     def grid_shape(self) -> tuple:
         try:
             a, b = str(self.grid).lower().split("x")
-            return int(a), int(b)
+            t, p = int(a), int(b)
         except ValueError:
-            raise DomainError(f"invalid grid: {self.grid!r} (want e.g. 128x256)")
+            raise DomainError(f"field grid: want e.g. 128x256, got {self.grid!r}") from None
+        if t < 16 or p < 32:
+            raise DomainError(f"field grid: must be at least 16x32, got {self.grid}")
+        return t, p
 
 
 DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING}
@@ -181,14 +188,15 @@ def _validate(parser, cfg: ScenarioConfig) -> None:
             )
         if cfg.steps_per_period < 16:
             parser.error(f"field steps_per_period: must be >= 16, got {cfg.steps_per_period}")
-    if cfg.scenario == "sweep" and len(cfg.n_values()) < 3:
-        parser.error("field n_list: need at least 3 N values")
-    if cfg.scenario == "husimi":
-        if not cfg.state:
-            parser.error("field state: husimi needs --state <snapshot.json>")
-        t, p = cfg.grid_shape()
-        if t < 16 or p < 32:
-            parser.error(f"field grid: must be at least 16x32, got {cfg.grid}")
+    if cfg.scenario == "husimi" and not cfg.state:
+        parser.error("field state: husimi needs --state <snapshot.json>")
+    try:  # the list and grid fields parse only when the scenario reads them
+        if cfg.scenario == "sweep":
+            cfg.n_values()
+        if cfg.scenario == "husimi":
+            cfg.grid_shape()
+    except DomainError as exc:
+        parser.error(str(exc))
     if cfg.samples < 16:
         parser.error(f"field samples: must be at least 16, got {cfg.samples}")
 
@@ -363,7 +371,7 @@ def _scenario_pulses(cfg, out_dir, written) -> dict:
 
 
 def _scenario_drive(cfg, out_dir, written) -> dict:
-    freeze = FreezePolicy(window=1) if cfg.freeze else None
+    freeze = FreezePolicy() if cfg.freeze else None
     bundle = build_modulated_drive(
         cfg.n,
         1.0,

@@ -211,7 +211,7 @@ class DrivenEngine:
     block in the frame at multiples of h and in z elsewhere. The span it will
     cover decides whether the period operators pay for their build."""
 
-    def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int = 64, span: float = 0.0):
+    def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int, span: float = 0.0):
         self.j, self.chi, self.env, self.h = j, chi, env, env.period / spp
         # measured break-even (spp 64, one thread): 3, 15-20 and 52-59 periods at N = 100,
         # 300 and 1250, so dim/c with c ~ 15-20 at 300 and 21-24 at 1250; 20 fits both

@@ -2,9 +2,9 @@
 
 build_repeated_pulse lays out the pulse-pair sequence whose average is the
 two-axis model at one third the coupling; build_modulated_drive covers the
-continuously driven variant. Both can resolve a freeze: a probe run locates
-the sampled squeezing minimum, rotation signs are picked to minimize the
-post-rotation Jz variance, and the tail becomes plain Jz^2 evolution.
+continuously driven variant. Both freeze through _probe and _freeze: a probe
+run locates the sampled squeezing minimum, rotation signs are picked to
+minimize the post-rotation Jz variance, and the tail becomes plain Jz^2 evolution.
 """
 
 from __future__ import annotations
@@ -47,6 +47,11 @@ from .schedule import (
 )
 
 PAPER_RATIO = 0.9057  # omega0/omega putting the averaged model on the TACT point
+REFERENCE_SPAN = 3.0  # reference runs cover this many analytic optima
+DRIVE_SPAN = 1.25  # an unfrozen drive runs this many t_opt
+FINE_WINDOW = (0.85, 1.1)  # eighth-period drive samples between these multiples of the optimum
+POST_TIME_FACTOR = 10.0  # the Jz^2 hold after a freeze lasts this many t_opt
+POST_SAMPLES = 200  # samples over that hold
 
 
 def t_opt_oat(n_particles: float) -> float:
@@ -103,22 +108,21 @@ def reference_runs(
     chi: float = 1.0,
     model: str = "oat",
     n_samples: int = 600,
-    span_factor: float = 3.0,
 ) -> RunRecord:
     """Squeezing time series for the bare one-axis or two-axis model.
 
     one-axis: x-pointing coherent state under chi*Jz^2 (diagonal phases);
     two-axis: same state under chi*(Jz^2 - Jy^2) via its cached parity-split
-    eigensystem. Spans [0, span_factor * analytic optimum].
+    eigensystem. Spans [0, REFERENCE_SPAN * analytic optimum].
     """
     if model not in ("oat", "tact"):
         raise DomainError(f"model must be 'oat' or 'tact', got {model!r}")
     initial = _css_x(n_particles)
     params = {"model": model, "N": n_particles, "chi": chi}
     if model == "oat":
-        times = np.linspace(0.0, span_factor * t_opt_oat(n_particles) / chi, n_samples)
+        times = np.linspace(0.0, REFERENCE_SPAN * t_opt_oat(n_particles) / chi, n_samples)
         return _spectral_record(initial, times, params, spectral(initial.j, chi, 0.0, 0.0))
-    times = np.linspace(0.0, span_factor * t_opt_tact(n_particles) / chi, n_samples)
+    times = np.linspace(0.0, REFERENCE_SPAN * t_opt_tact(n_particles) / chi, n_samples)
     return _spectral_record(initial, times, params, _tact_propagator(n_particles, chi))
 
 
@@ -181,6 +185,39 @@ def _resolve_signs(state: DickeState, rotations) -> tuple[tuple, float]:
     return tuple(float(sg) for sg in signs[best]), float(var[best])
 
 
+def _probe(initial: DickeState, schedule: ProtocolSchedule, meta: dict) -> int:
+    """Index of the least xi^2 on a noiseless run of schedule, whose samples are
+    the freeze candidates; meta records each candidate with its xi^2."""
+    _, record = evolve_schedule(initial, schedule)
+    meta["freeze_candidates"] = list(zip(record.times().tolist(), record.xi2().tolist()))
+    return int(np.argmin(record.xi2()))
+
+
+def _freeze(initial, meta, chi, prefix, t_star, rotations, samples, freeze):
+    """Frozen bundle and rotation signs: prefix runs to the trigger instant
+    t_star, then the freeze marker, one pulse per rotation (label: rotation),
+    and a Jz^2 hold of POST_TIME_FACTOR * t_opt sampled POST_SAMPLES times
+    past the given samples. Only the tail runs from the trigger block."""
+    j = initial.j
+    trigger, _ = evolve_block(j, initial.amplitudes[:, None], ProtocolSchedule(prefix, ()))
+    if freeze.resolve_signs:
+        signs, var_z = _resolve_signs(DickeState(j, trigger[:, 0]), rotations.values())
+    else:
+        signs, var_z = (1.0,) * len(rotations), float("nan")
+    meta.update({"freeze_time": t_star, "freeze_var_z": var_z})
+
+    post_time = POST_TIME_FACTOR * meta["t_opt"]
+    post = (t_star + np.linspace(0.0, post_time, POST_SAMPLES + 1)[1:]).tolist()
+    pulses = (Pulse(rot.scaled(sign), label=label) for (label, rot), sign in zip(rotations.items(), signs))
+    tail = (FreezeMarker(t_star), *pulses)
+    frozen = prefix + tail
+    samples = tuple(_dedupe_times(samples + post))
+    schedule = ProtocolSchedule(frozen + (QuadraticSegment("z", chi, post_time),), samples, meta)
+    x, _ = evolve_block(j, trigger, ProtocolSchedule(tail, ()))
+    bundle = ProtocolBundle(schedule, initial, meta, ProtocolSchedule(frozen, ()), DickeState(j, x[:, 0]))
+    return bundle, signs
+
+
 # ---------------------------------------------------------------------------
 # repeated-pulse protocol
 
@@ -214,7 +251,6 @@ def build_repeated_pulse(
         raise DomainError("n_periods must be at least 1")
     if n_particles < 2:
         raise DomainError("need at least 2 particles")
-    j = n_particles / 2
     delta_t = t_opt_protocol(n_particles) / (3 * n_periods) / chi
     t_c = 3 * delta_t
     gate = 2 * chi * delta_t * n_particles
@@ -234,7 +270,7 @@ def build_repeated_pulse(
             f"2*chi*delta_t*N = {gate:.3f} is not small; the pulse sequence "
             "will not track the effective two-axis model"
         )
-    initial = make_dicke_state(j, j)
+    initial = make_dicke_state(n_particles / 2, n_particles / 2)
 
     def mid_samples(n_full: int):
         return [n * t_c + d for n in range(n_full) for d in (delta_t, 2.5 * delta_t)]
@@ -246,49 +282,27 @@ def build_repeated_pulse(
 
     window = freeze.window if freeze.window is not None else 2
     if freeze.trigger == "analytic-time":
-        center = meta["t_opt"]
-        n_star = max(0, int(round((center - delta_t) / t_c)))
+        n_star = max(0, int(round((meta["t_opt"] - delta_t) / t_c)))
     else:
         center = 3 * reference_optimum(n_particles, chi).chi_t
         n_center = max(0, int(round((center - delta_t) / t_c)))
-        candidates = [n for n in range(max(0, n_center - window), n_center + window + 1)]
+        candidates = list(range(max(0, n_center - window), n_center + window + 1))
         probe_samples = tuple(n * t_c + delta_t for n in candidates)
-        probe_segments = _pulse_period_segments(chi, delta_t) * (max(candidates) + 1)
-        probe_schedule = ProtocolSchedule(tuple(probe_segments), probe_samples)
-        _, probe_record = evolve_schedule(initial, probe_schedule)
-        k = int(np.argmin(probe_record.xi2()))
-        n_star = candidates[k]
-        meta["freeze_candidates"] = list(zip(probe_samples, probe_record.xi2().tolist()))
+        probe_segments = _pulse_period_segments(chi, delta_t) * (candidates[-1] + 1)
+        n_star = candidates[_probe(initial, ProtocolSchedule(tuple(probe_segments), probe_samples), meta)]
     t_star = n_star * t_c + delta_t
+    meta["freeze_period_index"] = n_star
 
-    prefix_segments = _pulse_period_segments(chi, delta_t) * n_star + [
+    prefix = _pulse_period_segments(chi, delta_t) * n_star + [
         Pulse(RotationSpec((0.0, 1.0, 0.0), np.pi / 2)),
         QuadraticSegment("z", chi, delta_t),
     ]
-    trigger, _ = evolve_block(j, initial.amplitudes[:, None], ProtocolSchedule(tuple(prefix_segments), ()))
-
-    freeze_rot = RotationSpec((-1.0, 0.0, 0.0), np.pi / 4)
-    if freeze.resolve_signs:
-        (sign,), var_z = _resolve_signs(DickeState(j, trigger[:, 0]), [freeze_rot])
-    else:
-        sign, var_z = 1.0, float("nan")
-    meta.update(
-        {
-            "freeze_time": t_star,
-            "freeze_period_index": n_star,
-            "freeze_sign": sign,
-            "freeze_var_z": var_z,
-        }
+    rotations = {"freeze": RotationSpec((-1.0, 0.0, 0.0), np.pi / 4)}
+    bundle, (sign,) = _freeze(
+        initial, meta, chi, tuple(prefix), t_star, rotations, mid_samples(n_star) + [t_star], freeze
     )
-
-    post_time = freeze.post_time_factor * meta["t_opt"]
-    pre = mid_samples(n_star) + [t_star]
-    post = (t_star + np.linspace(0.0, post_time, freeze.post_samples + 1)[1:]).tolist()
-    tail = (FreezeMarker(t_star), Pulse(freeze_rot.scaled(sign), label="freeze"))
-    frozen = (*prefix_segments, *tail)
-    schedule = ProtocolSchedule(frozen + (QuadraticSegment("z", chi, post_time),), tuple(pre + post), meta)
-    x, _ = evolve_block(j, trigger, ProtocolSchedule(tail, ()))
-    return ProtocolBundle(schedule, initial, meta, ProtocolSchedule(frozen, ()), DickeState(j, x[:, 0]))
+    meta["freeze_sign"] = sign
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +320,21 @@ def drive_zero_times(env: DriveEnvelope, t_max: float) -> np.ndarray:
 def build_modulated_drive(
     n_particles: int,
     chi: float = 1.0,
-    omega_over_chi: float = 2 * np.pi * 1e5,
+    omega_over_chi: float = 2 * np.pi * 2e4,
     omega0_over_omega: float = PAPER_RATIO,
     phase: float = -np.pi / 2,
     freeze: FreezePolicy | None = None,
     steps_per_period: int = 64,
-    t_end: float | None = None,
-    fine_window: tuple | None = None,
 ) -> ProtocolBundle:
     """Modulated-drive protocol from the drive-phase-matched initial state
     exp(-i (omega0/omega) sin(phase) Jy) |j,j>_x.
 
-    Samples land on every drive zero (where the dynamics touches the
-    averaged model) plus an optional dense window at eighth-period spacing
-    around the optimum. An enabled freeze turns the drive off at the best
-    sampled drive zero, aligns the mean spin with a y-rotation by
-    omega0/omega, rotates the squeezed axis onto z with a pi/4 pulse about
-    -x (signs probed), then evolves under Jz^2 alone.
+    Unfrozen, it runs DRIVE_SPAN * t_opt, sampled at every drive zero (where
+    the dynamics touches the averaged model) and every eighth period between
+    the FINE_WINDOW multiples of the numeric optimum. An enabled freeze turns
+    the drive off at the best sampled drive zero, aligns the mean spin with a
+    y-rotation by omega0/omega, rotates the squeezed axis onto z with a pi/4
+    pulse about -x (signs probed), then evolves under Jz^2 alone.
     """
     if omega0_over_omega < 0:
         raise DomainError("omega0_over_omega must be nonnegative")
@@ -352,18 +364,14 @@ def build_modulated_drive(
     initial = rotate(_css_x(n_particles), tilt)
 
     center = 3 * reference_optimum(n_particles, chi).chi_t
-    if t_end is None:
-        t_end = 1.25 * meta["t_opt"]
     period = env.period
 
     if freeze is None:
+        t_end = DRIVE_SPAN * meta["t_opt"]
         zeros = drive_zero_times(env, t_end).tolist()
-        if fine_window is None:
-            fine_window = (max(0.0, 0.85 * center), min(t_end, 1.1 * center))
-        t_lo, t_hi = fine_window
+        t_lo, t_hi = max(0.0, FINE_WINDOW[0] * center), min(t_end, FINE_WINDOW[1] * center)
         fine = t_lo + (period / 8) * np.arange(int(np.floor((t_hi - t_lo) / (period / 8))) + 1)
-        samples = sorted(set(zeros + fine.tolist()))
-        samples = _dedupe_times(samples)
+        samples = _dedupe_times(zeros + fine.tolist())
         segments = (DrivenSegment(env, chi, 0.0, t_end, steps_per_period),)
         schedule = ProtocolSchedule(segments, tuple(samples), meta)
         return ProtocolBundle(schedule, initial, meta)
@@ -386,42 +394,18 @@ def build_modulated_drive(
             (DrivenSegment(env, chi, 0.0, float(candidates[-1]), steps_per_period),),
             tuple(candidates),
         )
-        _, probe_record = evolve_schedule(initial, probe_schedule)
-        k = int(np.argmin(probe_record.xi2()))
-        t_star = float(candidates[k])
-        meta["freeze_candidates"] = list(
-            zip(probe_record.times().tolist(), probe_record.xi2().tolist())
-        )
+        t_star = float(candidates[_probe(initial, probe_schedule, meta)])
+    meta["drive_value_at_freeze"] = float(drive_value(env, t_star))
 
-    prefix_core = (DrivenSegment(env, chi, 0.0, t_star, steps_per_period),)
-    trigger, _ = evolve_block(initial.j, initial.amplitudes[:, None], ProtocolSchedule(prefix_core, ()))
-    rot_align = RotationSpec((0.0, 1.0, 0.0), env.omega0 / env.omega)
-    rot_freeze = RotationSpec((-1.0, 0.0, 0.0), np.pi / 4)
-    if freeze.resolve_signs:
-        signs, var_z = _resolve_signs(DickeState(initial.j, trigger[:, 0]), [rot_align, rot_freeze])
-    else:
-        signs, var_z = (1.0, 1.0), float("nan")
-    meta.update(
-        {
-            "freeze_time": t_star,
-            "freeze_signs": signs,
-            "freeze_var_z": var_z,
-            "drive_value_at_freeze": float(drive_value(env, t_star)),
-        }
-    )
-
-    post_time = freeze.post_time_factor * meta["t_opt"]
+    prefix = (DrivenSegment(env, chi, 0.0, t_star, steps_per_period),)
+    rotations = {
+        "freeze-align": RotationSpec((0.0, 1.0, 0.0), env.omega0 / env.omega),
+        "freeze": RotationSpec((-1.0, 0.0, 0.0), np.pi / 4),
+    }
     zeros_pre = [t for t in drive_zero_times(env, t_star) if t < t_star - 1e-15]
-    samples = sorted(set(zeros_pre + [t_star]))
-    post = (t_star + np.linspace(0.0, post_time, freeze.post_samples + 1)[1:]).tolist()
-    samples = _dedupe_times(samples + post)
-    tail = (FreezeMarker(t_star), Pulse(rot_align.scaled(signs[0]), label="freeze-align"),
-            Pulse(rot_freeze.scaled(signs[1]), label="freeze"))
-    frozen = prefix_core + tail
-    schedule = ProtocolSchedule(frozen + (QuadraticSegment("z", chi, post_time),), tuple(samples), meta)
-    x, _ = evolve_block(initial.j, trigger, ProtocolSchedule(tail, ()))
-    frozen_state = DickeState(initial.j, x[:, 0])
-    return ProtocolBundle(schedule, initial, meta, ProtocolSchedule(frozen, ()), frozen_state)
+    bundle, signs = _freeze(initial, meta, chi, prefix, t_star, rotations, zeros_pre + [t_star], freeze)
+    meta["freeze_signs"] = signs
+    return bundle
 
 
 def _dedupe_times(times, rel=1e-12):

@@ -158,12 +158,12 @@ class FreezePolicy:
     uses the asymptotic formula directly. window=None takes the protocol
     default (2 pulse periods, 1 drive period). Rotation angle signs are
     resolved numerically on the probe state unless resolve_signs is False.
+    The Jz^2 hold after the freeze is fixed by the protocols module: it
+    lasts POST_TIME_FACTOR * t_opt and is sampled POST_SAMPLES times.
     """
 
     trigger: str = "numeric-minimum"
     window: int | None = None
-    post_time_factor: float = 10.0
-    post_samples: int = 200
     resolve_signs: bool = True
 
     def __post_init__(self):
@@ -171,5 +171,3 @@ class FreezePolicy:
             raise DomainError(f"unknown trigger {self.trigger!r}")
         if self.window is not None and self.window < 0:
             raise DomainError("window must be nonnegative")
-        if self.post_time_factor < 0:
-            raise DomainError("post_time_factor must be nonnegative")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 import spinsqueeze
-from spinsqueeze.cli import parse_config, run_scenario
+from spinsqueeze.cli import DEFAULTS, parse_config, run_scenario
 from spinsqueeze.dicke import make_css
+from spinsqueeze.protocols import build_modulated_drive, build_repeated_pulse, reference_runs
 
 
 def run_cli(argv):
@@ -94,6 +96,51 @@ class TestParseConfig:
         conf.write_text(json.dumps({"chi_hz": None, "freeze": True}))
         cfg = parse_config(["pulses", "--config", str(conf)])
         assert cfg.chi_hz is None and cfg.freeze is True
+
+    @pytest.mark.parametrize(
+        "scenario,key,value",
+        [
+            ("sweep", "n_list", "a,b,c"),
+            ("sweep", "n_list", "0,2,3"),
+            ("sweep", "n_list", "1,2,3"),
+            ("sweep", "n_list", "100,100,100"),
+            ("sweep", "n_list", "100,200,100"),
+            ("husimi", "grid", "12"),
+            ("husimi", "grid", "axb"),
+            ("husimi", "grid", "16x32x2"),
+            ("husimi", "grid", "8x64"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_malformed_list_or_grid_named(self, tmp_path, capsys, scenario, key, value, source):
+        argv = [scenario, "--state", "s.json"] if scenario == "husimi" else [scenario]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), value]
+        else:
+            conf = tmp_path / "c.json"
+            conf.write_text(json.dumps({key: value}))
+            argv += ["--config", str(conf)]
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"field {key}:" in err
+        assert "Traceback" not in err
+
+    def test_cli_defaults_match_builder_defaults(self):
+        # each setting the CLI shares with a builder has one default value
+        cli_keys = {"nc": "n_periods", "samples": "n_samples", "omega_over_chi": "omega_over_chi",
+                    "omega0_over_omega": "omega0_over_omega", "phase": "phase",
+                    "steps_per_period": "steps_per_period"}
+        builders = (build_repeated_pulse, build_modulated_drive, reference_runs)
+        seen = set()
+        for fn in builders:
+            params = inspect.signature(fn).parameters
+            for key, name in cli_keys.items():
+                if name in params:
+                    assert params[name].default == DEFAULTS[key], (fn.__name__, name)
+                    seen.add(key)
+        assert seen == set(cli_keys)
 
     def test_husimi_needs_state(self):
         with pytest.raises(SystemExit):

@@ -2,17 +2,21 @@
 segments through evolve_schedule against the 2^N tensor-product oracle, the
 group law that turns Jz^2 twisting into Jx^2 twisting, and schedules with
 driven stretches and samples on and off the step grid through the period
-operators against split steps alone. Examples are derandomized, so every run
-checks the same cases."""
+operators against split steps alone; rotation composition about one axis, the
+snapshot round trip, and the boundary-sample convention. Examples are
+derandomized, so every run checks the same cases."""
 
+import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsqueeze import propagator
-from spinsqueeze.dicke import DickeState, RotationSpec, fidelity
+from spinsqueeze.diagnostics import squeezing_report
+from spinsqueeze.dicke import DickeState, RotationSpec, fidelity, rotate
 from spinsqueeze.hamiltonians import DriveEnvelope
 from spinsqueeze.propagator import DrivenEngine, evolve_schedule, full_hilbert_oracle
 from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule, Pulse, QuadraticSegment
@@ -131,3 +135,58 @@ def test_period_operators_match_split_steps_in_random_schedules(n, schedule, see
     assert fidelity(fast, slow) >= 1 - 1e-10
     assert np.array_equal(fast_record.times(), slow_record.times())
     assert np.allclose(fast_record.xi2(), slow_record.xi2(), rtol=1e-10, atol=0)
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 12),
+    axis=unit_axes,
+    a=st.floats(-np.pi, np.pi),
+    b=st.floats(-np.pi, np.pi),
+    seed=st.integers(0, 2**16),
+)
+def test_rotations_about_one_axis_compose(n, axis, a, b, seed):
+    # R(a) R(b) = R(a + b) about any axis
+    state = random_state(n / 2, seed)
+    twice = rotate(rotate(state, RotationSpec(axis, b)), RotationSpec(axis, a))
+    once = rotate(state, RotationSpec(axis, a + b))
+    assert fidelity(twice, once) >= 1 - 1e-12
+
+
+@PROPERTY
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**16))
+def test_snapshot_round_trip_is_bit_exact(n, seed):
+    state = random_state(n / 2, seed)
+    back = DickeState.from_snapshot(json.loads(state.to_snapshot_json()))
+    assert back.j == state.j
+    assert back.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+boundary_quadratics = st.builds(
+    QuadraticSegment,
+    st.sampled_from("xyz"),
+    st.floats(-2.0, 2.0),
+    st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
+)
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 8),
+    segments=st.lists(st.one_of(pulses, boundary_quadratics), min_size=1, max_size=8),
+    seed=st.integers(0, 2**16),
+)
+def test_boundary_sample_precedes_the_events_after_it(n, segments, seed):
+    # a sample at each segment boundary reports the state after the shortest
+    # prefix reaching that time, before any zero-duration event listed later
+    state = random_state(n / 2, seed)
+    ends, t = {0.0: 0}, 0.0
+    for k, seg in enumerate(segments, 1):
+        t += seg.duration
+        ends.setdefault(t, k)
+    _, record = evolve_schedule(state, ProtocolSchedule(tuple(segments), tuple(ends)))
+    assert np.array_equal(record.times(), list(ends))
+    for (time, k), (_, rep) in zip(ends.items(), record.samples):
+        want = squeezing_report(evolve_schedule(state, ProtocolSchedule(tuple(segments[:k]), ()))[0])
+        assert rep.xi2 == pytest.approx(want.xi2, rel=1e-9, abs=1e-12)
+        assert np.allclose(rep.mean_spin, want.mean_spin, rtol=0, atol=1e-9)

@@ -22,7 +22,7 @@ from spinsqueeze.protocols import (
     t_opt_protocol,
     t_opt_tact,
 )
-from spinsqueeze.schedule import Pulse, QuadraticSegment
+from spinsqueeze.schedule import DrivenSegment, FreezeMarker, Pulse, QuadraticSegment
 
 
 class TestAnalyticTimes:
@@ -258,6 +258,39 @@ class TestFrozenStateHandoff:
         bundle = self.build(protocol, phase, trigger, resolve_signs)
         want, _ = evolve_schedule(bundle.initial_state, bundle.prefix_schedule)
         assert bundle.frozen_state().amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("resolve_signs", [True, False])
+    @pytest.mark.parametrize("trigger", ["numeric-minimum", "analytic-time"])
+    @pytest.mark.parametrize("protocol", ["pulses", "drive"])
+    def test_frozen_schedule_layout(self, protocol, trigger, resolve_signs):
+        bundle = self.build(protocol, -np.pi / 2, trigger, resolve_signs)
+        meta, segments = bundle.meta, bundle.schedule.segments
+        t_star, t_opt = meta["freeze_time"], meta["t_opt"]
+        y_turn = RotationSpec((0.0, 1.0, 0.0), np.pi / 2)
+        if protocol == "pulses":
+            dt, n_star = meta["delta_t"], meta["freeze_period_index"]
+            period = [Pulse(y_turn), QuadraticSegment("z", 1.0, 2 * dt),
+                      Pulse(y_turn.scaled(-1.0)), QuadraticSegment("z", 1.0, dt)]
+            prefix = period * n_star + [Pulse(y_turn), QuadraticSegment("z", 1.0, dt)]
+            signs = (meta["freeze_sign"],)
+            turns = [("freeze", (-1.0, 0.0, 0.0), np.pi / 4)]
+        else:
+            env = segments[0].env
+            prefix = [DrivenSegment(env, 1.0, 0.0, t_star, 64)]
+            signs = meta["freeze_signs"]
+            turns = [("freeze-align", (0.0, 1.0, 0.0), env.omega0 / env.omega),
+                     ("freeze", (-1.0, 0.0, 0.0), np.pi / 4)]
+        if not resolve_signs:
+            assert signs == (1.0,) * len(turns)
+        pulses = [Pulse(RotationSpec(axis, sign * angle), label=label)
+                  for (label, axis, angle), sign in zip(turns, signs)]
+        hold = QuadraticSegment("z", 1.0, 10 * t_opt)
+        assert list(segments) == prefix + [FreezeMarker(t_star)] + pulses + [hold]
+        assert bundle.prefix_schedule.segments == segments[:-1]
+        times = np.array(bundle.schedule.sample_times)
+        assert t_star in times
+        assert np.count_nonzero(times > t_star) == 200
+        assert times[-1] == pytest.approx(t_star + 10 * t_opt, rel=1e-15)
 
     def test_makes_no_jumps(self, monkeypatch):
         bundle = self.build("drive", 0.3, "numeric-minimum", True)
