@@ -23,7 +23,6 @@ from .errors import DomainError
 from .propagator import driven_doubling_check
 from .protocols import (
     PAPER_RATIO,
-    FreezePolicy,
     NoiseModel,
     build_modulated_drive,
     build_repeated_pulse,
@@ -79,6 +78,8 @@ class ScenarioConfig:
             raise DomainError(f"field n_list: not a list of integers, got {self.n_list!r}") from None
         if min(values, default=0) < 2 or len(set(values)) < 3:
             raise DomainError(f"field n_list: need 3 distinct N values of at least 2, got {self.n_list!r}")
+        if len(set(values)) < len(values):
+            raise DomainError(f"field n_list: each N may appear once, got {self.n_list!r}")
         return values
 
     def grid_shape(self) -> tuple:
@@ -363,22 +364,20 @@ def _protocol_outputs(cfg, out_dir, written, bundle, record, convergence) -> dic
 
 
 def _scenario_pulses(cfg, out_dir, written) -> dict:
-    freeze = FreezePolicy() if cfg.freeze else None
-    bundle = build_repeated_pulse(cfg.n, 1.0, cfg.nc, freeze)
+    bundle = build_repeated_pulse(cfg.n, 1.0, cfg.nc, cfg.freeze)
     record = run_protocol(bundle.schedule, bundle.initial_state)
     convergence = {"method": "pulses and quadratic phases are exact; no integrator error"}
     return _protocol_outputs(cfg, out_dir, written, bundle, record, convergence)
 
 
 def _scenario_drive(cfg, out_dir, written) -> dict:
-    freeze = FreezePolicy() if cfg.freeze else None
     bundle = build_modulated_drive(
         cfg.n,
         1.0,
         omega_over_chi=cfg.omega_over_chi,
         omega0_over_omega=cfg.omega0_over_omega,
         phase=cfg.phase,
-        freeze=freeze,
+        freeze=cfg.freeze,
         steps_per_period=cfg.steps_per_period,
     )
     record = run_protocol(bundle.schedule, bundle.initial_state)
@@ -395,7 +394,7 @@ def _scenario_drive(cfg, out_dir, written) -> dict:
 
 
 def _scenario_noise(cfg, out_dir, written) -> dict:
-    bundle = build_repeated_pulse(cfg.n, 1.0, cfg.nc, None)
+    bundle = build_repeated_pulse(cfg.n, 1.0, cfg.nc)
     noise = NoiseModel(cfg.eta, seed=cfg.seed)
     mc = run_monte_carlo(bundle.schedule, bundle.initial_state, noise, cfg.realizations)
     written.append(write_mean_csv(out_dir / "noise_mean.csv", mc, cfg.chi_hz))

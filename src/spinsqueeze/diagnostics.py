@@ -128,7 +128,7 @@ def m_distribution(state: DickeState) -> MDistribution:
 
 
 def husimi_q(
-    state: DickeState, theta_count: int = 128, phi_count: int = 256
+    state: DickeState, theta_count: int, phi_count: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q(theta, phi) = |<css(theta, phi)|state>|^2 on a cell-centered grid.
 
@@ -190,24 +190,20 @@ class OptimumResult:
     at_boundary: bool = False
 
 
-def find_optimum(record, window=None) -> OptimumResult:
+def find_optimum(record) -> OptimumResult:
     """Refined minimum of a xi^2 time series.
 
-    Accepts a RunRecord or a (times, values) pair; window restricts the
-    search to [t_lo, t_hi]. Around the sampled minimum a parabola through
-    the three neighboring points gives the refined vertex; a minimum on the
-    window edge is returned as-is with at_boundary set.
+    Accepts a RunRecord or a (times, values) pair. Around the sampled
+    minimum a parabola through the three neighboring points gives the
+    refined vertex; a minimum on the first or last sample is returned as-is
+    with at_boundary set.
     """
     if isinstance(record, RunRecord):
         times, values = record.times(), record.xi2()
     else:
         times, values = (np.asarray(a, dtype=float) for a in record)
-    if window is not None:
-        lo, hi = window
-        mask = (times >= lo) & (times <= hi)
-        times, values = times[mask], values[mask]
     if len(times) < 3:
-        raise DomainError("need at least 3 samples in the window")
+        raise DomainError("need at least 3 samples")
     k = int(np.argmin(values))
     if k == 0 or k == len(times) - 1:
         return OptimumResult(float(times[k]), float(values[k]), at_boundary=True)

@@ -35,7 +35,7 @@ def dim_for(j: float) -> int:
     return int(round(2 * _check_j(j))) + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # one dim-vector each: 10 kB at N = 1250
 def m_values(j: float) -> np.ndarray:
     """Eigenvalues of Jz in basis order: j, j-1, ..., -j."""
     j = _check_j(j)
@@ -44,7 +44,7 @@ def m_values(j: float) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # one dim-vector each: 10 kB at N = 1250
 def ladder_values(j: float) -> np.ndarray:
     """sqrt(j(j+1) - m(m+1)) for the raising transition m -> m+1.
 

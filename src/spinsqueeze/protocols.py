@@ -39,7 +39,6 @@ from .propagator import (
 from .schedule import (
     DrivenSegment,
     FreezeMarker,
-    FreezePolicy,
     NoiseModel,
     ProtocolSchedule,
     Pulse,
@@ -52,6 +51,9 @@ DRIVE_SPAN = 1.25  # an unfrozen drive runs this many t_opt
 FINE_WINDOW = (0.85, 1.1)  # eighth-period drive samples between these multiples of the optimum
 POST_TIME_FACTOR = 10.0  # the Jz^2 hold after a freeze lasts this many t_opt
 POST_SAMPLES = 200  # samples over that hold
+PULSE_WINDOW = 2  # pulse freeze candidates: this many periods either side of the reference optimum
+DRIVE_WINDOW = 1  # drive freeze candidates: drive zeros within this many periods of it
+MAX_WORKERS = 4  # Monte Carlo threads unless SPINSQUEEZE_THREADS says otherwise
 
 
 def t_opt_oat(n_particles: float) -> float:
@@ -155,14 +157,13 @@ def reference_optimum(n_particles: int, chi: float = 1.0) -> OptimumResult:
 
 @dataclass
 class ProtocolBundle:
-    """A built protocol: timeline, initial state, metadata, and (when a
-    freeze is resolved) the prefix through the freeze pulses and its end
-    state, run on from the trigger block before a DickeState renormalizes it."""
+    """A built protocol: timeline, initial state, metadata, and (when
+    frozen) the state right after the freeze pulses, run on from the block
+    at the freeze instant before a DickeState renormalizes it."""
 
     schedule: ProtocolSchedule
     initial_state: DickeState
     meta: dict = field(default_factory=dict)
-    prefix_schedule: ProtocolSchedule | None = None
     frozen: DickeState | None = None
 
     def frozen_state(self) -> DickeState:
@@ -171,7 +172,7 @@ class ProtocolBundle:
         return self.frozen
 
 
-def _resolve_signs(state: DickeState, rotations) -> tuple[tuple, float]:
+def _best_signs(state: DickeState, rotations) -> tuple[tuple, float]:
     """Try every angle-sign combination of the freeze rotations, one column
     each, and keep the one minimizing Var(Jz) on the probe state."""
     signs = np.array(list(product((1.0, -1.0), repeat=len(rotations))))
@@ -193,28 +194,25 @@ def _probe(initial: DickeState, schedule: ProtocolSchedule, meta: dict) -> int:
     return int(np.argmin(record.xi2()))
 
 
-def _freeze(initial, meta, chi, prefix, t_star, rotations, samples, freeze):
-    """Frozen bundle and rotation signs: prefix runs to the trigger instant
-    t_star, then the freeze marker, one pulse per rotation (label: rotation),
-    and a Jz^2 hold of POST_TIME_FACTOR * t_opt sampled POST_SAMPLES times
-    past the given samples. Only the tail runs from the trigger block."""
+def _freeze(initial, meta, chi, prefix, t_star, rotations, samples):
+    """Frozen bundle and rotation signs: prefix runs to the freeze instant
+    t_star, then the freeze marker, one signed pulse per rotation (label:
+    rotation), and a Jz^2 hold of POST_TIME_FACTOR * t_opt sampled
+    POST_SAMPLES times past the given samples. Only the tail runs from the
+    block at t_star."""
     j = initial.j
-    trigger, _ = evolve_block(j, initial.amplitudes[:, None], ProtocolSchedule(prefix, ()))
-    if freeze.resolve_signs:
-        signs, var_z = _resolve_signs(DickeState(j, trigger[:, 0]), rotations.values())
-    else:
-        signs, var_z = (1.0,) * len(rotations), float("nan")
+    at_star, _ = evolve_block(j, initial.amplitudes[:, None], ProtocolSchedule(prefix, ()))
+    signs, var_z = _best_signs(DickeState(j, at_star[:, 0]), rotations.values())
     meta.update({"freeze_time": t_star, "freeze_var_z": var_z})
 
     post_time = POST_TIME_FACTOR * meta["t_opt"]
     post = (t_star + np.linspace(0.0, post_time, POST_SAMPLES + 1)[1:]).tolist()
     pulses = (Pulse(rot.scaled(sign), label=label) for (label, rot), sign in zip(rotations.items(), signs))
     tail = (FreezeMarker(t_star), *pulses)
-    frozen = prefix + tail
     samples = tuple(_dedupe_times(samples + post))
-    schedule = ProtocolSchedule(frozen + (QuadraticSegment("z", chi, post_time),), samples, meta)
-    x, _ = evolve_block(j, trigger, ProtocolSchedule(tail, ()))
-    bundle = ProtocolBundle(schedule, initial, meta, ProtocolSchedule(frozen, ()), DickeState(j, x[:, 0]))
+    schedule = ProtocolSchedule(prefix + tail + (QuadraticSegment("z", chi, post_time),), samples, meta)
+    x, _ = evolve_block(j, at_star, ProtocolSchedule(tail, ()))
+    bundle = ProtocolBundle(schedule, initial, meta, DickeState(j, x[:, 0]))
     return bundle, signs
 
 
@@ -236,7 +234,7 @@ def build_repeated_pulse(
     n_particles: int,
     chi: float = 1.0,
     n_periods: int = 50,
-    freeze: FreezePolicy | None = None,
+    freeze: bool = False,
 ) -> ProtocolBundle:
     """Pulse-pair protocol from the north-pole state.
 
@@ -244,8 +242,10 @@ def build_repeated_pulse(
     (realized as +-pi/2 y-pulses around a Jz^2 stretch, so pulse noise can
     bite) and delta_t under Jz^2; delta_t is set so n_periods periods reach
     the protocol optimum. Sampling sits mid-section at n*t_c + delta_t and
-    n*t_c + 2.5*delta_t. An enabled freeze inserts the pi/4 pulse about -x
-    at the probe minimum and hands over to plain Jz^2 evolution.
+    n*t_c + 2.5*delta_t. A freeze inserts the pi/4 pulse about -x at the
+    least xi^2 of a probe over the mid-Jx^2 samples of the PULSE_WINDOW
+    periods either side of the reference optimum, then hands over to plain
+    Jz^2 evolution.
     """
     if n_periods < 1:
         raise DomainError("n_periods must be at least 1")
@@ -275,21 +275,17 @@ def build_repeated_pulse(
     def mid_samples(n_full: int):
         return [n * t_c + d for n in range(n_full) for d in (delta_t, 2.5 * delta_t)]
 
-    if freeze is None:
+    if not freeze:
         segments = _pulse_period_segments(chi, delta_t) * n_periods
         schedule = ProtocolSchedule(tuple(segments), tuple(mid_samples(n_periods)), meta)
         return ProtocolBundle(schedule, initial, meta)
 
-    window = freeze.window if freeze.window is not None else 2
-    if freeze.trigger == "analytic-time":
-        n_star = max(0, int(round((meta["t_opt"] - delta_t) / t_c)))
-    else:
-        center = 3 * reference_optimum(n_particles, chi).chi_t
-        n_center = max(0, int(round((center - delta_t) / t_c)))
-        candidates = list(range(max(0, n_center - window), n_center + window + 1))
-        probe_samples = tuple(n * t_c + delta_t for n in candidates)
-        probe_segments = _pulse_period_segments(chi, delta_t) * (candidates[-1] + 1)
-        n_star = candidates[_probe(initial, ProtocolSchedule(tuple(probe_segments), probe_samples), meta)]
+    center = 3 * reference_optimum(n_particles, chi).chi_t
+    n_center = max(0, int(round((center - delta_t) / t_c)))
+    candidates = list(range(max(0, n_center - PULSE_WINDOW), n_center + PULSE_WINDOW + 1))
+    probe_samples = tuple(n * t_c + delta_t for n in candidates)
+    probe_segments = _pulse_period_segments(chi, delta_t) * (candidates[-1] + 1)
+    n_star = candidates[_probe(initial, ProtocolSchedule(tuple(probe_segments), probe_samples), meta)]
     t_star = n_star * t_c + delta_t
     meta["freeze_period_index"] = n_star
 
@@ -298,9 +294,8 @@ def build_repeated_pulse(
         QuadraticSegment("z", chi, delta_t),
     ]
     rotations = {"freeze": RotationSpec((-1.0, 0.0, 0.0), np.pi / 4)}
-    bundle, (sign,) = _freeze(
-        initial, meta, chi, tuple(prefix), t_star, rotations, mid_samples(n_star) + [t_star], freeze
-    )
+    samples = mid_samples(n_star) + [t_star]
+    bundle, (sign,) = _freeze(initial, meta, chi, tuple(prefix), t_star, rotations, samples)
     meta["freeze_sign"] = sign
     return bundle
 
@@ -323,7 +318,7 @@ def build_modulated_drive(
     omega_over_chi: float = 2 * np.pi * 2e4,
     omega0_over_omega: float = PAPER_RATIO,
     phase: float = -np.pi / 2,
-    freeze: FreezePolicy | None = None,
+    freeze: bool = False,
     steps_per_period: int = 64,
 ) -> ProtocolBundle:
     """Modulated-drive protocol from the drive-phase-matched initial state
@@ -331,10 +326,11 @@ def build_modulated_drive(
 
     Unfrozen, it runs DRIVE_SPAN * t_opt, sampled at every drive zero (where
     the dynamics touches the averaged model) and every eighth period between
-    the FINE_WINDOW multiples of the numeric optimum. An enabled freeze turns
-    the drive off at the best sampled drive zero, aligns the mean spin with a
-    y-rotation by omega0/omega, rotates the squeezed axis onto z with a pi/4
-    pulse about -x (signs probed), then evolves under Jz^2 alone.
+    the FINE_WINDOW multiples of the numeric optimum. A freeze turns the drive
+    off at the drive zero of least xi^2 among those within DRIVE_WINDOW
+    periods of the reference optimum, aligns the mean spin with a y-rotation
+    by omega0/omega, rotates the squeezed axis onto z with a pi/4 pulse about
+    -x (signs probed), then evolves under Jz^2 alone.
     """
     if omega0_over_omega < 0:
         raise DomainError("omega0_over_omega must be nonnegative")
@@ -366,7 +362,7 @@ def build_modulated_drive(
     center = 3 * reference_optimum(n_particles, chi).chi_t
     period = env.period
 
-    if freeze is None:
+    if not freeze:
         t_end = DRIVE_SPAN * meta["t_opt"]
         zeros = drive_zero_times(env, t_end).tolist()
         t_lo, t_hi = max(0.0, FINE_WINDOW[0] * center), min(t_end, FINE_WINDOW[1] * center)
@@ -376,25 +372,14 @@ def build_modulated_drive(
         schedule = ProtocolSchedule(segments, tuple(samples), meta)
         return ProtocolBundle(schedule, initial, meta)
 
-    window = freeze.window if freeze.window is not None else 1
-    if freeze.trigger == "analytic-time":
-        target = meta["t_opt"]
-    else:
-        target = center
-    zeros_all = drive_zero_times(env, target + (window + 1) * period)
-    cand_mask = np.abs(zeros_all - target) <= window * period * (1 + 1e-12)
-    candidates = zeros_all[cand_mask]
-    if len(candidates) == 0:
-        candidates = zeros_all[-2:]
-    if freeze.trigger == "analytic-time":
-        t_star = float(candidates[np.argmin(np.abs(candidates - target))])
-        meta["freeze_candidates"] = [(t_star, None)]
-    else:
-        probe_schedule = ProtocolSchedule(
-            (DrivenSegment(env, chi, 0.0, float(candidates[-1]), steps_per_period),),
-            tuple(candidates),
-        )
-        t_star = float(candidates[_probe(initial, probe_schedule, meta)])
+    # the zeros lie half a period apart, so +-DRIVE_WINDOW periods around center > 0 hold one
+    zeros_all = drive_zero_times(env, center + (DRIVE_WINDOW + 1) * period)
+    candidates = zeros_all[np.abs(zeros_all - center) <= DRIVE_WINDOW * period * (1 + 1e-12)]
+    probe_schedule = ProtocolSchedule(
+        (DrivenSegment(env, chi, 0.0, float(candidates[-1]), steps_per_period),),
+        tuple(candidates),
+    )
+    t_star = float(candidates[_probe(initial, probe_schedule, meta)])
     meta["drive_value_at_freeze"] = float(drive_value(env, t_star))
 
     prefix = (DrivenSegment(env, chi, 0.0, t_star, steps_per_period),)
@@ -403,7 +388,7 @@ def build_modulated_drive(
         "freeze": RotationSpec((-1.0, 0.0, 0.0), np.pi / 4),
     }
     zeros_pre = [t for t in drive_zero_times(env, t_star) if t < t_star - 1e-15]
-    bundle, signs = _freeze(initial, meta, chi, prefix, t_star, rotations, zeros_pre + [t_star], freeze)
+    bundle, signs = _freeze(initial, meta, chi, prefix, t_star, rotations, zeros_pre + [t_star])
     meta["freeze_signs"] = signs
     return bundle
 
@@ -420,13 +405,7 @@ def _dedupe_times(times, rel=1e-12):
 # running protocols
 
 def _noise_factors(schedule: ProtocolSchedule, noise: NoiseModel) -> np.ndarray:
-    rng = np.random.default_rng(noise.seed)
-    n = len(schedule.pulses())
-    if noise.draw_scope == "per-pulse":
-        r = rng.uniform(-0.5, 0.5, size=n)
-    else:
-        r = np.full(n, rng.uniform(-0.5, 0.5))
-    return 1.0 + noise.eta * r
+    return 1.0 + noise.eta * np.random.default_rng(noise.seed).uniform(-0.5, 0.5, size=len(schedule.pulses()))
 
 
 def _noisy(noise: NoiseModel | None) -> bool:
@@ -450,7 +429,7 @@ def _run_batch(schedule, initial, noises, parameters) -> tuple[np.ndarray, list]
     for noise, extra in zip(noises, parameters):
         drawn = {"N": initial.n_particles}
         if _noisy(noise):
-            drawn.update(noise_eta=noise.eta, seed=noise.seed, draw_scope=noise.draw_scope)
+            drawn.update(noise_eta=noise.eta, seed=noise.seed)
         params.append({**drawn, **(extra or {})})
     block, records = evolve_block(initial.j, block, schedule, scales, params)
     for record in records:
@@ -481,14 +460,14 @@ class MonteCarloResult:
     seeds: list
 
 
-def worker_count(default_cap: int = 4) -> int:
+def worker_count() -> int:
     env = os.environ.get("SPINSQUEEZE_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise DomainError(f"SPINSQUEEZE_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(default_cap, os.cpu_count() or 1))
+    return max(1, min(MAX_WORKERS, os.cpu_count() or 1))
 
 
 def run_monte_carlo(
@@ -513,7 +492,7 @@ def run_monte_carlo(
         idx = range(start, min(start + TILE, realizations))
         if not _noisy(noise):  # every realization is the noiseless run
             return [run_protocol(schedule, initial, None, {"realization": i}) for i in idx]
-        noises = [NoiseModel(noise.eta, seeds[i], noise.draw_scope) for i in idx]
+        noises = [NoiseModel(noise.eta, seeds[i]) for i in idx]
         return _run_batch(schedule, initial, noises, [{"realization": i} for i in idx])[1]
 
     starts = range(0, realizations, TILE)

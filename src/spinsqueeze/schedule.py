@@ -132,42 +132,11 @@ class ProtocolSchedule:
 @dataclass(frozen=True)
 class NoiseModel:
     """Pulse-area fluctuation: every pulse angle is scaled by 1 + r*eta with
-    r uniform in [-0.5, 0.5].
-
-    draw_scope 'per-pulse' draws a fresh r for every pulse; 'per-realization'
-    shares one r across a run.
-    """
+    r uniform in [-0.5, 0.5], drawn afresh for every pulse."""
 
     eta: float
     seed: int = 0
-    draw_scope: str = "per-pulse"
 
     def __post_init__(self):
         if self.eta < 0:
             raise DomainError("eta must be nonnegative")
-        if self.draw_scope not in ("per-pulse", "per-realization"):
-            raise DomainError(f"unknown draw_scope {self.draw_scope!r}")
-
-
-@dataclass(frozen=True)
-class FreezePolicy:
-    """How the freeze instant is chosen and which rotations realize it.
-
-    trigger 'numeric-minimum' scans sampled squeezing within +-window
-    periods of the reference optimum on a noiseless probe; 'analytic-time'
-    uses the asymptotic formula directly. window=None takes the protocol
-    default (2 pulse periods, 1 drive period). Rotation angle signs are
-    resolved numerically on the probe state unless resolve_signs is False.
-    The Jz^2 hold after the freeze is fixed by the protocols module: it
-    lasts POST_TIME_FACTOR * t_opt and is sampled POST_SAMPLES times.
-    """
-
-    trigger: str = "numeric-minimum"
-    window: int | None = None
-    resolve_signs: bool = True
-
-    def __post_init__(self):
-        if self.trigger not in ("numeric-minimum", "analytic-time"):
-            raise DomainError(f"unknown trigger {self.trigger!r}")
-        if self.window is not None and self.window < 0:
-            raise DomainError("window must be nonnegative")

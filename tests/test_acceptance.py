@@ -37,7 +37,6 @@ from spinsqueeze.propagator import (
     full_hilbert_oracle,
 )
 from spinsqueeze.protocols import (
-    FreezePolicy,
     NoiseModel,
     build_modulated_drive,
     build_repeated_pulse,
@@ -167,7 +166,7 @@ def test_criterion_05_repeated_pulse(tact_min):
     best = xi2[near].min()
     ok_touch = best <= 1.5 * tact_min
 
-    fz = build_repeated_pulse(N_MAIN, n_periods=50, freeze=FreezePolicy())
+    fz = build_repeated_pulse(N_MAIN, n_periods=50, freeze=True)
     frec = run_protocol(fz.schedule, fz.initial_state)
     t_star = fz.meta["freeze_time"]
     ftimes, fxi2 = frec.times(), frec.xi2()
@@ -243,7 +242,7 @@ def test_criterion_07_drive_convergence(tact_min):
 def test_criterion_08_drive_freeze(tact_min):
     t0 = time.time()
     bundle = build_modulated_drive(
-        N_MAIN, omega_over_chi=2 * np.pi * 2e4, freeze=FreezePolicy(window=1)
+        N_MAIN, omega_over_chi=2 * np.pi * 2e4, freeze=True
     )
     record = run_protocol(bundle.schedule, bundle.initial_state)
     t_star = bundle.meta["freeze_time"]

@@ -30,10 +30,9 @@ from spinsqueeze.propagator import (
     full_hilbert_oracle,
 )
 from spinsqueeze.protocols import (
-    FreezePolicy,
     NoiseModel,
     _noise_factors,
-    _resolve_signs,
+    _best_signs,
     _run_batch,
     _tact_propagator,
     build_repeated_pulse,
@@ -220,7 +219,7 @@ class TestKernelCorrectness:
     def test_sign_search_matches_loop(self):
         state = jz2_phase(make_css(20, np.pi / 2, 0.0), 0.05)
         rotations = [RotationSpec((0, 1, 0), 0.3), RotationSpec((-1, 0, 0), np.pi / 4)]
-        signs, var = _resolve_signs(state, rotations)
+        signs, var = _best_signs(state, rotations)
         best = None
         for combo in product((1.0, -1.0), repeat=2):
             vec = state.amplitudes
@@ -266,7 +265,7 @@ class TestReportTiles:
         assert reports[0][0] == zeros[target] and reports[0][1].xi2 < 0.5
 
     def test_pulse_records_match_one_column_loop(self):
-        bundle = build_repeated_pulse(30, n_periods=8, freeze=FreezePolicy())
+        bundle = build_repeated_pulse(30, n_periods=8, freeze=True)
         record = run_protocol(bundle.schedule, bundle.initial_state)
         x = bundle.initial_state.amplitudes[:, None]
         assert len(record.samples) > TILE

@@ -105,6 +105,7 @@ class TestParseConfig:
             ("sweep", "n_list", "1,2,3"),
             ("sweep", "n_list", "100,100,100"),
             ("sweep", "n_list", "100,200,100"),
+            ("sweep", "n_list", "40,40,60,80"),
             ("husimi", "grid", "12"),
             ("husimi", "grid", "axb"),
             ("husimi", "grid", "16x32x2"),
@@ -131,7 +132,7 @@ class TestParseConfig:
         # each setting the CLI shares with a builder has one default value
         cli_keys = {"nc": "n_periods", "samples": "n_samples", "omega_over_chi": "omega_over_chi",
                     "omega0_over_omega": "omega0_over_omega", "phase": "phase",
-                    "steps_per_period": "steps_per_period"}
+                    "steps_per_period": "steps_per_period", "freeze": "freeze"}
         builders = (build_repeated_pulse, build_modulated_drive, reference_runs)
         seen = set()
         for fn in builders:

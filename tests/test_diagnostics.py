@@ -208,12 +208,6 @@ class TestFindOptimum:
         assert res.at_boundary
         assert res.chi_t == pytest.approx(0.0)
 
-    def test_window(self):
-        ts = np.linspace(0, 2, 41)
-        vals = np.cos(ts * 3)  # minima near t = pi/3
-        res = find_optimum((ts, vals), window=(0.5, 1.5))
-        assert res.chi_t == pytest.approx(np.pi / 3, abs=0.01)
-
     def test_too_few_samples(self):
         with pytest.raises(DomainError):
             find_optimum(((0.0, 1.0), (1.0, 2.0)))
@@ -238,11 +232,11 @@ class TestHusimiAnisotropy:
         # moment analysis of the Q field: the long axis of the frozen
         # squeezed state's ridge is perpendicular to the recorded theta_min
         from spinsqueeze.diagnostics import perpendicular_frame
-        from spinsqueeze.protocols import FreezePolicy, build_modulated_drive
+        from spinsqueeze.protocols import build_modulated_drive
 
         n = 100
         bundle = build_modulated_drive(
-            n, omega_over_chi=2 * np.pi * 2e4, freeze=FreezePolicy(window=1)
+            n, omega_over_chi=2 * np.pi * 2e4, freeze=True
         )
         frozen = bundle.frozen_state()
         rep = squeezing_report(frozen)

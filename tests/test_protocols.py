@@ -7,7 +7,6 @@ from spinsqueeze.errors import DomainError
 from spinsqueeze.hamiltonians import drive_value
 from spinsqueeze.propagator import _PeriodOperators, evolve_schedule
 from spinsqueeze.protocols import (
-    FreezePolicy,
     NoiseModel,
     build_modulated_drive,
     build_repeated_pulse,
@@ -22,7 +21,7 @@ from spinsqueeze.protocols import (
     t_opt_protocol,
     t_opt_tact,
 )
-from spinsqueeze.schedule import DrivenSegment, FreezeMarker, Pulse, QuadraticSegment
+from spinsqueeze.schedule import DrivenSegment, FreezeMarker, ProtocolSchedule, Pulse, QuadraticSegment
 
 
 class TestAnalyticTimes:
@@ -118,31 +117,21 @@ class TestPulseEffectiveConvergence:
 class TestRepeatedPulseFreeze:
     def test_freeze_mechanics_n100(self):
         n = 100
-        bundle = build_repeated_pulse(n, n_periods=20, freeze=FreezePolicy())
-        assert bundle.prefix_schedule is not None
+        bundle = build_repeated_pulse(n, n_periods=20, freeze=True)
         frozen = bundle.frozen_state()
-        rep_at_trigger = bundle.meta["freeze_var_z"]
+        var_z = bundle.meta["freeze_var_z"]
         # after the sign-resolved pi/4 pulse the z-variance is the squeezed one
         record = run_protocol(bundle.schedule, bundle.initial_state)
-        trigger_idx = int(np.argmin(np.abs(record.times() - bundle.meta["freeze_time"])))
-        var_min_at_trigger = record.samples[trigger_idx][1].var_min
-        assert rep_at_trigger == pytest.approx(var_min_at_trigger, rel=0.01)
+        freeze_idx = int(np.argmin(np.abs(record.times() - bundle.meta["freeze_time"])))
+        var_min_at_freeze = record.samples[freeze_idx][1].var_min
+        assert var_z == pytest.approx(var_min_at_freeze, rel=0.01)
         ms = squeezing_report(frozen).mean_spin
         assert abs(ms[2]) <= 1.0
 
     def test_freeze_event_logged(self):
-        bundle = build_repeated_pulse(60, n_periods=10, freeze=FreezePolicy())
+        bundle = build_repeated_pulse(60, n_periods=10, freeze=True)
         record = run_protocol(bundle.schedule, bundle.initial_state)
         assert any(e["kind"] == "freeze" for e in record.events)
-
-    def test_analytic_trigger_mode(self):
-        bundle = build_repeated_pulse(
-            60, n_periods=10, freeze=FreezePolicy(trigger="analytic-time")
-        )
-        tc, dt = bundle.meta["t_c"], bundle.meta["delta_t"]
-        n_star = bundle.meta["freeze_period_index"]
-        assert bundle.meta["freeze_time"] == pytest.approx(n_star * tc + dt)
-        assert n_star == round((bundle.meta["t_opt"] - dt) / tc)
 
 
 class TestDriveBuilder:
@@ -195,9 +184,7 @@ class TestDriveBuilder:
 class TestDriveFreeze:
     def test_freeze_at_drive_zero(self):
         n = 60
-        bundle = build_modulated_drive(
-            n, omega_over_chi=2 * np.pi * 2e4, freeze=FreezePolicy(window=1)
-        )
+        bundle = build_modulated_drive(n, omega_over_chi=2 * np.pi * 2e4, freeze=True)
         env = bundle.schedule.segments[0].env
         assert abs(bundle.meta["drive_value_at_freeze"]) < 1e-6 * env.omega0
         frozen = bundle.frozen_state()
@@ -210,6 +197,19 @@ class TestDriveFreeze:
         jz = np.vdot(frozen.amplitudes, vz).real
         var_z = np.vdot(vz, vz).real - jz**2
         assert var_z == pytest.approx(rep.var_min, rel=0.01)
+
+    @pytest.mark.parametrize("n", [4, 9])
+    @pytest.mark.parametrize("phase", [-np.pi / 2, 0.0, 0.3, 0.9, np.pi - 0.01])
+    def test_freeze_window_never_empty(self, n, phase):
+        # drive zeros lie half a period apart, so the one-period window
+        # around the reference optimum always holds a candidate
+        bundle = build_modulated_drive(n, omega_over_chi=2 * np.pi * 2e3, phase=phase, freeze=True)
+        period = bundle.schedule.segments[0].env.period
+        times = [t for t, _ in bundle.meta["freeze_candidates"]]
+        assert times
+        center = 3 * reference_optimum(n).chi_t
+        assert all(abs(t - center) <= period * (1 + 1e-12) for t in times)
+        assert bundle.meta["freeze_time"] in times
 
     def test_phase_covariance_stroboscopic(self):
         # state_phi(kT) equals Ry((omega0/omega) sin phi) state_0(kT)
@@ -239,31 +239,31 @@ class TestDriveFreeze:
 
 
 class TestFrozenStateHandoff:
-    """The builders run only the freeze tail from their trigger block; the
+    """The builders run only the freeze tail from the block at the freeze; the
     state they hand over has the bits of a run of the whole prefix."""
 
     @staticmethod
-    def build(protocol, phase, trigger, resolve_signs):
-        freeze = FreezePolicy(trigger=trigger, window=1, resolve_signs=resolve_signs)
+    def build(protocol, phase):
         if protocol == "pulses":
-            return build_repeated_pulse(60, n_periods=10, freeze=freeze)
-        return build_modulated_drive(60, omega_over_chi=2 * np.pi * 2e3, phase=phase, freeze=freeze)
+            return build_repeated_pulse(60, n_periods=10, freeze=True)
+        return build_modulated_drive(60, omega_over_chi=2 * np.pi * 2e3, phase=phase, freeze=True)
 
-    @pytest.mark.parametrize("resolve_signs", [True, False])
-    @pytest.mark.parametrize("trigger", ["numeric-minimum", "analytic-time"])
+    @staticmethod
+    def prefix(bundle):
+        """The schedule through the freeze pulses: all of it but the hold."""
+        return ProtocolSchedule(bundle.schedule.segments[:-1], ())
+
     @pytest.mark.parametrize(
         "protocol,phase", [("pulses", None), ("drive", -np.pi / 2), ("drive", 0.3)]
     )
-    def test_equals_prefix_run_bit_for_bit(self, protocol, phase, trigger, resolve_signs):
-        bundle = self.build(protocol, phase, trigger, resolve_signs)
-        want, _ = evolve_schedule(bundle.initial_state, bundle.prefix_schedule)
+    def test_equals_prefix_run_bit_for_bit(self, protocol, phase):
+        bundle = self.build(protocol, phase)
+        want, _ = evolve_schedule(bundle.initial_state, self.prefix(bundle))
         assert bundle.frozen_state().amplitudes.tobytes() == want.amplitudes.tobytes()
 
-    @pytest.mark.parametrize("resolve_signs", [True, False])
-    @pytest.mark.parametrize("trigger", ["numeric-minimum", "analytic-time"])
     @pytest.mark.parametrize("protocol", ["pulses", "drive"])
-    def test_frozen_schedule_layout(self, protocol, trigger, resolve_signs):
-        bundle = self.build(protocol, -np.pi / 2, trigger, resolve_signs)
+    def test_frozen_schedule_layout(self, protocol):
+        bundle = self.build(protocol, -np.pi / 2)
         meta, segments = bundle.meta, bundle.schedule.segments
         t_star, t_opt = meta["freeze_time"], meta["t_opt"]
         y_turn = RotationSpec((0.0, 1.0, 0.0), np.pi / 2)
@@ -280,20 +280,17 @@ class TestFrozenStateHandoff:
             signs = meta["freeze_signs"]
             turns = [("freeze-align", (0.0, 1.0, 0.0), env.omega0 / env.omega),
                      ("freeze", (-1.0, 0.0, 0.0), np.pi / 4)]
-        if not resolve_signs:
-            assert signs == (1.0,) * len(turns)
         pulses = [Pulse(RotationSpec(axis, sign * angle), label=label)
                   for (label, axis, angle), sign in zip(turns, signs)]
         hold = QuadraticSegment("z", 1.0, 10 * t_opt)
         assert list(segments) == prefix + [FreezeMarker(t_star)] + pulses + [hold]
-        assert bundle.prefix_schedule.segments == segments[:-1]
         times = np.array(bundle.schedule.sample_times)
         assert t_star in times
         assert np.count_nonzero(times > t_star) == 200
         assert times[-1] == pytest.approx(t_star + 10 * t_opt, rel=1e-15)
 
     def test_makes_no_jumps(self, monkeypatch):
-        bundle = self.build("drive", 0.3, "numeric-minimum", True)
+        bundle = self.build("drive", 0.3)
         calls = []
         jump = _PeriodOperators.jump
         monkeypatch.setattr(
@@ -301,7 +298,7 @@ class TestFrozenStateHandoff:
         )
         bundle.frozen_state()
         assert calls == []
-        evolve_schedule(bundle.initial_state, bundle.prefix_schedule)  # the counter counts
+        evolve_schedule(bundle.initial_state, self.prefix(bundle))  # the counter counts
         assert len(calls) > 100
 
     def test_unfrozen_bundle_has_no_frozen_state(self):
@@ -345,15 +342,6 @@ class TestNoiseAndMonteCarlo:
         b = run_monte_carlo(bundle.schedule, bundle.initial_state, noise, 5, threads=1)
         assert np.array_equal(a.mean_xi2, b.mean_xi2)
         assert a.seeds == b.seeds
-
-    def test_per_realization_scope(self):
-        bundle = build_repeated_pulse(30, n_periods=6)
-        rec = run_protocol(
-            bundle.schedule,
-            bundle.initial_state,
-            NoiseModel(0.3, seed=5, draw_scope="per-realization"),
-        )
-        assert len(rec.samples) == len(bundle.schedule.sample_times)
 
     def test_realizations_positive(self):
         bundle = build_repeated_pulse(30, n_periods=6)
@@ -433,18 +421,16 @@ class TestSpecInvariants:
         assert gaps[0] > 100 * gaps[1]
         assert gaps[1] < 1e-9 and gaps[2] < 1e-9
 
-    def test_pulse_trigger_state_squeezed_at_pi_over_4(self):
+    def test_pulse_freeze_state_squeezed_at_pi_over_4(self):
         # mid-Jx^2-section state at maximal squeezing: mean spin along x,
         # squeezed axis at pi/4 to the z-axis in the y-z plane
         n = 100
-        bundle = build_repeated_pulse(n, n_periods=20, freeze=FreezePolicy())
-        prefix = bundle.prefix_schedule.segments[:-2]  # drop marker and pulse
-        from spinsqueeze.schedule import ProtocolSchedule
-
-        trigger_state, _ = evolve_schedule(
+        bundle = build_repeated_pulse(n, n_periods=20, freeze=True)
+        prefix = bundle.schedule.segments[:-3]  # drop marker, pulse and hold
+        at_freeze, _ = evolve_schedule(
             bundle.initial_state, ProtocolSchedule(tuple(prefix), ())
         )
-        rep = squeezing_report(trigger_state)
+        rep = squeezing_report(at_freeze)
         ms = np.array(rep.mean_spin)
         assert abs(ms[0]) / np.linalg.norm(ms) > 0.999
         # frame is (n1, n2) = (y, z), so pi/4 to z means theta_min pi/4 or 3pi/4
@@ -455,7 +441,7 @@ class TestSpecInvariants:
         from spinsqueeze.diagnostics import m_distribution
 
         n = 100
-        bundle = build_repeated_pulse(n, n_periods=20, freeze=FreezePolicy())
+        bundle = build_repeated_pulse(n, n_periods=20, freeze=True)
         frozen = bundle.frozen_state()
         record = run_protocol(bundle.schedule, bundle.initial_state)
         rep = record.report_at(bundle.meta["freeze_time"])

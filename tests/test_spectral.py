@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from spinsqueeze import dicke, hamiltonians, propagator, protocols
 from spinsqueeze.dicke import axis_eigensystem, dim_for, rotate_block, spin_matrix
 from spinsqueeze.hamiltonians import DriveEnvelope, matrix, mixture, quadratic, tact
 from spinsqueeze.propagator import period_operators, spectral
@@ -96,3 +97,14 @@ def test_caches_are_bounded(cached, call):
         call(k / 2)
         assert cached.cache_info().currsize <= limit
     assert cached.cache_info().currsize == limit
+
+
+def test_every_cache_has_a_bound():
+    caches = {
+        f"{mod.__name__}.{name}": obj.cache_parameters()["maxsize"]
+        for mod in (dicke, hamiltonians, propagator, protocols)
+        for name, obj in vars(mod).items()
+        if hasattr(obj, "cache_parameters")
+    }
+    assert "spinsqueeze.dicke.ladder_values" in caches
+    assert [name for name, maxsize in caches.items() if maxsize is None] == []
