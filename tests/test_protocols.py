@@ -8,6 +8,7 @@ from spinsqueeze.hamiltonians import drive_value
 from spinsqueeze.propagator import _PeriodOperators, evolve_schedule
 from spinsqueeze.protocols import (
     NoiseModel,
+    _noise_factors,
     build_modulated_drive,
     build_repeated_pulse,
     drive_zero_times,
@@ -243,27 +244,30 @@ class TestFrozenStateHandoff:
     state they hand over has the bits of a run of the whole prefix."""
 
     @staticmethod
-    def build(protocol, phase):
+    def build(protocol, phase, n=60):
         if protocol == "pulses":
-            return build_repeated_pulse(60, n_periods=10, freeze=True)
-        return build_modulated_drive(60, omega_over_chi=2 * np.pi * 2e3, phase=phase, freeze=True)
+            return build_repeated_pulse(n, n_periods=10, freeze=True)
+        return build_modulated_drive(n, omega_over_chi=2 * np.pi * 2e3, phase=phase, freeze=True)
 
     @staticmethod
     def prefix(bundle):
         """The schedule through the freeze pulses: all of it but the hold."""
         return ProtocolSchedule(bundle.schedule.segments[:-1], ())
 
+    # odd N: half-integer j, where the frame's parity classes swap each half period
+    @pytest.mark.parametrize("n", [60, 61])
     @pytest.mark.parametrize(
         "protocol,phase", [("pulses", None), ("drive", -np.pi / 2), ("drive", 0.3)]
     )
-    def test_equals_prefix_run_bit_for_bit(self, protocol, phase):
-        bundle = self.build(protocol, phase)
+    def test_equals_prefix_run_bit_for_bit(self, protocol, phase, n):
+        bundle = self.build(protocol, phase, n)
         want, _ = evolve_schedule(bundle.initial_state, self.prefix(bundle))
         assert bundle.frozen_state().amplitudes.tobytes() == want.amplitudes.tobytes()
 
+    @pytest.mark.parametrize("n", [60, 61])
     @pytest.mark.parametrize("protocol", ["pulses", "drive"])
-    def test_frozen_schedule_layout(self, protocol):
-        bundle = self.build(protocol, -np.pi / 2)
+    def test_frozen_schedule_layout(self, protocol, n):
+        bundle = self.build(protocol, -np.pi / 2, n)
         meta, segments = bundle.meta, bundle.schedule.segments
         t_star, t_opt = meta["freeze_time"], meta["t_opt"]
         y_turn = RotationSpec((0.0, 1.0, 0.0), np.pi / 2)
@@ -342,6 +346,16 @@ class TestNoiseAndMonteCarlo:
         b = run_monte_carlo(bundle.schedule, bundle.initial_state, noise, 5, threads=1)
         assert np.array_equal(a.mean_xi2, b.mean_xi2)
         assert a.seeds == b.seeds
+
+    def test_every_pulse_draws_its_own_factor(self):
+        bundle = build_repeated_pulse(30, n_periods=6)
+        noise = NoiseModel(0.3, seed=5)
+        factors = _noise_factors(bundle.schedule, noise)
+        assert factors.shape == (len(bundle.schedule.pulses()),)
+        assert np.all(np.abs(factors - 1.0) <= 0.15)
+        assert len(np.unique(factors)) == len(factors)
+        rec = run_protocol(bundle.schedule, bundle.initial_state, noise)
+        assert len(rec.samples) == len(bundle.schedule.sample_times)
 
     def test_realizations_positive(self):
         bundle = build_repeated_pulse(30, n_periods=6)
