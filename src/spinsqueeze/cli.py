@@ -41,8 +41,7 @@ _SCENARIO_KEYS = {
     "oat": _COMMON_KEYS,
     "tact": _COMMON_KEYS,
     "pulses": _COMMON_KEYS + ("nc", "freeze"),
-    "drive": _COMMON_KEYS
-    + ("omega_over_chi", "omega0_over_omega", "phase", "steps_per_period", "freeze", "doubling_check"),
+    "drive": _COMMON_KEYS + ("omega_over_chi", "omega0_over_omega", "phase", "steps_per_period", "freeze"),
     "noise": _COMMON_KEYS + ("nc", "eta", "realizations"),
     "sweep": _COMMON_KEYS + ("n_list", "model"),
     "husimi": ("out_dir", "state", "grid"),
@@ -65,7 +64,6 @@ class ScenarioConfig:
     omega0_over_omega: float = PAPER_RATIO
     phase: float = -np.pi / 2
     steps_per_period: int = 64
-    doubling_check: bool = True
     model: str = "oat"
     n_list: str = "100,200,400,800,1600"
     state: str | None = None
@@ -171,6 +169,8 @@ def _validate(parser, cfg: ScenarioConfig) -> None:
             parser.error(f"field {key}: must be finite, got {getattr(cfg, key)}")
     if cfg.scenario != "husimi" and cfg.n < 2:
         parser.error(f"field n: need at least 2 particles, got {cfg.n}")
+    if cfg.seed < 0:
+        parser.error(f"field seed: must be nonnegative, got {cfg.seed}")
     if cfg.chi_hz is not None and not cfg.chi_hz > 0:
         parser.error(f"field chi_hz: must be positive, got {cfg.chi_hz}")
     if cfg.scenario in ("pulses", "noise") and cfg.nc < 1:
@@ -208,12 +208,8 @@ def _validate(parser, cfg: ScenarioConfig) -> None:
 RUN_HEADER = "chi_t,xi2,xi2_db,jx,jy,jz,theta_min"
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _fmt_column(values) -> list:
-    """_fmt of every value of an array-like, each formatted once."""
+    """The shortest repr of every value of an array-like as a float, each formatted once."""
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
@@ -238,27 +234,23 @@ def _write_run_rows(path, times, xi2, jx, jy, jz, theta, chi_hz) -> Path:
 
 
 def write_run_csv(path, record, chi_hz=None) -> None:
-    reps = record.reports()
-    spins = np.array([rep.mean_spin for rep in reps]).reshape(-1, 3).T
-    theta = [rep.theta_min for rep in reps]
-    return _write_run_rows(path, record.times(), record.xi2(), *spins, theta, chi_hz)
+    rep = record.report
+    return _write_run_rows(path, record.chi_t, rep.xi2, *rep.mean_spin, rep.theta_min, chi_hz)
 
 
 def write_mean_csv(path, mc_result, chi_hz=None) -> None:
     """Pointwise ensemble means in the run-CSV schema."""
-    means = np.mean(
-        [[(*rep.mean_spin, rep.theta_min) for rep in rec.reports()] for rec in mc_result.records],
-        axis=0,
-    )
-    return _write_run_rows(path, mc_result.times, mc_result.mean_xi2, *means.T, chi_hz)
+    spins = np.mean([rec.report.mean_spin for rec in mc_result.records], axis=0)
+    theta = np.mean([rec.report.theta_min for rec in mc_result.records], axis=0)
+    return _write_run_rows(path, mc_result.times, mc_result.mean_xi2, *spins, theta, chi_hz)
 
 
 def write_realizations_csv(path, mc_result) -> None:
-    rows = (
-        (str(i), _fmt(t), _fmt(rep.xi2))
-        for i, rec in enumerate(mc_result.records)
-        for t, rep in rec.samples
-    )
+    recs = mc_result.records
+    runs = np.repeat(np.arange(len(recs)), [len(rec.chi_t) for rec in recs]).tolist()
+    times = np.concatenate([rec.chi_t for rec in recs])
+    xi2 = np.concatenate([rec.report.xi2 for rec in recs])
+    rows = zip(map(str, runs), _fmt_column(times), _fmt_column(xi2))
     return _write_csv(path, "realization,chi_t,xi2", rows)
 
 
@@ -385,11 +377,8 @@ def _scenario_drive(cfg, out_dir, written) -> dict:
     eff_times = [t for t in record.times() if t <= seg.t1]
     eff = effective_drive_record(cfg.n, 1.0, cfg.omega0_over_omega, eff_times)
     written.append(write_run_csv(out_dir / "drive_effective.csv", eff, cfg.chi_hz))
-    convergence = {"method": "strang split-step, exact envelope integral"}
-    if cfg.doubling_check:
-        convergence["doubling"] = driven_doubling_check(
-            bundle.initial_state, 1.0, seg.env, seg.t0, seg.t1, cfg.steps_per_period
-        )
+    check = driven_doubling_check(bundle.initial_state, 1.0, seg.env, seg.t0, seg.t1, cfg.steps_per_period)
+    convergence = {"method": "strang split-step, exact envelope integral", "doubling": check}
     return _protocol_outputs(cfg, out_dir, written, bundle, record, convergence)
 
 
@@ -418,7 +407,8 @@ def _scenario_sweep(cfg, out_dir, written) -> dict:
         rec = reference_runs(n, 1.0, cfg.model, n_samples=cfg.samples)
         opt = find_optimum(rec)
         rows.append((n, opt.chi_t, opt.xi2))
-    table = ((str(n), _fmt(t), _fmt(v)) for n, t, v in rows)
+    ns, ts, vs = zip(*rows)
+    table = zip(map(str, ns), _fmt_column(ts), _fmt_column(vs))
     written.append(_write_csv(out_dir / f"sweep_{cfg.model}.csv", "N,chi_t_opt,xi2_min", table))
     exponent, prefactor, resid = scaling_fit([(n, v) for n, t, v in rows])
     return {

@@ -3,7 +3,7 @@ Jz-projection distribution, optimum detection, and scaling fits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,8 +21,9 @@ class SqueezingReport:
     theta_min is the angle of the minimal-variance direction in the
     deterministic perpendicular frame (n1, n2), mapped to [0, pi);
     isotropic is set when the perpendicular variance has no direction
-    dependence (coherent states). A report of a block (squeezing_columns)
-    holds one array entry per column in every field; column(r) picks one.
+    dependence (coherent states). A report of a block (squeezing_columns) or
+    a run (RunRecord) holds one array entry per column or sample in every
+    field, mean_spin as a (3, count) array; column(r) picks one.
     """
 
     xi2: float
@@ -31,10 +32,6 @@ class SqueezingReport:
     var_min: float
     var_max: float
     isotropic: bool = False
-
-    @property
-    def xi2_db(self) -> float:
-        return 10.0 * np.log10(self.xi2)
 
     def column(self, r: int) -> "SqueezingReport":
         xi2, theta, lo, hi = (float(f[r]) for f in (self.xi2, self.theta_min, self.var_min, self.var_max))
@@ -153,34 +150,45 @@ def husimi_q(
 class RunRecord:
     """Time series of squeezing reports plus run provenance.
 
-    parameters echoes what produced the run (N, chi, schedule digest, seed);
-    events collects freeze decisions, sign choices, and renormalizations.
+    chi_t holds the strictly increasing sample times and report their
+    columns. parameters echoes what produced the run (N, chi, schedule
+    digest, seed); events collects freeze decisions and renormalizations.
     """
 
+    chi_t: np.ndarray
+    report: SqueezingReport
     parameters: dict = field(default_factory=dict)
-    samples: list = field(default_factory=list)
     events: list = field(default_factory=list)
 
-    def add_sample(self, chi_t: float, report: SqueezingReport) -> None:
-        if self.samples and chi_t <= self.samples[-1][0]:
+    def __post_init__(self):
+        self.chi_t = np.asarray(self.chi_t, dtype=float)
+        if np.any(np.diff(self.chi_t) <= 0):
             raise DomainError("sample times must be strictly increasing")
-        self.samples.append((float(chi_t), report))
 
     def add_event(self, kind: str, **data) -> None:
         self.events.append({"kind": kind, **data})
 
     def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
+        return self.chi_t
 
     def xi2(self) -> np.ndarray:
-        return np.array([r.xi2 for _, r in self.samples])
-
-    def reports(self) -> list:
-        return [r for _, r in self.samples]
+        return self.report.xi2
 
     def report_at(self, chi_t: float) -> SqueezingReport:
-        idx = int(np.argmin(np.abs(self.times() - chi_t)))
-        return self.samples[idx][1]
+        return self.report.column(int(np.argmin(np.abs(self.chi_t - chi_t))))
+
+
+def run_records(times, tiles, parameters, width: int = 1) -> list:
+    """One RunRecord per entry of parameters from the report tiles of a block
+    of width columns sampled at times: (report, used) pairs in sample order,
+    whose first used columns hold width columns per sample, the rest padding.
+    Run r takes the columns r, r + width, r + 2 width, ... of their join."""
+    none = np.empty(0)
+    parts = [(SqueezingReport(none, none, np.empty((3, 0)), none, none, none.astype(bool)), 0), *tiles]
+    cols = [np.concatenate([getattr(rep, f.name)[..., :used] for rep, used in parts], axis=-1)
+            for f in fields(SqueezingReport)]
+    reports = [SqueezingReport(*(c[..., r::width] for c in cols)) for r in range(len(parameters))]
+    return [RunRecord(times, rep, p) for rep, p in zip(reports, parameters)]
 
 
 @dataclass(frozen=True)

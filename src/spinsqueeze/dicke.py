@@ -76,7 +76,7 @@ class DickeState:
                 f"amplitude vector must have length {dim_for(j)} for j={j}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
             raise DomainError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         if abs(norm - 1.0) > 1e-13:  # keep already-normalized vectors bit-stable
             amps = amps / norm

@@ -26,7 +26,7 @@ from .dicke import (
     quarter_turn,
     rotate_block,
 )
-from .diagnostics import RunRecord, squeezing_columns
+from .diagnostics import RunRecord, run_records, squeezing_columns
 from .errors import DomainError, ResourceError
 from .hamiltonians import DriveEnvelope, HamiltonianSpec, drive_integral, quadratic_bands
 from .schedule import (
@@ -311,8 +311,6 @@ def evolve_block(
     a copy (in the frame while a driven segment holds it there), TILE // width
     samples a report, padded with its last column.
     """
-    digest = schedule.digest()
-    records = [RunRecord(parameters={"schedule_digest": digest, **(p or {})}) for p in parameters]
     x = np.array(block, dtype=complex)
     width = x.shape[1]
     if scales is None:
@@ -322,27 +320,25 @@ def evolve_block(
     samples = schedule.sample_times
     si = 0
     pulse_index = 0
-    queue = []  # (time, block) awaiting their report
+    queue = []  # (block, framed) awaiting their report
+    tiles, freezes = [], []  # (report, used columns) pairs; freeze times
 
     def due(limit):
         return si < len(samples) and samples[si] <= limit + TIME_TOL * max(1.0, abs(limit))
 
     def flush():
         if queue:
-            times, blocks, framed = zip(*queue)
+            blocks, framed = zip(*queue)
             pad = max(0, TILE - width * len(blocks))
             tile = np.concatenate(blocks + (blocks[-1][:, -1:],) * pad, axis=1) if width < TILE else blocks[0]
             if any(framed):  # the tile leaves the frame in one product; z columns keep their bits
                 mask = np.repeat(framed + framed[-1:], [width] * len(blocks) + [pad])
                 tile = np.where(mask, frame_leave(j, tile), tile)
-            rep = squeezing_columns(j, tile)
-            for k, time in enumerate(times):
-                for r, record in enumerate(records):
-                    record.add_sample(time, rep.column(k * width + r))
+            tiles.append((squeezing_columns(j, tile), width * len(blocks)))
             queue.clear()
 
-    def emit(time, x, framed=False):
-        queue.append((time, x.copy() if width < TILE else x, framed))
+    def emit(x, framed=False):
+        queue.append((x.copy() if width < TILE else x, framed))
         if len(queue) >= TILE // width:
             flush()
 
@@ -355,7 +351,7 @@ def evolve_block(
         return x
 
     if si < len(samples) and samples[si] <= TIME_TOL * max(1.0, abs(samples[si])):
-        emit(samples[si], x)
+        emit(x)
         si += 1
 
     for seg in schedule.segments:
@@ -365,8 +361,7 @@ def evolve_block(
             x = renormalized(rotate_block(j, x, seg.rotation.axis, angles))
             continue
         if isinstance(seg, FreezeMarker):
-            for record in records:
-                record.add_event("freeze", time=t)
+            freezes.append(t)
             continue
         if isinstance(seg, (QuadraticSegment, DrivenSegment)):
             step, framed, t, end = _stepper(j, seg, t)
@@ -376,7 +371,7 @@ def evolve_block(
                 target = min(max(samples[si], t), end)
                 x = step(x, t, target)
                 t = target
-                emit(samples[si], x, framed(t))
+                emit(x, framed(t))
                 si += 1
             x = step(x, t, end, whole)
             x = renormalized(frame_leave(j, x) if framed(end) else x)
@@ -387,11 +382,14 @@ def evolve_block(
     while si < len(samples):
         if not due(t):
             raise DomainError(f"sample time {samples[si]} beyond schedule end {t}")
-        emit(samples[si], x)
+        emit(x)
         si += 1
     flush()
 
+    digest = {"schedule_digest": schedule.digest()}
+    records = run_records(samples, tiles, [{**digest, **(p or {})} for p in parameters], width)
     for record, count in zip(records, renorms):
+        record.events += [{"kind": "freeze", "time": time} for time in freezes]
         if count:
             record.add_event("renormalization", count=int(count))
     return x, records

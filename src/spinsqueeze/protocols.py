@@ -26,7 +26,7 @@ from .dicke import (
     m_values,
     rotate,
 )
-from .diagnostics import OptimumResult, RunRecord, find_optimum, squeezing_columns
+from .diagnostics import OptimumResult, RunRecord, find_optimum, run_records, squeezing_columns
 from .errors import DomainError
 from .hamiltonians import DriveEnvelope, alpha0, drive_value
 from .propagator import (
@@ -96,13 +96,9 @@ def _spectral_record(initial, times, parameters, prop: SpectralPropagator) -> Ru
     enters the eigenbasis once; each TILE consecutive times become the
     columns of one block."""
     coeffs = prop.coefficients(initial.amplitudes[:, None])
-    record = RunRecord(parameters=parameters)
-    for k in range(0, len(times), TILE):
-        chunk = np.asarray(times[k : k + TILE], dtype=float)
-        cols = squeezing_columns(initial.j, prop.synthesize(coeffs, chunk))
-        for r, t in enumerate(chunk):
-            record.add_sample(t, cols.column(r))
-    return record
+    chunks = [np.asarray(times[k : k + TILE], dtype=float) for k in range(0, len(times), TILE)]
+    tiles = [(squeezing_columns(initial.j, prop.synthesize(coeffs, c)), len(c)) for c in chunks]
+    return run_records(times, tiles, [parameters])[0]
 
 
 def reference_runs(

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from spinsqueeze.dicke import (
     make_css,
     rotate_vector,
 )
-from spinsqueeze.diagnostics import squeezing_columns, squeezing_report
+from spinsqueeze.diagnostics import SqueezingReport, squeezing_columns, squeezing_report
 from spinsqueeze.errors import DomainError
 from spinsqueeze.hamiltonians import DriveEnvelope
 from spinsqueeze.propagator import (
@@ -91,6 +92,18 @@ def one_column_reports(j, x, schedule):
     ]
 
 
+def sample_reports(record):
+    """One SqueezingReport per sample of a record."""
+    return [record.report.column(k) for k in range(len(record.times()))]
+
+
+def same_record(a, b):
+    """Exact equality of the sample times and of every report field."""
+    return np.array_equal(a.times(), b.times()) and all(
+        np.array_equal(getattr(a.report, f.name), getattr(b.report, f.name)) for f in fields(SqueezingReport)
+    )
+
+
 def assert_reports_close(got, want, rel=1e-10):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -116,7 +129,7 @@ class TestTileDeterminism:
             assert mc.seeds == longest.seeds[:r]
             for i, rec in enumerate(mc.records):
                 assert rec.parameters["realization"] == i
-                assert rec.samples == longest.records[i].samples
+                assert same_record(rec, longest.records[i])
 
     def test_replay_of_last_realization(self, pulse_bundle):
         mc = run_monte_carlo(
@@ -132,7 +145,7 @@ class TestTileDeterminism:
         noise = NoiseModel(0.02, seed=3)
         one = run_monte_carlo(pulse_bundle.schedule, pulse_bundle.initial_state, noise, 2 * TILE + 1, 1)
         two = run_monte_carlo(pulse_bundle.schedule, pulse_bundle.initial_state, noise, 2 * TILE + 1, 2)
-        assert all(a.samples == b.samples for a, b in zip(one.records, two.records))
+        assert all(same_record(a, b) for a, b in zip(one.records, two.records))
 
     def test_cli_bytes_across_blas_and_pool_threads(self, tmp_path):
         digests = set()
@@ -209,7 +222,7 @@ class TestKernelCorrectness:
         n = 60
         rec = reference_runs(n, model=model, n_samples=2 * TILE + 5)
         initial = make_css(n / 2, np.pi / 2, 0.0)
-        for t, rep in rec.samples:
+        for t, rep in zip(rec.times(), sample_reports(rec)):
             if model == "oat":
                 state = jz2_phase(initial, t)
             else:
@@ -257,8 +270,8 @@ class TestReportTiles:
                 times = zeros[target - before : target - before + count]
                 schedule = ProtocolSchedule((segment,), tuple(times.tolist()))
                 final, (record,) = evolve_block(n / 2, initial, schedule, None, [None])
-                assert len(record.samples) == count
-                reports.append(record.samples[before])
+                assert len(record.times()) == count
+                reports.append((record.times()[before], record.report.column(before)))
                 finals.append(final)
         assert all(r == reports[0] for r in reports)
         assert all(np.array_equal(f, finals[0]) for f in finals)
@@ -268,8 +281,8 @@ class TestReportTiles:
         bundle = build_repeated_pulse(30, n_periods=8, freeze=True)
         record = run_protocol(bundle.schedule, bundle.initial_state)
         x = bundle.initial_state.amplitudes[:, None]
-        assert len(record.samples) > TILE
-        assert_reports_close(record.reports(), one_column_reports(15, x, bundle.schedule))
+        assert len(record.times()) > TILE
+        assert_reports_close(sample_reports(record), one_column_reports(15, x, bundle.schedule))
 
     def test_drive_records_match_one_column_loop(self):
         omega = 2 * np.pi * 300.0
@@ -280,8 +293,8 @@ class TestReportTiles:
         schedule = ProtocolSchedule((DrivenSegment(env, 1.0, 0.0, end),), tuple(times.tolist()))
         x = make_css(6, np.pi / 2, 0.0).amplitudes[:, None]
         _, (record,) = evolve_block(6, x, schedule, None, [None])
-        assert len(record.samples) > TILE
-        assert_reports_close(record.reports(), one_column_reports(6, x, schedule))
+        assert len(record.times()) > TILE
+        assert_reports_close(sample_reports(record), one_column_reports(6, x, schedule))
 
     def test_renormalization_after_a_sample_leaves_its_report(self):
         # the first sample sits on a segment end whose renormalization
@@ -295,7 +308,7 @@ class TestReportTiles:
         assert record.events == [{"kind": "renormalization", "count": 1}]
         at_first = np.exp(-0.3j * m_values(j)[:, None] ** 2) * x
         want = [squeezing_columns(j, y).column(0) for y in (at_first, final)]
-        assert_reports_close(record.reports(), want)
+        assert_reports_close(sample_reports(record), want)
 
 
 class TestThreadSetting:

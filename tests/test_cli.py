@@ -10,7 +10,14 @@ import pytest
 import spinsqueeze
 from spinsqueeze.cli import DEFAULTS, parse_config, run_scenario
 from spinsqueeze.dicke import make_css
-from spinsqueeze.protocols import build_modulated_drive, build_repeated_pulse, reference_runs
+from spinsqueeze.protocols import (
+    NoiseModel,
+    build_modulated_drive,
+    build_repeated_pulse,
+    reference_runs,
+    run_monte_carlo,
+    run_protocol,
+)
 
 
 def run_cli(argv):
@@ -173,6 +180,23 @@ class TestParseConfig:
         assert exc.value.code == 2
         assert "field eta: must be finite, got nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", ["noise", "pulses"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_named(self, tmp_path, capsys, scenario, source):
+        argv = [scenario, "--n", "4", "--nc", "2", "--samples", "16"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            conf = tmp_path / "c.json"
+            conf.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(conf)]
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "field seed: must be nonnegative" in err
+        assert "Traceback" not in err
+
 
 class TestScenarios:
     def test_oat_small_run(self, tmp_path):
@@ -204,6 +228,41 @@ class TestScenarios:
         ma = json.loads((a / "manifest.json").read_text())
         mb = json.loads((b / "manifest.json").read_text())
         assert ma["artifacts"] == mb["artifacts"]
+
+    def test_noise_csvs_hold_the_records(self, tmp_path):
+        _, status = run_cli(["noise", "--n", "40", "--nc", "8", "--realizations", "20", "--eta", "0.01",
+                             "--seed", "7", "--samples", "64", "--out-dir", str(tmp_path)])
+        assert status == 0
+        bundle = build_repeated_pulse(40, 1.0, 8)
+        mc = run_monte_carlo(bundle.schedule, bundle.initial_state, NoiseModel(0.01, seed=7), 20)
+        reps = [rec.report for rec in mc.records]
+        mean = np.loadtxt(tmp_path / "noise_mean.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(mean[:, 0], mc.records[0].times())
+        assert np.array_equal(mean[:, 1], np.mean([rep.xi2 for rep in reps], axis=0))
+        assert np.array_equal(mean[:, 2], 10.0 * np.log10(mean[:, 1]))
+        assert np.array_equal(mean[:, 3:6].T, np.mean([rep.mean_spin for rep in reps], axis=0))
+        assert np.array_equal(mean[:, 6], np.mean([rep.theta_min for rep in reps], axis=0))
+        rows = np.loadtxt(tmp_path / "noise_realizations.csv", delimiter=",", skiprows=1)
+        count = len(mc.records[0].times())
+        assert rows.shape == (20 * count, 3)
+        for i, rec in enumerate(mc.records):
+            part = rows[i * count : (i + 1) * count]
+            assert np.array_equal(part[:, 0], np.full(count, i))
+            assert np.array_equal(part[:, 1], rec.times())
+            assert np.array_equal(part[:, 2], rec.xi2())
+
+    def test_pulses_csv_holds_the_record(self, tmp_path):
+        _, status = run_cli(["pulses", "--n", "40", "--nc", "10", "--freeze", "--samples", "64",
+                             "--out-dir", str(tmp_path)])
+        assert status == 0
+        bundle = build_repeated_pulse(40, 1.0, 10, freeze=True)
+        record = run_protocol(bundle.schedule, bundle.initial_state)
+        run = np.loadtxt(tmp_path / "pulses_run.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(run[:, 0], record.times())
+        assert np.array_equal(run[:, 1], record.xi2())
+        assert np.array_equal(run[:, 2], 10.0 * np.log10(record.xi2()))
+        assert np.array_equal(run[:, 3:6].T, record.report.mean_spin)
+        assert np.array_equal(run[:, 6], record.report.theta_min)
 
     def test_pulses_unit_report_paper_values(self, tmp_path):
         _, status = run_cli([
@@ -284,8 +343,10 @@ class TestScenarios:
             ('{"N": 2, "j": 1.0, "basis": "Jz-descending", "amplitudes": [1, 0, 0]}', "'amplitudes'"),
             ("not json at all", "is not JSON"),
             ("[1, 2]", "JSON object"),
+            ('{"N": 2, "j": 1.0, "basis": "Jz-descending", "amplitudes": [[NaN, 0], [0, 0], [0, 0]]}',
+             "norm"),
         ],
-        ids=["no-amplitudes", "no-N", "bad-amplitudes", "not-json", "not-object"],
+        ids=["no-amplitudes", "no-N", "bad-amplitudes", "not-json", "not-object", "nan-amplitude"],
     )
     def test_malformed_snapshot_is_one_named_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "state.json"

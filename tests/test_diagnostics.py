@@ -15,7 +15,9 @@ from spinsqueeze.diagnostics import (
     husimi_q,
     m_distribution,
     mean_spin,
+    run_records,
     scaling_fit,
+    squeezing_columns,
     squeezing_report,
 )
 from spinsqueeze.errors import DegenerateDirectionError, DomainError
@@ -175,22 +177,40 @@ class TestHusimi:
             husimi_q(make_css(2, 0.3, 0.1), 8, 64)
 
 
+def css_columns(count):
+    """The report of a block of count copies of one coherent state."""
+    return squeezing_columns(2, np.repeat(make_css(2, np.pi / 2, 0).amplitudes[:, None], count, axis=1))
+
+
 class TestRunRecord:
     def test_strictly_increasing(self):
-        rec = RunRecord()
-        rep = squeezing_report(make_css(2, np.pi / 2, 0))
-        rec.add_sample(0.0, rep)
-        rec.add_sample(0.1, rep)
+        rep = css_columns(3)
+        RunRecord([0.0, 0.1, 0.2], rep)
         with pytest.raises(DomainError):
-            rec.add_sample(0.1, rep)
+            RunRecord([0.0, 0.1, 0.1], rep)
 
     def test_arrays(self):
-        rec = RunRecord()
-        rep = squeezing_report(make_css(2, np.pi / 2, 0))
-        for t in (0.0, 0.5, 1.0):
-            rec.add_sample(t, rep)
+        rec = RunRecord([0.0, 0.5, 1.0], css_columns(3))
         assert np.allclose(rec.times(), [0, 0.5, 1.0])
         assert np.allclose(rec.xi2(), [1, 1, 1], atol=1e-9)
+
+    def test_run_records_take_each_runs_columns(self):
+        # two runs sampled three times: a full tile of two samples, then one
+        # sample and a padding column
+        block = np.stack([make_css(2, 0.2 + 0.3 * k, 0.1 * k).amplitudes for k in range(7)], axis=1)
+        full, last = squeezing_columns(2, block[:, :4]), squeezing_columns(2, block[:, 4:])
+        records = run_records([0.0, 0.1, 0.2], [(full, 4), (last, 2)], [{"run": 0}, {"run": 1}], 2)
+        for r, rec in enumerate(records):
+            assert rec.parameters == {"run": r}
+            assert np.array_equal(rec.times(), [0.0, 0.1, 0.2])
+            want = [full.column(r), full.column(2 + r), last.column(r)]
+            assert [rec.report.column(k) for k in range(3)] == want
+            assert rec.report.mean_spin.shape == (3, 3)
+
+    def test_run_records_without_samples(self):
+        (rec,) = run_records([], [], [{}])
+        assert rec.times().shape == rec.xi2().shape == (0,)
+        assert rec.report.mean_spin.shape == (3, 0)
 
 
 class TestFindOptimum:

@@ -186,7 +186,7 @@ def test_boundary_sample_precedes_the_events_after_it(n, segments, seed):
         ends.setdefault(t, k)
     _, record = evolve_schedule(state, ProtocolSchedule(tuple(segments), tuple(ends)))
     assert np.array_equal(record.times(), list(ends))
-    for (time, k), (_, rep) in zip(ends.items(), record.samples):
+    for (time, k), rep in zip(ends.items(), map(record.report.column, range(len(ends)))):
         want = squeezing_report(evolve_schedule(state, ProtocolSchedule(tuple(segments[:k]), ()))[0])
         assert rep.xi2 == pytest.approx(want.xi2, rel=1e-9, abs=1e-12)
         assert np.allclose(rep.mean_spin, want.mean_spin, rtol=0, atol=1e-9)

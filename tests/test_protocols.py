@@ -124,7 +124,7 @@ class TestRepeatedPulseFreeze:
         # after the sign-resolved pi/4 pulse the z-variance is the squeezed one
         record = run_protocol(bundle.schedule, bundle.initial_state)
         freeze_idx = int(np.argmin(np.abs(record.times() - bundle.meta["freeze_time"])))
-        var_min_at_freeze = record.samples[freeze_idx][1].var_min
+        var_min_at_freeze = record.report.var_min[freeze_idx]
         assert var_z == pytest.approx(var_min_at_freeze, rel=0.01)
         ms = squeezing_report(frozen).mean_spin
         assert abs(ms[2]) <= 1.0
@@ -355,7 +355,7 @@ class TestNoiseAndMonteCarlo:
         assert np.all(np.abs(factors - 1.0) <= 0.15)
         assert len(np.unique(factors)) == len(factors)
         rec = run_protocol(bundle.schedule, bundle.initial_state, noise)
-        assert len(rec.samples) == len(bundle.schedule.sample_times)
+        assert len(rec.times()) == len(bundle.schedule.sample_times)
 
     def test_realizations_positive(self):
         bundle = build_repeated_pulse(30, n_periods=6)
