@@ -357,7 +357,7 @@ def _protocol_outputs(cfg, out_dir, written, bundle, record, convergence) -> dic
 
 def _scenario_pulses(cfg, out_dir, written) -> dict:
     bundle = build_repeated_pulse(cfg.n, 1.0, cfg.nc, cfg.freeze)
-    record = run_protocol(bundle.schedule, bundle.initial_state)
+    record = bundle.record or run_protocol(bundle.schedule, bundle.initial_state)
     convergence = {"method": "pulses and quadratic phases are exact; no integrator error"}
     return _protocol_outputs(cfg, out_dir, written, bundle, record, convergence)
 
@@ -372,12 +372,13 @@ def _scenario_drive(cfg, out_dir, written) -> dict:
         freeze=cfg.freeze,
         steps_per_period=cfg.steps_per_period,
     )
-    record = run_protocol(bundle.schedule, bundle.initial_state)
+    record = bundle.record or run_protocol(bundle.schedule, bundle.initial_state)
     seg = bundle.schedule.segments[0]
     eff_times = [t for t in record.times() if t <= seg.t1]
     eff = effective_drive_record(cfg.n, 1.0, cfg.omega0_over_omega, eff_times)
     written.append(write_run_csv(out_dir / "drive_effective.csv", eff, cfg.chi_hz))
-    check = driven_doubling_check(bundle.initial_state, 1.0, seg.env, seg.t0, seg.t1, cfg.steps_per_period)
+    spp, terminal = cfg.steps_per_period, bundle.at_freeze  # the freeze prefix is the check's spp run
+    check = driven_doubling_check(bundle.initial_state, 1.0, seg.env, seg.t0, seg.t1, spp, terminal)
     convergence = {"method": "strang split-step, exact envelope integral", "doubling": check}
     return _protocol_outputs(cfg, out_dir, written, bundle, record, convergence)
 

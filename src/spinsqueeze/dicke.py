@@ -121,12 +121,17 @@ class DickeState:
                 raise DomainError(f"snapshot has no {key!r} field")
             try:
                 return convert(data[key])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise DomainError(f"snapshot field {key!r} is malformed") from None
+
+        def whole(value) -> int:  # an integral number, not a boolean
+            if isinstance(value, bool) or not float(value).is_integer():
+                raise ValueError
+            return int(value)
 
         amps = field("amplitudes", lambda rows: np.array([complex(float(a), float(b)) for a, b in rows]))
         state = DickeState(field("j", float), amps)
-        if field("N", int) != state.n_particles:
+        if field("N", whole) != state.n_particles:
             raise DomainError("snapshot N inconsistent with j")
         return state
 

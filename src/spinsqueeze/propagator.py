@@ -213,10 +213,12 @@ class DrivenEngine:
 
     def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int, span: float = 0.0):
         self.j, self.chi, self.env, self.h = j, chi, env, env.period / spp
-        # measured break-even (spp 64, one thread): 3, 15-20 and 52-59 periods at N = 100,
-        # 300 and 1250, so dim/c with c ~ 15-20 at 300 and 21-24 at 1250; 20 fits both
-        fast = spp % 2 == 0 and span / env.period >= max(16, dim_for(j) / 20)
-        self._ops = period_operators(j, chi, env, spp) if fast else None
+        self._ops = period_operators(j, chi, env, spp) if self.jumps_pay(j, env, spp, span) else None
+
+    @staticmethod
+    def jumps_pay(j: float, env: DriveEnvelope, spp: int, span: float) -> bool:
+        """Period operators pay from 3, 15-20, 52-59 periods at N = 100, 300, 1250 (spp 64, one thread)."""
+        return spp % 2 == 0 and span / env.period >= max(16, dim_for(j) / 20)
 
     def framed(self, t: float) -> bool:
         """Whether step holds the block at time t in the frame."""
@@ -258,14 +260,15 @@ def driven_doubling_check(
     t0: float,
     t1: float,
     steps_per_period: int = 64,
+    terminal: np.ndarray | None = None,
 ) -> dict:
     """One-shot integrator self-check: terminal fidelity between the run at
-    steps_per_period and at twice that."""
+    steps_per_period and at twice that; terminal is the first run's raw final block when it ran already."""
 
     def run(spp):
         return DrivenEngine(state.j, chi, env, spp, t1 - t0).advance(state.amplitudes, t0, t1)
 
-    fid = abs(np.vdot(run(2 * steps_per_period), run(steps_per_period)))
+    fid = abs(np.vdot(run(2 * steps_per_period), run(steps_per_period) if terminal is None else terminal))
     return {
         "steps_per_period": steps_per_period,
         "doubled": 2 * steps_per_period,
@@ -295,6 +298,8 @@ def evolve_block(
     schedule: ProtocolSchedule,
     scales: np.ndarray | None = None,
     parameters=(),
+    keep=(),
+    start: tuple | None = None,
 ) -> tuple[np.ndarray, list]:
     """Apply the segments in order to every column of a (dim, R) block,
     sampling diagnostics at the requested times.
@@ -310,18 +315,23 @@ def evolve_block(
     record. Reports go TILE columns at a time: a narrower block is queued as
     a copy (in the frame while a driven segment holds it there), TILE // width
     samples a report, padded with its last column.
+
+    keep, a dict keyed by times, gets (raw z-basis block, renormalization counts) before renormalizing
+    at each sample and segment end at one of its times. start = (clock, counts, report) resumes a
+    one-column run from such a block at the segment end at clock, report holding the samples to it.
     """
     x = np.array(block, dtype=complex)
     width = x.shape[1]
     if scales is None:
         scales = np.ones((len(schedule.pulses()), width))
+    clock, counts, head = start or (0.0, 0, None)
     renorms = np.zeros(width, dtype=int)
     t = 0.0
     samples = schedule.sample_times
-    si = 0
+    si = sum(s <= clock + TIME_TOL * max(1.0, abs(clock)) for s in samples) if head is not None else 0
     pulse_index = 0
     queue = []  # (block, framed) awaiting their report
-    tiles, freezes = [], []  # (report, used columns) pairs; freeze times
+    tiles, freezes = [] if head is None else [(head, si)], []  # (report, used columns); freeze times
 
     def due(limit):
         return si < len(samples) and samples[si] <= limit + TIME_TOL * max(1.0, abs(limit))
@@ -350,11 +360,21 @@ def evolve_block(
             renorms[drift] += 1
         return x
 
-    if si < len(samples) and samples[si] <= TIME_TOL * max(1.0, abs(samples[si])):
+    def kept(time, x, framed=False):
+        if time in keep:
+            keep[time] = (frame_leave(j, x) if framed else x.copy(), renorms + counts)
+
+    if head is None and due(0.0):
         emit(x)
         si += 1
 
     for seg in schedule.segments:
+        if head is not None:  # the schedule's clock runs on to the segment end x was kept at
+            t = seg.t1 if isinstance(seg, DrivenSegment) else t + seg.duration
+            pulse_index += isinstance(seg, Pulse)
+            if t == clock and isinstance(seg, (QuadraticSegment, DrivenSegment)):
+                x, head = renormalized(x), None
+            continue
         if isinstance(seg, Pulse):
             angles = seg.rotation.angle * (seg.area_scale * scales[pulse_index])
             pulse_index += 1
@@ -372,9 +392,12 @@ def evolve_block(
                 x = step(x, t, target)
                 t = target
                 emit(x, framed(t))
+                kept(samples[si], x, framed(t))
                 si += 1
             x = step(x, t, end, whole)
-            x = renormalized(frame_leave(j, x) if framed(end) else x)
+            x = frame_leave(j, x) if framed(end) else x
+            kept(end, x)
+            x = renormalized(x)
             t = end
             continue
         raise DomainError(f"unknown segment type {type(seg).__name__}")
@@ -388,7 +411,7 @@ def evolve_block(
 
     digest = {"schedule_digest": schedule.digest()}
     records = run_records(samples, tiles, [{**digest, **(p or {})} for p in parameters], width)
-    for record, count in zip(records, renorms):
+    for record, count in zip(records, renorms + counts):
         record.events += [{"kind": "freeze", "time": time} for time in freezes]
         if count:
             record.add_event("renormalization", count=int(count))

@@ -2,9 +2,9 @@
 
 build_repeated_pulse lays out the pulse-pair sequence whose average is the
 two-axis model at one third the coupling; build_modulated_drive covers the
-continuously driven variant. Both freeze through _probe and _freeze: a probe
-run locates the sampled squeezing minimum, rotation signs are picked to
-minimize the post-rotation Jz variance, and the tail becomes plain Jz^2 evolution.
+continuously driven variant. Both freeze through _probe and _freeze: one noiseless
+pass locates the sampled squeezing minimum and is the run's record up to it, rotation
+signs minimize the post-rotation Jz variance, and the tail is plain Jz^2 evolution.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from .dicke import (
 from .diagnostics import OptimumResult, RunRecord, find_optimum, run_records, squeezing_columns
 from .errors import DomainError
 from .hamiltonians import DriveEnvelope, alpha0, drive_value
-from .propagator import (
-    TILE,
-    SpectralPropagator,
-    evolve_block,
-    evolve_schedule,
-    spectral,
-)
+from .propagator import TILE, DrivenEngine, SpectralPropagator, evolve_block, spectral
 from .schedule import (
     DrivenSegment,
     FreezeMarker,
@@ -153,14 +147,16 @@ def reference_optimum(n_particles: int, chi: float = 1.0) -> OptimumResult:
 
 @dataclass
 class ProtocolBundle:
-    """A built protocol: timeline, initial state, metadata, and (when
-    frozen) the state right after the freeze pulses, run on from the block
-    at the freeze instant before a DickeState renormalizes it."""
+    """A built protocol: timeline, initial state, metadata, and when frozen
+    the state right after the freeze pulses (run on from the block at the
+    freeze instant, at_freeze, before renormalization) and the noiseless record."""
 
     schedule: ProtocolSchedule
     initial_state: DickeState
     meta: dict = field(default_factory=dict)
     frozen: DickeState | None = None
+    at_freeze: np.ndarray | None = None
+    record: RunRecord | None = None
 
     def frozen_state(self) -> DickeState:
         if self.frozen is None:
@@ -182,34 +178,41 @@ def _best_signs(state: DickeState, rotations) -> tuple[tuple, float]:
     return tuple(float(sg) for sg in signs[best]), float(var[best])
 
 
-def _probe(initial: DickeState, schedule: ProtocolSchedule, meta: dict) -> int:
-    """Index of the least xi^2 on a noiseless run of schedule, whose samples are
-    the freeze candidates; meta records each candidate with its xi^2."""
-    _, record = evolve_schedule(initial, schedule)
-    meta["freeze_candidates"] = list(zip(record.times().tolist(), record.xi2().tolist()))
-    return int(np.argmin(record.xi2()))
+def _probe(initial: DickeState, segments, samples, candidates, clocks, meta: dict) -> tuple:
+    """One noiseless pass of the segments, sampled at the candidates among
+    the samples: the index of the candidate of least xi^2 (meta records each
+    with its xi^2), the pass's record, and its blocks kept at the clocks."""
+    schedule, kept = ProtocolSchedule(tuple(segments), tuple(samples)), dict.fromkeys(clocks)
+    _, (record,) = evolve_block(initial.j, initial.amplitudes[:, None], schedule, None, ({},), kept)
+    xi2 = record.xi2()[[schedule.sample_times.index(t) for t in candidates]]
+    meta["freeze_candidates"] = list(zip(candidates, xi2.tolist()))
+    return int(np.argmin(xi2)), record, kept
 
 
-def _freeze(initial, meta, chi, prefix, t_star, rotations, samples):
-    """Frozen bundle and rotation signs: prefix runs to the freeze instant
-    t_star, then the freeze marker, one signed pulse per rotation (label:
-    rotation), and a Jz^2 hold of POST_TIME_FACTOR * t_opt sampled
-    POST_SAMPLES times past the given samples. Only the tail runs from the
-    block at t_star."""
-    j = initial.j
-    at_star, _ = evolve_block(j, initial.amplitudes[:, None], ProtocolSchedule(prefix, ()))
+def _freeze(initial, meta, chi, prefix, t_star, rotations, probe, clock, kept) -> ProtocolBundle:
+    """Frozen bundle, its signs in meta: prefix runs to the freeze instant t_star, then the
+    freeze marker, one signed pulse per rotation (label: rotation), and a Jz^2 hold of
+    POST_TIME_FACTOR * t_opt sampled POST_SAMPLES times past the pass record probe's samples
+    up to t_star. The frozen state runs on from the unsampled prefix's block, the record from
+    the pass's block kept at the end of the schedule segment that ends at clock (kept None:
+    the pass took other steps, so the schedule runs in full)."""
+    j, base = initial.j, ProtocolSchedule(prefix, ())
+    at_freeze = {base.total_time(): None}  # the raw block at the schedule's clock at the freeze
+    at_star, _ = evolve_block(j, initial.amplitudes[:, None], base, keep=at_freeze)
     signs, var_z = _best_signs(DickeState(j, at_star[:, 0]), rotations.values())
     meta.update({"freeze_time": t_star, "freeze_var_z": var_z})
+    meta.update({"freeze_sign": signs[0]} if len(signs) == 1 else {"freeze_signs": signs})
 
     post_time = POST_TIME_FACTOR * meta["t_opt"]
     post = (t_star + np.linspace(0.0, post_time, POST_SAMPLES + 1)[1:]).tolist()
     pulses = (Pulse(rot.scaled(sign), label=label) for (label, rot), sign in zip(rotations.items(), signs))
     tail = (FreezeMarker(t_star), *pulses)
-    samples = tuple(_dedupe_times(samples + post))
+    samples = tuple(_dedupe_times(probe.chi_t[probe.chi_t <= t_star].tolist() + post))
     schedule = ProtocolSchedule(prefix + tail + (QuadraticSegment("z", chi, post_time),), samples, meta)
     x, _ = evolve_block(j, at_star, ProtocolSchedule(tail, ()))
-    bundle = ProtocolBundle(schedule, initial, meta, DickeState(j, x[:, 0]))
-    return bundle, signs
+    start = None if kept is None else (kept[0], clock, kept[1], probe.report)
+    record = _run_batch(schedule, initial, [None], [None], start)[1][0]
+    return ProtocolBundle(schedule, initial, meta, DickeState(j, x[:, 0]), at_freeze.popitem()[1][0], record)
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +282,17 @@ def build_repeated_pulse(
     center = 3 * reference_optimum(n_particles, chi).chi_t
     n_center = max(0, int(round((center - delta_t) / t_c)))
     candidates = list(range(max(0, n_center - PULSE_WINDOW), n_center + PULSE_WINDOW + 1))
-    probe_samples = tuple(n * t_c + delta_t for n in candidates)
-    probe_segments = _pulse_period_segments(chi, delta_t) * (candidates[-1] + 1)
-    n_star = candidates[_probe(initial, ProtocolSchedule(tuple(probe_segments), probe_samples), meta)]
-    t_star = n_star * t_c + delta_t
-    meta["freeze_period_index"] = n_star
+    last, times = candidates[-1], [n * t_c + delta_t for n in candidates]
+    segments = _pulse_period_segments(chi, delta_t) * (last + 1)
+    # the schedule takes t* at the end of a segment the pass runs through: resume from the period's start
+    clocks = [ProtocolSchedule(tuple(segments[: 4 * n]), ()).total_time() for n in candidates]
+    best, probe, kept = _probe(initial, segments, mid_samples(last) + times[-1:], times, clocks, meta)
+    n_star = meta["freeze_period_index"] = candidates[best]
+    clock = clocks[best]
 
-    prefix = _pulse_period_segments(chi, delta_t) * n_star + [
-        Pulse(RotationSpec((0.0, 1.0, 0.0), np.pi / 2)),
-        QuadraticSegment("z", chi, delta_t),
-    ]
+    prefix = segments[: 4 * n_star + 1] + [QuadraticSegment("z", chi, delta_t)]  # to mid Jx^2 of n_star
     rotations = {"freeze": RotationSpec((-1.0, 0.0, 0.0), np.pi / 4)}
-    samples = mid_samples(n_star) + [t_star]
-    bundle, (sign,) = _freeze(initial, meta, chi, tuple(prefix), t_star, rotations, samples)
-    meta["freeze_sign"] = sign
-    return bundle
+    return _freeze(initial, meta, chi, tuple(prefix), times[best], rotations, probe, clock, kept[clock])
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +369,11 @@ def build_modulated_drive(
 
     # the zeros lie half a period apart, so +-DRIVE_WINDOW periods around center > 0 hold one
     zeros_all = drive_zero_times(env, center + (DRIVE_WINDOW + 1) * period)
-    candidates = zeros_all[np.abs(zeros_all - center) <= DRIVE_WINDOW * period * (1 + 1e-12)]
-    probe_schedule = ProtocolSchedule(
-        (DrivenSegment(env, chi, 0.0, float(candidates[-1]), steps_per_period),),
-        tuple(candidates),
-    )
-    t_star = float(candidates[_probe(initial, probe_schedule, meta)])
+    candidates = zeros_all[np.abs(zeros_all - center) <= DRIVE_WINDOW * period * (1 + 1e-12)].tolist()
+    last = candidates[-1]
+    segments = (DrivenSegment(env, chi, 0.0, last, steps_per_period),)
+    best, probe, kept = _probe(initial, segments, drive_zero_times(env, last), candidates, candidates, meta)
+    t_star = candidates[best]
     meta["drive_value_at_freeze"] = float(drive_value(env, t_star))
 
     prefix = (DrivenSegment(env, chi, 0.0, t_star, steps_per_period),)
@@ -383,10 +381,9 @@ def build_modulated_drive(
         "freeze-align": RotationSpec((0.0, 1.0, 0.0), env.omega0 / env.omega),
         "freeze": RotationSpec((-1.0, 0.0, 0.0), np.pi / 4),
     }
-    zeros_pre = [t for t in drive_zero_times(env, t_star) if t < t_star - 1e-15]
-    bundle, signs = _freeze(initial, meta, chi, prefix, t_star, rotations, zeros_pre + [t_star])
-    meta["freeze_signs"] = signs
-    return bundle
+    jumps = [DrivenEngine.jumps_pay(initial.j, env, steps_per_period, span) for span in (t_star, last)]
+    kept = kept[t_star] if jumps[0] == jumps[1] else None  # else the pass took other steps
+    return _freeze(initial, meta, chi, prefix, t_star, rotations, probe, t_star, kept)
 
 
 def _dedupe_times(times, rel=1e-12):
@@ -408,15 +405,15 @@ def _noisy(noise: NoiseModel | None) -> bool:
     return noise is not None and noise.eta > 0
 
 
-def _run_batch(schedule, initial, noises, parameters) -> tuple[np.ndarray, list]:
+def _run_batch(schedule, initial, noises, parameters, start=None) -> tuple[np.ndarray, list]:
     """Final block and records of runs of one schedule that differ only in
     their pulse noise.
 
-    Noisy runs (at most TILE) become the columns of one TILE-wide block,
-    padded by repeating the last run, so a run's bits depend neither on its
-    position nor on the other runs. A noiseless run is one column.
+    Noisy runs (at most TILE) become the columns of one TILE-wide block, padded by repeating the
+    last run, so a run's bits depend neither on its position nor on the other runs. A noiseless
+    run is one column; start = (block, *evolve_block's start) resumes it from a kept block.
     """
-    block, scales = initial.amplitudes[:, None], None
+    block, scales = initial.amplitudes[:, None] if start is None else start[0], None
     if _noisy(noises[0]):
         factors = np.stack([_noise_factors(schedule, noise) for noise in noises], axis=1)
         scales = factors[:, np.minimum(np.arange(TILE), len(noises) - 1)]
@@ -427,7 +424,7 @@ def _run_batch(schedule, initial, noises, parameters) -> tuple[np.ndarray, list]
         if _noisy(noise):
             drawn.update(noise_eta=noise.eta, seed=noise.seed)
         params.append({**drawn, **(extra or {})})
-    block, records = evolve_block(initial.j, block, schedule, scales, params)
+    block, records = evolve_block(initial.j, block, schedule, scales, params, (), start and start[1:])
     for record in records:
         for key in ("freeze_time", "freeze_sign", "freeze_signs"):
             if key in schedule.meta:
@@ -486,13 +483,15 @@ def run_monte_carlo(
 
     def tile(start: int) -> list:
         idx = range(start, min(start + TILE, realizations))
-        if not _noisy(noise):  # every realization is the noiseless run
-            return [run_protocol(schedule, initial, None, {"realization": i}) for i in idx]
         noises = [NoiseModel(noise.eta, seeds[i]) for i in idx]
         return _run_batch(schedule, initial, noises, [{"realization": i} for i in idx])[1]
 
     starts = range(0, realizations, TILE)
-    if workers <= 1 or len(starts) == 1:
+    if not _noisy(noise):  # every realization is the noiseless run: run it once
+        run = run_protocol(schedule, initial)
+        tiles = [[RunRecord(run.chi_t, run.report, {**run.parameters, "realization": i}, list(run.events))
+                  for i in range(realizations)]]
+    elif workers <= 1 or len(starts) == 1:
         tiles = [tile(k) for k in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -4,6 +4,7 @@ and the noise model that perturbs pulse areas."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from hashlib import sha256
 
 from .dicke import RotationSpec
@@ -102,7 +103,8 @@ class ProtocolSchedule:
         object.__setattr__(self, "sample_times", times)
 
     def total_time(self) -> float:
-        return sum(getattr(seg, "duration", 0.0) for seg in self.segments)
+        """The clock at the end, added segment by segment as evolve_block adds it."""
+        return reduce(lambda t, seg: t + getattr(seg, "duration", 0.0), self.segments, 0.0)
 
     def pulses(self):
         return [seg for seg in self.segments if isinstance(seg, Pulse)]

@@ -84,6 +84,7 @@ def test_criterion_01_css_baseline():
     crit(1, t0, worst <= 1e-9, f"xi2(CSS) = 1 within {worst:.2e} for j in {{1/2, 1, 50, 625}}")
 
 
+@pytest.mark.slow
 def test_criterion_02_oracle_equivalence():
     t0 = time.time()
     worst = 1.0
@@ -211,6 +212,7 @@ def test_criterion_06_noise_robustness(oat_ref, tact_min):
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_drive_convergence(tact_min):
     t0 = time.time()
     center = 3 * reference_optimum(N_MAIN).chi_t

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spinsqueeze
+from spinsqueeze import propagator
 from spinsqueeze.cli import DEFAULTS, parse_config, run_scenario
 from spinsqueeze.dicke import make_css
 from spinsqueeze.protocols import (
@@ -303,6 +304,17 @@ class TestScenarios:
         assert dbl["terminal_fidelity_gap"] < 1e-6
         assert (tmp_path / "drive_effective.csv").exists()
 
+    def test_drive_freeze_runs_three_drive_chains(self, tmp_path, monkeypatch):
+        # the pass, the freeze prefix (also the check's spp-64 run) and the check's spp-128 run
+        engines = []
+        init = propagator.DrivenEngine.__init__
+        monkeypatch.setattr(
+            propagator.DrivenEngine, "__init__", lambda eng, *a, **k: engines.append(a) or init(eng, *a, **k)
+        )
+        _, status = run_cli(["drive", "--n", "60", "--freeze", "--samples", "32", "--out-dir", str(tmp_path)])
+        assert status == 0
+        assert len(engines) == 3
+
     def test_sweep_fit_in_manifest(self, tmp_path):
         _, status = run_cli([
             "sweep", "--n-list", "40,80,160", "--model", "tact",
@@ -345,8 +357,13 @@ class TestScenarios:
             ("[1, 2]", "JSON object"),
             ('{"N": 2, "j": 1.0, "basis": "Jz-descending", "amplitudes": [[NaN, 0], [0, 0], [0, 0]]}',
              "norm"),
+            ('{"N": 2.5, "j": 1.0, "basis": "Jz-descending", "amplitudes": [[1, 0], [0, 0], [0, 0]]}',
+             "field 'N' is malformed"),
+            ('{"N": true, "j": 0.5, "basis": "Jz-descending", "amplitudes": [[1, 0], [0, 0]]}',
+             "field 'N' is malformed"),
         ],
-        ids=["no-amplitudes", "no-N", "bad-amplitudes", "not-json", "not-object", "nan-amplitude"],
+        ids=["no-amplitudes", "no-N", "bad-amplitudes", "not-json", "not-object", "nan-amplitude",
+             "fractional-N", "boolean-N"],
     )
     def test_malformed_snapshot_is_one_named_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "state.json"

@@ -276,6 +276,18 @@ class TestSnapshot:
         with pytest.raises(DomainError, match=f"'{key}'"):
             DickeState.from_snapshot(data)
 
+    @pytest.mark.parametrize("value", [2.5, True, float("inf"), "2.5"])
+    def test_non_integral_n_is_malformed(self, value):
+        data = json.loads(make_css(1, 0.4, 0.1).to_snapshot_json())
+        data["N"] = value
+        with pytest.raises(DomainError, match="field 'N' is malformed"):
+            DickeState.from_snapshot(data)
+
+    def test_integral_float_n_loads(self):
+        data = json.loads(make_css(1, 0.4, 0.1).to_snapshot_json())
+        data["N"] = 2.0
+        assert DickeState.from_snapshot(data).n_particles == 2
+
     def test_not_json_names_file(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text("{truncated")

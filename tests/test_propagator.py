@@ -145,6 +145,7 @@ class TestDriven:
         want = rotate(s, RotationSpec((0, 1, 0), angle))
         assert fidelity(out, want) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.slow
     def test_matches_full_oracle_n4(self):
         n = 4
         s = make_css(n / 2, np.pi / 2, 0.0)

@@ -1,11 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from spinsqueeze import protocols
 from spinsqueeze.dicke import RotationSpec, fidelity, make_css, make_dicke_state, rotate
-from spinsqueeze.diagnostics import find_optimum, squeezing_report
+from spinsqueeze.diagnostics import SqueezingReport, find_optimum, squeezing_report
 from spinsqueeze.errors import DomainError
 from spinsqueeze.hamiltonians import drive_value
-from spinsqueeze.propagator import _PeriodOperators, evolve_schedule
+from spinsqueeze.propagator import DrivenEngine, _PeriodOperators, driven_doubling_check, evolve_schedule
 from spinsqueeze.protocols import (
     NoiseModel,
     _noise_factors,
@@ -310,6 +313,63 @@ class TestFrozenStateHandoff:
             build_repeated_pulse(60, n_periods=10).frozen_state()
 
 
+def record_bits(record):
+    """Everything a record holds, with its arrays as bytes."""
+    arrays = [np.asarray(getattr(record.report, f.name)).tobytes() for f in fields(SqueezingReport)]
+    return record.chi_t.tobytes(), arrays, record.events, record.parameters
+
+
+class TestOnePass:
+    """A frozen bundle's record is its one noiseless pass up to the freeze and
+    the schedule run on from the pass's block: the bits of a full run."""
+
+    build = staticmethod(TestFrozenStateHandoff.build)
+
+    # pulses: at nc = 10 the schedule's clock ends the freeze segment past t*, at
+    # N = 61, nc = 50 short of it (it then samples t* at the clock); nc = 1 freezes in
+    # period 0, with no segment end to resume from, so the schedule runs in full
+    @pytest.mark.parametrize("n", [60, 61])
+    @pytest.mark.parametrize(
+        "protocol,arg",
+        [("pulses", 1), ("pulses", 10), ("pulses", 50), ("drive", -np.pi / 2), ("drive", 0.3)],
+    )
+    @pytest.mark.filterwarnings("ignore:2\\*chi\\*delta_t\\*N:UserWarning")  # nc = 1 fails the Trotter gate
+    def test_record_is_the_schedule_run(self, protocol, arg, n):
+        if protocol == "pulses":  # arg is the period count, for the drive the phase
+            bundle = build_repeated_pulse(n, n_periods=arg, freeze=True)
+        else:
+            bundle = self.build(protocol, arg, n)
+        want = run_protocol(bundle.schedule, bundle.initial_state)
+        assert record_bits(bundle.record) == record_bits(want)
+        assert [e["kind"] for e in bundle.record.events].count("freeze-decision") >= 2
+
+    def test_record_when_only_the_pass_jumps(self):
+        # 15.5 periods to t*, 16.5 to the last candidate: only the pass builds period operators
+        bundle = build_modulated_drive(60, omega_over_chi=880.0, freeze=True)
+        env, last = bundle.schedule.segments[0].env, bundle.meta["freeze_candidates"][-1][0]
+        pays = DrivenEngine.jumps_pay
+        assert not pays(30.0, env, 64, bundle.meta["freeze_time"]) and pays(30.0, env, 64, last)
+        want = run_protocol(bundle.schedule, bundle.initial_state)
+        assert record_bits(bundle.record) == record_bits(want)
+
+    @pytest.mark.parametrize("n", [60, 61])
+    @pytest.mark.parametrize("phase", [-np.pi / 2, 0.3])
+    def test_doubling_check_reuses_the_prefix(self, n, phase):
+        bundle = self.build("drive", phase, n)
+        seg = bundle.schedule.segments[0]
+        args = (bundle.initial_state, 1.0, seg.env, seg.t0, seg.t1, 64)
+        reused = driven_doubling_check(*args, bundle.at_freeze)["terminal_fidelity_gap"]
+        rerun = driven_doubling_check(*args)["terminal_fidelity_gap"]
+        assert np.float64(reused).tobytes() == np.float64(rerun).tobytes()
+
+    def test_candidates_come_from_the_record(self):
+        bundle = self.build("drive", 0.3, 60)
+        times, xi2 = bundle.record.times(), bundle.record.xi2()
+        for t, value in bundle.meta["freeze_candidates"]:
+            if t <= bundle.meta["freeze_time"]:
+                assert value == xi2[times == t][0]
+
+
 class TestNoiseAndMonteCarlo:
     def test_zero_eta_bitwise_identical(self):
         bundle = build_repeated_pulse(30, n_periods=5)
@@ -356,6 +416,19 @@ class TestNoiseAndMonteCarlo:
         assert len(np.unique(factors)) == len(factors)
         rec = run_protocol(bundle.schedule, bundle.initial_state, noise)
         assert len(rec.times()) == len(bundle.schedule.sample_times)
+
+    def test_zero_eta_runs_once(self, monkeypatch):
+        bundle = build_repeated_pulse(30, n_periods=5)
+        calls = []
+        evolve = protocols.evolve_block
+        monkeypatch.setattr(protocols, "evolve_block", lambda *a, **k: calls.append(1) or evolve(*a, **k))
+        mc = run_monte_carlo(bundle.schedule, bundle.initial_state, NoiseModel(0.0, seed=3), 40)
+        assert len(calls) == 1
+        plain = run_protocol(bundle.schedule, bundle.initial_state)
+        assert [rec.parameters["realization"] for rec in mc.records] == list(range(40))
+        for rec in mc.records:
+            assert record_bits(rec)[:3] == record_bits(plain)[:3]
+            assert rec.parameters == {**plain.parameters, "realization": rec.parameters["realization"]}
 
     def test_realizations_positive(self):
         bundle = build_repeated_pulse(30, n_periods=6)
