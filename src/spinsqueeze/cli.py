@@ -377,8 +377,8 @@ def _scenario_drive(cfg, out_dir, written) -> dict:
     eff_times = [t for t in record.times() if t <= seg.t1]
     eff = effective_drive_record(cfg.n, 1.0, cfg.omega0_over_omega, eff_times)
     written.append(write_run_csv(out_dir / "drive_effective.csv", eff, cfg.chi_hz))
-    spp, terminal = cfg.steps_per_period, bundle.at_freeze  # the freeze prefix is the check's spp run
-    check = driven_doubling_check(bundle.initial_state, 1.0, seg.env, seg.t0, seg.t1, spp, terminal)
+    # under a freeze the prefix to t* is the check's steps_per_period run
+    check = driven_doubling_check(bundle.initial_state, seg, bundle.at_freeze)
     convergence = {"method": "strang split-step, exact envelope integral", "doubling": check}
     return _protocol_outputs(cfg, out_dir, written, bundle, record, convergence)
 

@@ -11,6 +11,7 @@ tensor-product oracle validates the symmetric-subspace reduction at small N.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -221,18 +222,16 @@ class DrivenEngine:
         return spp % 2 == 0 and span / env.period >= max(16, dim_for(j) / 20)
 
     def framed(self, t: float) -> bool:
-        """Whether step holds the block at time t in the frame."""
+        """Whether advance holds the block at time t in the frame."""
         return abs(t / self.h - round(t / self.h)) <= 1e-9
 
     def _walk(self, y, t0, t1):
         return _split_steps(self.j, y, self.chi, self.env, self.h, t0, t1, (self.framed(t0), self.framed(t1)))
 
-    def step(self, y: np.ndarray, t_from: float, t_to: float, whole: bool = False) -> np.ndarray:
+    def advance(self, y: np.ndarray, t_from: float, t_to: float, whole: bool = False) -> np.ndarray:
         """Evolve a (dim, R) block from t_from to t_to, ends held as framed() says.
         whole lets jumps take whole periods; a sampled stretch leaves it off, so
         its bits do not depend on which on-grid times it samples."""
-        if t_to < t_from:
-            raise DomainError("cannot advance backwards")
         h2 = self.env.period / 2
         a, b = int(np.ceil(t_from / h2 - 1e-9)), int(np.floor(t_to / h2 + 1e-9))
         if self._ops is None or b <= a or (b - a) * h2 <= 2 * self.h:
@@ -243,44 +242,12 @@ class DrivenEngine:
             y, a = self._ops.jump(y, a, halves), a + halves
         return self._walk(y, b * h2, t_to) if t_to > b * h2 + 1e-12 * h2 else y
 
-    def advance(self, vec: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
-        """Evolve a z-basis vector, or each column of a block, from t_from to t_to."""
-        if vec.ndim == 1:
-            return self.advance(vec[:, None], t_from, t_to)[:, 0]
-        if t_to <= t_from:
-            return self.step(vec, t_from, t_to)
-        y = self.step(frame_enter(self.j, vec) if self.framed(t_from) else vec, t_from, t_to, True)
-        return frame_leave(self.j, y) if self.framed(t_to) else y
-
-
-def driven_doubling_check(
-    state: DickeState,
-    chi: float,
-    env: DriveEnvelope,
-    t0: float,
-    t1: float,
-    steps_per_period: int = 64,
-    terminal: np.ndarray | None = None,
-) -> dict:
-    """One-shot integrator self-check: terminal fidelity between the run at
-    steps_per_period and at twice that; terminal is the first run's raw final block when it ran already."""
-
-    def run(spp):
-        return DrivenEngine(state.j, chi, env, spp, t1 - t0).advance(state.amplitudes, t0, t1)
-
-    fid = abs(np.vdot(run(2 * steps_per_period), run(steps_per_period) if terminal is None else terminal))
-    return {
-        "steps_per_period": steps_per_period,
-        "doubled": 2 * steps_per_period,
-        "terminal_fidelity_gap": max(0.0, float(1.0 - fid)),
-    }
-
 
 # ---------------------------------------------------------------------------
 # schedule execution
 
 def _stepper(j: float, seg, t: float) -> tuple:
-    """(step, framed, start, end) as in DrivenEngine for a segment reached at time t."""
+    """(advance, framed, start, end) as in DrivenEngine for a segment reached at time t."""
     if isinstance(seg, QuadraticSegment):
         def step(x, t_from, t_to, *_):
             return _quadratic(j, seg.axis, seg.chi, t_to - t_from, x) if t_to > t_from else x
@@ -289,7 +256,7 @@ def _stepper(j: float, seg, t: float) -> tuple:
     if abs(seg.t0 - t) > TIME_TOL * max(1.0, abs(t)):
         raise DomainError(f"driven segment starts at {seg.t0}, schedule time is {t}")
     engine = DrivenEngine(j, seg.chi, seg.env, seg.steps_per_period, seg.duration)
-    return engine.step, engine.framed, seg.t0, seg.t1
+    return engine.advance, engine.framed, seg.t0, seg.t1
 
 
 def evolve_block(
@@ -426,6 +393,24 @@ def evolve_schedule(
     """Run one state through a schedule: evolve_block on a one-column block."""
     x, (record,) = evolve_block(state.j, state.amplitudes[:, None], schedule, None, (parameters,))
     return DickeState(state.j, x[:, 0]), record
+
+
+def driven_doubling_check(
+    state: DickeState, segment: DrivenSegment, terminal: np.ndarray | None = None
+) -> dict:
+    """One-shot integrator self-check: terminal fidelity between the segment run from state at its
+    steps_per_period and at twice that, each a one-segment schedule read raw at its end; terminal
+    is the first run's raw final block when it ran already."""
+    spp = segment.steps_per_period
+
+    def run(seg):
+        keep = {seg.t1: None}
+        evolve_block(state.j, state.amplitudes[:, None], ProtocolSchedule((seg,), ()), keep=keep)
+        return keep[seg.t1][0]
+
+    doubled = run(replace(segment, steps_per_period=2 * spp))
+    fid = abs(np.vdot(doubled, run(segment) if terminal is None else terminal))
+    return {"steps_per_period": spp, "doubled": 2 * spp, "terminal_fidelity_gap": max(0.0, float(1.0 - fid))}
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ across criteria through module fixtures and internal caches.
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from spinsqueeze import propagator
 from spinsqueeze.dicke import (
     DickeState,
     RotationSpec,
@@ -33,6 +35,7 @@ from spinsqueeze.propagator import (
     DrivenEngine,
     SpectralPropagator,
     driven_doubling_check,
+    evolve_block,
     evolve_schedule,
     full_hilbert_oracle,
 )
@@ -48,10 +51,18 @@ from spinsqueeze.protocols import (
     run_protocol,
 )
 from spinsqueeze.hamiltonians import matrix as ham_matrix
-from spinsqueeze.schedule import ProtocolSchedule, QuadraticSegment
+from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule, QuadraticSegment
 
 N_MAIN = 1250
 PAPER_RATIO = 0.9057
+
+
+def raw_drive(state, env, t1):
+    """The state's drive (chi = 1, 64 steps a period) from 0 to t1 as a one-segment
+    schedule: its amplitudes read raw at t1, before any renormalization."""
+    keep, schedule = {t1: None}, ProtocolSchedule((DrivenSegment(env, 1.0, 0.0, t1, 64),), ())
+    evolve_block(state.j, state.amplitudes[:, None], schedule, keep=keep)
+    return keep[t1][0][:, 0]
 
 
 def crit(num, started, ok, detail):
@@ -108,8 +119,10 @@ def test_criterion_02_oracle_equivalence():
         omega = 2 * np.pi * 2000.0
         env = DriveEnvelope(PAPER_RATIO * omega, omega, -np.pi / 2)
         s0 = rotate(css, RotationSpec((0, 1, 0), -PAPER_RATIO))
-        eng = DrivenEngine(j, 1.0, env, 64)
-        got_d = DickeState(j, eng.advance(s0.amplitudes.copy(), 0.0, 0.2))
+        with mock.patch.object(  # split steps alone, every engine at span 0
+            propagator, "DrivenEngine", lambda j, chi, env, spp, span: DrivenEngine(j, chi, env, spp)
+        ):
+            got_d = DickeState(j, raw_drive(s0, env, 0.2))
         want_d, _ = full_hilbert_oracle(s0, driven(env), 0.2)
         f_drive = fidelity(got_d, want_d)
         worst = min(worst, f_oat, f_tact, f_pulse, f_drive)
@@ -229,7 +242,7 @@ def test_criterion_07_drive_convergence(tact_min):
     seg_env = DriveEnvelope(PAPER_RATIO * 2 * np.pi * 1e5, 2 * np.pi * 1e5, -np.pi / 2)
     bundle5 = build_modulated_drive(N_MAIN, omega_over_chi=2 * np.pi * 1e5)
     seg = bundle5.schedule.segments[0]
-    dbl = driven_doubling_check(bundle5.initial_state, 1.0, seg_env, seg.t0, seg.t1, 64)
+    dbl = driven_doubling_check(bundle5.initial_state, DrivenSegment(seg_env, 1.0, seg.t0, seg.t1, 64))
     ok_dbl = dbl["terminal_fidelity_gap"] < 1e-8
     crit(
         7,
@@ -280,13 +293,13 @@ def test_criterion_09_phase_covariance():
     # drive-off moments of the shifted run
     k = int(round(0.5 * 3 * reference_optimum(n).chi_t / env0.period))
     t_k = k * env0.period
-    ref = DrivenEngine(n / 2, 1.0, env0, 64, t_k).advance(base.initial_state.amplitudes.copy(), 0.0, t_k)
+    ref = raw_drive(base.initial_state, env0, t_k)
     from spinsqueeze.dicke import rotate_vector
 
     for phase in (-np.pi / 2, 0.8, 2.1):
         b = build_modulated_drive(n, omega_over_chi=omega, phase=phase)
         env = b.schedule.segments[0].env
-        got = DrivenEngine(n / 2, 1.0, env, 64, t_k).advance(b.initial_state.amplitudes.copy(), 0.0, t_k)
+        got = raw_drive(b.initial_state, env, t_k)
         want = rotate_vector(
             n / 2, ref, RotationSpec((0, 1, 0), (env.omega0 / env.omega) * np.sin(phase))
         )

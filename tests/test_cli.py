@@ -315,6 +315,21 @@ class TestScenarios:
         assert status == 0
         assert len(engines) == 3
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_huge_drive_phase_is_one_named_error(self, tmp_path, capsys, source):
+        # every drive zero cancels to rounding at phase 1e300, leaving no freeze candidate
+        argv = ["drive", "--n", "24", "--freeze", "--samples", "16", "--out-dir", str(tmp_path / "o")]
+        if source == "flag":
+            argv += ["--phase", "1e300"]
+        else:
+            conf = tmp_path / "c.json"
+            conf.write_text(json.dumps({"phase": 1e300}))
+            argv += ["--config", str(conf)]
+        _, status = run_cli(argv)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("spinsqueeze: phase 1e+300 leaves no drive zero")
+
     def test_sweep_fit_in_manifest(self, tmp_path):
         _, status = run_cli([
             "sweep", "--n-list", "40,80,160", "--model", "tact",

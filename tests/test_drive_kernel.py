@@ -4,10 +4,13 @@ the frame's half-period blocks and the reversal R against their dense
 definitions, the period operators and a sampled frame chain against plain
 split stepping, and the bound of the junction cache."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from spinsqueeze import propagator
 from spinsqueeze.diagnostics import squeezing_columns
 from spinsqueeze.dicke import DickeState, axis_eigensystem, dim_for, m_values, spin_matrix
 from spinsqueeze.hamiltonians import DriveEnvelope, drive_integral, matrix, quadratic
@@ -16,12 +19,13 @@ from spinsqueeze.propagator import (
     _aligned_grid,
     _PeriodOperators,
     _split_steps,
+    evolve_block,
     evolve_schedule,
     frame_enter,
     frame_leave,
     junction_blocks,
 )
-from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule
+from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule, QuadraticSegment
 
 PHASES = [0.0, 0.3, np.pi / 2, -np.pi / 2, 0.9]
 SPP = 32
@@ -149,12 +153,22 @@ def test_period_operator_path_matches_plain_split_stepping(n, phase):
     j, chi = n / 2, 1.0
     env = envelope(phase, omega=2 * np.pi * 300.0)
     t0, t1 = 0.123 * env.period, 23.61 * env.period
-    x = random_block(j, 1, seed=n)[:, 0]
-    direct = DrivenEngine(j, chi, env, SPP)
-    fast = DrivenEngine(j, chi, env, SPP, t1 - t0)
-    assert direct._ops is None and fast._ops is not None
-    a = direct.advance(x, t0, t1)
-    b = fast.advance(x, t0, t1)
+    assert DrivenEngine(j, chi, env, SPP, t1 - t0)._ops is not None
+    # a chi = 0 hold to t0 leaves x as it is, then the drive from t0 to t1, read raw at t1
+    schedule = ProtocolSchedule((QuadraticSegment("z", 0.0, t0), DrivenSegment(env, chi, t0, t1, SPP)), ())
+    x = random_block(j, 1, seed=n)
+
+    def raw_end():
+        keep = {t1: None}
+        evolve_block(j, x, schedule, keep=keep)
+        return keep[t1][0]
+
+    with mock.patch.object(  # the drive on split steps alone
+        propagator, "DrivenEngine", lambda j, chi, env, spp, span: DrivenEngine(j, chi, env, spp)
+    ):
+        a = raw_end()
+    b = raw_end()
+    assert a.shape == (dim_for(j), 1)
     assert np.max(np.abs(a - b)) <= 1e-10
 
 

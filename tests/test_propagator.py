@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from spinsqueeze import propagator
 from spinsqueeze.dicke import (
     DickeState,
     RotationSpec,
@@ -19,6 +22,7 @@ from spinsqueeze.propagator import (
     SpectralPropagator,
     dicke_isometry,
     driven_doubling_check,
+    evolve_block,
     evolve_schedule,
     full_hilbert_oracle,
     full_spin_ops,
@@ -51,9 +55,27 @@ def quadratic_run(state, axis, chi_t):
     return evolve_schedule(state, ProtocolSchedule((QuadraticSegment(axis, 1.0, chi_t),), ()))[0]
 
 
+def raw_end(state, *segments):
+    """The state run through the segments, read raw (before any renormalization) at the
+    end of the last, a driven segment."""
+    keep = {segments[-1].t1: None}
+    evolve_block(state.j, state.amplitudes[:, None], ProtocolSchedule(segments, ()), keep=keep)
+    return DickeState(state.j, keep[segments[-1].t1][0][:, 0])
+
+
+def split_steps_only():
+    """Every DrivenEngine built at span 0, so driven segments run on split steps alone."""
+    return mock.patch.object(
+        propagator, "DrivenEngine", lambda j, chi, env, spp, span: DrivenEngine(j, chi, env, spp)
+    )
+
+
 def drive_run(state, chi, env, t0, t1, spp=64):
-    """The driven model from t0 to t1 on split steps alone (an engine of span 0)."""
-    return DickeState(state.j, DrivenEngine(state.j, chi, env, spp).advance(state.amplitudes, t0, t1))
+    """The driven model from t0 to t1 on split steps alone, read raw at t1: one driven
+    segment, after a chi = 0 hold from 0 to t0 that leaves the state as it is."""
+    hold = (QuadraticSegment("z", 0.0, t0),) if t0 else ()
+    with split_steps_only():
+        return raw_end(state, *hold, DrivenSegment(env, chi, t0, t1, spp))
 
 
 class TestQuadratic:
@@ -163,7 +185,8 @@ class TestDriven:
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         once = drive_run(s, 1.0, env, 0.0, 0.02)
         split_t = 0.0123456  # deliberately off-grid
-        twice = drive_run(drive_run(s, 1.0, env, 0.0, split_t), 1.0, env, split_t, 0.02)
+        with split_steps_only():
+            twice = raw_end(s, DrivenSegment(env, 1.0, 0.0, split_t), DrivenSegment(env, 1.0, split_t, 0.02))
         assert fidelity(once, twice) >= 1 - 1e-9
 
     def test_second_order_convergence(self):
@@ -190,7 +213,7 @@ class TestDriven:
 
     def test_backwards_rejected(self):
         with pytest.raises(DomainError):
-            drive_run(random_state(1), 1.0, DriveEnvelope(1, 1, 0), 1.0, 0.5)
+            DrivenSegment(DriveEnvelope(1, 1, 0), 1.0, 1.0, 0.5)
 
     def test_norm_preserved_long_run(self):
         s = make_css(20, np.pi / 2, 0.0)
@@ -207,12 +230,10 @@ class TestPeriodOperators:
         omega = 2 * np.pi * 500.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         t1 = 137.25 * env.period
-        direct = DrivenEngine(j, 1.0, env, 64)
-        fast = DrivenEngine(j, 1.0, env, 64, t1)
-        assert direct._ops is None and fast._ops is not None
-        a = direct.advance(s.amplitudes.copy(), 0.0, t1)
-        b = fast.advance(s.amplitudes.copy(), 0.0, t1)
-        assert abs(np.vdot(a, b)) >= 1 - 1e-11
+        assert DrivenEngine(j, 1.0, env, 64, t1)._ops is not None
+        a = drive_run(s, 1.0, env, 0.0, t1)
+        b = raw_end(s, DrivenSegment(env, 1.0, 0.0, t1, 64))
+        assert abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1 - 1e-11
 
     def test_fast_path_nonzero_phase(self):
         j = 8
@@ -220,18 +241,16 @@ class TestPeriodOperators:
         omega = 2 * np.pi * 400.0
         env = DriveEnvelope(0.7 * omega, omega, 0.9)
         t1 = 55 * env.period
-        direct = DrivenEngine(j, 1.0, env, 32)
-        fast = DrivenEngine(j, 1.0, env, 32, t1)
-        assert direct._ops is None and fast._ops is not None
-        a = direct.advance(s.amplitudes.copy(), 0.0, t1)
-        b = fast.advance(s.amplitudes.copy(), 0.0, t1)
-        assert abs(np.vdot(a, b)) >= 1 - 1e-11
+        assert DrivenEngine(j, 1.0, env, 32, t1)._ops is not None
+        a = drive_run(s, 1.0, env, 0.0, t1, spp=32)
+        b = raw_end(s, DrivenSegment(env, 1.0, 0.0, t1, 32))
+        assert abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1 - 1e-11
 
     def test_doubling_check_reports_small_gap(self):
         s = make_css(5, np.pi / 2, 0.0)
         omega = 2 * np.pi * 1000.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
-        rep = driven_doubling_check(s, 1.0, env, 0.0, 0.05)
+        rep = driven_doubling_check(s, DrivenSegment(env, 1.0, 0.0, 0.05))
         assert rep["terminal_fidelity_gap"] < 1e-8
         assert rep["doubled"] == 128
 

@@ -8,7 +8,13 @@ from spinsqueeze.dicke import RotationSpec, fidelity, make_css, make_dicke_state
 from spinsqueeze.diagnostics import SqueezingReport, find_optimum, squeezing_report
 from spinsqueeze.errors import DomainError
 from spinsqueeze.hamiltonians import drive_value
-from spinsqueeze.propagator import DrivenEngine, _PeriodOperators, driven_doubling_check, evolve_schedule
+from spinsqueeze.propagator import (
+    DrivenEngine,
+    _PeriodOperators,
+    driven_doubling_check,
+    evolve_block,
+    evolve_schedule,
+)
 from spinsqueeze.protocols import (
     NoiseModel,
     _noise_factors,
@@ -26,6 +32,14 @@ from spinsqueeze.protocols import (
     t_opt_tact,
 )
 from spinsqueeze.schedule import DrivenSegment, FreezeMarker, ProtocolSchedule, Pulse, QuadraticSegment
+
+
+def raw_drive(state, env, t1):
+    """The state's drive (chi = 1, 64 steps a period) from 0 to t1 as a one-segment
+    schedule: its amplitudes read raw at t1, before any renormalization."""
+    keep, schedule = {t1: None}, ProtocolSchedule((DrivenSegment(env, 1.0, 0.0, t1, 64),), ())
+    evolve_block(state.j, state.amplitudes[:, None], schedule, keep=keep)
+    return keep[t1][0][:, 0]
 
 
 class TestAnalyticTimes:
@@ -215,6 +229,11 @@ class TestDriveFreeze:
         assert all(abs(t - center) <= period * (1 + 1e-12) for t in times)
         assert bundle.meta["freeze_time"] in times
 
+    def test_huge_phase_is_a_named_error(self):
+        # at phase 1e300 every zero time cancels to rounding and the window is empty
+        with pytest.raises(DomainError, match=r"phase 1e\+300 leaves no drive zero"):
+            build_modulated_drive(24, phase=1e300, freeze=True)
+
     def test_phase_covariance_stroboscopic(self):
         # state_phi(kT) equals Ry((omega0/omega) sin phi) state_0(kT)
         n = 40
@@ -223,12 +242,10 @@ class TestDriveFreeze:
         env = base.schedule.segments[0].env
         k = int(round(0.5 * 3 * reference_optimum(n).chi_t / env.period))
         t_k = k * env.period
-        from spinsqueeze.propagator import DrivenEngine
 
         def run(phase):
             b = build_modulated_drive(n, omega_over_chi=omega_over_chi, phase=phase)
-            eng = DrivenEngine(n / 2, 1.0, b.schedule.segments[0].env, 64, t_k)
-            return eng.advance(b.initial_state.amplitudes.copy(), 0.0, t_k)
+            return raw_drive(b.initial_state, b.schedule.segments[0].env, t_k)
 
         ref = run(0.0)
         for phase in (-np.pi / 2, 0.8):
@@ -247,10 +264,12 @@ class TestFrozenStateHandoff:
     state they hand over has the bits of a run of the whole prefix."""
 
     @staticmethod
-    def build(protocol, phase, n=60):
+    def build(protocol, phase, n=60, spp=64):
         if protocol == "pulses":
             return build_repeated_pulse(n, n_periods=10, freeze=True)
-        return build_modulated_drive(n, omega_over_chi=2 * np.pi * 2e3, phase=phase, freeze=True)
+        return build_modulated_drive(
+            n, omega_over_chi=2 * np.pi * 2e3, phase=phase, freeze=True, steps_per_period=spp
+        )
 
     @staticmethod
     def prefix(bundle):
@@ -327,18 +346,23 @@ class TestOnePass:
 
     # pulses: at nc = 10 the schedule's clock ends the freeze segment past t*, at
     # N = 61, nc = 50 short of it (it then samples t* at the clock); nc = 1 freezes in
-    # period 0, with no segment end to resume from, so the schedule runs in full
+    # period 0, with no segment end to resume from, so the schedule runs in full.
+    # The drive also runs at odd steps_per_period, where no chain jumps.
     @pytest.mark.parametrize("n", [60, 61])
     @pytest.mark.parametrize(
-        "protocol,arg",
-        [("pulses", 1), ("pulses", 10), ("pulses", 50), ("drive", -np.pi / 2), ("drive", 0.3)],
+        "protocol,arg,spp",
+        [
+            pytest.param(*case, 64, id="-".join(map(str, case)))
+            for case in [("pulses", 1), ("pulses", 10), ("pulses", 50), ("drive", -np.pi / 2), ("drive", 0.3)]
+        ]
+        + [pytest.param("drive", phase, 17, id=f"drive-{phase}-spp17") for phase in (-np.pi / 2, 0.3)],
     )
     @pytest.mark.filterwarnings("ignore:2\\*chi\\*delta_t\\*N:UserWarning")  # nc = 1 fails the Trotter gate
-    def test_record_is_the_schedule_run(self, protocol, arg, n):
+    def test_record_is_the_schedule_run(self, protocol, arg, spp, n):
         if protocol == "pulses":  # arg is the period count, for the drive the phase
             bundle = build_repeated_pulse(n, n_periods=arg, freeze=True)
         else:
-            bundle = self.build(protocol, arg, n)
+            bundle = self.build(protocol, arg, n, spp)
         want = run_protocol(bundle.schedule, bundle.initial_state)
         assert record_bits(bundle.record) == record_bits(want)
         assert [e["kind"] for e in bundle.record.events].count("freeze-decision") >= 2
@@ -352,14 +376,19 @@ class TestOnePass:
         want = run_protocol(bundle.schedule, bundle.initial_state)
         assert record_bits(bundle.record) == record_bits(want)
 
+    # at odd steps_per_period the prefix runs on split steps alone, while the doubled run may jump
     @pytest.mark.parametrize("n", [60, 61])
-    @pytest.mark.parametrize("phase", [-np.pi / 2, 0.3])
-    def test_doubling_check_reuses_the_prefix(self, n, phase):
-        bundle = self.build("drive", phase, n)
+    @pytest.mark.parametrize(
+        "phase,spp",
+        [pytest.param(phase, 64, id=str(phase)) for phase in (-np.pi / 2, 0.3)]
+        + [pytest.param(phase, 17, id=f"{phase}-spp17") for phase in (-np.pi / 2, 0.3)],
+    )
+    def test_doubling_check_reuses_the_prefix(self, n, phase, spp):
+        bundle = self.build("drive", phase, n, spp)
         seg = bundle.schedule.segments[0]
-        args = (bundle.initial_state, 1.0, seg.env, seg.t0, seg.t1, 64)
-        reused = driven_doubling_check(*args, bundle.at_freeze)["terminal_fidelity_gap"]
-        rerun = driven_doubling_check(*args)["terminal_fidelity_gap"]
+        assert seg.steps_per_period == spp
+        reused = driven_doubling_check(bundle.initial_state, seg, bundle.at_freeze)["terminal_fidelity_gap"]
+        rerun = driven_doubling_check(bundle.initial_state, seg)["terminal_fidelity_gap"]
         assert np.float64(reused).tobytes() == np.float64(rerun).tobytes()
 
     def test_candidates_come_from_the_record(self):
@@ -481,8 +510,7 @@ class TestSpecInvariants:
     def test_drive_terminal_fidelity_improves_with_omega(self):
         # actual drive vs frame-corrected effective evolution at a whole
         # period near the optimum, over the three figure settings
-        from spinsqueeze.dicke import DickeState, rotate_vector
-        from spinsqueeze.propagator import DrivenEngine
+        from spinsqueeze.dicke import rotate_vector
         from spinsqueeze.protocols import _drive_effective_propagator
         from spinsqueeze.hamiltonians import alpha0 as a0_of
 
@@ -494,7 +522,7 @@ class TestSpecInvariants:
             bundle = build_modulated_drive(n, omega_over_chi=2 * np.pi * om_fac, phase=phase)
             env = bundle.schedule.segments[0].env
             t_k = round(3 * reference_optimum(n).chi_t / env.period) * env.period
-            got = DrivenEngine(n / 2, 1.0, env, 64, t_k).advance(bundle.initial_state.amplitudes.copy(), 0.0, t_k)
+            got = raw_drive(bundle.initial_state, env, t_k)
             eff = prop.evolve_vec(make_css(n / 2, np.pi / 2, 0.0).amplitudes, t_k)
             want = rotate_vector(
                 n / 2,

@@ -1,11 +1,18 @@
 """The per-layer tracer binds program names by string; every name it wraps
-must still exist, so a traced benchmark run keeps working. The tables are
-read without installing the tracer."""
+must still exist, so a traced benchmark run keeps working, and a name that
+defines a row must stay on the path the row times. The tables are read
+without installing the tracer."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from spinsqueeze import propagator
+from spinsqueeze.dicke import make_css
+from spinsqueeze.hamiltonians import DriveEnvelope
+from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -31,3 +38,20 @@ def test_cached_entries_report_cache_info(layertrace):
 def test_wrapped_methods_exist(layertrace):
     for cls, attr, name in layertrace.METHODS:
         assert callable(getattr(cls, attr, None)), f"{cls.__name__}.{attr} ({name})"
+
+
+def test_driven_stepping_goes_through_advance(monkeypatch):
+    # the propagator.advance row times DrivenEngine.advance as driven stepping: a
+    # driven schedule and the doubling check both step through it
+    calls = []
+    advance = propagator.DrivenEngine.advance
+    monkeypatch.setattr(
+        propagator.DrivenEngine, "advance", lambda eng, y, *a: calls.append(a) or advance(eng, y, *a)
+    )
+    env = DriveEnvelope(0.9057 * 2 * np.pi * 40.0, 2 * np.pi * 40.0, -np.pi / 2)
+    state, seg = make_css(4, np.pi / 2, 0.0), DrivenSegment(env, 1.0, 0.0, 20.3 * env.period)
+    propagator.evolve_schedule(state, ProtocolSchedule((seg,), (seg.t1 / 2,)))
+    assert [a[0] for a in calls] == [0.0, seg.t1 / 2]
+    calls.clear()
+    propagator.driven_doubling_check(state, seg)
+    assert len(calls) == 2 and all(a[:2] == (0.0, seg.t1) for a in calls)
