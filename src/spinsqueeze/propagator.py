@@ -400,7 +400,9 @@ def driven_doubling_check(
 ) -> dict:
     """One-shot integrator self-check: terminal fidelity between the segment run from state at its
     steps_per_period and at twice that, each a one-segment schedule read raw at its end; terminal
-    is the first run's raw final block when it ran already."""
+    is the first run's raw final block when it ran already. The segment starts at t0 = 0."""
+    if segment.t0 != 0:
+        raise DomainError(f"the doubling check runs a segment from t0 = 0, not from {segment.t0}")
     spp = segment.steps_per_period
 
     def run(seg):

@@ -6,12 +6,10 @@ across criteria through module fixtures and internal caches.
 """
 
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from spinsqueeze import propagator
 from spinsqueeze.dicke import (
     DickeState,
     RotationSpec,
@@ -32,10 +30,8 @@ from spinsqueeze.hamiltonians import (
     time_averaged_trig_moments,
 )
 from spinsqueeze.propagator import (
-    DrivenEngine,
     SpectralPropagator,
     driven_doubling_check,
-    evolve_block,
     evolve_schedule,
     full_hilbert_oracle,
 )
@@ -53,16 +49,10 @@ from spinsqueeze.protocols import (
 from spinsqueeze.hamiltonians import matrix as ham_matrix
 from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule, QuadraticSegment
 
+from drive_helpers import raw_end, split_steps_only
+
 N_MAIN = 1250
 PAPER_RATIO = 0.9057
-
-
-def raw_drive(state, env, t1):
-    """The state's drive (chi = 1, 64 steps a period) from 0 to t1 as a one-segment
-    schedule: its amplitudes read raw at t1, before any renormalization."""
-    keep, schedule = {t1: None}, ProtocolSchedule((DrivenSegment(env, 1.0, 0.0, t1, 64),), ())
-    evolve_block(state.j, state.amplitudes[:, None], schedule, keep=keep)
-    return keep[t1][0][:, 0]
 
 
 def crit(num, started, ok, detail):
@@ -119,10 +109,8 @@ def test_criterion_02_oracle_equivalence():
         omega = 2 * np.pi * 2000.0
         env = DriveEnvelope(PAPER_RATIO * omega, omega, -np.pi / 2)
         s0 = rotate(css, RotationSpec((0, 1, 0), -PAPER_RATIO))
-        with mock.patch.object(  # split steps alone, every engine at span 0
-            propagator, "DrivenEngine", lambda j, chi, env, spp, span: DrivenEngine(j, chi, env, spp)
-        ):
-            got_d = DickeState(j, raw_drive(s0, env, 0.2))
+        with split_steps_only():
+            got_d = DickeState(j, raw_end(s0, DrivenSegment(env, 1.0, 0.0, 0.2)))
         want_d, _ = full_hilbert_oracle(s0, driven(env), 0.2)
         f_drive = fidelity(got_d, want_d)
         worst = min(worst, f_oat, f_tact, f_pulse, f_drive)
@@ -293,13 +281,13 @@ def test_criterion_09_phase_covariance():
     # drive-off moments of the shifted run
     k = int(round(0.5 * 3 * reference_optimum(n).chi_t / env0.period))
     t_k = k * env0.period
-    ref = raw_drive(base.initial_state, env0, t_k)
+    ref = raw_end(base.initial_state, DrivenSegment(env0, 1.0, 0.0, t_k))
     from spinsqueeze.dicke import rotate_vector
 
     for phase in (-np.pi / 2, 0.8, 2.1):
         b = build_modulated_drive(n, omega_over_chi=omega, phase=phase)
         env = b.schedule.segments[0].env
-        got = raw_drive(b.initial_state, env, t_k)
+        got = raw_end(b.initial_state, DrivenSegment(env, 1.0, 0.0, t_k))
         want = rotate_vector(
             n / 2, ref, RotationSpec((0, 1, 0), (env.omega0 / env.omega) * np.sin(phase))
         )

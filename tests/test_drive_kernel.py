@@ -4,13 +4,10 @@ the frame's half-period blocks and the reversal R against their dense
 definitions, the period operators and a sampled frame chain against plain
 split stepping, and the bound of the junction cache."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from spinsqueeze import propagator
 from spinsqueeze.diagnostics import squeezing_columns
 from spinsqueeze.dicke import DickeState, axis_eigensystem, dim_for, m_values, spin_matrix
 from spinsqueeze.hamiltonians import DriveEnvelope, drive_integral, matrix, quadratic
@@ -19,13 +16,14 @@ from spinsqueeze.propagator import (
     _aligned_grid,
     _PeriodOperators,
     _split_steps,
-    evolve_block,
     evolve_schedule,
     frame_enter,
     frame_leave,
     junction_blocks,
 )
 from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule, QuadraticSegment
+
+from drive_helpers import raw_end, split_steps_only
 
 PHASES = [0.0, 0.3, np.pi / 2, -np.pi / 2, 0.9]
 SPP = 32
@@ -154,21 +152,12 @@ def test_period_operator_path_matches_plain_split_stepping(n, phase):
     env = envelope(phase, omega=2 * np.pi * 300.0)
     t0, t1 = 0.123 * env.period, 23.61 * env.period
     assert DrivenEngine(j, chi, env, SPP, t1 - t0)._ops is not None
-    # a chi = 0 hold to t0 leaves x as it is, then the drive from t0 to t1, read raw at t1
-    schedule = ProtocolSchedule((QuadraticSegment("z", 0.0, t0), DrivenSegment(env, chi, t0, t1, SPP)), ())
-    x = random_block(j, 1, seed=n)
-
-    def raw_end():
-        keep = {t1: None}
-        evolve_block(j, x, schedule, keep=keep)
-        return keep[t1][0]
-
-    with mock.patch.object(  # the drive on split steps alone
-        propagator, "DrivenEngine", lambda j, chi, env, spp, span: DrivenEngine(j, chi, env, spp)
-    ):
-        a = raw_end()
-    b = raw_end()
-    assert a.shape == (dim_for(j), 1)
+    # a chi = 0 hold to t0 leaves the state as it is, then the drive from t0 to t1
+    segments = (QuadraticSegment("z", 0.0, t0), DrivenSegment(env, chi, t0, t1, SPP))
+    state = DickeState(j, random_block(j, 1, seed=n)[:, 0])
+    with split_steps_only():
+        a = raw_end(state, *segments)
+    b = raw_end(state, *segments)
     assert np.max(np.abs(a - b)) <= 1e-10
 
 

@@ -1,10 +1,7 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from spinsqueeze import propagator
 from spinsqueeze.dicke import (
     DickeState,
     RotationSpec,
@@ -22,7 +19,6 @@ from spinsqueeze.propagator import (
     SpectralPropagator,
     dicke_isometry,
     driven_doubling_check,
-    evolve_block,
     evolve_schedule,
     full_hilbert_oracle,
     full_spin_ops,
@@ -36,6 +32,8 @@ from spinsqueeze.schedule import (
     Pulse,
     QuadraticSegment,
 )
+
+from drive_helpers import raw_end, split_steps_only
 
 
 def random_state(j, seed=0):
@@ -55,27 +53,12 @@ def quadratic_run(state, axis, chi_t):
     return evolve_schedule(state, ProtocolSchedule((QuadraticSegment(axis, 1.0, chi_t),), ()))[0]
 
 
-def raw_end(state, *segments):
-    """The state run through the segments, read raw (before any renormalization) at the
-    end of the last, a driven segment."""
-    keep = {segments[-1].t1: None}
-    evolve_block(state.j, state.amplitudes[:, None], ProtocolSchedule(segments, ()), keep=keep)
-    return DickeState(state.j, keep[segments[-1].t1][0][:, 0])
-
-
-def split_steps_only():
-    """Every DrivenEngine built at span 0, so driven segments run on split steps alone."""
-    return mock.patch.object(
-        propagator, "DrivenEngine", lambda j, chi, env, spp, span: DrivenEngine(j, chi, env, spp)
-    )
-
-
 def drive_run(state, chi, env, t0, t1, spp=64):
-    """The driven model from t0 to t1 on split steps alone, read raw at t1: one driven
+    """The driven model from t0 to t1 on split steps alone, as a state: one driven
     segment, after a chi = 0 hold from 0 to t0 that leaves the state as it is."""
     hold = (QuadraticSegment("z", 0.0, t0),) if t0 else ()
     with split_steps_only():
-        return raw_end(state, *hold, DrivenSegment(env, chi, t0, t1, spp))
+        return DickeState(state.j, raw_end(state, *hold, DrivenSegment(env, chi, t0, t1, spp)))
 
 
 class TestQuadratic:
@@ -187,6 +170,7 @@ class TestDriven:
         split_t = 0.0123456  # deliberately off-grid
         with split_steps_only():
             twice = raw_end(s, DrivenSegment(env, 1.0, 0.0, split_t), DrivenSegment(env, 1.0, split_t, 0.02))
+        twice = DickeState(s.j, twice)
         assert fidelity(once, twice) >= 1 - 1e-9
 
     def test_second_order_convergence(self):
@@ -219,8 +203,9 @@ class TestDriven:
         s = make_css(20, np.pi / 2, 0.0)
         omega = 2 * np.pi * 100.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
-        out = drive_run(s, 1.0, env, 0.0, 0.5)
-        assert out.norm_error() < 1e-10
+        with split_steps_only():
+            out = raw_end(s, DrivenSegment(env, 1.0, 0.0, 0.5))
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
 class TestPeriodOperators:
@@ -231,9 +216,10 @@ class TestPeriodOperators:
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         t1 = 137.25 * env.period
         assert DrivenEngine(j, 1.0, env, 64, t1)._ops is not None
-        a = drive_run(s, 1.0, env, 0.0, t1)
+        with split_steps_only():
+            a = raw_end(s, DrivenSegment(env, 1.0, 0.0, t1, 64))
         b = raw_end(s, DrivenSegment(env, 1.0, 0.0, t1, 64))
-        assert abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1 - 1e-11
+        assert abs(np.vdot(a, b)) >= 1 - 1e-11
 
     def test_fast_path_nonzero_phase(self):
         j = 8
@@ -242,9 +228,10 @@ class TestPeriodOperators:
         env = DriveEnvelope(0.7 * omega, omega, 0.9)
         t1 = 55 * env.period
         assert DrivenEngine(j, 1.0, env, 32, t1)._ops is not None
-        a = drive_run(s, 1.0, env, 0.0, t1, spp=32)
+        with split_steps_only():
+            a = raw_end(s, DrivenSegment(env, 1.0, 0.0, t1, 32))
         b = raw_end(s, DrivenSegment(env, 1.0, 0.0, t1, 32))
-        assert abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1 - 1e-11
+        assert abs(np.vdot(a, b)) >= 1 - 1e-11
 
     def test_doubling_check_reports_small_gap(self):
         s = make_css(5, np.pi / 2, 0.0)
@@ -253,6 +240,11 @@ class TestPeriodOperators:
         rep = driven_doubling_check(s, DrivenSegment(env, 1.0, 0.0, 0.05))
         assert rep["terminal_fidelity_gap"] < 1e-8
         assert rep["doubled"] == 128
+
+    def test_doubling_check_starts_at_zero(self):
+        env = DriveEnvelope(0.9057 * 2 * np.pi * 1000.0, 2 * np.pi * 1000.0, -np.pi / 2)
+        with pytest.raises(DomainError, match="doubling check runs a segment from t0 = 0"):
+            driven_doubling_check(make_css(5, np.pi / 2, 0.0), DrivenSegment(env, 1.0, 0.01, 0.05))
 
 
 class TestSchedule:

@@ -7,19 +7,19 @@ snapshot round trip, and the boundary-sample convention. Examples are
 derandomized, so every run checks the same cases."""
 
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsqueeze import propagator
 from spinsqueeze.diagnostics import squeezing_report
 from spinsqueeze.dicke import DickeState, RotationSpec, fidelity, rotate
 from spinsqueeze.hamiltonians import DriveEnvelope
 from spinsqueeze.propagator import DrivenEngine, evolve_schedule, full_hilbert_oracle
 from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule, Pulse, QuadraticSegment
+
+from drive_helpers import split_steps_only
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -128,9 +128,7 @@ def test_period_operators_match_split_steps_in_random_schedules(n, schedule, see
             assert DrivenEngine(n / 2, seg.chi, seg.env, seg.steps_per_period, seg.duration)._ops is not None
     state = random_state(n / 2, seed)
     fast, fast_record = evolve_schedule(state, schedule)
-    with mock.patch.object(  # every driven stretch on split steps alone
-        propagator, "DrivenEngine", lambda j, chi, env, spp, span: DrivenEngine(j, chi, env, spp)
-    ):
+    with split_steps_only():
         slow, slow_record = evolve_schedule(state, schedule)
     assert fidelity(fast, slow) >= 1 - 1e-10
     assert np.array_equal(fast_record.times(), slow_record.times())

@@ -8,13 +8,7 @@ from spinsqueeze.dicke import RotationSpec, fidelity, make_css, make_dicke_state
 from spinsqueeze.diagnostics import SqueezingReport, find_optimum, squeezing_report
 from spinsqueeze.errors import DomainError
 from spinsqueeze.hamiltonians import drive_value
-from spinsqueeze.propagator import (
-    DrivenEngine,
-    _PeriodOperators,
-    driven_doubling_check,
-    evolve_block,
-    evolve_schedule,
-)
+from spinsqueeze.propagator import DrivenEngine, _PeriodOperators, driven_doubling_check, evolve_schedule
 from spinsqueeze.protocols import (
     NoiseModel,
     _noise_factors,
@@ -33,13 +27,7 @@ from spinsqueeze.protocols import (
 )
 from spinsqueeze.schedule import DrivenSegment, FreezeMarker, ProtocolSchedule, Pulse, QuadraticSegment
 
-
-def raw_drive(state, env, t1):
-    """The state's drive (chi = 1, 64 steps a period) from 0 to t1 as a one-segment
-    schedule: its amplitudes read raw at t1, before any renormalization."""
-    keep, schedule = {t1: None}, ProtocolSchedule((DrivenSegment(env, 1.0, 0.0, t1, 64),), ())
-    evolve_block(state.j, state.amplitudes[:, None], schedule, keep=keep)
-    return keep[t1][0][:, 0]
+from drive_helpers import raw_end
 
 
 class TestAnalyticTimes:
@@ -245,7 +233,7 @@ class TestDriveFreeze:
 
         def run(phase):
             b = build_modulated_drive(n, omega_over_chi=omega_over_chi, phase=phase)
-            return raw_drive(b.initial_state, b.schedule.segments[0].env, t_k)
+            return raw_end(b.initial_state, DrivenSegment(b.schedule.segments[0].env, 1.0, 0.0, t_k))
 
         ref = run(0.0)
         for phase in (-np.pi / 2, 0.8):
@@ -522,7 +510,7 @@ class TestSpecInvariants:
             bundle = build_modulated_drive(n, omega_over_chi=2 * np.pi * om_fac, phase=phase)
             env = bundle.schedule.segments[0].env
             t_k = round(3 * reference_optimum(n).chi_t / env.period) * env.period
-            got = raw_drive(bundle.initial_state, env, t_k)
+            got = raw_end(bundle.initial_state, DrivenSegment(env, 1.0, 0.0, t_k))
             eff = prop.evolve_vec(make_css(n / 2, np.pi / 2, 0.0).amplitudes, t_k)
             want = rotate_vector(
                 n / 2,
