@@ -1,9 +1,9 @@
 """Collective-spin squeezing simulator in the Dicke basis.
 
-Core layers: dicke (states, spin action, rotations), hamiltonians (generator
-builders), propagator (evolution engines), protocols (pulse and drive
-schedules with freeze), diagnostics (squeezing observables), cli (scenario
-runner and figure-data emission).
+Core layers: dicke (states, spin action, rotations), hamiltonians (quadratic
+generators as (cz, cx, cy) triples, the drive), propagator (evolution
+engines), protocols (pulse and drive schedules with freeze), diagnostics
+(squeezing observables), cli (scenario runner and figure-data emission).
 """
 
 from .dicke import (

@@ -1,5 +1,6 @@
-"""Generator builders: twisting Hamiltonians, the modulated drive, and the
-high-frequency effective forms with their Bessel coefficient.
+"""Generators: the quadratic forms cz*Jz^2 + cx*Jx^2 + cy*Jy^2, each named by
+its coefficient triple (cz, cx, cy), and the modulated drive with the Bessel
+coefficient of its high-frequency average.
 
 Internal convention is dimensionless: chi = 1 and time means chi*t unless a
 caller converts units at the boundary.
@@ -13,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import j0 as _scipy_j0
 
-from .dicke import RotationSpec, ladder_values, m_values
+from .dicke import ladder_values, m_values
 from .errors import DomainError
 
 
@@ -30,6 +31,8 @@ class DriveEnvelope:
             raise DomainError(f"omega must be positive, got {self.omega}")
         if self.omega0 < 0:
             raise DomainError(f"omega0 must be nonnegative, got {self.omega0}")
+        if not abs(self.phase) <= 2 * np.pi:  # far out, cos(omega*t + phase) loses omega*t to rounding
+            raise DomainError(f"phase {self.phase} lies outside [-2pi, 2pi]")
 
     @property
     def period(self) -> float:
@@ -64,57 +67,6 @@ def alpha0(omega0: float, omega: float) -> float:
     return 0.5 * (1.0 + bessel_j0(2.0 * omega0 / omega))
 
 
-_FORMS = ("oat", "tact", "quadratic", "mixture", "driven")
-
-
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """Tagged description of a generator.
-
-    forms: oat = chi*Jz^2, tact = chi*(Jz^2 - Jy^2), quadratic = chi*J_axis^2,
-    mixture = chi*(alpha0*Jz^2 + (1-alpha0)*Jx^2), driven = oat + Omega(t)*Jy.
-    """
-
-    chi: float
-    form: str
-    axis: str | None = None
-    alpha0: float | None = None
-    drive: DriveEnvelope | None = None
-
-    def __post_init__(self):
-        if not self.chi > 0:
-            raise DomainError(f"chi must be positive, got {self.chi}")
-        if self.form not in _FORMS:
-            raise DomainError(f"unknown Hamiltonian form {self.form!r}")
-        if self.form == "quadratic" and self.axis not in ("x", "y", "z"):
-            raise DomainError("quadratic form needs axis in x/y/z")
-        if self.form == "mixture":
-            if self.alpha0 is None or not (-0.5 < self.alpha0 <= 1.0):
-                raise DomainError("mixture alpha0 must lie in (-0.5, 1]")
-        if self.form == "driven" and self.drive is None:
-            raise DomainError("driven form needs a DriveEnvelope")
-
-
-def oat(chi: float = 1.0) -> HamiltonianSpec:
-    return HamiltonianSpec(chi, "oat")
-
-
-def tact(chi: float = 1.0) -> HamiltonianSpec:
-    return HamiltonianSpec(chi, "tact")
-
-
-def quadratic(axis: str, chi: float = 1.0) -> HamiltonianSpec:
-    return HamiltonianSpec(chi, "quadratic", axis=axis)
-
-
-def mixture(alpha: float, chi: float = 1.0) -> HamiltonianSpec:
-    return HamiltonianSpec(chi, "mixture", alpha0=alpha)
-
-
-def driven(envelope: DriveEnvelope, chi: float = 1.0) -> HamiltonianSpec:
-    return HamiltonianSpec(chi, "driven", drive=envelope)
-
-
 def quadratic_bands(j: float, cz: float, cx: float, cy: float) -> tuple:
     """(diagonal, band) of cz*Jz^2 + cx*Jx^2 + cy*Jy^2, built in O(dim).
 
@@ -128,45 +80,20 @@ def quadratic_bands(j: float, cz: float, cx: float, cy: float) -> tuple:
     return cz * m2 + (cx + cy) * (j * (j + 1) - m2) / 2, (cx - cy) / 4 * lad[:-1] * lad[1:]
 
 
-def matrix(j: float, spec: HamiltonianSpec) -> np.ndarray:
-    """Dense real matrix of a time-independent spec (driven is rejected),
-    assembled from quadratic_bands; a reference for tests."""
-    chi = spec.chi
-    if spec.form == "oat":
-        coeffs = (chi, 0.0, 0.0)
-    elif spec.form == "tact":
-        coeffs = (chi, 0.0, -chi)
-    elif spec.form == "quadratic":
-        coeffs = tuple(chi * float(spec.axis == a) for a in "zxy")
-    elif spec.form == "mixture":
-        coeffs = (chi * spec.alpha0, chi * (1.0 - spec.alpha0), 0.0)
-    else:
-        raise DomainError(f"no static matrix for form {spec.form!r}")
-    diag, band = quadratic_bands(j, *coeffs)
+def matrix(j: float, cz: float, cx: float, cy: float) -> np.ndarray:
+    """Dense real cz*Jz^2 + cx*Jx^2 + cy*Jy^2, assembled from quadratic_bands; a reference for tests."""
+    diag, band = quadratic_bands(j, cz, cx, cy)
     return np.diag(diag) + np.diag(band, 2) + np.diag(band, -2)
 
 
 @lru_cache(maxsize=8)
 def quadratic_matrix(j: float, axis: str) -> np.ndarray:
     """Dense real J_axis^2; a reference for tests."""
-    mat = matrix(j, quadratic(axis))
+    if axis not in ("x", "y", "z"):
+        raise DomainError(f"axis must be x, y or z, got {axis!r}")
+    mat = matrix(j, *(float(axis == a) for a in "zxy"))
     mat.setflags(write=False)
     return mat
-
-
-def build_effective(
-    j: float, chi: float, omega0: float, omega: float, phase: float
-) -> tuple[np.ndarray, RotationSpec]:
-    """Averaged high-frequency generator and its frame rotation.
-
-    Returns the dense matrix chi*[a0*Jz^2 + (1-a0)*Jx^2] with
-    a0 = [1 + J0(2*omega0/omega)]/2, plus the y-rotation by
-    (omega0/omega)*sin(phase) that conjugates it for nonzero drive phase.
-    """
-    a0 = alpha0(omega0, omega)
-    mat = matrix(j, mixture(a0, chi))
-    rot = RotationSpec((0.0, 1.0, 0.0), (omega0 / omega) * np.sin(phase))
-    return mat, rot
 
 
 def time_averaged_trig_moments(

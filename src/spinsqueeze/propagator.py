@@ -29,7 +29,7 @@ from .dicke import (
 )
 from .diagnostics import RunRecord, run_records, squeezing_columns
 from .errors import DomainError, ResourceError
-from .hamiltonians import DriveEnvelope, HamiltonianSpec, drive_integral, quadratic_bands
+from .hamiltonians import DriveEnvelope, drive_integral, quadratic_bands
 from .schedule import (
     DrivenSegment,
     FreezeMarker,
@@ -57,21 +57,16 @@ def _quadratic(j: float, axis: str, chi: float, duration: float, x: np.ndarray) 
 
 
 class SpectralPropagator:
-    """Exact evolution under a fixed Hermitian generator, held as the
-    eigensystems of independent blocks of basis indices: one eigh of a
-    dense matrix, or for quadratic_bands one real tridiagonal eigensolve
-    per parity of the basis index."""
+    """Exact evolution under a fixed real generator given as quadratic_bands'
+    (diagonal, band), held as one real tridiagonal eigensystem per parity of
+    the basis index; a block without a band is diagonal and stores no vectors."""
 
-    def __init__(self, ham):
-        if isinstance(ham, np.ndarray):
-            self.blocks = ((slice(None), *sla.eigh(ham)),)
-        else:  # (diagonal, band): a block without a band is diagonal and stores no vectors
-            diag, band = ham
-            self.blocks = tuple(
-                (slice(p, None, 2), *sla.eigh_tridiagonal(diag[p::2], band[p::2]))
-                if band[p::2].any() else (slice(p, None, 2), diag[p::2], None)
-                for p in (0, 1)
-            )
+    def __init__(self, diag: np.ndarray, band: np.ndarray):
+        self.blocks = tuple(
+            (slice(p, None, 2), *sla.eigh_tridiagonal(diag[p::2], band[p::2]))
+            if band[p::2].any() else (slice(p, None, 2), diag[p::2], None)
+            for p in (0, 1)
+        )
         self.dim = sum(len(vals) for _, vals, _ in self.blocks)
 
     def coefficients(self, x: np.ndarray) -> list:
@@ -87,19 +82,17 @@ class SpectralPropagator:
             out[idx] = part if vecs is None else basis_product(vecs, part)
         return out
 
-    def evolve_vec(self, vec: np.ndarray, duration: float) -> np.ndarray:
-        return self.synthesize(self.coefficients(vec[:, None]), [duration])[:, 0]
-
     def evolve(self, state: DickeState, duration: float) -> DickeState:
         if duration < 0:
             raise DomainError("duration must be nonnegative")
-        return DickeState(state.j, self.evolve_vec(state.amplitudes, duration))
+        coeffs = self.coefficients(state.amplitudes[:, None])
+        return DickeState(state.j, self.synthesize(coeffs, [duration])[:, 0])
 
 
 @lru_cache(maxsize=8)  # two real (dim/2)^2 bases each: 6 MB at N = 1250
 def spectral(j: float, cz: float, cx: float, cy: float) -> SpectralPropagator:
     """Parity-split eigensystem of cz*Jz^2 + cx*Jx^2 + cy*Jy^2."""
-    return SpectralPropagator(quadratic_bands(j, cz, cx, cy))
+    return SpectralPropagator(*quadratic_bands(j, cz, cx, cy))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +391,10 @@ def evolve_schedule(
 def driven_doubling_check(
     state: DickeState, segment: DrivenSegment, terminal: np.ndarray | None = None
 ) -> dict:
-    """One-shot integrator self-check: terminal fidelity between the segment run from state at its
-    steps_per_period and at twice that, each a one-segment schedule read raw at its end; terminal
-    is the first run's raw final block when it ran already. The segment starts at t0 = 0."""
+    """One-shot integrator self-check: the terminal fidelity gap 1 - |<a|b>| / (|a| |b|) between
+    the segment run from state at its steps_per_period and at twice that, each a one-segment
+    schedule read raw at its end, and each run's norm drift |.| - 1; terminal is the first run's
+    raw final block when it ran already. The segment starts at t0 = 0."""
     if segment.t0 != 0:
         raise DomainError(f"the doubling check runs a segment from t0 = 0, not from {segment.t0}")
     spp = segment.steps_per_period
@@ -410,9 +404,16 @@ def driven_doubling_check(
         evolve_block(state.j, state.amplitudes[:, None], ProtocolSchedule((seg,), ()), keep=keep)
         return keep[seg.t1][0]
 
+    single = run(segment) if terminal is None else terminal
     doubled = run(replace(segment, steps_per_period=2 * spp))
-    fid = abs(np.vdot(doubled, run(segment) if terminal is None else terminal))
-    return {"steps_per_period": spp, "doubled": 2 * spp, "terminal_fidelity_gap": max(0.0, float(1.0 - fid))}
+    norms = np.linalg.norm(single), np.linalg.norm(doubled)
+    return {
+        "steps_per_period": spp,
+        "doubled": 2 * spp,
+        "terminal_fidelity_gap": float(1.0 - abs(np.vdot(doubled, single)) / (norms[0] * norms[1])),
+        "norm_drift": float(norms[0] - 1.0),
+        "doubled_norm_drift": float(norms[1] - 1.0),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +480,6 @@ def project_to_dicke(n: int, full_vec: np.ndarray) -> tuple[DickeState, float]:
     return DickeState(n / 2, amps / norm), deficit
 
 
-def _full_generator(n: int, spec: HamiltonianSpec) -> np.ndarray:
-    jx, jy, jz = full_spin_ops(n)
-    if spec.form == "oat":
-        return spec.chi * (jz @ jz)
-    if spec.form == "tact":
-        return spec.chi * (jz @ jz - jy @ jy)
-    if spec.form == "quadratic":
-        op = {"x": jx, "y": jy, "z": jz}[spec.axis]
-        return spec.chi * (op @ op)
-    if spec.form == "mixture":
-        return spec.chi * (spec.alpha0 * jz @ jz + (1 - spec.alpha0) * jx @ jx)
-    raise DomainError(f"no static full-space generator for {spec.form!r}")
-
-
 def _full_driven_evolve(n, vec, chi, env, t0, t1):
     from scipy.integrate import solve_ivp  # pulls in scipy.optimize: only the oracle pays for it
 
@@ -526,37 +513,27 @@ def full_hilbert_oracle(
 ) -> tuple[DickeState, float]:
     """Evolve in the full 2^N space and project back to the Dicke basis.
 
-    generator is a HamiltonianSpec (duration required) or a
-    ProtocolSchedule. Static forms use dense expm; the driven form uses an
-    adaptive high-order integrator, deliberately a different discretization
-    from the split-step engine it validates.
+    generator is a triple (cz, cx, cy), evolved under cz*Jz^2 + cx*Jx^2 + cy*Jy^2 for duration by
+    dense expm, or a ProtocolSchedule, whose driven segments use an adaptive high-order integrator,
+    deliberately a different discretization from the split-step engine it validates.
     """
     n = state.n_particles
-    if n > MAX_ORACLE_N:
-        raise ResourceError(f"full-Hilbert oracle limited to N<={MAX_ORACLE_N}")
-    vec = lift_to_full(state)
-    if isinstance(generator, HamiltonianSpec):
+    vec = lift_to_full(state)  # raises ResourceError past MAX_ORACLE_N
+    jx, jy, jz = full_spin_ops(n)
+    if not isinstance(generator, ProtocolSchedule):
         if duration is None:
             raise DomainError("oracle needs a duration")
-        if generator.form == "driven":
-            vec = _full_driven_evolve(n, vec, generator.chi, generator.drive, 0.0, duration)
-        else:
-            vec = sla.expm(-1j * duration * _full_generator(n, generator)) @ vec
-        return project_to_dicke(n, vec)
-    if isinstance(generator, ProtocolSchedule):
-        jx, jy, jz = full_spin_ops(n)
-        for seg in generator.segments:
-            if isinstance(seg, Pulse):
-                axis_op = sum(a * op for a, op in zip(seg.rotation.axis, (jx, jy, jz)))
-                vec = sla.expm(-1j * seg.rotation.angle * seg.area_scale * axis_op) @ vec
-            elif isinstance(seg, QuadraticSegment):
-                op = {"x": jx, "y": jy, "z": jz}[seg.axis]
-                vec = sla.expm(-1j * seg.chi * seg.duration * (op @ op)) @ vec
-            elif isinstance(seg, DrivenSegment):
-                vec = _full_driven_evolve(n, vec, seg.chi, seg.env, seg.t0, seg.t1)
-            elif isinstance(seg, FreezeMarker):
-                continue
-            else:
-                raise DomainError(f"unknown segment type {type(seg).__name__}")
-        return project_to_dicke(n, vec)
-    raise DomainError("generator must be a HamiltonianSpec or ProtocolSchedule")
+        generator_matrix = sum(c * (op @ op) for c, op in zip(generator, (jz, jx, jy)))
+        return project_to_dicke(n, sla.expm(-1j * duration * generator_matrix) @ vec)
+    for seg in generator.segments:
+        if isinstance(seg, Pulse):
+            axis_op = sum(a * op for a, op in zip(seg.rotation.axis, (jx, jy, jz)))
+            vec = sla.expm(-1j * seg.rotation.angle * seg.area_scale * axis_op) @ vec
+        elif isinstance(seg, QuadraticSegment):
+            op = {"x": jx, "y": jy, "z": jz}[seg.axis]
+            vec = sla.expm(-1j * seg.chi * seg.duration * (op @ op)) @ vec
+        elif isinstance(seg, DrivenSegment):
+            vec = _full_driven_evolve(n, vec, seg.chi, seg.env, seg.t0, seg.t1)
+        elif not isinstance(seg, FreezeMarker):
+            raise DomainError(f"unknown segment type {type(seg).__name__}")
+    return project_to_dicke(n, vec)

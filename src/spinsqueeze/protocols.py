@@ -367,11 +367,10 @@ def build_modulated_drive(
         schedule = ProtocolSchedule(segments, tuple(samples), meta)
         return ProtocolBundle(schedule, initial, meta)
 
-    # the zeros lie half a period apart, so +-DRIVE_WINDOW periods around center > 0 hold one
+    # the zeros lie half a period apart, so +-DRIVE_WINDOW periods around center > 0 hold one;
+    # DriveEnvelope bounds the phase, so rounding loses none of them
     zeros_all = drive_zero_times(env, center + (DRIVE_WINDOW + 1) * period)
     candidates = zeros_all[np.abs(zeros_all - center) <= DRIVE_WINDOW * period * (1 + 1e-12)].tolist()
-    if not candidates:  # a huge phase cancels every zero time to rounding
-        raise DomainError(f"phase {phase!r} leaves no drive zero near the optimum to freeze at")
     last = candidates[-1]
     segments = (DrivenSegment(env, chi, 0.0, last, steps_per_period),)
     best, probe, kept = _probe(initial, segments, drive_zero_times(env, last), candidates, candidates, meta)

@@ -302,6 +302,7 @@ class TestScenarios:
         dbl = manifest["convergence"]["doubling"]
         assert dbl["steps_per_period"] == 64
         assert dbl["terminal_fidelity_gap"] < 1e-6
+        assert abs(dbl["norm_drift"]) < 1e-9 and abs(dbl["doubled_norm_drift"]) < 1e-9
         assert (tmp_path / "drive_effective.csv").exists()
 
     def test_drive_freeze_runs_three_drive_chains(self, tmp_path, monkeypatch):
@@ -315,20 +316,31 @@ class TestScenarios:
         assert status == 0
         assert len(engines) == 3
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_huge_drive_phase_is_one_named_error(self, tmp_path, capsys, source):
-        # every drive zero cancels to rounding at phase 1e300, leaving no freeze candidate
-        argv = ["drive", "--n", "24", "--freeze", "--samples", "16", "--out-dir", str(tmp_path / "o")]
+    @pytest.mark.parametrize(
+        "source,freeze,phase",
+        [
+            pytest.param("flag", True, 1e300, id="flag"),
+            pytest.param("config", True, 1e300, id="config"),
+            pytest.param("flag", False, 1e300, id="flag-unfrozen"),
+            pytest.param("config", False, 1e300, id="config-unfrozen"),
+            pytest.param("flag", True, 1e17, id="flag-1e17"),
+        ],
+    )
+    def test_huge_drive_phase_is_one_named_error(self, tmp_path, capsys, source, freeze, phase):
+        # far out, drive zeros cancel to rounding: lost from an unfrozen run's samples at 1e300,
+        # collapsed into duplicate sample times at 1e17, gone from the freeze window at 1e300
+        argv = ["drive", "--n", "24", "--samples", "16", "--out-dir", str(tmp_path / "o")]
+        argv += ["--freeze"] if freeze else []
         if source == "flag":
-            argv += ["--phase", "1e300"]
+            argv += ["--phase", repr(phase)]
         else:
             conf = tmp_path / "c.json"
-            conf.write_text(json.dumps({"phase": 1e300}))
+            conf.write_text(json.dumps({"phase": phase}))
             argv += ["--config", str(conf)]
         _, status = run_cli(argv)
         assert status == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("spinsqueeze: phase 1e+300 leaves no drive zero")
+        assert err.count("\n") == 1 and err.startswith(f"spinsqueeze: phase {phase} lies outside [-2pi, 2pi]")
 
     def test_sweep_fit_in_manifest(self, tmp_path):
         _, status = run_cli([

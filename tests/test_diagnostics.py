@@ -21,8 +21,7 @@ from spinsqueeze.diagnostics import (
     squeezing_report,
 )
 from spinsqueeze.errors import DegenerateDirectionError, DomainError
-from spinsqueeze.hamiltonians import matrix, oat, tact
-from spinsqueeze.propagator import SpectralPropagator, full_hilbert_oracle
+from spinsqueeze.propagator import full_hilbert_oracle, spectral
 
 
 def jz2_phase(state, chi_t):
@@ -73,7 +72,7 @@ class TestSqueezingReport:
     def test_oat_matches_full_oracle(self):
         s = make_css(2, np.pi / 2, 0)
         evolved = jz2_phase(s, 0.1)
-        oracle_state, _ = full_hilbert_oracle(s, oat(), 0.1)
+        oracle_state, _ = full_hilbert_oracle(s, (1.0, 0.0, 0.0), 0.1)
         a = squeezing_report(evolved).xi2
         b = squeezing_report(oracle_state).xi2
         assert a == pytest.approx(b, abs=1e-8)
@@ -114,7 +113,7 @@ class TestSqueezingReport:
         # TACT from CSS-x squeezes at pi/4 to z in the y-z plane; in the
         # (n1, n2) frame with n1 = z x n, that is theta_min = pi/4 or 3pi/4
         j = 50
-        prop = SpectralPropagator(matrix(j, tact()))
+        prop = spectral(j, 1.0, 0.0, -1.0)
         t_opt = np.log(4 * 2 * j) / (2 * 2 * j)
         rep = squeezing_report(prop.evolve(make_css(j, np.pi / 2, 0), t_opt))
         dist = min(abs(rep.theta_min - np.pi / 4), abs(rep.theta_min - 3 * np.pi / 4))

@@ -10,7 +10,7 @@ import scipy.linalg as sla
 
 from spinsqueeze.diagnostics import squeezing_columns
 from spinsqueeze.dicke import DickeState, axis_eigensystem, dim_for, m_values, spin_matrix
-from spinsqueeze.hamiltonians import DriveEnvelope, drive_integral, matrix, quadratic
+from spinsqueeze.hamiltonians import DriveEnvelope, drive_integral, quadratic_matrix
 from spinsqueeze.propagator import (
     DrivenEngine,
     _aligned_grid,
@@ -41,7 +41,7 @@ def random_block(j, cols, seed=0):
 
 def dense_split_steps(j, chi, env, grid):
     """Strang steps as one dense product of expm factors."""
-    jz2 = matrix(j, quadratic("z"))
+    jz2 = quadratic_matrix(j, "z")
     jy = spin_matrix(j, (0, 1, 0))
     u = np.eye(dim_for(j), dtype=complex)
     for a, b in zip(grid[:-1], grid[1:]):

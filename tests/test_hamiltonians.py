@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,10 @@ from spinsqueeze.hamiltonians import (
     DriveEnvelope,
     alpha0,
     bessel_j0,
-    build_effective,
     drive_integral,
     drive_value,
     matrix,
-    mixture,
-    oat,
-    quadratic,
     quadratic_matrix,
-    tact,
     time_averaged_trig_moments,
 )
 
@@ -67,6 +64,10 @@ class TestDrive:
             DriveEnvelope(1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             DriveEnvelope(-1.0, 1.0, 0.0)
+        for phase in (1e300, -7.0, np.nan):  # far out, cos(omega*t + phase) loses omega*t to rounding
+            with pytest.raises(DomainError, match=re.escape(f"phase {phase} lies outside [-2pi, 2pi]")):
+                DriveEnvelope(1.0, 1.0, phase)
+        assert DriveEnvelope(1.0, 1.0, 2 * np.pi).phase == 2 * np.pi  # the bounds are inclusive
 
 
 class TestBessel:
@@ -121,8 +122,8 @@ class TestAlpha0:
 class TestMatrices:
     @pytest.mark.parametrize("j", [0.5, 1, 2.5, 5])
     def test_all_hermitian(self, j):
-        for spec in (oat(), tact(), quadratic("x"), mixture(0.3)):
-            h = matrix(j, spec)
+        for coeffs in ((1.0, 0.0, 0.0), (1.0, 0.0, -1.0), (0.0, 1.0, 0.0), (0.3, 0.7, 0.0)):
+            h = matrix(j, *coeffs)
             assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
     @pytest.mark.parametrize("j", [1, 3.5, 10])
@@ -136,40 +137,17 @@ class TestMatrices:
 
     def test_mixture_limits(self):
         j = 2
-        assert np.allclose(matrix(j, mixture(1.0)), matrix(j, oat()), atol=1e-14)
+        assert np.allclose(matrix(j, 1.0, 0.0, 0.0), quadratic_matrix(j, "z"), atol=1e-14)
         half = 0.5 * (quadratic_matrix(j, "z") + quadratic_matrix(j, "x"))
-        assert np.allclose(matrix(j, mixture(0.5)), half, atol=1e-14)
-
-    def test_mixture_alpha_bounds(self):
-        with pytest.raises(DomainError):
-            mixture(-0.5)
-        with pytest.raises(DomainError):
-            mixture(1.01)
+        assert np.allclose(matrix(j, 0.5, 0.5, 0.0), half, atol=1e-14)
 
     def test_oat_diagonal_phases(self):
-        h = matrix(1, oat(chi=2.0))
+        h = matrix(1, 2.0, 0.0, 0.0)
         assert np.allclose(np.diag(h), [2, 0, 2])
 
-
-class TestBuildEffective:
-    def test_zero_phase_means_no_rotation(self):
-        _, rot = build_effective(2, 1.0, PAPER_RATIO, 1.0, 0.0)
-        assert rot.angle == pytest.approx(0.0)
-
-    def test_two_thirds_matrix_entry(self):
-        h, _ = build_effective(1, 1.0, PAPER_RATIO, 1.0, 0.0)
-        want = (2 * quadratic_matrix(1, "z") + quadratic_matrix(1, "x")) / 3
-        assert np.max(np.abs(h - want)) < 2e-4  # alpha0 = 2/3 only to 1e-4
-        assert h[0, 2] == pytest.approx(1.0 / 6.0, abs=2e-4)
-
     def test_exact_two_thirds(self):
-        h = matrix(1, mixture(2.0 / 3.0))
+        h = matrix(1, 2.0 / 3.0, 1.0 / 3.0, 0.0)
         assert h[0, 2] == pytest.approx(1.0 / 6.0, abs=1e-14)
-
-    def test_rotation_angle_paper_phase(self):
-        _, rot = build_effective(2, 1.0, 0.9057, 1.0, -np.pi / 2)
-        assert rot.axis == (0.0, 1.0, 0.0)
-        assert rot.angle == pytest.approx(-0.9057, abs=1e-12)
 
 
 class TestTrigMoments:
@@ -203,4 +181,4 @@ class TestTrigMoments:
 
 def test_spin_matrix_squares_match_matrix_builders():
     jz = spin_matrix(3, (0, 0, 1))
-    assert np.allclose(matrix(3, oat()), jz @ jz)
+    assert np.allclose(matrix(3, 1.0, 0.0, 0.0), jz @ jz)

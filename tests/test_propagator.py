@@ -13,10 +13,9 @@ from spinsqueeze.dicke import (
 )
 from spinsqueeze.diagnostics import squeezing_report
 from spinsqueeze.errors import DomainError, ResourceError
-from spinsqueeze.hamiltonians import DriveEnvelope, driven, matrix, oat, quadratic, tact
+from spinsqueeze.hamiltonians import DriveEnvelope, matrix, quadratic_matrix
 from spinsqueeze.propagator import (
     DrivenEngine,
-    SpectralPropagator,
     dicke_isometry,
     driven_doubling_check,
     evolve_schedule,
@@ -24,6 +23,7 @@ from spinsqueeze.propagator import (
     full_spin_ops,
     lift_to_full,
     project_to_dicke,
+    spectral,
 )
 from spinsqueeze.schedule import (
     DrivenSegment,
@@ -102,7 +102,7 @@ class TestQuadratic:
     def test_axis_matches_dense_expm(self, axis):
         j, chi_t = 1, 0.456
         s = random_state(j, 3)
-        h = matrix(j, quadratic(axis))
+        h = quadratic_matrix(j, axis)
         want = sla.expm(-1j * chi_t * h) @ s.amplitudes
         got = quadratic_run(s, axis, chi_t)
         assert np.max(np.abs(got.amplitudes - want)) < 1e-12
@@ -115,16 +115,15 @@ class TestQuadratic:
 class TestSpectral:
     def test_matches_expm(self):
         j = 2
-        h = matrix(j, tact())
-        prop = SpectralPropagator(h)
+        h = matrix(j, 1.0, 0.0, -1.0)
+        prop = spectral(j, 1.0, 0.0, -1.0)
         s = make_css(j, np.pi / 2, 0.0)
         got = prop.evolve(s, 0.37)
         want = sla.expm(-1j * 0.37 * h) @ s.amplitudes
         assert np.max(np.abs(got.amplitudes - want)) < 1e-12
 
     def test_composition(self):
-        h = matrix(3, tact())
-        prop = SpectralPropagator(h)
+        prop = spectral(3, 1.0, 0.0, -1.0)
         s = make_css(3, np.pi / 2, 0.0)
         a = prop.evolve(prop.evolve(s, 0.2), 0.3)
         b = prop.evolve(s, 0.5)
@@ -158,7 +157,7 @@ class TestDriven:
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         s0 = rotate(s, RotationSpec((0, 1, 0), (env.omega0 / env.omega) * np.sin(env.phase)))
         got = drive_run(s0, 1.0, env, 0.0, 0.2)
-        want, deficit = full_hilbert_oracle(s0, driven(env), 0.2)
+        want, deficit = full_hilbert_oracle(s0, ProtocolSchedule((DrivenSegment(env, 1.0, 0.0, 0.2),), ()))
         assert deficit < 1e-10
         assert fidelity(got, want) >= 1 - 1e-6
 
@@ -240,6 +239,18 @@ class TestPeriodOperators:
         rep = driven_doubling_check(s, DrivenSegment(env, 1.0, 0.0, 0.05))
         assert rep["terminal_fidelity_gap"] < 1e-8
         assert rep["doubled"] == 128
+
+    def test_doubling_gap_divides_out_the_norms(self):
+        # the gap compares directions: a terminal block at twice its norm moves only its drift
+        s = make_css(5, np.pi / 2, 0.0)
+        omega = 2 * np.pi * 1000.0
+        seg = DrivenSegment(DriveEnvelope(0.9057 * omega, omega, 0.3), 1.0, 0.0, 0.05)
+        plain = driven_doubling_check(s, seg)
+        scaled = driven_doubling_check(s, seg, 2 * raw_end(s, seg))
+        assert scaled["terminal_fidelity_gap"] == pytest.approx(plain["terminal_fidelity_gap"], abs=1e-15)
+        assert scaled["norm_drift"] == pytest.approx(2 * plain["norm_drift"] + 1, abs=1e-14)
+        assert scaled["doubled_norm_drift"] == plain["doubled_norm_drift"]
+        assert abs(plain["norm_drift"]) < 1e-9 and abs(plain["doubled_norm_drift"]) < 1e-9
 
     def test_doubling_check_starts_at_zero(self):
         env = DriveEnvelope(0.9057 * 2 * np.pi * 1000.0, 2 * np.pi * 1000.0, -np.pi / 2)
@@ -347,21 +358,20 @@ class TestFullHilbert:
     def test_n2_oat_matches_dicke(self):
         s = make_dicke_state(1, 1)
         got = quadratic_run(s, "z", 0.83)
-        want, deficit = full_hilbert_oracle(s, oat(), 0.83)
+        want, deficit = full_hilbert_oracle(s, (1.0, 0.0, 0.0), 0.83)
         assert deficit < 1e-10
         assert fidelity(got, want) >= 1 - 1e-10
 
     def test_n4_tact_matches_dicke(self):
         s = make_css(2, np.pi / 2, 0.0)
-        prop = SpectralPropagator(matrix(2, tact()))
-        got = prop.evolve(s, 0.1)
-        want, deficit = full_hilbert_oracle(s, tact(), 0.1)
+        got = spectral(2, 1.0, 0.0, -1.0).evolve(s, 0.1)
+        want, deficit = full_hilbert_oracle(s, (1.0, 0.0, -1.0), 0.1)
         assert deficit < 1e-9
         assert fidelity(got, want) >= 1 - 1e-9
 
     def test_n1_oat_is_global_phase(self):
         s = make_css(0.5, np.pi / 2, 0.0)
-        out, _ = full_hilbert_oracle(s, oat(), 1.3)
+        out, _ = full_hilbert_oracle(s, (1.0, 0.0, 0.0), 1.3)
         assert fidelity(out, s) == pytest.approx(1.0, abs=1e-10)
         assert squeezing_report(out).xi2 == pytest.approx(1.0, abs=1e-9)
 
@@ -374,3 +384,5 @@ class TestFullHilbert:
     def test_resource_limit(self):
         with pytest.raises(ResourceError):
             full_spin_ops(11)
+        with pytest.raises(ResourceError):
+            full_hilbert_oracle(make_css(5.5, np.pi / 2, 0.0), (1.0, 0.0, 0.0), 0.1)

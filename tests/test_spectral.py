@@ -7,22 +7,21 @@ import pytest
 import scipy.linalg as sla
 
 from spinsqueeze import dicke, hamiltonians, propagator, protocols
-from spinsqueeze.dicke import axis_eigensystem, dim_for, rotate_block, spin_matrix
-from spinsqueeze.hamiltonians import DriveEnvelope, matrix, mixture, quadratic, tact
-from spinsqueeze.propagator import period_operators, spectral
+from spinsqueeze.dicke import DickeState, axis_eigensystem, dim_for, make_css, rotate_block, spin_matrix
+from spinsqueeze.hamiltonians import DriveEnvelope, matrix
+from spinsqueeze.propagator import full_hilbert_oracle, period_operators, spectral
 
 J_VALUES = [0.5, 1, 1.5, 2.5, 30]
 
-# (name, (cz, cx, cy), spec) for every quadratic generator the engine
-# diagonalizes; the pulse-effective (2Jx^2 + Jz^2)/3 has no spec form, and
-# mixture(1) has a zero band
+# (name, (cz, cx, cy)) for every quadratic generator the engine diagonalizes;
+# mixture-1.0 has a zero band
 GENERATORS = [
-    ("tact", (1.0, 0.0, -1.0), tact()),
-    ("quadratic-x", (0.0, 1.0, 0.0), quadratic("x")),
-    ("quadratic-y", (0.0, 0.0, 1.0), quadratic("y")),
-    ("quadratic-z", (1.0, 0.0, 0.0), quadratic("z")),
-    ("pulse-effective", (1.0 / 3.0, 2.0 / 3.0, 0.0), None),
-    *[(f"mixture-{a0}", (a0, 1.0 - a0, 0.0), mixture(a0)) for a0 in (1.0, 0.5, -0.4)],
+    ("tact", (1.0, 0.0, -1.0)),
+    ("quadratic-x", (0.0, 1.0, 0.0)),
+    ("quadratic-y", (0.0, 0.0, 1.0)),
+    ("quadratic-z", (1.0, 0.0, 0.0)),
+    ("pulse-effective", (1.0 / 3.0, 2.0 / 3.0, 0.0)),
+    *[(f"mixture-{a0}", (a0, 1.0 - a0, 0.0)) for a0 in (1.0, 0.5, -0.4)],
 ]
 
 
@@ -40,12 +39,11 @@ def spin_squares(j, coeffs):
 
 
 @pytest.mark.parametrize("j", J_VALUES)
-@pytest.mark.parametrize("name,coeffs,spec", GENERATORS, ids=[g[0] for g in GENERATORS])
-def test_parity_split_matches_dense_eigh(j, name, coeffs, spec):
+@pytest.mark.parametrize("name,coeffs", GENERATORS, ids=[g[0] for g in GENERATORS])
+def test_parity_split_matches_dense_eigh(j, name, coeffs):
     h = spin_squares(j, coeffs)
     scale = max(1.0, j * j)
-    if spec is not None:
-        assert np.max(np.abs(matrix(j, spec) - h)) <= 1e-12 * scale
+    assert np.max(np.abs(matrix(j, *coeffs) - h)) <= 1e-12 * scale
     vals, vecs = sla.eigh(h)
     prop = spectral(float(j), *coeffs)
     split = np.sort(np.concatenate([block_vals for _, block_vals, _ in prop.blocks]))
@@ -55,7 +53,11 @@ def test_parity_split_matches_dense_eigh(j, name, coeffs, spec):
         want = vecs @ (np.exp(-1j * t * vals)[:, None] * (vecs.conj().T @ x))
         got = prop.synthesize(prop.coefficients(x), [t])
         assert np.max(np.abs(got - want)) <= 1e-12
-        assert np.max(np.abs(prop.evolve_vec(x[:, 0], t) - want[:, 0])) <= 1e-12
+        assert np.max(np.abs(prop.evolve(DickeState(j, x[:, 0]), t).amplitudes - want[:, 0])) <= 1e-12
+        if 2 * j <= 10:  # the 2^N tensor-product oracle, from a tilted coherent state
+            css = make_css(j, 0.9, 0.3)
+            oracle, _ = full_hilbert_oracle(css, coeffs, t)
+            assert np.max(np.abs(prop.evolve(css, t).amplitudes - oracle.amplitudes)) <= 1e-10
 
 
 @pytest.mark.parametrize("j", J_VALUES)
