@@ -19,7 +19,7 @@ import numpy as np
 
 from .dicke import DickeState
 from .diagnostics import find_optimum, husimi_q, scaling_fit
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .propagator import driven_doubling_check
 from .protocols import (
     PAPER_RATIO,
@@ -316,7 +316,7 @@ def _unit_report(cfg, meta=None) -> dict | None:
 def _emit_limits(out_dir, n, samples, chi_hz, written) -> dict:
     info = {}
     for model in ("oat", "tact"):
-        rec = reference_runs(n, 1.0, model, n_samples=samples)
+        rec = reference_runs(n, model, n_samples=samples)
         written.append(write_run_csv(Path(out_dir) / f"{model}_limit.csv", rec, chi_hz))
         opt = find_optimum(rec)
         info[model] = {"chi_t_opt": opt.chi_t, "xi2_min": opt.xi2}
@@ -324,7 +324,7 @@ def _emit_limits(out_dir, n, samples, chi_hz, written) -> dict:
 
 
 def _scenario_reference(cfg, out_dir, written) -> dict:
-    rec = reference_runs(cfg.n, 1.0, cfg.scenario, n_samples=cfg.samples)
+    rec = reference_runs(cfg.n, cfg.scenario, n_samples=cfg.samples)
     written.append(write_run_csv(out_dir / f"{cfg.scenario}_run.csv", rec, cfg.chi_hz))
     opt = find_optimum(rec)
     formula = t_opt_oat(cfg.n) if cfg.scenario == "oat" else t_opt_tact(cfg.n)
@@ -356,7 +356,7 @@ def _protocol_outputs(cfg, out_dir, written, bundle, record, convergence) -> dic
 
 
 def _scenario_pulses(cfg, out_dir, written) -> dict:
-    bundle = build_repeated_pulse(cfg.n, 1.0, cfg.nc, cfg.freeze)
+    bundle = build_repeated_pulse(cfg.n, cfg.nc, cfg.freeze)
     record = bundle.record or run_protocol(bundle.schedule, bundle.initial_state)
     convergence = {"method": "pulses and quadratic phases are exact; no integrator error"}
     return _protocol_outputs(cfg, out_dir, written, bundle, record, convergence)
@@ -365,7 +365,6 @@ def _scenario_pulses(cfg, out_dir, written) -> dict:
 def _scenario_drive(cfg, out_dir, written) -> dict:
     bundle = build_modulated_drive(
         cfg.n,
-        1.0,
         omega_over_chi=cfg.omega_over_chi,
         omega0_over_omega=cfg.omega0_over_omega,
         phase=cfg.phase,
@@ -375,7 +374,7 @@ def _scenario_drive(cfg, out_dir, written) -> dict:
     record = bundle.record or run_protocol(bundle.schedule, bundle.initial_state)
     seg = bundle.schedule.segments[0]
     eff_times = [t for t in record.times() if t <= seg.t1]
-    eff = effective_drive_record(cfg.n, 1.0, cfg.omega0_over_omega, eff_times)
+    eff = effective_drive_record(cfg.n, cfg.omega0_over_omega, eff_times)
     written.append(write_run_csv(out_dir / "drive_effective.csv", eff, cfg.chi_hz))
     # under a freeze the prefix to t* is the check's steps_per_period run
     check = driven_doubling_check(bundle.initial_state, seg, bundle.at_freeze)
@@ -384,7 +383,7 @@ def _scenario_drive(cfg, out_dir, written) -> dict:
 
 
 def _scenario_noise(cfg, out_dir, written) -> dict:
-    bundle = build_repeated_pulse(cfg.n, 1.0, cfg.nc)
+    bundle = build_repeated_pulse(cfg.n, cfg.nc)
     noise = NoiseModel(cfg.eta, seed=cfg.seed)
     mc = run_monte_carlo(bundle.schedule, bundle.initial_state, noise, cfg.realizations)
     written.append(write_mean_csv(out_dir / "noise_mean.csv", mc, cfg.chi_hz))
@@ -405,7 +404,7 @@ def _scenario_noise(cfg, out_dir, written) -> dict:
 def _scenario_sweep(cfg, out_dir, written) -> dict:
     rows = []
     for n in cfg.n_values():
-        rec = reference_runs(n, 1.0, cfg.model, n_samples=cfg.samples)
+        rec = reference_runs(n, cfg.model, n_samples=cfg.samples)
         opt = find_optimum(rec)
         rows.append((n, opt.chi_t, opt.xi2))
     ns, ts, vs = zip(*rows)
@@ -455,7 +454,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         extra = {k: v for k, v in extra.items() if v is not None}
         _write_manifest(out_dir, cfg, extra, written)
         return 0
-    except (OSError, DomainError) as exc:
+    except (OSError, DomainError, ResourceError) as exc:
         print(f"spinsqueeze: {exc}", file=sys.stderr)
         return 1
 

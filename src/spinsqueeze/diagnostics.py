@@ -151,8 +151,8 @@ class RunRecord:
     """Time series of squeezing reports plus run provenance.
 
     chi_t holds the strictly increasing sample times and report their
-    columns. parameters echoes what produced the run (N, chi, schedule
-    digest, seed); events collects freeze decisions and renormalizations.
+    columns. parameters echoes what produced the run (N, model, noise
+    seed); events collects freeze decisions and renormalizations.
     """
 
     chi_t: np.ndarray

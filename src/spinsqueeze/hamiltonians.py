@@ -60,11 +60,9 @@ def bessel_j0(x: float) -> float:
     return float(_scipy_j0(x))
 
 
-def alpha0(omega0: float, omega: float) -> float:
+def alpha0(omega0_over_omega: float) -> float:
     """Mixing coefficient [1 + J0(2*omega0/omega)] / 2 of the averaged model."""
-    if not omega > 0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    return 0.5 * (1.0 + bessel_j0(2.0 * omega0 / omega))
+    return 0.5 * (1.0 + bessel_j0(2.0 * omega0_over_omega))
 
 
 def quadratic_bands(j: float, cz: float, cx: float, cy: float) -> tuple:

@@ -205,7 +205,7 @@ class DrivenEngine:
     block in the frame at multiples of h and in z elsewhere. The span it will
     cover decides whether the period operators pay for their build."""
 
-    def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int, span: float = 0.0):
+    def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int, span: float):
         self.j, self.chi, self.env, self.h = j, chi, env, env.period / spp
         self._ops = period_operators(j, chi, env, spp) if self.jumps_pay(j, env, spp, span) else None
 
@@ -336,7 +336,7 @@ def evolve_block(
                 x, head = renormalized(x), None
             continue
         if isinstance(seg, Pulse):
-            angles = seg.rotation.angle * (seg.area_scale * scales[pulse_index])
+            angles = seg.rotation.angle * scales[pulse_index]
             pulse_index += 1
             x = renormalized(rotate_block(j, x, seg.rotation.axis, angles))
             continue
@@ -369,8 +369,7 @@ def evolve_block(
         si += 1
     flush()
 
-    digest = {"schedule_digest": schedule.digest()}
-    records = run_records(samples, tiles, [{**digest, **(p or {})} for p in parameters], width)
+    records = run_records(samples, tiles, [dict(p or {}) for p in parameters], width)
     for record, count in zip(records, renorms + counts):
         record.events += [{"kind": "freeze", "time": time} for time in freezes]
         if count:
@@ -378,13 +377,9 @@ def evolve_block(
     return x, records
 
 
-def evolve_schedule(
-    state: DickeState,
-    schedule: ProtocolSchedule,
-    parameters: dict | None = None,
-) -> tuple[DickeState, RunRecord]:
+def evolve_schedule(state: DickeState, schedule: ProtocolSchedule) -> tuple[DickeState, RunRecord]:
     """Run one state through a schedule: evolve_block on a one-column block."""
-    x, (record,) = evolve_block(state.j, state.amplitudes[:, None], schedule, None, (parameters,))
+    x, (record,) = evolve_block(state.j, state.amplitudes[:, None], schedule, None, ({},))
     return DickeState(state.j, x[:, 0]), record
 
 
@@ -528,7 +523,7 @@ def full_hilbert_oracle(
     for seg in generator.segments:
         if isinstance(seg, Pulse):
             axis_op = sum(a * op for a, op in zip(seg.rotation.axis, (jx, jy, jz)))
-            vec = sla.expm(-1j * seg.rotation.angle * seg.area_scale * axis_op) @ vec
+            vec = sla.expm(-1j * seg.rotation.angle * axis_op) @ vec
         elif isinstance(seg, QuadraticSegment):
             op = {"x": jx, "y": jy, "z": jz}[seg.axis]
             vec = sla.expm(-1j * seg.chi * seg.duration * (op @ op)) @ vec

@@ -27,7 +27,7 @@ from .dicke import (
     rotate,
 )
 from .diagnostics import OptimumResult, RunRecord, find_optimum, run_records, squeezing_columns
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .hamiltonians import DriveEnvelope, alpha0, drive_value
 from .propagator import TILE, DrivenEngine, SpectralPropagator, evolve_block, spectral
 from .schedule import (
@@ -48,6 +48,8 @@ POST_SAMPLES = 200  # samples over that hold
 PULSE_WINDOW = 2  # pulse freeze candidates: this many periods either side of the reference optimum
 DRIVE_WINDOW = 1  # drive freeze candidates: drive zeros within this many periods of it
 MAX_WORKERS = 4  # Monte Carlo threads unless SPINSQUEEZE_THREADS says otherwise
+FREEZE_TURN = RotationSpec((-1.0, 0.0, 0.0), np.pi / 4)  # turns the squeezed axis onto z
+MAX_DRIVE_ZEROS = 10**6  # drive zeros one drive_zero_times call may list; N = 2 at 2pi*1e5 lists 389,895
 
 
 def t_opt_oat(n_particles: float) -> float:
@@ -73,18 +75,6 @@ def _css_x(n_particles: int) -> DickeState:
 # ---------------------------------------------------------------------------
 # reference runs
 
-def _tact_propagator(n_particles: int, chi: float) -> SpectralPropagator:
-    return spectral(n_particles / 2, chi, 0.0, -chi)
-
-
-def _pulse_effective_propagator(n_particles: int, chi: float) -> SpectralPropagator:
-    return spectral(n_particles / 2, chi / 3.0, 2.0 * chi / 3.0, 0.0)
-
-
-def _drive_effective_propagator(n_particles: int, chi: float, a0: float) -> SpectralPropagator:
-    return spectral(n_particles / 2, chi * a0, chi * (1.0 - a0), 0.0)
-
-
 def _spectral_record(initial, times, parameters, prop: SpectralPropagator) -> RunRecord:
     """Squeezing at each time under prop's generator. The initial state
     enters the eigenbasis once; each TILE consecutive times become the
@@ -95,27 +85,22 @@ def _spectral_record(initial, times, parameters, prop: SpectralPropagator) -> Ru
     return run_records(times, tiles, [parameters])[0]
 
 
-def reference_runs(
-    n_particles: int,
-    chi: float = 1.0,
-    model: str = "oat",
-    n_samples: int = 600,
-) -> RunRecord:
+def reference_runs(n_particles: int, model: str = "oat", n_samples: int = 600) -> RunRecord:
     """Squeezing time series for the bare one-axis or two-axis model.
 
-    one-axis: x-pointing coherent state under chi*Jz^2 (diagonal phases);
-    two-axis: same state under chi*(Jz^2 - Jy^2) via its cached parity-split
+    one-axis: x-pointing coherent state under Jz^2 (diagonal phases);
+    two-axis: same state under Jz^2 - Jy^2 via its cached parity-split
     eigensystem. Spans [0, REFERENCE_SPAN * analytic optimum].
     """
     if model not in ("oat", "tact"):
         raise DomainError(f"model must be 'oat' or 'tact', got {model!r}")
     initial = _css_x(n_particles)
-    params = {"model": model, "N": n_particles, "chi": chi}
+    params = {"model": model, "N": n_particles}
     if model == "oat":
-        times = np.linspace(0.0, REFERENCE_SPAN * t_opt_oat(n_particles) / chi, n_samples)
-        return _spectral_record(initial, times, params, spectral(initial.j, chi, 0.0, 0.0))
-    times = np.linspace(0.0, REFERENCE_SPAN * t_opt_tact(n_particles) / chi, n_samples)
-    return _spectral_record(initial, times, params, _tact_propagator(n_particles, chi))
+        times = np.linspace(0.0, REFERENCE_SPAN * t_opt_oat(n_particles), n_samples)
+        return _spectral_record(initial, times, params, spectral(initial.j, 1.0, 0.0, 0.0))
+    times = np.linspace(0.0, REFERENCE_SPAN * t_opt_tact(n_particles), n_samples)
+    return _spectral_record(initial, times, params, spectral(initial.j, 1.0, 0.0, -1.0))
 
 
 def effective_pulse_record(n_particles, chi, times) -> RunRecord:
@@ -123,23 +108,23 @@ def effective_pulse_record(n_particles, chi, times) -> RunRecord:
     from the north-pole state."""
     params = {"model": "pulse-effective", "N": n_particles, "chi": chi}
     initial = make_dicke_state(n_particles / 2, n_particles / 2)
-    return _spectral_record(initial, times, params, _pulse_effective_propagator(n_particles, chi))
+    return _spectral_record(initial, times, params, spectral(initial.j, chi / 3.0, 2.0 * chi / 3.0, 0.0))
 
 
-def effective_drive_record(n_particles, chi, omega0_over_omega, times) -> RunRecord:
+def effective_drive_record(n_particles, omega0_over_omega, times) -> RunRecord:
     """xi^2 under the exact averaged drive generator. The frame rotation of
     the nonzero-phase form cancels in xi^2, so the unrotated mixture from
     the x-pointing state covers every drive phase."""
-    a0 = alpha0(omega0_over_omega, 1.0)
-    params = {"model": "drive-effective", "N": n_particles, "chi": chi, "alpha0": a0}
-    prop = _drive_effective_propagator(n_particles, chi, a0)
-    return _spectral_record(_css_x(n_particles), times, params, prop)
+    a0 = alpha0(omega0_over_omega)
+    params = {"model": "drive-effective", "N": n_particles, "alpha0": a0}
+    initial = _css_x(n_particles)
+    return _spectral_record(initial, times, params, spectral(initial.j, a0, 1.0 - a0, 0.0))
 
 
 @lru_cache(maxsize=32)
-def reference_optimum(n_particles: int, chi: float = 1.0) -> OptimumResult:
+def reference_optimum(n_particles: int) -> OptimumResult:
     """Numeric two-axis optimum (time and value); anchors freeze windows."""
-    return find_optimum(reference_runs(n_particles, chi, "tact"))
+    return find_optimum(reference_runs(n_particles, "tact"))
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +174,9 @@ def _probe(initial: DickeState, segments, samples, candidates, clocks, meta: dic
     return int(np.argmin(xi2)), record, kept
 
 
-def _freeze(initial, meta, chi, prefix, t_star, rotations, probe, clock, kept) -> ProtocolBundle:
+def _freeze(initial, meta, prefix, t_star, rotations, probe, clock, kept) -> ProtocolBundle:
     """Frozen bundle, its signs in meta: prefix runs to the freeze instant t_star, then the
-    freeze marker, one signed pulse per rotation (label: rotation), and a Jz^2 hold of
+    freeze marker, one signed pulse per rotation, and a Jz^2 hold of
     POST_TIME_FACTOR * t_opt sampled POST_SAMPLES times past the pass record probe's samples
     up to t_star. The frozen state runs on from the unsampled prefix's block, the record from
     the pass's block kept at the end of the schedule segment that ends at clock (kept None:
@@ -199,16 +184,15 @@ def _freeze(initial, meta, chi, prefix, t_star, rotations, probe, clock, kept) -
     j, base = initial.j, ProtocolSchedule(prefix, ())
     at_freeze = {base.total_time(): None}  # the raw block at the schedule's clock at the freeze
     at_star, _ = evolve_block(j, initial.amplitudes[:, None], base, keep=at_freeze)
-    signs, var_z = _best_signs(DickeState(j, at_star[:, 0]), rotations.values())
+    signs, var_z = _best_signs(DickeState(j, at_star[:, 0]), rotations)
     meta.update({"freeze_time": t_star, "freeze_var_z": var_z})
     meta.update({"freeze_sign": signs[0]} if len(signs) == 1 else {"freeze_signs": signs})
 
     post_time = POST_TIME_FACTOR * meta["t_opt"]
     post = (t_star + np.linspace(0.0, post_time, POST_SAMPLES + 1)[1:]).tolist()
-    pulses = (Pulse(rot.scaled(sign), label=label) for (label, rot), sign in zip(rotations.items(), signs))
-    tail = (FreezeMarker(t_star), *pulses)
+    tail = (FreezeMarker(), *(Pulse(rot.scaled(sign)) for rot, sign in zip(rotations, signs)))
     samples = tuple(_dedupe_times(probe.chi_t[probe.chi_t <= t_star].tolist() + post))
-    schedule = ProtocolSchedule(prefix + tail + (QuadraticSegment("z", chi, post_time),), samples, meta)
+    schedule = ProtocolSchedule(prefix + tail + (QuadraticSegment("z", 1.0, post_time),), samples, meta)
     x, _ = evolve_block(j, at_star, ProtocolSchedule(tail, ()))
     start = None if kept is None else (kept[0], clock, kept[1], probe.report)
     record = _run_batch(schedule, initial, [None], [None], start)[1][0]
@@ -218,23 +202,18 @@ def _freeze(initial, meta, chi, prefix, t_star, rotations, probe, clock, kept) -
 # ---------------------------------------------------------------------------
 # repeated-pulse protocol
 
-def _pulse_period_segments(chi: float, delta_t: float) -> list:
+def _pulse_period_segments(delta_t: float) -> list:
     """One period: pulse pair turning Jz^2 into Jx^2 for 2*delta_t, then
     bare Jz^2 for delta_t."""
     return [
         Pulse(RotationSpec((0.0, 1.0, 0.0), np.pi / 2)),
-        QuadraticSegment("z", chi, 2 * delta_t),
+        QuadraticSegment("z", 1.0, 2 * delta_t),
         Pulse(RotationSpec((0.0, 1.0, 0.0), -np.pi / 2)),
-        QuadraticSegment("z", chi, delta_t),
+        QuadraticSegment("z", 1.0, delta_t),
     ]
 
 
-def build_repeated_pulse(
-    n_particles: int,
-    chi: float = 1.0,
-    n_periods: int = 50,
-    freeze: bool = False,
-) -> ProtocolBundle:
+def build_repeated_pulse(n_particles: int, n_periods: int = 50, freeze: bool = False) -> ProtocolBundle:
     """Pulse-pair protocol from the north-pole state.
 
     Each period of length t_c = 3*delta_t spends 2*delta_t under Jx^2
@@ -250,17 +229,17 @@ def build_repeated_pulse(
         raise DomainError("n_periods must be at least 1")
     if n_particles < 2:
         raise DomainError("need at least 2 particles")
-    delta_t = t_opt_protocol(n_particles) / (3 * n_periods) / chi
+    delta_t = t_opt_protocol(n_particles) / (3 * n_periods)
     t_c = 3 * delta_t
-    gate = 2 * chi * delta_t * n_particles
+    gate = 2 * delta_t * n_particles
     meta = {
         "protocol": "repeated-pulse",
         "N": n_particles,
-        "chi": chi,
+        "chi": 1.0,
         "n_periods": n_periods,
         "delta_t": delta_t,
         "t_c": t_c,
-        "t_opt": t_opt_protocol(n_particles) / chi,
+        "t_opt": t_opt_protocol(n_particles),
         "trotter_gate": gate,
     }
     meta["trotter_gate_ok"] = bool(gate < 1.0)
@@ -275,41 +254,45 @@ def build_repeated_pulse(
         return [n * t_c + d for n in range(n_full) for d in (delta_t, 2.5 * delta_t)]
 
     if not freeze:
-        segments = _pulse_period_segments(chi, delta_t) * n_periods
+        segments = _pulse_period_segments(delta_t) * n_periods
         schedule = ProtocolSchedule(tuple(segments), tuple(mid_samples(n_periods)), meta)
         return ProtocolBundle(schedule, initial, meta)
 
-    center = 3 * reference_optimum(n_particles, chi).chi_t
+    center = 3 * reference_optimum(n_particles).chi_t
     n_center = max(0, int(round((center - delta_t) / t_c)))
     candidates = list(range(max(0, n_center - PULSE_WINDOW), n_center + PULSE_WINDOW + 1))
     last, times = candidates[-1], [n * t_c + delta_t for n in candidates]
-    segments = _pulse_period_segments(chi, delta_t) * (last + 1)
+    segments = _pulse_period_segments(delta_t) * (last + 1)
     # the schedule takes t* at the end of a segment the pass runs through: resume from the period's start
     clocks = [ProtocolSchedule(tuple(segments[: 4 * n]), ()).total_time() for n in candidates]
     best, probe, kept = _probe(initial, segments, mid_samples(last) + times[-1:], times, clocks, meta)
     n_star = meta["freeze_period_index"] = candidates[best]
     clock = clocks[best]
 
-    prefix = segments[: 4 * n_star + 1] + [QuadraticSegment("z", chi, delta_t)]  # to mid Jx^2 of n_star
-    rotations = {"freeze": RotationSpec((-1.0, 0.0, 0.0), np.pi / 4)}
-    return _freeze(initial, meta, chi, tuple(prefix), times[best], rotations, probe, clock, kept[clock])
+    prefix = segments[: 4 * n_star + 1] + [QuadraticSegment("z", 1.0, delta_t)]  # to mid Jx^2 of n_star
+    return _freeze(initial, meta, tuple(prefix), times[best], (FREEZE_TURN,), probe, clock, kept[clock])
 
 
 # ---------------------------------------------------------------------------
 # modulated-drive protocol
 
 def drive_zero_times(env: DriveEnvelope, t_max: float) -> np.ndarray:
-    """Instants with Omega(t) = 0 in [0, t_max]."""
-    k_min = int(np.ceil((0.0 - (np.pi / 2 - env.phase)) / np.pi - 1e-9))
-    k_max = int(np.floor((env.omega * t_max - (np.pi / 2 - env.phase)) / np.pi + 1e-9))
-    ks = np.arange(k_min, k_max + 1)
+    """Instants with Omega(t) = 0 in [0, t_max], counted before they are
+    listed: more than MAX_DRIVE_ZEROS raise ResourceError."""
+    k_min = np.ceil((0.0 - (np.pi / 2 - env.phase)) / np.pi - 1e-9)
+    k_max = np.floor((env.omega * t_max - (np.pi / 2 - env.phase)) / np.pi + 1e-9)
+    if not k_max - k_min + 1 <= MAX_DRIVE_ZEROS:
+        raise ResourceError(
+            f"omega/chi = {env.omega:.7g} puts {k_max - k_min + 1:.7g} drive zeros in "
+            f"[0, {t_max:.7g}], more than the limit of {MAX_DRIVE_ZEROS}"
+        )
+    ks = np.arange(int(k_min), int(k_max) + 1)
     ts = (np.pi / 2 - env.phase + ks * np.pi) / env.omega
     return ts[(ts >= -1e-15) & (ts <= t_max * (1 + 1e-12))]
 
 
 def build_modulated_drive(
     n_particles: int,
-    chi: float = 1.0,
     omega_over_chi: float = 2 * np.pi * 2e4,
     omega0_over_omega: float = PAPER_RATIO,
     phase: float = -np.pi / 2,
@@ -331,18 +314,17 @@ def build_modulated_drive(
         raise DomainError("omega0_over_omega must be nonnegative")
     if n_particles < 2:
         raise DomainError("need at least 2 particles")
-    omega = omega_over_chi * chi
-    env = DriveEnvelope(omega0_over_omega * omega, omega, phase)
+    env = DriveEnvelope(omega0_over_omega * omega_over_chi, omega_over_chi, phase)
     meta = {
         "protocol": "modulated-drive",
         "N": n_particles,
-        "chi": chi,
+        "chi": 1.0,
         "omega_over_chi": omega_over_chi,
         "omega0_over_omega": omega0_over_omega,
         "phase": phase,
-        "alpha0": alpha0(omega0_over_omega, 1.0),
+        "alpha0": alpha0(omega0_over_omega),
         "steps_per_period": steps_per_period,
-        "t_opt": t_opt_protocol(n_particles) / chi,
+        "t_opt": t_opt_protocol(n_particles),
     }
     meta["high_frequency_ok"] = bool(omega_over_chi >= 10 * n_particles)
     if omega_over_chi < 10 * n_particles:
@@ -354,7 +336,7 @@ def build_modulated_drive(
     tilt = RotationSpec((0.0, 1.0, 0.0), (env.omega0 / env.omega) * np.sin(phase))
     initial = rotate(_css_x(n_particles), tilt)
 
-    center = 3 * reference_optimum(n_particles, chi).chi_t
+    center = 3 * reference_optimum(n_particles).chi_t
     period = env.period
 
     if not freeze:
@@ -363,7 +345,7 @@ def build_modulated_drive(
         t_lo, t_hi = max(0.0, FINE_WINDOW[0] * center), min(t_end, FINE_WINDOW[1] * center)
         fine = t_lo + (period / 8) * np.arange(int(np.floor((t_hi - t_lo) / (period / 8))) + 1)
         samples = _dedupe_times(zeros + fine.tolist())
-        segments = (DrivenSegment(env, chi, 0.0, t_end, steps_per_period),)
+        segments = (DrivenSegment(env, 1.0, 0.0, t_end, steps_per_period),)
         schedule = ProtocolSchedule(segments, tuple(samples), meta)
         return ProtocolBundle(schedule, initial, meta)
 
@@ -372,25 +354,22 @@ def build_modulated_drive(
     zeros_all = drive_zero_times(env, center + (DRIVE_WINDOW + 1) * period)
     candidates = zeros_all[np.abs(zeros_all - center) <= DRIVE_WINDOW * period * (1 + 1e-12)].tolist()
     last = candidates[-1]
-    segments = (DrivenSegment(env, chi, 0.0, last, steps_per_period),)
+    segments = (DrivenSegment(env, 1.0, 0.0, last, steps_per_period),)
     best, probe, kept = _probe(initial, segments, drive_zero_times(env, last), candidates, candidates, meta)
     t_star = candidates[best]
     meta["drive_value_at_freeze"] = float(drive_value(env, t_star))
 
-    prefix = (DrivenSegment(env, chi, 0.0, t_star, steps_per_period),)
-    rotations = {
-        "freeze-align": RotationSpec((0.0, 1.0, 0.0), env.omega0 / env.omega),
-        "freeze": RotationSpec((-1.0, 0.0, 0.0), np.pi / 4),
-    }
+    prefix = (DrivenSegment(env, 1.0, 0.0, t_star, steps_per_period),)
+    align = RotationSpec((0.0, 1.0, 0.0), env.omega0 / env.omega)
     jumps = [DrivenEngine.jumps_pay(initial.j, env, steps_per_period, span) for span in (t_star, last)]
     kept = kept[t_star] if jumps[0] == jumps[1] else None  # else the pass took other steps
-    return _freeze(initial, meta, chi, prefix, t_star, rotations, probe, t_star, kept)
+    return _freeze(initial, meta, prefix, t_star, (align, FREEZE_TURN), probe, t_star, kept)
 
 
-def _dedupe_times(times, rel=1e-12):
+def _dedupe_times(times):
     out = []
     for t in sorted(times):
-        if not out or t - out[-1] > rel * max(1.0, abs(t)):
+        if not out or t - out[-1] > 1e-12 * max(1.0, abs(t)):
             out.append(t)
     return out
 
@@ -434,16 +413,13 @@ def _run_batch(schedule, initial, noises, parameters, start=None) -> tuple[np.nd
 
 
 def run_protocol(
-    schedule: ProtocolSchedule,
-    initial: DickeState,
-    noise: NoiseModel | None = None,
-    parameters: dict | None = None,
+    schedule: ProtocolSchedule, initial: DickeState, noise: NoiseModel | None = None
 ) -> RunRecord:
     """Execute a schedule; with noise, every pulse area (freeze included)
     is scaled by its own 1 + r*eta draw. A noisy run is computed in a
     TILE-wide block, so it replays the matching Monte Carlo realization bit
     for bit."""
-    return _run_batch(schedule, initial, [noise], [parameters])[1][0]
+    return _run_batch(schedule, initial, [noise], [None])[1][0]
 
 
 @dataclass

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from hashlib import sha256
 
 from .dicke import RotationSpec
 from .errors import DomainError
@@ -54,28 +53,19 @@ class DrivenSegment:
 
 @dataclass(frozen=True)
 class Pulse:
-    """Instantaneous rotation; the applied angle is rotation.angle * area_scale."""
+    """Instantaneous rotation; evolve_block's scales are the only way to scale its angle."""
 
     rotation: RotationSpec
-    area_scale: float = 1.0
-    label: str = ""
-
-    def __post_init__(self):
-        if not self.area_scale > 0:
-            raise DomainError("area_scale must be positive")
 
     duration = 0.0
 
 
 @dataclass(frozen=True)
 class FreezeMarker:
-    """Marks the freeze instant; the rotations that realize it are the
-    pulses immediately following this marker."""
-
-    time: float
+    """Marks the freeze instant, read off the schedule clock; the rotations
+    that realize it are the pulses immediately following this marker."""
 
     duration = 0.0
-
 
 
 @dataclass(frozen=True)
@@ -108,27 +98,6 @@ class ProtocolSchedule:
 
     def pulses(self):
         return [seg for seg in self.segments if isinstance(seg, Pulse)]
-
-    def digest(self) -> str:
-        """Content digest over the timeline (meta excluded)."""
-        parts = []
-        for seg in self.segments:
-            if isinstance(seg, QuadraticSegment):
-                parts.append(f"Q:{seg.axis}:{seg.chi!r}:{seg.duration!r}")
-            elif isinstance(seg, DrivenSegment):
-                parts.append(
-                    f"D:{seg.env.omega0!r}:{seg.env.omega!r}:{seg.env.phase!r}"
-                    f":{seg.chi!r}:{seg.t0!r}:{seg.t1!r}:{seg.steps_per_period}"
-                )
-            elif isinstance(seg, Pulse):
-                ax = ",".join(repr(a) for a in seg.rotation.axis)
-                parts.append(f"P:{ax}:{seg.rotation.angle!r}:{seg.area_scale!r}")
-            elif isinstance(seg, FreezeMarker):
-                parts.append(f"F:{seg.time!r}")
-            else:
-                raise DomainError(f"unknown segment type {type(seg).__name__}")
-        parts.append("S:" + ",".join(repr(t) for t in self.sample_times))
-        return sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,12 @@ def crit(num, started, ok, detail):
 
 @pytest.fixture(scope="module")
 def oat_ref():
-    return reference_runs(N_MAIN, 1.0, "oat")
+    return reference_runs(N_MAIN, "oat")
 
 
 @pytest.fixture(scope="module")
 def tact_ref():
-    return reference_runs(N_MAIN, 1.0, "tact")
+    return reference_runs(N_MAIN, "tact")
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +138,7 @@ def test_criterion_04_scaling_laws():
     for model in ("oat", "tact"):
         pts = []
         for n in ns:
-            rec = reference_runs(n, 1.0, model)
+            rec = reference_runs(n, model)
             pts.append((n, find_optimum(rec).xi2))
         fits[model] = scaling_fit(pts)[0]
     ok = abs(fits["oat"] + 2 / 3) <= 0.07 and abs(fits["tact"] + 1.0) <= 0.07
@@ -216,7 +216,7 @@ def test_criterion_07_drive_convergence(tact_min):
         rec = run_protocol(bundle.schedule, bundle.initial_state)
         times = rec.times()
         mask = (times >= 0.9 * center) & (times <= 1.05 * center)
-        eff = effective_drive_record(N_MAIN, 1.0, PAPER_RATIO, times[mask])
+        eff = effective_drive_record(N_MAIN, PAPER_RATIO, times[mask])
         devs[om_fac] = float(np.max(np.abs(rec.xi2()[mask] - eff.xi2())))
     ok_amp = devs[1e5] <= 0.5 * tact_min
     ok_mono = devs[2e3] > devs[2e4] > devs[1e5]

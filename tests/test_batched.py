@@ -29,13 +29,13 @@ from spinsqueeze.propagator import (
     TILE,
     evolve_block,
     full_hilbert_oracle,
+    spectral,
 )
 from spinsqueeze.protocols import (
     NoiseModel,
     _noise_factors,
     _best_signs,
     _run_batch,
-    _tact_propagator,
     build_repeated_pulse,
     drive_zero_times,
     reference_runs,
@@ -174,7 +174,7 @@ class TestKernelCorrectness:
             state = initial
             for seg in schedule.segments:
                 if isinstance(seg, Pulse):
-                    rot = seg.rotation.scaled(seg.area_scale * next(factors))
+                    rot = seg.rotation.scaled(next(factors))
                     state = DickeState(state.j, rotate_vector(state.j, state.amplitudes, rot))
                 else:
                     assert seg.axis == "z"
@@ -201,7 +201,7 @@ class TestKernelCorrectness:
             k = 0
             for seg in segments:
                 if isinstance(seg, Pulse):
-                    seg = Pulse(seg.rotation, area_scale=scales[k, r])
+                    seg = Pulse(seg.rotation.scaled(scales[k, r]))
                     k += 1
                 realized.append(seg)
             want, _ = full_hilbert_oracle(initial, ProtocolSchedule(tuple(realized), ()))
@@ -226,7 +226,7 @@ class TestKernelCorrectness:
             if model == "oat":
                 state = jz2_phase(initial, t)
             else:
-                state = _tact_propagator(n, 1.0).evolve(initial, t)
+                state = spectral(n / 2, 1.0, 0.0, -1.0).evolve(initial, t)
             assert rep.xi2 == pytest.approx(squeezing_report(state).xi2, rel=1e-12)
 
     def test_sign_search_matches_loop(self):

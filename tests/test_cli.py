@@ -234,7 +234,7 @@ class TestScenarios:
         _, status = run_cli(["noise", "--n", "40", "--nc", "8", "--realizations", "20", "--eta", "0.01",
                              "--seed", "7", "--samples", "64", "--out-dir", str(tmp_path)])
         assert status == 0
-        bundle = build_repeated_pulse(40, 1.0, 8)
+        bundle = build_repeated_pulse(40, 8)
         mc = run_monte_carlo(bundle.schedule, bundle.initial_state, NoiseModel(0.01, seed=7), 20)
         reps = [rec.report for rec in mc.records]
         mean = np.loadtxt(tmp_path / "noise_mean.csv", delimiter=",", skiprows=1)
@@ -256,7 +256,7 @@ class TestScenarios:
         _, status = run_cli(["pulses", "--n", "40", "--nc", "10", "--freeze", "--samples", "64",
                              "--out-dir", str(tmp_path)])
         assert status == 0
-        bundle = build_repeated_pulse(40, 1.0, 10, freeze=True)
+        bundle = build_repeated_pulse(40, 10, freeze=True)
         record = run_protocol(bundle.schedule, bundle.initial_state)
         run = np.loadtxt(tmp_path / "pulses_run.csv", delimiter=",", skiprows=1)
         assert np.array_equal(run[:, 0], record.times())
@@ -341,6 +341,25 @@ class TestScenarios:
         assert status == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"spinsqueeze: phase {phase} lies outside [-2pi, 2pi]")
+
+    @pytest.mark.parametrize("omega", [1e12, 1e300])
+    @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "unfrozen"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_oversized_drive_is_one_named_error(self, tmp_path, capsys, source, freeze, omega):
+        # the drive zeros are counted before they are listed: 1e12 would list terabytes, 1e300 overflows
+        argv = ["drive", "--n", "24", "--samples", "16", "--out-dir", str(tmp_path / "o")]
+        argv += ["--freeze"] if freeze else []
+        if source == "flag":
+            argv += ["--omega-over-chi", repr(omega)]
+        else:
+            conf = tmp_path / "c.json"
+            conf.write_text(json.dumps({"omega_over_chi": omega}))
+            argv += ["--config", str(conf)]
+        _, status = run_cli(argv)
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"spinsqueeze: omega/chi = {omega:g} puts ")
+        assert "drive zeros" in err and "Traceback" not in err
 
     def test_sweep_fit_in_manifest(self, tmp_path):
         _, status = run_cli([

@@ -94,29 +94,25 @@ class TestBessel:
 
 class TestAlpha0:
     def test_no_drive(self):
-        assert alpha0(0.0, 1.0) == pytest.approx(1.0)
+        assert alpha0(0.0) == pytest.approx(1.0)
 
     def test_paper_two_thirds(self):
-        assert alpha0(PAPER_RATIO, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-4)
+        assert alpha0(PAPER_RATIO) == pytest.approx(2.0 / 3.0, abs=1e-4)
 
     def test_half_at_bessel_zero(self):
         z = first_j0_zero()
-        assert alpha0(z / 2, 1.0) == pytest.approx(0.5, abs=1e-10)
+        assert alpha0(z / 2) == pytest.approx(0.5, abs=1e-10)
 
     def test_bounds(self):
         ratios = np.linspace(0, 20, 400)
-        vals = np.array([alpha0(r, 1.0) for r in ratios])
+        vals = np.array([alpha0(r) for r in ratios])
         assert np.all(vals > -0.5) and np.all(vals <= 1.0)
 
     def test_monotone_until_first_zero(self):
         z = first_j0_zero()
         ratios = np.linspace(0, z / 2, 300)
-        vals = np.array([alpha0(r, 1.0) for r in ratios])
+        vals = np.array([alpha0(r) for r in ratios])
         assert np.all(np.diff(vals) < 0)
-
-    def test_rejects_nonpositive_omega(self):
-        with pytest.raises(DomainError):
-            alpha0(1.0, 0.0)
 
 
 class TestMatrices:

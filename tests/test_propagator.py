@@ -318,7 +318,7 @@ class TestSchedule:
 
     def test_freeze_marker_logged(self):
         sched = ProtocolSchedule(
-            (QuadraticSegment("z", 1.0, 0.1), FreezeMarker(0.1)),
+            (QuadraticSegment("z", 1.0, 0.1), FreezeMarker()),
             (),
         )
         _, record = evolve_schedule(make_css(2, np.pi / 2, 0.0), sched)

@@ -6,10 +6,17 @@ import pytest
 from spinsqueeze import protocols
 from spinsqueeze.dicke import RotationSpec, fidelity, make_css, make_dicke_state, rotate
 from spinsqueeze.diagnostics import SqueezingReport, find_optimum, squeezing_report
-from spinsqueeze.errors import DomainError
+from spinsqueeze.errors import DomainError, ResourceError
 from spinsqueeze.hamiltonians import drive_value
-from spinsqueeze.propagator import DrivenEngine, _PeriodOperators, driven_doubling_check, evolve_schedule
+from spinsqueeze.propagator import (
+    DrivenEngine,
+    _PeriodOperators,
+    driven_doubling_check,
+    evolve_schedule,
+    spectral,
+)
 from spinsqueeze.protocols import (
+    MAX_DRIVE_ZEROS,
     NoiseModel,
     _noise_factors,
     build_modulated_drive,
@@ -105,9 +112,7 @@ class TestPulseEffectiveConvergence:
     def test_terminal_state_fidelity_improves(self):
         n = 60
         t_opt = t_opt_protocol(n)
-        from spinsqueeze.protocols import _pulse_effective_propagator
-
-        prop = _pulse_effective_propagator(n, 1.0)
+        prop = spectral(n / 2, 1.0 / 3.0, 2.0 / 3.0, 0.0)
         exact = prop.evolve(make_dicke_state(n / 2, n / 2), t_opt)
         gaps = []
         for nc in (10, 20, 40, 80):
@@ -159,6 +164,45 @@ class TestDriveBuilder:
         for t in zeros[:6]:
             assert abs(drive_value(env, t)) < 1e-12
 
+    @pytest.mark.parametrize("omega", [2 * np.pi * 50, 2 * np.pi * 2e4])
+    @pytest.mark.parametrize("phase", [-2 * np.pi, -np.pi / 2, 0.0, 0.3, np.pi / 2, 2 * np.pi])
+    def test_drive_zeros_are_every_zero(self, phase, omega):
+        # the sign changes of cos(omega t + phase) on a grid of T/1000, bisected, against the list
+        from spinsqueeze.hamiltonians import DriveEnvelope
+
+        env = DriveEnvelope(0.9, omega, phase)
+        period = env.period
+        t_max = 10.37 * period  # 0.12 T or more from every zero at these phases
+
+        def negative(t):
+            return np.signbit(np.cos(omega * t + phase))
+
+        grid = np.arange(-125, 10_496) * (period / 1000)
+        i = np.flatnonzero(negative(grid[:-1]) != negative(grid[1:]))
+        lo, hi = grid[i], grid[i + 1]
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            left = negative(mid) == negative(lo)
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        want = lo[(lo >= -1e-9 * period) & (lo <= t_max)]
+        got = drive_zero_times(env, t_max)
+        assert len(want) == 21
+        assert len(got) == len(want)
+        assert np.all(np.abs(got - want) <= 1e-9 * period)
+        assert got[0] >= 0.0 and got[-1] <= t_max
+
+    def test_drive_zero_count_is_capped(self):
+        # at phase pi/2 and omega = pi the zeros are t = 0, 1, 2, ...: a list of the cap passes
+        from spinsqueeze.hamiltonians import DriveEnvelope
+
+        env = DriveEnvelope(0.9, np.pi, np.pi / 2)
+        zeros = drive_zero_times(env, MAX_DRIVE_ZEROS - 1.0)
+        assert len(zeros) == MAX_DRIVE_ZEROS and zeros[-1] == MAX_DRIVE_ZEROS - 1
+        with pytest.raises(ResourceError, match="omega/chi = 3.141593 puts 1000001 drive zeros"):
+            drive_zero_times(env, float(MAX_DRIVE_ZEROS))
+        with pytest.raises(ResourceError, match="drive zeros"):
+            drive_zero_times(DriveEnvelope(0.9, 1e300, 0.3), 1.0)
+
     def test_high_frequency_warning(self):
         with pytest.warns(UserWarning, match="high-frequency"):
             bundle = build_modulated_drive(1250, omega_over_chi=2 * np.pi * 100)
@@ -182,7 +226,7 @@ class TestDriveBuilder:
         record = run_protocol(bundle.schedule, bundle.initial_state)
         times = record.times()
         mask = times <= 1.05 * 3 * reference_optimum(n).chi_t
-        eff = effective_drive_record(n, 1.0, bundle.meta["omega0_over_omega"], times[mask])
+        eff = effective_drive_record(n, bundle.meta["omega0_over_omega"], times[mask])
         ratio = record.xi2()[mask][-40:] / eff.xi2()[-40:]
         assert np.max(np.abs(ratio - 1)) < 0.05
 
@@ -288,17 +332,16 @@ class TestFrozenStateHandoff:
                       Pulse(y_turn.scaled(-1.0)), QuadraticSegment("z", 1.0, dt)]
             prefix = period * n_star + [Pulse(y_turn), QuadraticSegment("z", 1.0, dt)]
             signs = (meta["freeze_sign"],)
-            turns = [("freeze", (-1.0, 0.0, 0.0), np.pi / 4)]
+            turns = [((-1.0, 0.0, 0.0), np.pi / 4)]
         else:
             env = segments[0].env
             prefix = [DrivenSegment(env, 1.0, 0.0, t_star, 64)]
             signs = meta["freeze_signs"]
-            turns = [("freeze-align", (0.0, 1.0, 0.0), env.omega0 / env.omega),
-                     ("freeze", (-1.0, 0.0, 0.0), np.pi / 4)]
-        pulses = [Pulse(RotationSpec(axis, sign * angle), label=label)
-                  for (label, axis, angle), sign in zip(turns, signs)]
+            turns = [((0.0, 1.0, 0.0), env.omega0 / env.omega),
+                     ((-1.0, 0.0, 0.0), np.pi / 4)]
+        pulses = [Pulse(RotationSpec(axis, sign * angle)) for (axis, angle), sign in zip(turns, signs)]
         hold = QuadraticSegment("z", 1.0, 10 * t_opt)
-        assert list(segments) == prefix + [FreezeMarker(t_star)] + pulses + [hold]
+        assert list(segments) == prefix + [FreezeMarker()] + pulses + [hold]
         times = np.array(bundle.schedule.sample_times)
         assert t_star in times
         assert np.count_nonzero(times > t_star) == 200
@@ -502,12 +545,12 @@ class TestSpecInvariants:
         # actual drive vs frame-corrected effective evolution at a whole
         # period near the optimum, over the three figure settings
         from spinsqueeze.dicke import rotate_vector
-        from spinsqueeze.protocols import _drive_effective_propagator
         from spinsqueeze.hamiltonians import alpha0 as a0_of
 
         n = 100
         phase = -np.pi / 2
-        prop = _drive_effective_propagator(n, 1.0, a0_of(0.9057, 1.0))
+        a0 = a0_of(0.9057)
+        prop = spectral(n / 2, a0, 1.0 - a0, 0.0)
         fids = []
         for om_fac in (2e3, 2e4, 1e5):
             bundle = build_modulated_drive(n, omega_over_chi=2 * np.pi * om_fac, phase=phase)
