@@ -226,7 +226,8 @@ def _write_csv(path, header: str, rows) -> Path:
 
 
 def _write_run_rows(path, times, xi2, jx, jy, jz, theta, chi_hz) -> Path:
-    cols = [times, xi2, 10.0 * np.log10(xi2), jx, jy, jz, theta]
+    with np.errstate(divide="ignore"):  # a zero xi^2 is -inf dB
+        cols = [times, xi2, 10.0 * np.log10(xi2), jx, jy, jz, theta]
     if chi_hz:
         cols.append(np.asarray(times) * _seconds_per_chi_t(chi_hz))
     header = RUN_HEADER + (",t_seconds" if chi_hz else "")
@@ -373,7 +374,7 @@ def _scenario_drive(cfg, out_dir, written) -> dict:
     )
     record = bundle.record or run_protocol(bundle.schedule, bundle.initial_state)
     seg = bundle.schedule.segments[0]
-    eff_times = [t for t in record.times() if t <= seg.t1]
+    eff_times = [t for t in record.times() if t <= seg.duration]
     eff = effective_drive_record(cfg.n, cfg.omega0_over_omega, eff_times)
     written.append(write_run_csv(out_dir / "drive_effective.csv", eff, cfg.chi_hz))
     # under a freeze the prefix to t* is the check's steps_per_period run

@@ -148,16 +148,14 @@ def husimi_q(
 
 @dataclass
 class RunRecord:
-    """Time series of squeezing reports plus run provenance.
+    """Time series of squeezing reports plus the run's events.
 
     chi_t holds the strictly increasing sample times and report their
-    columns. parameters echoes what produced the run (N, model, noise
-    seed); events collects freeze decisions and renormalizations.
+    columns; events collects freeze decisions and renormalizations.
     """
 
     chi_t: np.ndarray
     report: SqueezingReport
-    parameters: dict = field(default_factory=dict)
     events: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -178,8 +176,8 @@ class RunRecord:
         return self.report.column(int(np.argmin(np.abs(self.chi_t - chi_t))))
 
 
-def run_records(times, tiles, parameters, width: int = 1) -> list:
-    """One RunRecord per entry of parameters from the report tiles of a block
+def run_records(times, tiles, runs: int, width: int = 1) -> list:
+    """A RunRecord for each of the first runs columns from the report tiles of a block
     of width columns sampled at times: (report, used) pairs in sample order,
     whose first used columns hold width columns per sample, the rest padding.
     Run r takes the columns r, r + width, r + 2 width, ... of their join."""
@@ -187,8 +185,7 @@ def run_records(times, tiles, parameters, width: int = 1) -> list:
     parts = [(SqueezingReport(none, none, np.empty((3, 0)), none, none, none.astype(bool)), 0), *tiles]
     cols = [np.concatenate([getattr(rep, f.name)[..., :used] for rep, used in parts], axis=-1)
             for f in fields(SqueezingReport)]
-    reports = [SqueezingReport(*(c[..., r::width] for c in cols)) for r in range(len(parameters))]
-    return [RunRecord(times, rep, p) for rep, p in zip(reports, parameters)]
+    return [RunRecord(times, SqueezingReport(*(c[..., r::width] for c in cols))) for r in range(runs)]
 
 
 @dataclass(frozen=True)

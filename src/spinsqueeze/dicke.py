@@ -225,11 +225,9 @@ def axis_eigensystem(j: float):
 
 
 def basis_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """v @ x for a complex (n, R) block x. A real v takes one GEMM over the
-    2R float64 columns of x's real view: half the flops of the complex
+    """v @ x for a real v and a complex (n, R) block x: one GEMM over the
+    2R float64 columns of x's real view, half the flops of the complex
     product, and no complex copy of v."""
-    if np.iscomplexobj(v):
-        return v @ x
     x = np.ascontiguousarray(x, dtype=complex).view(np.float64)
     if v.flags.f_contiguous and x.shape[1] <= 64:
         # an F-ordered v (LAPACK's layout) and at most 32 complex columns: on

@@ -70,8 +70,8 @@ class SpectralPropagator:
         self.dim = sum(len(vals) for _, vals, _ in self.blocks)
 
     def coefficients(self, x: np.ndarray) -> list:
-        """Eigenbasis coefficients V^H x of each block of a (dim, R) block x."""
-        return [x[i] if v is None else basis_product(v.conj().T, x[i]) for i, _, v in self.blocks]
+        """Eigenbasis coefficients V^T x of each block of a (dim, R) block x."""
+        return [x[i] if v is None else basis_product(v.T, x[i]) for i, _, v in self.blocks]
 
     def synthesize(self, coeffs: list, times) -> np.ndarray:
         """The block at the given times from its coefficients: one column per
@@ -239,17 +239,15 @@ class DrivenEngine:
 # ---------------------------------------------------------------------------
 # schedule execution
 
-def _stepper(j: float, seg, t: float) -> tuple:
-    """(advance, framed, start, end) as in DrivenEngine for a segment reached at time t."""
+def _stepper(j: float, seg) -> tuple:
+    """(advance, framed) as in DrivenEngine for a segment."""
     if isinstance(seg, QuadraticSegment):
         def step(x, t_from, t_to, *_):
             return _quadratic(j, seg.axis, seg.chi, t_to - t_from, x) if t_to > t_from else x
 
-        return step, lambda _: False, t, t + seg.duration
-    if abs(seg.t0 - t) > TIME_TOL * max(1.0, abs(t)):
-        raise DomainError(f"driven segment starts at {seg.t0}, schedule time is {t}")
+        return step, lambda _: False
     engine = DrivenEngine(j, seg.chi, seg.env, seg.steps_per_period, seg.duration)
-    return engine.advance, engine.framed, seg.t0, seg.t1
+    return engine.advance, engine.framed
 
 
 def evolve_block(
@@ -257,7 +255,7 @@ def evolve_block(
     block: np.ndarray,
     schedule: ProtocolSchedule,
     scales: np.ndarray | None = None,
-    parameters=(),
+    runs: int = 0,
     keep=(),
     start: tuple | None = None,
 ) -> tuple[np.ndarray, list]:
@@ -266,8 +264,8 @@ def evolve_block(
 
     Pulse k turns column r by its angle times scales[k, r] (1 when scales
     is None). Every other segment acts on all columns alike. Returns the
-    final block and one RunRecord for each of the first len(parameters)
-    columns; later columns are padding and leave no record.
+    final block and one RunRecord for each of the first runs columns;
+    later columns are padding and leave no record.
 
     Boundary convention: a sample time equal to a segment boundary is taken
     before any zero-duration event listed after that boundary. A column
@@ -330,7 +328,7 @@ def evolve_block(
 
     for seg in schedule.segments:
         if head is not None:  # the schedule's clock runs on to the segment end x was kept at
-            t = seg.t1 if isinstance(seg, DrivenSegment) else t + seg.duration
+            t += seg.duration
             pulse_index += isinstance(seg, Pulse)
             if t == clock and isinstance(seg, (QuadraticSegment, DrivenSegment)):
                 x, head = renormalized(x), None
@@ -344,7 +342,8 @@ def evolve_block(
             freezes.append(t)
             continue
         if isinstance(seg, (QuadraticSegment, DrivenSegment)):
-            step, framed, t, end = _stepper(j, seg, t)
+            step, framed = _stepper(j, seg)
+            end = t + seg.duration
             x = frame_enter(j, x) if framed(t) else x
             whole = not due(end)  # a segment without samples may jump whole periods
             while due(end):
@@ -369,7 +368,7 @@ def evolve_block(
         si += 1
     flush()
 
-    records = run_records(samples, tiles, [dict(p or {}) for p in parameters], width)
+    records = run_records(samples, tiles, runs, width)
     for record, count in zip(records, renorms + counts):
         record.events += [{"kind": "freeze", "time": time} for time in freezes]
         if count:
@@ -379,7 +378,7 @@ def evolve_block(
 
 def evolve_schedule(state: DickeState, schedule: ProtocolSchedule) -> tuple[DickeState, RunRecord]:
     """Run one state through a schedule: evolve_block on a one-column block."""
-    x, (record,) = evolve_block(state.j, state.amplitudes[:, None], schedule, None, ({},))
+    x, (record,) = evolve_block(state.j, state.amplitudes[:, None], schedule, None, 1)
     return DickeState(state.j, x[:, 0]), record
 
 
@@ -389,15 +388,13 @@ def driven_doubling_check(
     """One-shot integrator self-check: the terminal fidelity gap 1 - |<a|b>| / (|a| |b|) between
     the segment run from state at its steps_per_period and at twice that, each a one-segment
     schedule read raw at its end, and each run's norm drift |.| - 1; terminal is the first run's
-    raw final block when it ran already. The segment starts at t0 = 0."""
-    if segment.t0 != 0:
-        raise DomainError(f"the doubling check runs a segment from t0 = 0, not from {segment.t0}")
+    raw final block when it ran already."""
     spp = segment.steps_per_period
 
     def run(seg):
-        keep = {seg.t1: None}
+        keep = {seg.duration: None}
         evolve_block(state.j, state.amplitudes[:, None], ProtocolSchedule((seg,), ()), keep=keep)
-        return keep[seg.t1][0]
+        return keep[seg.duration][0]
 
     single = run(segment) if terminal is None else terminal
     doubled = run(replace(segment, steps_per_period=2 * spp))
@@ -520,6 +517,7 @@ def full_hilbert_oracle(
             raise DomainError("oracle needs a duration")
         generator_matrix = sum(c * (op @ op) for c, op in zip(generator, (jz, jx, jy)))
         return project_to_dicke(n, sla.expm(-1j * duration * generator_matrix) @ vec)
+    t = 0.0
     for seg in generator.segments:
         if isinstance(seg, Pulse):
             axis_op = sum(a * op for a, op in zip(seg.rotation.axis, (jx, jy, jz)))
@@ -528,7 +526,8 @@ def full_hilbert_oracle(
             op = {"x": jx, "y": jy, "z": jz}[seg.axis]
             vec = sla.expm(-1j * seg.chi * seg.duration * (op @ op)) @ vec
         elif isinstance(seg, DrivenSegment):
-            vec = _full_driven_evolve(n, vec, seg.chi, seg.env, seg.t0, seg.t1)
+            vec = _full_driven_evolve(n, vec, seg.chi, seg.env, t, t + seg.duration)
         elif not isinstance(seg, FreezeMarker):
             raise DomainError(f"unknown segment type {type(seg).__name__}")
+        t += seg.duration
     return project_to_dicke(n, vec)

@@ -75,14 +75,14 @@ def _css_x(n_particles: int) -> DickeState:
 # ---------------------------------------------------------------------------
 # reference runs
 
-def _spectral_record(initial, times, parameters, prop: SpectralPropagator) -> RunRecord:
+def _spectral_record(initial, times, prop: SpectralPropagator) -> RunRecord:
     """Squeezing at each time under prop's generator. The initial state
     enters the eigenbasis once; each TILE consecutive times become the
     columns of one block."""
     coeffs = prop.coefficients(initial.amplitudes[:, None])
     chunks = [np.asarray(times[k : k + TILE], dtype=float) for k in range(0, len(times), TILE)]
     tiles = [(squeezing_columns(initial.j, prop.synthesize(coeffs, c)), len(c)) for c in chunks]
-    return run_records(times, tiles, [parameters])[0]
+    return run_records(times, tiles, 1)[0]
 
 
 def reference_runs(n_particles: int, model: str = "oat", n_samples: int = 600) -> RunRecord:
@@ -95,20 +95,18 @@ def reference_runs(n_particles: int, model: str = "oat", n_samples: int = 600) -
     if model not in ("oat", "tact"):
         raise DomainError(f"model must be 'oat' or 'tact', got {model!r}")
     initial = _css_x(n_particles)
-    params = {"model": model, "N": n_particles}
     if model == "oat":
         times = np.linspace(0.0, REFERENCE_SPAN * t_opt_oat(n_particles), n_samples)
-        return _spectral_record(initial, times, params, spectral(initial.j, 1.0, 0.0, 0.0))
+        return _spectral_record(initial, times, spectral(initial.j, 1.0, 0.0, 0.0))
     times = np.linspace(0.0, REFERENCE_SPAN * t_opt_tact(n_particles), n_samples)
-    return _spectral_record(initial, times, params, spectral(initial.j, 1.0, 0.0, -1.0))
+    return _spectral_record(initial, times, spectral(initial.j, 1.0, 0.0, -1.0))
 
 
 def effective_pulse_record(n_particles, chi, times) -> RunRecord:
     """xi^2 under the exact averaged pulse generator chi*(2Jx^2 + Jz^2)/3
     from the north-pole state."""
-    params = {"model": "pulse-effective", "N": n_particles, "chi": chi}
     initial = make_dicke_state(n_particles / 2, n_particles / 2)
-    return _spectral_record(initial, times, params, spectral(initial.j, chi / 3.0, 2.0 * chi / 3.0, 0.0))
+    return _spectral_record(initial, times, spectral(initial.j, chi / 3.0, 2.0 * chi / 3.0, 0.0))
 
 
 def effective_drive_record(n_particles, omega0_over_omega, times) -> RunRecord:
@@ -116,9 +114,8 @@ def effective_drive_record(n_particles, omega0_over_omega, times) -> RunRecord:
     the nonzero-phase form cancels in xi^2, so the unrotated mixture from
     the x-pointing state covers every drive phase."""
     a0 = alpha0(omega0_over_omega)
-    params = {"model": "drive-effective", "N": n_particles, "alpha0": a0}
     initial = _css_x(n_particles)
-    return _spectral_record(initial, times, params, spectral(initial.j, a0, 1.0 - a0, 0.0))
+    return _spectral_record(initial, times, spectral(initial.j, a0, 1.0 - a0, 0.0))
 
 
 @lru_cache(maxsize=32)
@@ -155,7 +152,7 @@ def _best_signs(state: DickeState, rotations) -> tuple[tuple, float]:
     signs = np.array(list(product((1.0, -1.0), repeat=len(rotations))))
     block = np.repeat(state.amplitudes[:, None], len(signs), axis=1)
     pulses = ProtocolSchedule(tuple(Pulse(rot) for rot in rotations), ())
-    block, _ = evolve_block(state.j, block, pulses, signs.T, ())
+    block, _ = evolve_block(state.j, block, pulses, signs.T)
     m = m_values(state.j)[:, None]
     p = block.real**2 + block.imag**2
     var = (m**2 * p).sum(axis=0) - (m * p).sum(axis=0) ** 2
@@ -168,7 +165,7 @@ def _probe(initial: DickeState, segments, samples, candidates, clocks, meta: dic
     the samples: the index of the candidate of least xi^2 (meta records each
     with its xi^2), the pass's record, and its blocks kept at the clocks."""
     schedule, kept = ProtocolSchedule(tuple(segments), tuple(samples)), dict.fromkeys(clocks)
-    _, (record,) = evolve_block(initial.j, initial.amplitudes[:, None], schedule, None, ({},), kept)
+    _, (record,) = evolve_block(initial.j, initial.amplitudes[:, None], schedule, None, 1, kept)
     xi2 = record.xi2()[[schedule.sample_times.index(t) for t in candidates]]
     meta["freeze_candidates"] = list(zip(candidates, xi2.tolist()))
     return int(np.argmin(xi2)), record, kept
@@ -195,7 +192,7 @@ def _freeze(initial, meta, prefix, t_star, rotations, probe, clock, kept) -> Pro
     schedule = ProtocolSchedule(prefix + tail + (QuadraticSegment("z", 1.0, post_time),), samples, meta)
     x, _ = evolve_block(j, at_star, ProtocolSchedule(tail, ()))
     start = None if kept is None else (kept[0], clock, kept[1], probe.report)
-    record = _run_batch(schedule, initial, [None], [None], start)[1][0]
+    record = _run_batch(schedule, initial, [None], start)[1][0]
     return ProtocolBundle(schedule, initial, meta, DickeState(j, x[:, 0]), at_freeze.popitem()[1][0], record)
 
 
@@ -345,7 +342,7 @@ def build_modulated_drive(
         t_lo, t_hi = max(0.0, FINE_WINDOW[0] * center), min(t_end, FINE_WINDOW[1] * center)
         fine = t_lo + (period / 8) * np.arange(int(np.floor((t_hi - t_lo) / (period / 8))) + 1)
         samples = _dedupe_times(zeros + fine.tolist())
-        segments = (DrivenSegment(env, 1.0, 0.0, t_end, steps_per_period),)
+        segments = (DrivenSegment(env, 1.0, t_end, steps_per_period),)
         schedule = ProtocolSchedule(segments, tuple(samples), meta)
         return ProtocolBundle(schedule, initial, meta)
 
@@ -354,12 +351,12 @@ def build_modulated_drive(
     zeros_all = drive_zero_times(env, center + (DRIVE_WINDOW + 1) * period)
     candidates = zeros_all[np.abs(zeros_all - center) <= DRIVE_WINDOW * period * (1 + 1e-12)].tolist()
     last = candidates[-1]
-    segments = (DrivenSegment(env, 1.0, 0.0, last, steps_per_period),)
+    segments = (DrivenSegment(env, 1.0, last, steps_per_period),)
     best, probe, kept = _probe(initial, segments, drive_zero_times(env, last), candidates, candidates, meta)
     t_star = candidates[best]
     meta["drive_value_at_freeze"] = float(drive_value(env, t_star))
 
-    prefix = (DrivenSegment(env, 1.0, 0.0, t_star, steps_per_period),)
+    prefix = (DrivenSegment(env, 1.0, t_star, steps_per_period),)
     align = RotationSpec((0.0, 1.0, 0.0), env.omega0 / env.omega)
     jumps = [DrivenEngine.jumps_pay(initial.j, env, steps_per_period, span) for span in (t_star, last)]
     kept = kept[t_star] if jumps[0] == jumps[1] else None  # else the pass took other steps
@@ -385,7 +382,7 @@ def _noisy(noise: NoiseModel | None) -> bool:
     return noise is not None and noise.eta > 0
 
 
-def _run_batch(schedule, initial, noises, parameters, start=None) -> tuple[np.ndarray, list]:
+def _run_batch(schedule, initial, noises, start=None) -> tuple[np.ndarray, list]:
     """Final block and records of runs of one schedule that differ only in
     their pulse noise.
 
@@ -398,13 +395,7 @@ def _run_batch(schedule, initial, noises, parameters, start=None) -> tuple[np.nd
         factors = np.stack([_noise_factors(schedule, noise) for noise in noises], axis=1)
         scales = factors[:, np.minimum(np.arange(TILE), len(noises) - 1)]
         block = np.repeat(block, TILE, axis=1)
-    params = []
-    for noise, extra in zip(noises, parameters):
-        drawn = {"N": initial.n_particles}
-        if _noisy(noise):
-            drawn.update(noise_eta=noise.eta, seed=noise.seed)
-        params.append({**drawn, **(extra or {})})
-    block, records = evolve_block(initial.j, block, schedule, scales, params, (), start and start[1:])
+    block, records = evolve_block(initial.j, block, schedule, scales, len(noises), (), start and start[1:])
     for record in records:
         for key in ("freeze_time", "freeze_sign", "freeze_signs"):
             if key in schedule.meta:
@@ -419,7 +410,7 @@ def run_protocol(
     is scaled by its own 1 + r*eta draw. A noisy run is computed in a
     TILE-wide block, so it replays the matching Monte Carlo realization bit
     for bit."""
-    return _run_batch(schedule, initial, [noise], [None])[1][0]
+    return _run_batch(schedule, initial, [noise])[1][0]
 
 
 @dataclass
@@ -445,29 +436,27 @@ def run_monte_carlo(
     initial: DickeState,
     noise: NoiseModel,
     realizations: int,
-    threads: int | None = None,
 ) -> MonteCarloResult:
     """Independent noise realizations with seeds derived from the master
     seed, run TILE at a time as the columns of one block; the pool spreads
-    the tiles over threads. A realization's record is bit-identical
+    the tiles over worker_count() threads. A realization's record is bit-identical
     whatever the pool size or the number of realizations, and equals
     run_protocol with that realization's seed."""
     if realizations < 1:
         raise DomainError("realizations must be at least 1")
     children = np.random.SeedSequence(noise.seed).spawn(realizations)
     seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
-    workers = threads if threads is not None else worker_count()
+    workers = worker_count()
 
     def tile(start: int) -> list:
         idx = range(start, min(start + TILE, realizations))
         noises = [NoiseModel(noise.eta, seeds[i]) for i in idx]
-        return _run_batch(schedule, initial, noises, [{"realization": i} for i in idx])[1]
+        return _run_batch(schedule, initial, noises)[1]
 
     starts = range(0, realizations, TILE)
     if not _noisy(noise):  # every realization is the noiseless run: run it once
         run = run_protocol(schedule, initial)
-        tiles = [[RunRecord(run.chi_t, run.report, {**run.parameters, "realization": i}, list(run.events))
-                  for i in range(realizations)]]
+        tiles = [[RunRecord(run.chi_t, run.report, list(run.events)) for _ in range(realizations)]]
     elif workers <= 1 or len(starts) == 1:
         tiles = [tile(k) for k in starts]
     else:

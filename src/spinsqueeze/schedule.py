@@ -28,27 +28,23 @@ class QuadraticSegment:
 
 @dataclass(frozen=True)
 class DrivenSegment:
-    """Evolution under chi*Jz^2 + Omega(t)*Jy from t0 to t1.
+    """Evolution under chi*Jz^2 + Omega(t)*Jy for the given duration (chi*t units).
 
-    t0/t1 are absolute times so the drive phase stays referenced to the
-    schedule origin; steps_per_period controls the split-step grid.
+    Omega(t) is read off the schedule clock, so the drive phase stays
+    referenced to the schedule origin wherever the segment starts;
+    steps_per_period controls the split-step grid.
     """
 
     env: DriveEnvelope
     chi: float
-    t0: float
-    t1: float
+    duration: float
     steps_per_period: int = 64
 
     def __post_init__(self):
-        if self.t1 < self.t0:
-            raise DomainError("driven segment must have t1 >= t0")
+        if self.duration < 0:
+            raise DomainError("segment duration must be nonnegative")
         if self.steps_per_period < 16:
             raise DomainError("steps_per_period must be at least 16")
-
-    @property
-    def duration(self) -> float:
-        return self.t1 - self.t0
 
 
 @dataclass(frozen=True)

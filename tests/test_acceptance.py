@@ -101,7 +101,7 @@ def test_criterion_02_oracle_equivalence():
         omega = 2 * np.pi * 2000.0
         env = DriveEnvelope(PAPER_RATIO * omega, omega, -np.pi / 2)
         s0 = rotate(css, RotationSpec((0, 1, 0), -PAPER_RATIO))
-        seg = DrivenSegment(env, 1.0, 0.0, 0.2)
+        seg = DrivenSegment(env, 1.0, 0.2)
         with split_steps_only():
             got_d = DickeState(j, raw_end(s0, seg))
         want_d, _ = full_hilbert_oracle(s0, ProtocolSchedule((seg,), ()))
@@ -223,7 +223,7 @@ def test_criterion_07_drive_convergence(tact_min):
     seg_env = DriveEnvelope(PAPER_RATIO * 2 * np.pi * 1e5, 2 * np.pi * 1e5, -np.pi / 2)
     bundle5 = build_modulated_drive(N_MAIN, omega_over_chi=2 * np.pi * 1e5)
     seg = bundle5.schedule.segments[0]
-    dbl = driven_doubling_check(bundle5.initial_state, DrivenSegment(seg_env, 1.0, seg.t0, seg.t1, 64))
+    dbl = driven_doubling_check(bundle5.initial_state, DrivenSegment(seg_env, 1.0, seg.duration, 64))
     ok_dbl = dbl["terminal_fidelity_gap"] < 1e-8
     crit(
         7,
@@ -274,13 +274,13 @@ def test_criterion_09_phase_covariance():
     # drive-off moments of the shifted run
     k = int(round(0.5 * 3 * reference_optimum(n).chi_t / env0.period))
     t_k = k * env0.period
-    ref = raw_end(base.initial_state, DrivenSegment(env0, 1.0, 0.0, t_k))
+    ref = raw_end(base.initial_state, DrivenSegment(env0, 1.0, t_k))
     from spinsqueeze.dicke import rotate_vector
 
     for phase in (-np.pi / 2, 0.8, 2.1):
         b = build_modulated_drive(n, omega_over_chi=omega, phase=phase)
         env = b.schedule.segments[0].env
-        got = raw_end(b.initial_state, DrivenSegment(env, 1.0, 0.0, t_k))
+        got = raw_end(b.initial_state, DrivenSegment(env, 1.0, t_k))
         want = rotate_vector(
             n / 2, ref, RotationSpec((0, 1, 0), (env.omega0 / env.omega) * np.sin(phase))
         )

@@ -74,11 +74,11 @@ def cut_at(schedule, s):
             segments.append(seg if t + seg.duration <= s else QuadraticSegment(seg.axis, seg.chi, s - t))
             t += seg.duration
         else:
-            end = min(seg.t1, s)
-            stops = [u for u in schedule.sample_times if seg.t0 < u < end] + [end]
-            for a, b in zip([seg.t0, *stops], stops):
-                segments.append(DrivenSegment(seg.env, seg.chi, a, b, seg.steps_per_period))
-            t = seg.t1
+            end = min(t + seg.duration, s)
+            stops = [u for u in schedule.sample_times if t < u < end] + [end]
+            for a, b in zip([t, *stops], stops):
+                segments.append(DrivenSegment(seg.env, seg.chi, b - a, seg.steps_per_period))
+            t += seg.duration
     return ProtocolSchedule(tuple(segments), ())
 
 
@@ -117,10 +117,11 @@ def pulse_bundle():
 
 
 class TestTileDeterminism:
-    def test_records_independent_of_realization_count(self, pulse_bundle):
+    def test_records_independent_of_realization_count(self, pulse_bundle, monkeypatch):
+        monkeypatch.setenv("SPINSQUEEZE_THREADS", "1")
         noise = NoiseModel(0.02, seed=11)
         runs = {
-            r: run_monte_carlo(pulse_bundle.schedule, pulse_bundle.initial_state, noise, r, threads=1)
+            r: run_monte_carlo(pulse_bundle.schedule, pulse_bundle.initial_state, noise, r)
             for r in (1, TILE - 1, TILE, TILE + 1)
         }
         longest = runs[TILE + 1]
@@ -128,7 +129,6 @@ class TestTileDeterminism:
             assert len(mc.records) == r
             assert mc.seeds == longest.seeds[:r]
             for i, rec in enumerate(mc.records):
-                assert rec.parameters["realization"] == i
                 assert same_record(rec, longest.records[i])
 
     def test_replay_of_last_realization(self, pulse_bundle):
@@ -141,10 +141,12 @@ class TestTileDeterminism:
             )
             assert np.array_equal(replay.xi2(), mc.records[i].xi2())
 
-    def test_thread_count_does_not_change_records(self, pulse_bundle):
+    def test_thread_count_does_not_change_records(self, pulse_bundle, monkeypatch):
         noise = NoiseModel(0.02, seed=3)
-        one = run_monte_carlo(pulse_bundle.schedule, pulse_bundle.initial_state, noise, 2 * TILE + 1, 1)
-        two = run_monte_carlo(pulse_bundle.schedule, pulse_bundle.initial_state, noise, 2 * TILE + 1, 2)
+        monkeypatch.setenv("SPINSQUEEZE_THREADS", "1")
+        one = run_monte_carlo(pulse_bundle.schedule, pulse_bundle.initial_state, noise, 2 * TILE + 1)
+        monkeypatch.setenv("SPINSQUEEZE_THREADS", "2")
+        two = run_monte_carlo(pulse_bundle.schedule, pulse_bundle.initial_state, noise, 2 * TILE + 1)
         assert all(same_record(a, b) for a, b in zip(one.records, two.records))
 
     def test_cli_bytes_across_blas_and_pool_threads(self, tmp_path):
@@ -168,7 +170,7 @@ class TestKernelCorrectness:
     def test_monte_carlo_columns_match_single_state_loop(self, pulse_bundle):
         schedule, initial = pulse_bundle.schedule, pulse_bundle.initial_state
         noises = [NoiseModel(0.05, seed=s) for s in (1, 2, 3)]
-        block, _ = _run_batch(schedule, initial, noises, [None] * 3)
+        block, _ = _run_batch(schedule, initial, noises)
         for r, noise in enumerate(noises):
             factors = iter(_noise_factors(schedule, noise))
             state = initial
@@ -195,7 +197,7 @@ class TestKernelCorrectness:
         scales = np.array([[1.0, 1.3], [0.8, 1.0], [1.2, 0.5]])
         initial = make_css(n / 2, 0.4, 0.2)
         block, _ = evolve_block(initial.j, np.repeat(initial.amplitudes[:, None], 2, axis=1),
-                                schedule, scales, ())
+                                schedule, scales)
         for r in range(2):
             realized = []
             k = 0
@@ -210,11 +212,11 @@ class TestKernelCorrectness:
     def test_driven_block_matches_single_runs(self):
         omega = 2 * np.pi * 300.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
-        schedule = ProtocolSchedule((DrivenSegment(env, 1.0, 0.0, 40.5 * env.period),), ())
+        schedule = ProtocolSchedule((DrivenSegment(env, 1.0, 40.5 * env.period),), ())
         states = [make_css(6, 1.0, 0.0), make_css(6, 0.3, 1.2)]
-        block, _ = evolve_block(6, np.stack([s.amplitudes for s in states], axis=1), schedule, None, ())
+        block, _ = evolve_block(6, np.stack([s.amplitudes for s in states], axis=1), schedule)
         for r, s in enumerate(states):
-            single, _ = evolve_block(6, s.amplitudes[:, None], schedule, None, ())
+            single, _ = evolve_block(6, s.amplitudes[:, None], schedule)
             assert abs(np.vdot(single[:, 0], block[:, r])) >= 1 - 1e-10
 
     @pytest.mark.parametrize("model", ["oat", "tact"])
@@ -261,7 +263,7 @@ class TestReportTiles:
         omega = 2 * np.pi * 300.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         zeros = drive_zero_times(env, 40 * env.period)
-        segment = DrivenSegment(env, 1.0, 0.0, float(zeros[-1]))
+        segment = DrivenSegment(env, 1.0, float(zeros[-1]))
         initial = make_css(n / 2, np.pi / 2, 0.0).amplitudes[:, None]
         target = 40
         reports, finals = [], []
@@ -269,7 +271,7 @@ class TestReportTiles:
             for before in {0, count // 2, count - 1}:  # the target first, mid and last
                 times = zeros[target - before : target - before + count]
                 schedule = ProtocolSchedule((segment,), tuple(times.tolist()))
-                final, (record,) = evolve_block(n / 2, initial, schedule, None, [None])
+                final, (record,) = evolve_block(n / 2, initial, schedule, None, 1)
                 assert len(record.times()) == count
                 reports.append((record.times()[before], record.report.column(before)))
                 finals.append(final)
@@ -290,9 +292,9 @@ class TestReportTiles:
         end = 20 * env.period
         rng = np.random.default_rng(4)
         times = np.sort(np.concatenate([drive_zero_times(env, end)[::3], rng.uniform(0, end, 9)]))
-        schedule = ProtocolSchedule((DrivenSegment(env, 1.0, 0.0, end),), tuple(times.tolist()))
+        schedule = ProtocolSchedule((DrivenSegment(env, 1.0, end),), tuple(times.tolist()))
         x = make_css(6, np.pi / 2, 0.0).amplitudes[:, None]
-        _, (record,) = evolve_block(6, x, schedule, None, [None])
+        _, (record,) = evolve_block(6, x, schedule, None, 1)
         assert len(record.times()) > TILE
         assert_reports_close(sample_reports(record), one_column_reports(6, x, schedule))
 
@@ -304,7 +306,7 @@ class TestReportTiles:
                     QuadraticSegment("x", 1.0, 0.2))
         x = make_css(j, np.pi / 2, 0.0).amplitudes[:, None] * (1 + 1e-8)
         schedule = ProtocolSchedule(segments, (0.3, 0.5))
-        final, (record,) = evolve_block(j, x, schedule, None, [None])
+        final, (record,) = evolve_block(j, x, schedule, None, 1)
         assert record.events == [{"kind": "renormalization", "count": 1}]
         at_first = np.exp(-0.3j * m_values(j)[:, None] ** 2) * x
         want = [squeezing_columns(j, y).column(0) for y in (at_first, final)]

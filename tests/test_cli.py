@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spinsqueeze
 from spinsqueeze import propagator
-from spinsqueeze.cli import DEFAULTS, parse_config, run_scenario
+from spinsqueeze.cli import DEFAULTS, parse_config, run_scenario, write_run_csv
+from spinsqueeze.diagnostics import RunRecord, squeezing_columns
 from spinsqueeze.dicke import make_css
 from spinsqueeze.protocols import (
     NoiseModel,
@@ -264,6 +266,13 @@ class TestScenarios:
         assert np.array_equal(run[:, 2], 10.0 * np.log10(record.xi2()))
         assert np.array_equal(run[:, 3:6].T, record.report.mean_spin)
         assert np.array_equal(run[:, 6], record.report.theta_min)
+
+    def test_zero_xi2_is_minus_infinity_db(self, tmp_path):
+        # N = 2 can reach a zero minimal variance; its dB is written as -inf, with no warning
+        rep = squeezing_columns(2, np.repeat(make_css(2, np.pi / 2, 0).amplitudes[:, None], 2, axis=1))
+        write_run_csv(tmp_path / "run.csv", RunRecord([0.0, 0.1], replace(rep, xi2=np.array([0.0, 0.5]))))
+        db = [row.split(",")[2] for row in (tmp_path / "run.csv").read_text().splitlines()[1:]]
+        assert db[0] == "-inf" and float(db[1]) == pytest.approx(10 * np.log10(0.5), rel=1e-15)
 
     def test_pulses_unit_report_paper_values(self, tmp_path):
         _, status = run_cli([

@@ -198,16 +198,15 @@ class TestRunRecord:
         # sample and a padding column
         block = np.stack([make_css(2, 0.2 + 0.3 * k, 0.1 * k).amplitudes for k in range(7)], axis=1)
         full, last = squeezing_columns(2, block[:, :4]), squeezing_columns(2, block[:, 4:])
-        records = run_records([0.0, 0.1, 0.2], [(full, 4), (last, 2)], [{"run": 0}, {"run": 1}], 2)
+        records = run_records([0.0, 0.1, 0.2], [(full, 4), (last, 2)], 2, 2)
         for r, rec in enumerate(records):
-            assert rec.parameters == {"run": r}
             assert np.array_equal(rec.times(), [0.0, 0.1, 0.2])
             want = [full.column(r), full.column(2 + r), last.column(r)]
             assert [rec.report.column(k) for k in range(3)] == want
             assert rec.report.mean_spin.shape == (3, 3)
 
     def test_run_records_without_samples(self):
-        (rec,) = run_records([], [], [{}])
+        (rec,) = run_records([], [], 1)
         assert rec.times().shape == rec.xi2().shape == (0,)
         assert rec.report.mean_spin.shape == (3, 0)
 

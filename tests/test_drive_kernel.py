@@ -153,7 +153,7 @@ def test_period_operator_path_matches_plain_split_stepping(n, phase):
     t0, t1 = 0.123 * env.period, 23.61 * env.period
     assert DrivenEngine(j, chi, env, SPP, t1 - t0)._ops is not None
     # a chi = 0 hold to t0 leaves the state as it is, then the drive from t0 to t1
-    segments = (QuadraticSegment("z", 0.0, t0), DrivenSegment(env, chi, t0, t1, SPP))
+    segments = (QuadraticSegment("z", 0.0, t0), DrivenSegment(env, chi, t1 - t0, SPP))
     state = DickeState(j, random_block(j, 1, seed=n)[:, 0])
     with split_steps_only():
         a = raw_end(state, *segments)
@@ -173,7 +173,7 @@ def test_sampled_frame_chain_matches_plain_split_stepping(n, phase):
     t1 = 23.5 * env.period
     times = [0.0, 3 * half, 3 * half + 0.37 * h, 3 * half + 5 * h, 11.3 * half, 20 * half, 20 * half + h, t1]
     x0 = random_block(j, 1, seed=n)
-    schedule = ProtocolSchedule((DrivenSegment(env, chi, 0.0, t1, SPP),), tuple(times))
+    schedule = ProtocolSchedule((DrivenSegment(env, chi, t1, SPP),), tuple(times))
     final, record = evolve_schedule(DickeState(j, x0[:, 0]), schedule)
     x, want = x0, []
     for a, b in zip([0.0, *times], times):

@@ -58,7 +58,7 @@ def drive_run(state, chi, env, t0, t1, spp=64):
     segment, after a chi = 0 hold from 0 to t0 that leaves the state as it is."""
     hold = (QuadraticSegment("z", 0.0, t0),) if t0 else ()
     with split_steps_only():
-        return DickeState(state.j, raw_end(state, *hold, DrivenSegment(env, chi, t0, t1, spp)))
+        return DickeState(state.j, raw_end(state, *hold, DrivenSegment(env, chi, t1 - t0, spp)))
 
 
 class TestQuadratic:
@@ -157,7 +157,7 @@ class TestDriven:
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         s0 = rotate(s, RotationSpec((0, 1, 0), (env.omega0 / env.omega) * np.sin(env.phase)))
         got = drive_run(s0, 1.0, env, 0.0, 0.2)
-        want, deficit = full_hilbert_oracle(s0, ProtocolSchedule((DrivenSegment(env, 1.0, 0.0, 0.2),), ()))
+        want, deficit = full_hilbert_oracle(s0, ProtocolSchedule((DrivenSegment(env, 1.0, 0.2),), ()))
         assert deficit < 1e-10
         assert fidelity(got, want) >= 1 - 1e-6
 
@@ -168,7 +168,7 @@ class TestDriven:
         once = drive_run(s, 1.0, env, 0.0, 0.02)
         split_t = 0.0123456  # deliberately off-grid
         with split_steps_only():
-            twice = raw_end(s, DrivenSegment(env, 1.0, 0.0, split_t), DrivenSegment(env, 1.0, split_t, 0.02))
+            twice = raw_end(s, DrivenSegment(env, 1.0, split_t), DrivenSegment(env, 1.0, 0.02 - split_t))
         twice = DickeState(s.j, twice)
         assert fidelity(once, twice) >= 1 - 1e-9
 
@@ -192,18 +192,18 @@ class TestDriven:
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(DomainError):
-            DrivenSegment(DriveEnvelope(1, 1, 0), 1.0, 0, 1, steps_per_period=8)
+            DrivenSegment(DriveEnvelope(1, 1, 0), 1.0, 1, steps_per_period=8)
 
     def test_backwards_rejected(self):
         with pytest.raises(DomainError):
-            DrivenSegment(DriveEnvelope(1, 1, 0), 1.0, 1.0, 0.5)
+            DrivenSegment(DriveEnvelope(1, 1, 0), 1.0, -0.5)
 
     def test_norm_preserved_long_run(self):
         s = make_css(20, np.pi / 2, 0.0)
         omega = 2 * np.pi * 100.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         with split_steps_only():
-            out = raw_end(s, DrivenSegment(env, 1.0, 0.0, 0.5))
+            out = raw_end(s, DrivenSegment(env, 1.0, 0.5))
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
@@ -216,8 +216,8 @@ class TestPeriodOperators:
         t1 = 137.25 * env.period
         assert DrivenEngine(j, 1.0, env, 64, t1)._ops is not None
         with split_steps_only():
-            a = raw_end(s, DrivenSegment(env, 1.0, 0.0, t1, 64))
-        b = raw_end(s, DrivenSegment(env, 1.0, 0.0, t1, 64))
+            a = raw_end(s, DrivenSegment(env, 1.0, t1, 64))
+        b = raw_end(s, DrivenSegment(env, 1.0, t1, 64))
         assert abs(np.vdot(a, b)) >= 1 - 1e-11
 
     def test_fast_path_nonzero_phase(self):
@@ -228,15 +228,15 @@ class TestPeriodOperators:
         t1 = 55 * env.period
         assert DrivenEngine(j, 1.0, env, 32, t1)._ops is not None
         with split_steps_only():
-            a = raw_end(s, DrivenSegment(env, 1.0, 0.0, t1, 32))
-        b = raw_end(s, DrivenSegment(env, 1.0, 0.0, t1, 32))
+            a = raw_end(s, DrivenSegment(env, 1.0, t1, 32))
+        b = raw_end(s, DrivenSegment(env, 1.0, t1, 32))
         assert abs(np.vdot(a, b)) >= 1 - 1e-11
 
     def test_doubling_check_reports_small_gap(self):
         s = make_css(5, np.pi / 2, 0.0)
         omega = 2 * np.pi * 1000.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
-        rep = driven_doubling_check(s, DrivenSegment(env, 1.0, 0.0, 0.05))
+        rep = driven_doubling_check(s, DrivenSegment(env, 1.0, 0.05))
         assert rep["terminal_fidelity_gap"] < 1e-8
         assert rep["doubled"] == 128
 
@@ -244,18 +244,13 @@ class TestPeriodOperators:
         # the gap compares directions: a terminal block at twice its norm moves only its drift
         s = make_css(5, np.pi / 2, 0.0)
         omega = 2 * np.pi * 1000.0
-        seg = DrivenSegment(DriveEnvelope(0.9057 * omega, omega, 0.3), 1.0, 0.0, 0.05)
+        seg = DrivenSegment(DriveEnvelope(0.9057 * omega, omega, 0.3), 1.0, 0.05)
         plain = driven_doubling_check(s, seg)
         scaled = driven_doubling_check(s, seg, 2 * raw_end(s, seg))
         assert scaled["terminal_fidelity_gap"] == pytest.approx(plain["terminal_fidelity_gap"], abs=1e-15)
         assert scaled["norm_drift"] == pytest.approx(2 * plain["norm_drift"] + 1, abs=1e-14)
         assert scaled["doubled_norm_drift"] == plain["doubled_norm_drift"]
         assert abs(plain["norm_drift"]) < 1e-9 and abs(plain["doubled_norm_drift"]) < 1e-9
-
-    def test_doubling_check_starts_at_zero(self):
-        env = DriveEnvelope(0.9057 * 2 * np.pi * 1000.0, 2 * np.pi * 1000.0, -np.pi / 2)
-        with pytest.raises(DomainError, match="doubling check runs a segment from t0 = 0"):
-            driven_doubling_check(make_css(5, np.pi / 2, 0.0), DrivenSegment(env, 1.0, 0.01, 0.05))
 
 
 class TestSchedule:
@@ -303,18 +298,6 @@ class TestSchedule:
         got = record.report.column(0)
         assert got.xi2 == pytest.approx(want.xi2, rel=1e-12)
         assert np.allclose(got.mean_spin, want.mean_spin, atol=1e-9)
-
-    def test_driven_segment_start_mismatch(self):
-        env = DriveEnvelope(1.0, 2 * np.pi * 100, -np.pi / 2)
-        sched = ProtocolSchedule(
-            (
-                QuadraticSegment("z", 1.0, 0.05),
-                DrivenSegment(env, 1.0, 0.2, 0.3),
-            ),
-            (),
-        )
-        with pytest.raises(DomainError):
-            evolve_schedule(make_css(2, np.pi / 2, 0.0), sched)
 
     def test_freeze_marker_logged(self):
         sched = ProtocolSchedule(

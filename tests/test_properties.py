@@ -110,8 +110,9 @@ def driven_schedules(draw):
             phase = draw(st.sampled_from([0.0, 0.3, np.pi / 2, -np.pi / 2, 0.9]))
             env = DriveEnvelope(0.9057 * DRIVE_OMEGA, DRIVE_OMEGA, phase)
             spp = draw(st.sampled_from([16, 32]))
-            h, t1 = env.period / spp, t + env.period * draw(st.floats(16.5, 20.0))
-            segments.append(DrivenSegment(env, 1.0, t, t1, spp))
+            h, duration = env.period / spp, env.period * draw(st.floats(16.5, 20.0))
+            t1 = t + duration
+            segments.append(DrivenSegment(env, 1.0, duration, spp))
             for step, count in ((h, 4), (env.period / 2, 2)):
                 grid = st.integers(int(np.ceil(t / step)), int(np.floor(t1 / step)))
                 samples += [k * step for k in draw(st.lists(grid, max_size=count))]

@@ -49,9 +49,9 @@ def test_driven_stepping_goes_through_advance(monkeypatch):
         propagator.DrivenEngine, "advance", lambda eng, y, *a: calls.append(a) or advance(eng, y, *a)
     )
     env = DriveEnvelope(0.9057 * 2 * np.pi * 40.0, 2 * np.pi * 40.0, -np.pi / 2)
-    state, seg = make_css(4, np.pi / 2, 0.0), DrivenSegment(env, 1.0, 0.0, 20.3 * env.period)
-    propagator.evolve_schedule(state, ProtocolSchedule((seg,), (seg.t1 / 2,)))
-    assert [a[0] for a in calls] == [0.0, seg.t1 / 2]
+    state, seg = make_css(4, np.pi / 2, 0.0), DrivenSegment(env, 1.0, 20.3 * env.period)
+    propagator.evolve_schedule(state, ProtocolSchedule((seg,), (seg.duration / 2,)))
+    assert [a[0] for a in calls] == [0.0, seg.duration / 2]
     calls.clear()
     propagator.driven_doubling_check(state, seg)
-    assert len(calls) == 2 and all(a[:2] == (0.0, seg.t1) for a in calls)
+    assert len(calls) == 2 and all(a[:2] == (0.0, seg.duration) for a in calls)
