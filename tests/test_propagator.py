@@ -252,6 +252,16 @@ class TestPeriodOperators:
         assert scaled["doubled_norm_drift"] == plain["doubled_norm_drift"]
         assert abs(plain["norm_drift"]) < 1e-9 and abs(plain["doubled_norm_drift"]) < 1e-9
 
+    def test_doubling_check_runs_segment_alone(self):
+        # the check runs the segment as a one-segment schedule from clock 0: its own first run
+        # is the raw end of that schedule
+        s = make_css(5, np.pi / 2, 0.0)
+        omega = 2 * np.pi * 1000.0
+        seg = DrivenSegment(DriveEnvelope(0.9057 * omega, omega, -np.pi / 2), 1.0, 0.05)
+        plain = driven_doubling_check(s, seg)
+        given = driven_doubling_check(s, seg, raw_end(s, seg))
+        assert given == plain
+
 
 class TestSchedule:
     def test_empty_schedule(self):
@@ -298,6 +308,19 @@ class TestSchedule:
         got = record.report.column(0)
         assert got.xi2 == pytest.approx(want.xi2, rel=1e-12)
         assert np.allclose(got.mean_spin, want.mean_spin, atol=1e-9)
+
+    def test_driven_segment_reads_schedule_clock(self):
+        # after a chi = 0 hold of t0, the envelope is read from t0 on: the same as a drive
+        # from clock 0 whose phase is advanced by omega * t0
+        s = make_css(6, np.pi / 2, 0.0)
+        omega = 2 * np.pi * 100.0
+        env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
+        t0 = 0.0013
+        late = drive_run(s, 1.0, env, t0, t0 + 0.02)
+        shifted = DriveEnvelope(env.omega0, omega, env.phase + omega * t0)
+        early = drive_run(s, 1.0, shifted, 0.0, 0.02)
+        assert fidelity(late, early) >= 1 - 1e-10
+        assert fidelity(late, drive_run(s, 1.0, env, 0.0, 0.02)) < 1 - 1e-6
 
     def test_freeze_marker_logged(self):
         sched = ProtocolSchedule(
