@@ -22,6 +22,7 @@ from .diagnostics import find_optimum, husimi_q, scaling_fit
 from .errors import DomainError, ResourceError
 from .propagator import driven_doubling_check
 from .protocols import (
+    MODELS,
     PAPER_RATIO,
     NoiseModel,
     build_modulated_drive,
@@ -30,16 +31,13 @@ from .protocols import (
     reference_runs,
     run_monte_carlo,
     run_protocol,
-    t_opt_oat,
-    t_opt_tact,
 )
 
-SCENARIOS = ("oat", "tact", "pulses", "drive", "noise", "sweep", "husimi")
+SCENARIOS = (*MODELS, "pulses", "drive", "noise", "sweep", "husimi")
 
 _COMMON_KEYS = ("n", "chi_hz", "seed", "out_dir", "samples")
 _SCENARIO_KEYS = {
-    "oat": _COMMON_KEYS,
-    "tact": _COMMON_KEYS,
+    **dict.fromkeys(MODELS, _COMMON_KEYS),
     "pulses": _COMMON_KEYS + ("nc", "freeze"),
     "drive": _COMMON_KEYS + ("omega_over_chi", "omega0_over_omega", "phase", "steps_per_period", "freeze"),
     "noise": _COMMON_KEYS + ("nc", "eta", "realizations"),
@@ -93,7 +91,7 @@ class ScenarioConfig:
 
 DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING}
 _FLAG_TYPES = {"chi_hz": float, "state": str}  # the keys whose default is None
-_CHOICES = {"model": ("oat", "tact")}
+_CHOICES = {"model": tuple(MODELS)}
 
 
 def _flag_type(key: str) -> type:
@@ -316,7 +314,7 @@ def _unit_report(cfg, meta=None) -> dict | None:
 
 def _emit_limits(out_dir, n, samples, chi_hz, written) -> dict:
     info = {}
-    for model in ("oat", "tact"):
+    for model in MODELS:
         rec = reference_runs(n, model, n_samples=samples)
         written.append(write_run_csv(Path(out_dir) / f"{model}_limit.csv", rec, chi_hz))
         opt = find_optimum(rec)
@@ -328,10 +326,9 @@ def _scenario_reference(cfg, out_dir, written) -> dict:
     rec = reference_runs(cfg.n, cfg.scenario, n_samples=cfg.samples)
     written.append(write_run_csv(out_dir / f"{cfg.scenario}_run.csv", rec, cfg.chi_hz))
     opt = find_optimum(rec)
-    formula = t_opt_oat(cfg.n) if cfg.scenario == "oat" else t_opt_tact(cfg.n)
     return {
         "optimum": {"chi_t": opt.chi_t, "xi2": opt.xi2},
-        "analytic_t_opt": formula,
+        "analytic_t_opt": MODELS[cfg.scenario][0](cfg.n),
         "convergence": {"method": "exact diagonalization, no integrator error"},
         "unit_report": _unit_report(cfg),
     }
@@ -435,8 +432,7 @@ def _scenario_husimi(cfg, out_dir, written) -> dict:
 
 
 _RUNNERS = {
-    "oat": _scenario_reference,
-    "tact": _scenario_reference,
+    **dict.fromkeys(MODELS, _scenario_reference),
     "pulses": _scenario_pulses,
     "drive": _scenario_drive,
     "noise": _scenario_noise,

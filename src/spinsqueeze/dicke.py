@@ -244,6 +244,16 @@ def quarter_turn(j: float) -> np.ndarray:
     return np.exp(-0.5j * np.pi * m_values(j))[:, None]
 
 
+def frame_enter(j: float, x: np.ndarray) -> np.ndarray:
+    """A z-basis block in the Jy eigenbasis Rz(pi/2) W, the drive's frame."""
+    return basis_product(axis_eigensystem(j)[1].T, quarter_turn(j).conj() * x)
+
+
+def frame_leave(j: float, y: np.ndarray) -> np.ndarray:
+    """The z-basis block Rz(pi/2) W y of a frame block y."""
+    return quarter_turn(j) * basis_product(axis_eigensystem(j)[1], y)
+
+
 def axis_apply(j: float, axis: str, f, x: np.ndarray) -> np.ndarray:
     """f(J_axis) x on a (dim, R) block, for axis x, y or z; f maps the axis
     eigenvalues to a (dim, 1) column or to one column per column of x. Jz
@@ -254,8 +264,7 @@ def axis_apply(j: float, axis: str, f, x: np.ndarray) -> np.ndarray:
     vals, vecs = axis_eigensystem(j)
     if axis == "x":
         return basis_product(vecs, f(vals) * basis_product(vecs.T, x))
-    turn = quarter_turn(j)
-    return turn * basis_product(vecs, f(vals) * basis_product(vecs.T, turn.conj() * x))
+    return frame_leave(j, f(vals) * frame_enter(j, x))
 
 
 def _rotate_axis(j: float, x: np.ndarray, axis: str, angle) -> np.ndarray:

@@ -3,9 +3,11 @@
 One kernel, evolve_block, runs a schedule on a (dim x R) block of states,
 one column per run: pulses turn each column by its own angle, quadratic
 generators evolve exactly (diagonal phases or the cached real axis basis), and
-the driven model uses second-order split-stepping in the Jy eigenbasis on a
-grid aligned to the drive phase, with half- and whole-period operators as
-parity blocks for long runs. A single run is a block of one column; a 2^N
+the driven model uses second-order split-stepping in the Jy eigenbasis on
+the multiples of h = T/spp from clock 0, with half- and whole-period operators
+as parity blocks for long runs. The drive zeros fall on that grid only when
+(pi/2 - phase) * spp / (2 pi) is an integer (spp even), as at the default
+phase -pi/2. A single run is a block of one column; a 2^N
 tensor-product oracle validates the symmetric-subspace reduction at small N.
 """
 
@@ -23,6 +25,8 @@ from .dicke import (
     axis_eigensystem,
     basis_product,
     dim_for,
+    frame_enter,
+    frame_leave,
     m_values,
     quarter_turn,
     rotate_block,
@@ -108,16 +112,6 @@ def _aligned_grid(t0: float, t1: float, h: float) -> list:
 def _jz2_phase(j: float, t: float) -> np.ndarray:
     """exp(-i t Jz^2) as a (dim, 1) column."""
     return np.exp(-1j * t * m_values(j)[:, None] ** 2)
-
-
-def frame_enter(j: float, x: np.ndarray) -> np.ndarray:
-    """A z-basis block in the drive's frame, the Jy eigenbasis Rz(pi/2) W."""
-    return basis_product(axis_eigensystem(j)[1].T, quarter_turn(j).conj() * x)
-
-
-def frame_leave(j: float, y: np.ndarray) -> np.ndarray:
-    """The z-basis block Rz(pi/2) W y of a frame block y."""
-    return quarter_turn(j) * basis_product(axis_eigensystem(j)[1], y)
 
 
 @lru_cache(maxsize=8)  # two complex (dim/2)^2 blocks each: 12.5 MB at N = 1250
@@ -361,9 +355,7 @@ def evolve_block(
             continue
         raise DomainError(f"unknown segment type {type(seg).__name__}")
 
-    while si < len(samples):
-        if not due(t):
-            raise DomainError(f"sample time {samples[si]} beyond schedule end {t}")
+    while si < len(samples):  # ProtocolSchedule keeps every sample within due(t)
         emit(x)
         si += 1
     flush()

@@ -62,6 +62,10 @@ def t_opt_tact(n_particles: float) -> float:
     return np.log(4 * n_particles) / (2 * n_particles)
 
 
+# the bare models: each one's analytic optimum and its generator triple (cz, cx, cy)
+MODELS = {"oat": (t_opt_oat, (1.0, 0.0, 0.0)), "tact": (t_opt_tact, (1.0, 0.0, -1.0))}
+
+
 def t_opt_protocol(n_particles: float) -> float:
     """Both effective protocols run at coupling chi/3, so their optimum sits
     at three times the two-axis value."""
@@ -92,14 +96,12 @@ def reference_runs(n_particles: int, model: str = "oat", n_samples: int = 600) -
     two-axis: same state under Jz^2 - Jy^2 via its cached parity-split
     eigensystem. Spans [0, REFERENCE_SPAN * analytic optimum].
     """
-    if model not in ("oat", "tact"):
-        raise DomainError(f"model must be 'oat' or 'tact', got {model!r}")
+    if model not in MODELS:
+        raise DomainError(f"model must be one of {tuple(MODELS)}, got {model!r}")
+    t_opt, generator = MODELS[model]
     initial = _css_x(n_particles)
-    if model == "oat":
-        times = np.linspace(0.0, REFERENCE_SPAN * t_opt_oat(n_particles), n_samples)
-        return _spectral_record(initial, times, spectral(initial.j, 1.0, 0.0, 0.0))
-    times = np.linspace(0.0, REFERENCE_SPAN * t_opt_tact(n_particles), n_samples)
-    return _spectral_record(initial, times, spectral(initial.j, 1.0, 0.0, -1.0))
+    times = np.linspace(0.0, REFERENCE_SPAN * t_opt(n_particles), n_samples)
+    return _spectral_record(initial, times, spectral(initial.j, *generator))
 
 
 def effective_pulse_record(n_particles, chi, times) -> RunRecord:
@@ -188,7 +190,7 @@ def _freeze(initial, meta, prefix, t_star, rotations, probe, clock, kept) -> Pro
     post_time = POST_TIME_FACTOR * meta["t_opt"]
     post = (t_star + np.linspace(0.0, post_time, POST_SAMPLES + 1)[1:]).tolist()
     tail = (FreezeMarker(), *(Pulse(rot.scaled(sign)) for rot, sign in zip(rotations, signs)))
-    samples = tuple(_dedupe_times(probe.chi_t[probe.chi_t <= t_star].tolist() + post))
+    samples = probe.chi_t[probe.chi_t <= t_star].tolist() + post
     schedule = ProtocolSchedule(prefix + tail + (QuadraticSegment("z", 1.0, post_time),), samples, meta)
     x, _ = evolve_block(j, at_star, ProtocolSchedule(tail, ()))
     start = None if kept is None else (kept[0], clock, kept[1], probe.report)
@@ -307,8 +309,6 @@ def build_modulated_drive(
     by omega0/omega, rotates the squeezed axis onto z with a pi/4 pulse about
     -x (signs probed), then evolves under Jz^2 alone.
     """
-    if omega0_over_omega < 0:
-        raise DomainError("omega0_over_omega must be nonnegative")
     if n_particles < 2:
         raise DomainError("need at least 2 particles")
     env = DriveEnvelope(omega0_over_omega * omega_over_chi, omega_over_chi, phase)

@@ -347,6 +347,20 @@ class TestFrozenStateHandoff:
         assert np.count_nonzero(times > t_star) == 200
         assert times[-1] == pytest.approx(t_star + 10 * t_opt, rel=1e-15)
 
+    # at phase 0.3 the record's rows after t* continue the sampled pass, not the
+    # unsampled prefix the frozen state comes from, and the two differ at 1e-4
+    @pytest.mark.parametrize("n", [60, 61])
+    @pytest.mark.parametrize("protocol,phase", [("pulses", None), ("drive", -np.pi / 2)])
+    def test_record_after_freeze_describes_frozen_state(self, protocol, phase, n):
+        bundle = self.build(protocol, phase, n)
+        t_star, record = bundle.meta["freeze_time"], bundle.record
+        after = record.chi_t > t_star
+        hold = ProtocolSchedule(
+            (QuadraticSegment("z", 1.0, 10 * bundle.meta["t_opt"]),), record.chi_t[after] - t_star
+        )
+        _, want = evolve_schedule(bundle.frozen_state(), hold)
+        np.testing.assert_allclose(record.xi2()[after], want.xi2(), rtol=1e-10, atol=0)
+
     def test_makes_no_jumps(self, monkeypatch):
         bundle = self.build("drive", 0.3)
         calls = []
