@@ -221,7 +221,7 @@ class DrivenEngine:
         its bits do not depend on which on-grid times it samples."""
         h2 = self.env.period / 2
         a, b = int(np.ceil(t_from / h2 - 1e-9)), int(np.floor(t_to / h2 + 1e-9))
-        if self._ops is None or b <= a or (b - a) * h2 <= 2 * self.h:
+        if self._ops is None or b <= a:
             return self._walk(y, t_from, t_to) if t_to > t_from else y
         y = self._walk(y, t_from, a * h2) if a * h2 > t_from + 1e-12 * h2 else y
         while a < b:
@@ -251,7 +251,6 @@ def evolve_block(
     scales: np.ndarray | None = None,
     runs: int = 0,
     keep=(),
-    start: tuple | None = None,
 ) -> tuple[np.ndarray, list]:
     """Apply the segments in order to every column of a (dim, R) block,
     sampling diagnostics at the requested times.
@@ -268,22 +267,18 @@ def evolve_block(
     a copy (in the frame while a driven segment holds it there), TILE // width
     samples a report, padded with its last column.
 
-    keep, a dict keyed by times, gets (raw z-basis block, renormalization counts) before renormalizing
-    at each sample and segment end at one of its times. start = (clock, counts, report) resumes a
-    one-column run from such a block at the segment end at clock, report holding the samples to it.
+    keep, a dict keyed by times, gets the raw z-basis block before renormalizing at each segment end
+    at one of its times.
     """
     x = np.array(block, dtype=complex)
     width = x.shape[1]
     if scales is None:
         scales = np.ones((len(schedule.pulses()), width))
-    clock, counts, head = start or (0.0, 0, None)
     renorms = np.zeros(width, dtype=int)
-    t = 0.0
     samples = schedule.sample_times
-    si = sum(s <= clock + TIME_TOL * max(1.0, abs(clock)) for s in samples) if head is not None else 0
-    pulse_index = 0
+    t, si, pulse_index = 0.0, 0, 0  # clock, next sample, next pulse
     queue = []  # (block, framed) awaiting their report
-    tiles, freezes = [] if head is None else [(head, si)], []  # (report, used columns); freeze times
+    tiles, freezes = [], []  # (report, used columns); freeze times
 
     def due(limit):
         return si < len(samples) and samples[si] <= limit + TIME_TOL * max(1.0, abs(limit))
@@ -312,21 +307,11 @@ def evolve_block(
             renorms[drift] += 1
         return x
 
-    def kept(time, x, framed=False):
-        if time in keep:
-            keep[time] = (frame_leave(j, x) if framed else x.copy(), renorms + counts)
-
-    if head is None and due(0.0):
+    if due(0.0):
         emit(x)
         si += 1
 
     for seg in schedule.segments:
-        if head is not None:  # the schedule's clock runs on to the segment end x was kept at
-            t += seg.duration
-            pulse_index += isinstance(seg, Pulse)
-            if t == clock and isinstance(seg, (QuadraticSegment, DrivenSegment)):
-                x, head = renormalized(x), None
-            continue
         if isinstance(seg, Pulse):
             angles = seg.rotation.angle * scales[pulse_index]
             pulse_index += 1
@@ -345,11 +330,11 @@ def evolve_block(
                 x = step(x, t, target)
                 t = target
                 emit(x, framed(t))
-                kept(samples[si], x, framed(t))
                 si += 1
             x = step(x, t, end, whole)
             x = frame_leave(j, x) if framed(end) else x
-            kept(end, x)
+            if end in keep:
+                keep[end] = x.copy()
             x = renormalized(x)
             t = end
             continue
@@ -361,7 +346,7 @@ def evolve_block(
     flush()
 
     records = run_records(samples, tiles, runs, width)
-    for record, count in zip(records, renorms + counts):
+    for record, count in zip(records, renorms):
         record.events += [{"kind": "freeze", "time": time} for time in freezes]
         if count:
             record.add_event("renormalization", count=int(count))
@@ -386,7 +371,7 @@ def driven_doubling_check(
     def run(seg):
         keep = {seg.duration: None}
         evolve_block(state.j, state.amplitudes[:, None], ProtocolSchedule((seg,), ()), keep=keep)
-        return keep[seg.duration][0]
+        return keep[seg.duration]
 
     single = run(segment) if terminal is None else terminal
     doubled = run(replace(segment, steps_per_period=2 * spp))

@@ -4,7 +4,8 @@ build_repeated_pulse lays out the pulse-pair sequence whose average is the
 two-axis model at one third the coupling; build_modulated_drive covers the
 continuously driven variant. Both freeze through _probe and _freeze: one noiseless
 pass locates the sampled squeezing minimum and is the run's record up to it, rotation
-signs minimize the post-rotation Jz variance, and the tail is plain Jz^2 evolution.
+signs minimize the post-rotation Jz variance, and the tail is plain Jz^2 evolution of
+the frozen state, the record after the freeze.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .dicke import (
 from .diagnostics import OptimumResult, RunRecord, find_optimum, run_records, squeezing_columns
 from .errors import DomainError, ResourceError
 from .hamiltonians import DriveEnvelope, alpha0, drive_value
-from .propagator import TILE, DrivenEngine, SpectralPropagator, evolve_block, spectral
+from .propagator import TILE, SpectralPropagator, evolve_block, evolve_schedule, spectral
 from .schedule import (
     DrivenSegment,
     FreezeMarker,
@@ -162,40 +163,46 @@ def _best_signs(state: DickeState, rotations) -> tuple[tuple, float]:
     return tuple(float(sg) for sg in signs[best]), float(var[best])
 
 
-def _probe(initial: DickeState, segments, samples, candidates, clocks, meta: dict) -> tuple:
+def _probe(initial: DickeState, segments, samples, candidates, meta: dict) -> tuple:
     """One noiseless pass of the segments, sampled at the candidates among
     the samples: the index of the candidate of least xi^2 (meta records each
-    with its xi^2), the pass's record, and its blocks kept at the clocks."""
-    schedule, kept = ProtocolSchedule(tuple(segments), tuple(samples)), dict.fromkeys(clocks)
-    _, (record,) = evolve_block(initial.j, initial.amplitudes[:, None], schedule, None, 1, kept)
+    with its xi^2) and the pass's record."""
+    schedule = ProtocolSchedule(tuple(segments), tuple(samples))
+    _, (record,) = evolve_block(initial.j, initial.amplitudes[:, None], schedule, None, 1)
     xi2 = record.xi2()[[schedule.sample_times.index(t) for t in candidates]]
     meta["freeze_candidates"] = list(zip(candidates, xi2.tolist()))
-    return int(np.argmin(xi2)), record, kept
+    return int(np.argmin(xi2)), record
 
 
-def _freeze(initial, meta, prefix, t_star, rotations, probe, clock, kept) -> ProtocolBundle:
+def _freeze(initial, meta, prefix, t_star, rotations, probe) -> ProtocolBundle:
     """Frozen bundle, its signs in meta: prefix runs to the freeze instant t_star, then the
-    freeze marker, one signed pulse per rotation, and a Jz^2 hold of
-    POST_TIME_FACTOR * t_opt sampled POST_SAMPLES times past the pass record probe's samples
-    up to t_star. The frozen state runs on from the unsampled prefix's block, the record from
-    the pass's block kept at the end of the schedule segment that ends at clock (kept None:
-    the pass took other steps, so the schedule runs in full)."""
+    freeze marker, one signed pulse per rotation, and a Jz^2 hold of POST_TIME_FACTOR * t_opt
+    sampled POST_SAMPLES times. The frozen state runs on from the unsampled prefix's block.
+    The record is the pass record probe's samples up to t_star, then the frozen state's hold:
+    its events are the freeze, the renormalizations of that chain and the freeze decisions."""
     j, base = initial.j, ProtocolSchedule(prefix, ())
-    at_freeze = {base.total_time(): None}  # the raw block at the schedule's clock at the freeze
-    at_star, _ = evolve_block(j, initial.amplitudes[:, None], base, keep=at_freeze)
+    clock = base.total_time()  # the schedule's clock at the freeze marker
+    at_freeze = {clock: None}  # the raw block there
+    at_star, (ran,) = evolve_block(j, initial.amplitudes[:, None], base, None, 1, at_freeze)
     signs, var_z = _best_signs(DickeState(j, at_star[:, 0]), rotations)
     meta.update({"freeze_time": t_star, "freeze_var_z": var_z})
     meta.update({"freeze_sign": signs[0]} if len(signs) == 1 else {"freeze_signs": signs})
 
-    post_time = POST_TIME_FACTOR * meta["t_opt"]
-    post = (t_star + np.linspace(0.0, post_time, POST_SAMPLES + 1)[1:]).tolist()
-    tail = (FreezeMarker(), *(Pulse(rot.scaled(sign)) for rot, sign in zip(rotations, signs)))
-    samples = probe.chi_t[probe.chi_t <= t_star].tolist() + post
-    schedule = ProtocolSchedule(prefix + tail + (QuadraticSegment("z", 1.0, post_time),), samples, meta)
-    x, _ = evolve_block(j, at_star, ProtocolSchedule(tail, ()))
-    start = None if kept is None else (kept[0], clock, kept[1], probe.report)
-    record = _run_batch(schedule, initial, [None], start)[1][0]
-    return ProtocolBundle(schedule, initial, meta, DickeState(j, x[:, 0]), at_freeze.popitem()[1][0], record)
+    hold = QuadraticSegment("z", 1.0, POST_TIME_FACTOR * meta["t_opt"])
+    post = (t_star + np.linspace(0.0, hold.duration, POST_SAMPLES + 1)[1:]).tolist()
+    turns = tuple(Pulse(rot.scaled(sign)) for rot, sign in zip(rotations, signs))
+    before = probe.chi_t[probe.chi_t <= t_star].tolist()
+    schedule = ProtocolSchedule(prefix + (FreezeMarker(), *turns, hold), before + post, meta)
+    x, (turned,) = evolve_block(j, at_star, ProtocolSchedule(turns, ()), None, 1)
+    frozen = DickeState(j, x[:, 0])
+    _, held = evolve_schedule(frozen, ProtocolSchedule((hold,), [t - t_star for t in post]))
+    tiles = [(probe.report, len(before)), (held.report, len(post))]
+    record = run_records(schedule.sample_times, tiles, 1)[0]
+    record.add_event("freeze", time=clock)
+    count = sum(event["count"] for run in (ran, turned, held) for event in run.events)
+    if count:
+        record.add_event("renormalization", count=count)
+    return ProtocolBundle(schedule, initial, meta, frozen, at_freeze[clock], _decided(record, meta))
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +269,11 @@ def build_repeated_pulse(n_particles: int, n_periods: int = 50, freeze: bool = F
     candidates = list(range(max(0, n_center - PULSE_WINDOW), n_center + PULSE_WINDOW + 1))
     last, times = candidates[-1], [n * t_c + delta_t for n in candidates]
     segments = _pulse_period_segments(delta_t) * (last + 1)
-    # the schedule takes t* at the end of a segment the pass runs through: resume from the period's start
-    clocks = [ProtocolSchedule(tuple(segments[: 4 * n]), ()).total_time() for n in candidates]
-    best, probe, kept = _probe(initial, segments, mid_samples(last) + times[-1:], times, clocks, meta)
+    best, probe = _probe(initial, segments, mid_samples(last) + times[-1:], times, meta)
     n_star = meta["freeze_period_index"] = candidates[best]
-    clock = clocks[best]
 
     prefix = segments[: 4 * n_star + 1] + [QuadraticSegment("z", 1.0, delta_t)]  # to mid Jx^2 of n_star
-    return _freeze(initial, meta, tuple(prefix), times[best], (FREEZE_TURN,), probe, clock, kept[clock])
+    return _freeze(initial, meta, tuple(prefix), times[best], (FREEZE_TURN,), probe)
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +356,13 @@ def build_modulated_drive(
     candidates = zeros_all[np.abs(zeros_all - center) <= DRIVE_WINDOW * period * (1 + 1e-12)].tolist()
     last = candidates[-1]
     segments = (DrivenSegment(env, 1.0, last, steps_per_period),)
-    best, probe, kept = _probe(initial, segments, drive_zero_times(env, last), candidates, candidates, meta)
+    best, probe = _probe(initial, segments, drive_zero_times(env, last), candidates, meta)
     t_star = candidates[best]
     meta["drive_value_at_freeze"] = float(drive_value(env, t_star))
 
     prefix = (DrivenSegment(env, 1.0, t_star, steps_per_period),)
     align = RotationSpec((0.0, 1.0, 0.0), env.omega0 / env.omega)
-    jumps = [DrivenEngine.jumps_pay(initial.j, env, steps_per_period, span) for span in (t_star, last)]
-    kept = kept[t_star] if jumps[0] == jumps[1] else None  # else the pass took other steps
-    return _freeze(initial, meta, prefix, t_star, (align, FREEZE_TURN), probe, t_star, kept)
+    return _freeze(initial, meta, prefix, t_star, (align, FREEZE_TURN), probe)
 
 
 def _dedupe_times(times):
@@ -382,25 +384,29 @@ def _noisy(noise: NoiseModel | None) -> bool:
     return noise is not None and noise.eta > 0
 
 
-def _run_batch(schedule, initial, noises, start=None) -> tuple[np.ndarray, list]:
+def _decided(record: RunRecord, meta: dict) -> RunRecord:
+    """The record with the freeze decisions in meta appended to its events."""
+    for key in ("freeze_time", "freeze_sign", "freeze_signs"):
+        if key in meta:
+            record.add_event("freeze-decision", key=key, value=meta[key])
+    return record
+
+
+def _run_batch(schedule, initial, noises) -> tuple[np.ndarray, list]:
     """Final block and records of runs of one schedule that differ only in
     their pulse noise.
 
     Noisy runs (at most TILE) become the columns of one TILE-wide block, padded by repeating the
     last run, so a run's bits depend neither on its position nor on the other runs. A noiseless
-    run is one column; start = (block, *evolve_block's start) resumes it from a kept block.
+    run is one column.
     """
-    block, scales = initial.amplitudes[:, None] if start is None else start[0], None
+    block, scales = initial.amplitudes[:, None], None
     if _noisy(noises[0]):
         factors = np.stack([_noise_factors(schedule, noise) for noise in noises], axis=1)
         scales = factors[:, np.minimum(np.arange(TILE), len(noises) - 1)]
         block = np.repeat(block, TILE, axis=1)
-    block, records = evolve_block(initial.j, block, schedule, scales, len(noises), (), start and start[1:])
-    for record in records:
-        for key in ("freeze_time", "freeze_sign", "freeze_signs"):
-            if key in schedule.meta:
-                record.add_event("freeze-decision", key=key, value=schedule.meta[key])
-    return block, records
+    block, records = evolve_block(initial.j, block, schedule, scales, len(noises))
+    return block, [_decided(record, schedule.meta) for record in records]
 
 
 def run_protocol(

@@ -13,7 +13,7 @@ def raw_end(state, *segments):
     t1 = ProtocolSchedule(segments, ()).total_time()
     keep = {t1: None}
     evolve_block(state.j, state.amplitudes[:, None], ProtocolSchedule(segments, ()), keep=keep)
-    return keep[t1][0][:, 0]
+    return keep[t1][:, 0]
 
 
 def split_steps_only():

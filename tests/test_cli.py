@@ -19,7 +19,6 @@ from spinsqueeze.protocols import (
     build_repeated_pulse,
     reference_runs,
     run_monte_carlo,
-    run_protocol,
 )
 
 
@@ -120,13 +119,21 @@ class TestParseConfig:
             ("husimi", "grid", "axb"),
             ("husimi", "grid", "16x32x2"),
             ("husimi", "grid", "8x64"),
+            # numbers past their bounds are named the same way
+            ("pulses", "chi_hz", 0.0),
+            ("pulses", "nc", 0),
+            ("noise", "realizations", 0),
+            ("drive", "omega_over_chi", 0.0),
+            ("drive", "omega0_over_omega", -0.5),
+            ("drive", "steps_per_period", 8),
+            ("pulses", "samples", 8),
         ],
     )
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_malformed_list_or_grid_named(self, tmp_path, capsys, scenario, key, value, source):
         argv = [scenario, "--state", "s.json"] if scenario == "husimi" else [scenario]
         if source == "flag":
-            argv += ["--" + key.replace("_", "-"), value]
+            argv += ["--" + key.replace("_", "-"), str(value)]
         else:
             conf = tmp_path / "c.json"
             conf.write_text(json.dumps({key: value}))
@@ -258,8 +265,7 @@ class TestScenarios:
         _, status = run_cli(["pulses", "--n", "40", "--nc", "10", "--freeze", "--samples", "64",
                              "--out-dir", str(tmp_path)])
         assert status == 0
-        bundle = build_repeated_pulse(40, 10, freeze=True)
-        record = run_protocol(bundle.schedule, bundle.initial_state)
+        record = build_repeated_pulse(40, 10, freeze=True).record
         run = np.loadtxt(tmp_path / "pulses_run.csv", delimiter=",", skiprows=1)
         assert np.array_equal(run[:, 0], record.times())
         assert np.array_equal(run[:, 1], record.xi2())
@@ -287,6 +293,16 @@ class TestScenarios:
         assert unit["t_opt_seconds"] == pytest.approx(25e-3, rel=0.05)
         csv = (tmp_path / "pulses_run.csv").read_text().splitlines()
         assert csv[0].endswith(",t_seconds")
+
+    def test_drive_unit_report_drive_frequencies(self, tmp_path):
+        _, status = run_cli([
+            "drive", "--n", "10", "--omega-over-chi", "200", "--omega0-over-omega", "0.9",
+            "--chi-hz", "0.5", "--out-dir", str(tmp_path), "--samples", "16",
+        ])
+        assert status == 0
+        unit = json.loads((tmp_path / "manifest.json").read_text())["unit_report"]
+        assert unit["omega_hz"] == pytest.approx(100.0, rel=1e-15)
+        assert unit["omega0_hz"] == pytest.approx(90.0, rel=1e-15)
 
     def test_pulses_freeze_snapshot(self, tmp_path):
         _, status = run_cli([

@@ -347,10 +347,10 @@ class TestFrozenStateHandoff:
         assert np.count_nonzero(times > t_star) == 200
         assert times[-1] == pytest.approx(t_star + 10 * t_opt, rel=1e-15)
 
-    # at phase 0.3 the record's rows after t* continue the sampled pass, not the
-    # unsampled prefix the frozen state comes from, and the two differ at 1e-4
     @pytest.mark.parametrize("n", [60, 61])
-    @pytest.mark.parametrize("protocol,phase", [("pulses", None), ("drive", -np.pi / 2)])
+    @pytest.mark.parametrize(
+        "protocol,phase", [("pulses", None), ("drive", -np.pi / 2), ("drive", 0.3)]
+    )
     def test_record_after_freeze_describes_frozen_state(self, protocol, phase, n):
         bundle = self.build(protocol, phase, n)
         t_star, record = bundle.meta["freeze_time"], bundle.record
@@ -384,16 +384,28 @@ def record_bits(record):
     return record.chi_t.tobytes(), arrays, record.events
 
 
+def row_bits(record, rows):
+    """A record's report fields at a mask of its rows, as bytes."""
+    return [np.asarray(getattr(record.report, f.name))[..., rows].tobytes() for f in fields(SqueezingReport)]
+
+
+def frozen_hold(bundle):
+    """The frozen state's Jz^2 hold, sampled at the record's times after t* less t*."""
+    t_star, times = bundle.meta["freeze_time"], bundle.record.chi_t
+    after = times[times > t_star] - t_star
+    hold = ProtocolSchedule((QuadraticSegment("z", 1.0, 10 * bundle.meta["t_opt"]),), after)
+    return evolve_schedule(bundle.frozen_state(), hold)[1]
+
+
 class TestOnePass:
     """A frozen bundle's record is its one noiseless pass up to the freeze and
-    the schedule run on from the pass's block: the bits of a full run."""
+    the frozen state's Jz^2 hold after it."""
 
     build = staticmethod(TestFrozenStateHandoff.build)
 
     # pulses: at nc = 10 the schedule's clock ends the freeze segment past t*, at
-    # N = 61, nc = 50 short of it (it then samples t* at the clock); nc = 1 freezes in
-    # period 0, with no segment end to resume from, so the schedule runs in full.
-    # The drive also runs at odd steps_per_period, where no chain jumps.
+    # N = 61, nc = 50 an ulp short of it, so a replay samples t* at that clock; nc = 1
+    # freezes in period 0. The drive also runs at odd steps_per_period, where no chain jumps.
     @pytest.mark.parametrize("n", [60, 61])
     @pytest.mark.parametrize(
         "protocol,arg,spp",
@@ -409,9 +421,19 @@ class TestOnePass:
             bundle = build_repeated_pulse(n, n_periods=arg, freeze=True)
         else:
             bundle = self.build(protocol, arg, n, spp)
+        record, t_star = bundle.record, bundle.meta["freeze_time"]
         want = run_protocol(bundle.schedule, bundle.initial_state)
-        assert record_bits(bundle.record) == record_bits(want)
-        assert [e["kind"] for e in bundle.record.events].count("freeze-decision") >= 2
+        before, at = record.chi_t < t_star, record.chi_t == t_star
+        assert record.chi_t.tobytes() == want.chi_t.tobytes()
+        assert row_bits(record, before) == row_bits(want, before)
+        assert np.count_nonzero(at) == 1
+        for f in fields(SqueezingReport):  # the mean spin's components near 0 are held to 1e-12 j
+            got, ref = (np.asarray(getattr(r.report, f.name), dtype=float)[..., at] for r in (record, want))
+            atol = 1e-12 * n / 2 if f.name == "mean_spin" else 0
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=atol)
+        assert row_bits(record, record.chi_t > t_star) == row_bits(frozen_hold(bundle), slice(None))
+        assert record.events == want.events
+        assert [e["kind"] for e in record.events].count("freeze-decision") >= 2
 
     def test_record_when_only_the_pass_jumps(self):
         # 15.5 periods to t*, 16.5 to the last candidate: only the pass builds period operators
@@ -420,7 +442,10 @@ class TestOnePass:
         pays = DrivenEngine.jumps_pay
         assert not pays(30.0, env, 64, bundle.meta["freeze_time"]) and pays(30.0, env, 64, last)
         want = run_protocol(bundle.schedule, bundle.initial_state)
-        assert record_bits(bundle.record) == record_bits(want)
+        record, t_star = bundle.record, bundle.meta["freeze_time"]
+        upto = record.chi_t <= t_star
+        np.testing.assert_allclose(record.xi2()[upto], want.xi2()[upto], rtol=1e-10, atol=0)
+        assert row_bits(record, record.chi_t > t_star) == row_bits(frozen_hold(bundle), slice(None))
 
     # at odd steps_per_period the prefix runs on split steps alone, while the doubled run may jump
     @pytest.mark.parametrize("n", [60, 61])
