@@ -161,32 +161,23 @@ def parse_config(argv) -> ScenarioConfig:
     return cfg
 
 
+# each bounded field's least value, checked whatever the scenario as every default lies within
+_LEAST = {"n": 2, "seed": 0, "samples": 16, "nc": 1, "eta": 0, "realizations": 1,
+          "omega0_over_omega": 0, "steps_per_period": 16}
+_POSITIVE = ("chi_hz", "omega_over_chi")
+
+
 def _validate(parser, cfg: ScenarioConfig) -> None:
     for key in (k for k in DEFAULTS if _flag_type(k) is float):
         if getattr(cfg, key) is not None and not np.isfinite(getattr(cfg, key)):
             parser.error(f"field {key}: must be finite, got {getattr(cfg, key)}")
-    if cfg.scenario != "husimi" and cfg.n < 2:
-        parser.error(f"field n: need at least 2 particles, got {cfg.n}")
-    if cfg.seed < 0:
-        parser.error(f"field seed: must be nonnegative, got {cfg.seed}")
-    if cfg.chi_hz is not None and not cfg.chi_hz > 0:
-        parser.error(f"field chi_hz: must be positive, got {cfg.chi_hz}")
-    if cfg.scenario in ("pulses", "noise") and cfg.nc < 1:
-        parser.error(f"field nc: must be at least 1, got {cfg.nc}")
-    if cfg.scenario == "noise":
-        if cfg.eta < 0:
-            parser.error(f"field eta: must be nonnegative, got {cfg.eta}")
-        if cfg.realizations < 1:
-            parser.error(f"field realizations: must be at least 1, got {cfg.realizations}")
-    if cfg.scenario == "drive":
-        if not cfg.omega_over_chi > 0:
-            parser.error(f"field omega_over_chi: must be positive, got {cfg.omega_over_chi}")
-        if cfg.omega0_over_omega < 0:
-            parser.error(
-                f"field omega0_over_omega: must be nonnegative, got {cfg.omega0_over_omega}"
-            )
-        if cfg.steps_per_period < 16:
-            parser.error(f"field steps_per_period: must be >= 16, got {cfg.steps_per_period}")
+    for key, least in _LEAST.items():
+        if getattr(cfg, key) < least:
+            bound = f"at least {least}" if least else "nonnegative"
+            parser.error(f"field {key}: must be {bound}, got {getattr(cfg, key)}")
+    for key in _POSITIVE:
+        if getattr(cfg, key) is not None and not getattr(cfg, key) > 0:
+            parser.error(f"field {key}: must be positive, got {getattr(cfg, key)}")
     if cfg.scenario == "husimi" and not cfg.state:
         parser.error("field state: husimi needs --state <snapshot.json>")
     try:  # the list and grid fields parse only when the scenario reads them
@@ -196,8 +187,6 @@ def _validate(parser, cfg: ScenarioConfig) -> None:
             cfg.grid_shape()
     except DomainError as exc:
         parser.error(str(exc))
-    if cfg.samples < 16:
-        parser.error(f"field samples: must be at least 16, got {cfg.samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +363,7 @@ def _scenario_drive(cfg, out_dir, written) -> dict:
     eff_times = [t for t in record.times() if t <= seg.duration]
     eff = effective_drive_record(cfg.n, cfg.omega0_over_omega, eff_times)
     written.append(write_run_csv(out_dir / "drive_effective.csv", eff, cfg.chi_hz))
-    # under a freeze the prefix to t* is the check's steps_per_period run
+    # under a freeze the pass's block at t* is the check's steps_per_period run: one chain
     check = driven_doubling_check(bundle.initial_state, seg, bundle.at_freeze)
     convergence = {"method": "strang split-step, exact envelope integral", "doubling": check}
     return _protocol_outputs(cfg, out_dir, written, bundle, record, convergence)

@@ -9,18 +9,21 @@ pole |j,j>).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 NORM_TOL = 1e-8
 UNIT_AXIS_TOL = 1e-12
 
 BASIS_LABEL = "Jz-descending"
+# the machine's physical memory in bytes, which no eigenbasis may outgrow; unknown (infinite) off POSIX
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if os.name == "posix" else np.inf
 
 
 def _check_j(j: float) -> float:
@@ -209,12 +212,21 @@ class RotationSpec:
         return RotationSpec(self.axis, self.angle * factor)
 
 
+def check_eigenvectors(j: float, entries: int) -> None:
+    """Raise ResourceError before entries float64 eigenvector entries for spin j outgrow PHYSICAL_MEMORY."""
+    need, have = 8 * entries / 2**30, PHYSICAL_MEMORY / 2**30
+    if need > have:
+        raise ResourceError(f"N = {round(2 * j)} needs {need:.3g} GiB of eigenvectors, more than the "
+                            f"machine's {have:.3g} GiB of physical memory")
+
+
 @lru_cache(maxsize=8)  # one real dim^2 basis each: 12.5 MB at N = 1250
 def axis_eigensystem(j: float):
     """Real eigenbasis of Jx, a real symmetric tridiagonal matrix, with the
     eigenvalues snapped to the exact half-integer ladder so repeated pulses
     stay exact. It serves y as well: Jy = Rz(pi/2) Jx Rz(pi/2)^dagger."""
     j = _check_j(j)
+    check_eigenvectors(j, dim_for(j) ** 2)
     vals, vecs = sla.eigh_tridiagonal(np.zeros(dim_for(j)), ladder_values(j) / 2)
     exact = np.round(vals * 2) / 2
     if np.max(np.abs(vals - exact)) > 1e-9 * max(1.0, j):
@@ -363,15 +375,3 @@ def overlap(a: DickeState, b: DickeState) -> complex:
 def fidelity(a: DickeState, b: DickeState) -> float:
     """Phase-insensitive |<a|b>|; the only comparison used across the package."""
     return abs(overlap(a, b))
-
-
-def rotate_classical(vec, axis, angle):
-    """Rodrigues rotation of a 3-vector; oracle for mean-spin covariance."""
-    v = np.asarray(vec, dtype=float)
-    k = np.asarray(axis, dtype=float)
-    k = k / np.linalg.norm(k)
-    return (
-        v * np.cos(angle)
-        + np.cross(k, v) * np.sin(angle)
-        + k * (k @ v) * (1 - np.cos(angle))
-    )

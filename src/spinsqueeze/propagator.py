@@ -24,10 +24,10 @@ from .dicke import (
     axis_apply,
     axis_eigensystem,
     basis_product,
+    check_eigenvectors,
     dim_for,
     frame_enter,
     frame_leave,
-    m_values,
     quarter_turn,
     rotate_block,
 )
@@ -66,6 +66,7 @@ class SpectralPropagator:
     the basis index; a block without a band is diagonal and stores no vectors."""
 
     def __init__(self, diag: np.ndarray, band: np.ndarray):
+        check_eigenvectors((len(diag) - 1) / 2, sum(len(diag[p::2]) ** 2 for p in (0, 1) if band[p::2].any()))
         self.blocks = tuple(
             (slice(p, None, 2), *sla.eigh_tridiagonal(diag[p::2], band[p::2]))
             if band[p::2].any() else (slice(p, None, 2), diag[p::2], None)
@@ -109,19 +110,14 @@ def _aligned_grid(t0: float, t1: float, h: float) -> list:
     return [t0, *(t for t in inner if t0 + tol < t < t1 - tol), t1]
 
 
-def _jz2_phase(j: float, t: float) -> np.ndarray:
-    """exp(-i t Jz^2) as a (dim, 1) column."""
-    return np.exp(-1j * t * m_values(j)[:, None] ** 2)
-
-
 @lru_cache(maxsize=8)  # two complex (dim/2)^2 blocks each: 12.5 MB at N = 1250
 def junction_blocks(j: float, chi_h: float) -> tuple:
     """The two parity blocks of W^T exp(-i chi h Jz^2) W. Jz^2 and Jx commute
     with Rx(pi), diagonal in W with eigenvalue exp(-i pi lambda), so no entry
     joins the classes (lambda + j) mod 2: W's even and odd columns, as lambda
     ascends from -j in unit steps."""
-    vecs, phase = axis_eigensystem(j)[1], _jz2_phase(j, chi_h)
-    return tuple(basis_product(vecs[:, p::2].T, phase * vecs[:, p::2]) for p in (0, 1))
+    halves = [axis_eigensystem(j)[1][:, p::2] for p in (0, 1)]
+    return tuple(basis_product(w.T, _quadratic(j, "z", 1.0, chi_h, w)) for w in halves)
 
 
 def _by_parity(blocks: tuple, y: np.ndarray) -> np.ndarray:
@@ -136,7 +132,7 @@ def _junction(j: float, y: np.ndarray, chi_s: float, chi_h: float) -> np.ndarray
     """W^T exp(-i chi s Jz^2) W y: junction_blocks when chi s is chi h, else via z."""
     if abs(chi_s - chi_h) <= 1e-9 * abs(chi_h):
         return _by_parity(junction_blocks(j, chi_h), y)
-    return frame_enter(j, _jz2_phase(j, chi_s) * frame_leave(j, y))  # Rz(pi/2) commutes with Jz^2
+    return frame_enter(j, _quadratic(j, "z", 1.0, chi_s, frame_leave(j, y)))  # Rz(pi/2) commutes with Jz^2
 
 
 def _drive_walk(j, y, chi, env, h, grid) -> np.ndarray:
@@ -156,10 +152,10 @@ def _split_steps(j, x, chi, env, h, t0, t1, frame=(False, False)):
     block: half Jz^2 phase, exact y-rotation, half Jz^2 phase. frame says
     whether it comes and goes in the frame; a z end costs one product."""
     grid = _aligned_grid(t0, t1, h)
-    first, last = chi * (grid[1] - grid[0]) / 2, chi * (grid[-1] - grid[-2]) / 2
-    y = _junction(j, x, first, chi * h / 2) if frame[0] else frame_enter(j, _jz2_phase(j, first) * x)
+    first, last, half = chi * (grid[1] - grid[0]) / 2, chi * (grid[-1] - grid[-2]) / 2, chi * h / 2
+    y = _junction(j, x, first, half) if frame[0] else frame_enter(j, _quadratic(j, "z", 1.0, first, x))
     y = _drive_walk(j, y, chi, env, h, grid)
-    return _junction(j, y, last, chi * h / 2) if frame[1] else _jz2_phase(j, last) * frame_leave(j, y)
+    return _junction(j, y, last, half) if frame[1] else _quadratic(j, "z", 1.0, last, frame_leave(j, y))
 
 
 class _PeriodOperators:
@@ -200,7 +196,7 @@ class DrivenEngine:
     cover decides whether the period operators pay for their build."""
 
     def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int, span: float):
-        self.j, self.chi, self.env, self.h = j, chi, env, env.period / spp
+        self.j, self.chi, self.env, self.h, self.h2 = j, chi, env, env.period / spp, env.period / 2
         self._ops = period_operators(j, chi, env, spp) if self.jumps_pay(j, env, spp, span) else None
 
     @staticmethod
@@ -212,36 +208,51 @@ class DrivenEngine:
         """Whether advance holds the block at time t in the frame."""
         return abs(t / self.h - round(t / self.h)) <= 1e-9
 
+    def branch_point(self, t: float) -> tuple:
+        """k of the half period [k T/2, (k+1) T/2) holding t, and the chain's stop for t's branch."""
+        k = int(np.floor(t / self.h2 + 1e-9))
+        return k, (k - k % 2) * self.h2
+
     def _walk(self, y, t0, t1):
         return _split_steps(self.j, y, self.chi, self.env, self.h, t0, t1, (self.framed(t0), self.framed(t1)))
 
-    def advance(self, y: np.ndarray, t_from: float, t_to: float, whole: bool = False) -> np.ndarray:
-        """Evolve a (dim, R) block from t_from to t_to, ends held as framed() says.
-        whole lets jumps take whole periods; a sampled stretch leaves it off, so
-        its bits do not depend on which on-grid times it samples."""
-        h2 = self.env.period / 2
-        a, b = int(np.ceil(t_from / h2 - 1e-9)), int(np.floor(t_to / h2 + 1e-9))
-        if self._ops is None or b <= a:
+    def advance(self, y: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
+        """Evolve a (dim, R) block from t_from to t_to, ends held as framed() says: split steps
+        to the first half-period instant, whole periods from an even one and single halves
+        elsewhere, split steps from the last. Cut at whole-period instants, where a sampled
+        chain stops (its samples read branches), a stretch takes the same products."""
+        a, b = int(np.ceil(t_from / self.h2 - 1e-9)), int(np.floor(t_to / self.h2 + 1e-9))
+        if self._ops is None or b < a:
             return self._walk(y, t_from, t_to) if t_to > t_from else y
-        y = self._walk(y, t_from, a * h2) if a * h2 > t_from + 1e-12 * h2 else y
+        y = self._walk(y, t_from, a * self.h2) if a * self.h2 > t_from + 1e-12 * self.h2 else y
         while a < b:
-            halves = 2 if whole and a % 2 == 0 and a + 1 < b else 1
+            halves = 2 if a % 2 == 0 and a + 1 < b else 1
             y, a = self._ops.jump(y, a, halves), a + halves
-        return self._walk(y, b * h2, t_to) if t_to > b * h2 + 1e-12 * h2 else y
+        return self._walk(y, b * self.h2, t_to) if t_to > b * self.h2 + 1e-12 * self.h2 else y
 
 
 # ---------------------------------------------------------------------------
 # schedule execution
 
+def renormalized(x: np.ndarray, renorms: np.ndarray) -> np.ndarray:
+    """Divide, in place, each column whose norm drifts beyond 1e-12; renorms counts them."""
+    norms = np.sqrt((x.real**2 + x.imag**2).sum(axis=0))
+    drift = np.abs(norms - 1.0) > RENORM_STEP_TOL
+    if drift.any():
+        x[:, drift] /= norms[drift]
+        renorms += drift
+    return x
+
+
 def _stepper(j: float, seg) -> tuple:
-    """(advance, framed) as in DrivenEngine for a segment."""
+    """(advance, framed, branch_point) as in DrivenEngine; a quadratic chain steps through every sample."""
     if isinstance(seg, QuadraticSegment):
-        def step(x, t_from, t_to, *_):
+        def step(x, t_from, t_to):
             return _quadratic(j, seg.axis, seg.chi, t_to - t_from, x) if t_to > t_from else x
 
-        return step, lambda _: False
+        return step, lambda _: False, lambda t: (t, t)
     engine = DrivenEngine(j, seg.chi, seg.env, seg.steps_per_period, seg.duration)
-    return engine.advance, engine.framed
+    return engine.advance, engine.framed, engine.branch_point
 
 
 def evolve_block(
@@ -267,8 +278,10 @@ def evolve_block(
     a copy (in the frame while a driven segment holds it there), TILE // width
     samples a report, padded with its last column.
 
-    keep, a dict keyed by times, gets the raw z-basis block before renormalizing at each segment end
-    at one of its times.
+    A driven chain stops only at whole-period instants, so its final block has an unsampled run's bits
+    when it jumps (without jumps, a stop splits a junction: rounding). A sample reads a branch: the chain
+    at the start of the sample's half period (one half jump on the copy at most), stepped through that
+    half period's earlier samples. keep maps sample times to raw z-basis blocks and renormalizations.
     """
     x = np.array(block, dtype=complex)
     width = x.shape[1]
@@ -294,55 +307,49 @@ def evolve_block(
             tiles.append((squeezing_columns(j, tile), width * len(blocks)))
             queue.clear()
 
-    def emit(x, framed=False):
+    def emit(x, framed=False):  # the block at samples[si]
+        nonlocal si
+        if samples[si] in keep:
+            keep[samples[si]] = (frame_leave(j, x) if framed else x.copy()), renorms.copy()
+        si += 1
         queue.append((x.copy() if width < TILE else x, framed))
         if len(queue) >= TILE // width:
             flush()
 
-    def renormalized(x):
-        norms = np.sqrt((x.real**2 + x.imag**2).sum(axis=0))
-        drift = np.abs(norms - 1.0) > RENORM_STEP_TOL
-        if drift.any():
-            x[:, drift] /= norms[drift]
-            renorms[drift] += 1
-        return x
-
     if due(0.0):
         emit(x)
-        si += 1
 
     for seg in schedule.segments:
         if isinstance(seg, Pulse):
             angles = seg.rotation.angle * scales[pulse_index]
             pulse_index += 1
-            x = renormalized(rotate_block(j, x, seg.rotation.axis, angles))
+            x = renormalized(rotate_block(j, x, seg.rotation.axis, angles), renorms)
             continue
         if isinstance(seg, FreezeMarker):
             freezes.append(t)
             continue
         if isinstance(seg, (QuadraticSegment, DrivenSegment)):
-            step, framed = _stepper(j, seg)
+            step, framed, branch_point = _stepper(j, seg)
             end = t + seg.duration
             x = frame_enter(j, x) if framed(t) else x
-            whole = not due(end)  # a segment without samples may jump whole periods
+            branch = None  # the half period (quadratic: the sample) that the branch y serves
             while due(end):
-                target = min(max(samples[si], t), end)
-                x = step(x, t, target)
-                t = target
-                emit(x, framed(t))
-                si += 1
-            x = step(x, t, end, whole)
+                s = min(max(samples[si], t), end)
+                k, stop = branch_point(s)
+                if k != branch:
+                    x, t = step(x, t, max(stop, t)), max(stop, t)
+                    y, ty, branch = x, t, k
+                y, ty = step(y, ty, s), s
+                emit(y, framed(s))
+            x = step(x, t, end)
             x = frame_leave(j, x) if framed(end) else x
-            if end in keep:
-                keep[end] = x.copy()
-            x = renormalized(x)
+            x = renormalized(x, renorms)
             t = end
             continue
         raise DomainError(f"unknown segment type {type(seg).__name__}")
 
     while si < len(samples):  # ProtocolSchedule keeps every sample within due(t)
         emit(x)
-        si += 1
     flush()
 
     records = run_records(samples, tiles, runs, width)
@@ -364,14 +371,15 @@ def driven_doubling_check(
 ) -> dict:
     """One-shot integrator self-check: the terminal fidelity gap 1 - |<a|b>| / (|a| |b|) between
     the segment run from state at its steps_per_period and at twice that, each a one-segment
-    schedule read raw at its end, and each run's norm drift |.| - 1; terminal is the first run's
-    raw final block when it ran already."""
+    schedule sampled raw at its end, and each run's norm drift |.| - 1; terminal is the first
+    run's raw block there when a chain at that steps_per_period sampled it already (a sample
+    reads a branch, so a longer chain's sample at the segment's end has the same bits)."""
     spp = segment.steps_per_period
 
     def run(seg):
         keep = {seg.duration: None}
-        evolve_block(state.j, state.amplitudes[:, None], ProtocolSchedule((seg,), ()), keep=keep)
-        return keep[seg.duration]
+        evolve_block(state.j, state.amplitudes[:, None], ProtocolSchedule((seg,), (seg.duration,)), keep=keep)
+        return keep[seg.duration][0]
 
     single = run(segment) if terminal is None else terminal
     doubled = run(replace(segment, steps_per_period=2 * spp))

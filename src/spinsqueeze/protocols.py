@@ -30,7 +30,7 @@ from .dicke import (
 from .diagnostics import OptimumResult, RunRecord, find_optimum, run_records, squeezing_columns
 from .errors import DomainError, ResourceError
 from .hamiltonians import DriveEnvelope, alpha0, drive_value
-from .propagator import TILE, SpectralPropagator, evolve_block, evolve_schedule, spectral
+from .propagator import TILE, SpectralPropagator, evolve_block, evolve_schedule, renormalized, spectral
 from .schedule import (
     DrivenSegment,
     FreezeMarker,
@@ -132,9 +132,9 @@ def reference_optimum(n_particles: int) -> OptimumResult:
 
 @dataclass
 class ProtocolBundle:
-    """A built protocol: timeline, initial state, metadata, and when frozen
-    the state right after the freeze pulses (run on from the block at the
-    freeze instant, at_freeze, before renormalization) and the noiseless record."""
+    """A built protocol: timeline, initial state, metadata, and when frozen the state right after
+    the freeze pulses (run on from at_freeze, the raw block the record's pass samples at the
+    freeze instant, which the doubling check reuses) and the noiseless record."""
 
     schedule: ProtocolSchedule
     initial_state: DickeState
@@ -166,24 +166,24 @@ def _best_signs(state: DickeState, rotations) -> tuple[tuple, float]:
 def _probe(initial: DickeState, segments, samples, candidates, meta: dict) -> tuple:
     """One noiseless pass of the segments, sampled at the candidates among
     the samples: the index of the candidate of least xi^2 (meta records each
-    with its xi^2) and the pass's record."""
-    schedule = ProtocolSchedule(tuple(segments), tuple(samples))
-    _, (record,) = evolve_block(initial.j, initial.amplitudes[:, None], schedule, None, 1)
+    with its xi^2), the pass's record, and what evolve_block keeps at the candidates."""
+    schedule, kept = ProtocolSchedule(tuple(segments), tuple(samples)), dict.fromkeys(candidates)
+    _, (record,) = evolve_block(initial.j, initial.amplitudes[:, None], schedule, None, 1, kept)
     xi2 = record.xi2()[[schedule.sample_times.index(t) for t in candidates]]
     meta["freeze_candidates"] = list(zip(candidates, xi2.tolist()))
-    return int(np.argmin(xi2)), record
+    return int(np.argmin(xi2)), record, kept
 
 
-def _freeze(initial, meta, prefix, t_star, rotations, probe) -> ProtocolBundle:
+def _freeze(initial, meta, prefix, t_star, rotations, probe, kept) -> ProtocolBundle:
     """Frozen bundle, its signs in meta: prefix runs to the freeze instant t_star, then the
     freeze marker, one signed pulse per rotation, and a Jz^2 hold of POST_TIME_FACTOR * t_opt
-    sampled POST_SAMPLES times. The frozen state runs on from the unsampled prefix's block.
-    The record is the pass record probe's samples up to t_star, then the frozen state's hold:
-    its events are the freeze, the renormalizations of that chain and the freeze decisions."""
-    j, base = initial.j, ProtocolSchedule(prefix, ())
-    clock = base.total_time()  # the schedule's clock at the freeze marker
-    at_freeze = {clock: None}  # the raw block there
-    at_star, (ran,) = evolve_block(j, initial.amplitudes[:, None], base, None, 1, at_freeze)
+    sampled POST_SAMPLES times. Only that tail runs, from the pass's raw block at t_star (kept,
+    with the pass's renormalizations before it) renormalized as at a segment end. The record is
+    the pass record probe's samples up to t_star, then the frozen state's hold: its events are
+    the freeze, the renormalizations of that chain and the freeze decisions."""
+    j, (at_freeze, renorms) = initial.j, kept
+    clock = ProtocolSchedule(prefix, ()).total_time()  # the schedule's clock at the freeze marker
+    at_star = renormalized(at_freeze.copy(), renorms)
     signs, var_z = _best_signs(DickeState(j, at_star[:, 0]), rotations)
     meta.update({"freeze_time": t_star, "freeze_var_z": var_z})
     meta.update({"freeze_sign": signs[0]} if len(signs) == 1 else {"freeze_signs": signs})
@@ -199,10 +199,10 @@ def _freeze(initial, meta, prefix, t_star, rotations, probe) -> ProtocolBundle:
     tiles = [(probe.report, len(before)), (held.report, len(post))]
     record = run_records(schedule.sample_times, tiles, 1)[0]
     record.add_event("freeze", time=clock)
-    count = sum(event["count"] for run in (ran, turned, held) for event in run.events)
+    count = int(renorms[0]) + sum(event["count"] for run in (turned, held) for event in run.events)
     if count:
         record.add_event("renormalization", count=count)
-    return ProtocolBundle(schedule, initial, meta, frozen, at_freeze[clock], _decided(record, meta))
+    return ProtocolBundle(schedule, initial, meta, frozen, at_freeze, _decided(record, meta))
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +269,11 @@ def build_repeated_pulse(n_particles: int, n_periods: int = 50, freeze: bool = F
     candidates = list(range(max(0, n_center - PULSE_WINDOW), n_center + PULSE_WINDOW + 1))
     last, times = candidates[-1], [n * t_c + delta_t for n in candidates]
     segments = _pulse_period_segments(delta_t) * (last + 1)
-    best, probe = _probe(initial, segments, mid_samples(last) + times[-1:], times, meta)
+    best, probe, kept = _probe(initial, segments, mid_samples(last) + times[-1:], times, meta)
     n_star = meta["freeze_period_index"] = candidates[best]
 
     prefix = segments[: 4 * n_star + 1] + [QuadraticSegment("z", 1.0, delta_t)]  # to mid Jx^2 of n_star
-    return _freeze(initial, meta, tuple(prefix), times[best], (FREEZE_TURN,), probe)
+    return _freeze(initial, meta, tuple(prefix), times[best], (FREEZE_TURN,), probe, kept[times[best]])
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +356,13 @@ def build_modulated_drive(
     candidates = zeros_all[np.abs(zeros_all - center) <= DRIVE_WINDOW * period * (1 + 1e-12)].tolist()
     last = candidates[-1]
     segments = (DrivenSegment(env, 1.0, last, steps_per_period),)
-    best, probe = _probe(initial, segments, drive_zero_times(env, last), candidates, meta)
+    best, probe, kept = _probe(initial, segments, drive_zero_times(env, last), candidates, meta)
     t_star = candidates[best]
     meta["drive_value_at_freeze"] = float(drive_value(env, t_star))
 
     prefix = (DrivenSegment(env, 1.0, t_star, steps_per_period),)
     align = RotationSpec((0.0, 1.0, 0.0), env.omega0 / env.omega)
-    return _freeze(initial, meta, prefix, t_star, (align, FREEZE_TURN), probe)
+    return _freeze(initial, meta, prefix, t_star, (align, FREEZE_TURN), probe, kept[t_star])
 
 
 def _dedupe_times(times):

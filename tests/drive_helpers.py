@@ -8,12 +8,12 @@ from spinsqueeze.schedule import ProtocolSchedule
 
 
 def raw_end(state, *segments):
-    """The state run through the segments as one schedule, its amplitudes read raw at the
-    end of the last segment: before any renormalization, so a lost norm shows."""
+    """The state run through the segments as one schedule, its amplitudes sampled raw at
+    the end of the last segment: before any renormalization, so a lost norm shows."""
     t1 = ProtocolSchedule(segments, ()).total_time()
     keep = {t1: None}
-    evolve_block(state.j, state.amplitudes[:, None], ProtocolSchedule(segments, ()), keep=keep)
-    return keep[t1][:, 0]
+    evolve_block(state.j, state.amplitudes[:, None], ProtocolSchedule(segments, (t1,)), keep=keep)
+    return keep[t1][0][:, 0]
 
 
 def split_steps_only():

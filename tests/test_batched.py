@@ -62,8 +62,8 @@ def jz2_phase(state, chi_t):
 def cut_at(schedule, s):
     """The segments of a schedule up to time s, the one running at s cut
     short there; pulses and markers at s come after a sample at s. A driven
-    segment is also split at the earlier sample times, which are substep
-    boundaries of the sampled run."""
+    segment is also split where the half period holding s starts and at that
+    half period's earlier samples, the stops of the branch a sample at s reads."""
     segments, t, tol = [], 0.0, 1e-9 * max(1.0, s)
     for seg in schedule.segments:
         if t >= s - tol:
@@ -74,8 +74,10 @@ def cut_at(schedule, s):
             segments.append(seg if t + seg.duration <= s else QuadraticSegment(seg.axis, seg.chi, s - t))
             t += seg.duration
         else:
-            end = min(t + seg.duration, s)
-            stops = [u for u in schedule.sample_times if t < u < end] + [end]
+            end, half = min(t + seg.duration, s), seg.env.period / 2
+            start = float(np.floor(s / half + 1e-9) * half)
+            stops = [u for u in schedule.sample_times if max(t, start) < u < end] + [end]
+            stops = ([start] if t < start < end else []) + stops
             for a, b in zip([t, *stops], stops):
                 segments.append(DrivenSegment(seg.env, seg.chi, b - a, seg.steps_per_period))
             t += seg.duration

@@ -330,8 +330,8 @@ class TestScenarios:
         assert abs(dbl["norm_drift"]) < 1e-9 and abs(dbl["doubled_norm_drift"]) < 1e-9
         assert (tmp_path / "drive_effective.csv").exists()
 
-    def test_drive_freeze_runs_three_drive_chains(self, tmp_path, monkeypatch):
-        # the pass, the freeze prefix (also the check's spp-64 run) and the check's spp-128 run
+    def test_drive_freeze_runs_two_drive_chains(self, tmp_path, monkeypatch):
+        # the pass (also the check's spp-64 run) and the check's spp-128 run
         engines = []
         init = propagator.DrivenEngine.__init__
         monkeypatch.setattr(
@@ -339,7 +339,7 @@ class TestScenarios:
         )
         _, status = run_cli(["drive", "--n", "60", "--freeze", "--samples", "32", "--out-dir", str(tmp_path)])
         assert status == 0
-        assert len(engines) == 3
+        assert len(engines) == 2
 
     @pytest.mark.parametrize(
         "source,freeze,phase",

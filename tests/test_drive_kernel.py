@@ -16,11 +16,13 @@ from spinsqueeze.propagator import (
     _aligned_grid,
     _PeriodOperators,
     _split_steps,
+    evolve_block,
     evolve_schedule,
     frame_enter,
     frame_leave,
     junction_blocks,
 )
+from spinsqueeze.protocols import drive_zero_times
 from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule, QuadraticSegment
 
 from drive_helpers import raw_end, split_steps_only
@@ -166,7 +168,11 @@ def test_period_operator_path_matches_plain_split_stepping(n, phase):
 def test_sampled_frame_chain_matches_plain_split_stepping(n, phase):
     # samples on the h grid (half periods among them) and off it, so the
     # chain holds the block in the frame and in z, jumps and walks, and
-    # reports tiles that mix frame copies with z-basis columns
+    # reports tiles that mix frame copies with z-basis columns. The reference
+    # follows the branch rule in plain split steps: the chain stops at the whole
+    # period holding the start of each sample's half period, and a sample reads
+    # the chain stepped from there to that start and through the half period's
+    # earlier samples; the final block is the unsampled run's
     j, chi = n / 2, 1.0
     env = envelope(phase, omega=2 * np.pi * 300.0)
     h, half = env.period / SPP, env.period / 2
@@ -175,12 +181,41 @@ def test_sampled_frame_chain_matches_plain_split_stepping(n, phase):
     x0 = random_block(j, 1, seed=n)
     schedule = ProtocolSchedule((DrivenSegment(env, chi, t1, SPP),), tuple(times))
     final, record = evolve_schedule(DickeState(j, x0[:, 0]), schedule)
-    x, want = x0, []
-    for a, b in zip([0.0, *times], times):
-        x = _split_steps(j, x, chi, env, h, a, b) if b > a else x
-        want.append(squeezing_columns(j, x).column(0).xi2)
+
+    def plain(x, a, b):
+        return _split_steps(j, x, chi, env, h, a, b) if b > a else x
+
+    chain, at, branch, want = x0, 0.0, None, []
+    for s in times:
+        k = int(np.floor(s / half + 1e-9))
+        if k != branch:
+            stop = (k - k % 2) * half
+            chain, at = plain(chain, at, stop), stop
+            y, ty, branch = plain(chain, stop, k * half), k * half, k
+        y, ty = plain(y, ty, s), s
+        want.append(squeezing_columns(j, y).column(0).xi2)
+    x = plain(x0, 0.0, t1)
     assert abs(np.vdot(final.amplitudes, x[:, 0] / np.linalg.norm(x))) >= 1 - 1e-10
     assert np.allclose(record.xi2(), want, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("n", [6, 41, 100])
+@pytest.mark.parametrize("phase", [-np.pi / 2, 0.3, 0.9])
+@pytest.mark.parametrize("omega,periods", [(2 * np.pi * 300.0, 20.37), (2 * np.pi * 30.0, 10.37)])
+def test_samples_do_not_steer_the_driven_chain(n, phase, omega, periods):
+    # with period operators a sampled driven chain takes the unsampled chain's
+    # products; without them a stop at a whole period splits a fused junction
+    j, env = n / 2, envelope(phase, omega)
+    seg = DrivenSegment(env, 1.0, periods * env.period, 64)
+    uniform = np.random.default_rng(n).uniform(0.0, seg.duration, 25)
+    times = np.unique(np.concatenate([drive_zero_times(env, seg.duration), uniform]))
+    x0 = random_block(j, 1, seed=n)
+    sampled, _ = evolve_block(j, x0, ProtocolSchedule((seg,), tuple(times.tolist())))
+    plain, _ = evolve_block(j, x0, ProtocolSchedule((seg,), ()))
+    if DrivenEngine.jumps_pay(j, env, 64, seg.duration):
+        assert sampled.tobytes() == plain.tobytes()
+    else:
+        assert np.max(np.abs(sampled - plain)) <= 1e-14
 
 
 def test_junction_cache_is_bounded():

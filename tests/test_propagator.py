@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from spinsqueeze import dicke
+from spinsqueeze.cli import parse_config, run_scenario
 from spinsqueeze.dicke import (
     DickeState,
     RotationSpec,
@@ -9,13 +11,15 @@ from spinsqueeze.dicke import (
     make_css,
     m_values,
     make_dicke_state,
+    axis_eigensystem,
     rotate,
 )
 from spinsqueeze.diagnostics import squeezing_report
 from spinsqueeze.errors import DomainError, ResourceError
-from spinsqueeze.hamiltonians import DriveEnvelope, matrix, quadratic_matrix
+from spinsqueeze.hamiltonians import DriveEnvelope, matrix, quadratic_bands, quadratic_matrix
 from spinsqueeze.propagator import (
     DrivenEngine,
+    SpectralPropagator,
     dicke_isometry,
     driven_doubling_check,
     evolve_schedule,
@@ -392,3 +396,30 @@ class TestFullHilbert:
             full_spin_ops(11)
         with pytest.raises(ResourceError):
             full_hilbert_oracle(make_css(5.5, np.pi / 2, 0.0), (1.0, 0.0, 0.0), 0.1)
+
+
+class TestOversizedN:
+    """An eigenbasis larger than physical memory is a named ResourceError raised before it is
+    allocated. Physical memory is patched to 1 MiB, so no test here builds anything large."""
+
+    @pytest.fixture(autouse=True)
+    def one_mib(self, monkeypatch):
+        monkeypatch.setattr(dicke, "PHYSICAL_MEMORY", 2**20)
+
+    def test_axis_eigensystem(self):
+        # a 502^2 float64 basis: 1.9 MiB
+        with pytest.raises(ResourceError, match=r"^N = 501 needs 0\.00188 GiB of eigenvectors, more than the machine's 0\.000977 GiB"):
+            axis_eigensystem(250.5)
+
+    def test_spectral_propagator(self):
+        # two 251^2 parity blocks for Jz^2 - Jy^2: 0.96 MiB fit, 701's two 351^2 blocks do not
+        SpectralPropagator(*quadratic_bands(250.5, 1.0, 0.0, -1.0))
+        with pytest.raises(ResourceError, match=r"^N = 701 needs 0\.00184 GiB"):
+            SpectralPropagator(*quadratic_bands(350.5, 1.0, 0.0, -1.0))
+
+    @pytest.mark.parametrize("scenario", ["tact", "pulses"])
+    def test_cli_names_it(self, tmp_path, capsys, scenario):
+        cfg = parse_config([scenario, "--n", "1001", "--samples", "16", "--out-dir", str(tmp_path)])
+        assert run_scenario(cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("spinsqueeze: N = 1001 needs ")

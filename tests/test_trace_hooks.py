@@ -42,7 +42,9 @@ def test_wrapped_methods_exist(layertrace):
 
 def test_driven_stepping_goes_through_advance(monkeypatch):
     # the propagator.advance row times DrivenEngine.advance as driven stepping: a
-    # driven schedule and the doubling check both step through it
+    # driven schedule and the doubling check both step through it. The chain steps
+    # to the whole period before a sample's half period, the sample's branch from
+    # there, and the chain on to the end; each check run samples its own end
     calls = []
     advance = propagator.DrivenEngine.advance
     monkeypatch.setattr(
@@ -51,7 +53,8 @@ def test_driven_stepping_goes_through_advance(monkeypatch):
     env = DriveEnvelope(0.9057 * 2 * np.pi * 40.0, 2 * np.pi * 40.0, -np.pi / 2)
     state, seg = make_css(4, np.pi / 2, 0.0), DrivenSegment(env, 1.0, 20.3 * env.period)
     propagator.evolve_schedule(state, ProtocolSchedule((seg,), (seg.duration / 2,)))
-    assert [a[0] for a in calls] == [0.0, seg.duration / 2]
+    t10, t20 = 10 * env.period, 20 * env.period
+    assert [a[:2] for a in calls] == [(0.0, t10), (t10, seg.duration / 2), (t10, seg.duration)]
     calls.clear()
     propagator.driven_doubling_check(state, seg)
-    assert len(calls) == 2 and all(a[:2] == (0.0, seg.duration) for a in calls)
+    assert [a[:2] for a in calls] == [(0.0, t20), (t20, seg.duration), (t20, seg.duration)] * 2
