@@ -332,16 +332,16 @@ def evolve_block(
             step, framed, branch_point = _stepper(j, seg)
             end = t + seg.duration
             x = frame_enter(j, x) if framed(t) else x
-            branch = None  # the half period (quadratic: the sample) that the branch y serves
+            branch = ty = None  # the half period (quadratic: the sample) that the branch y serves
             while due(end):
                 s = min(max(samples[si], t), end)
                 k, stop = branch_point(s)
                 if k != branch:
                     x, t = step(x, t, max(stop, t)), max(stop, t)
                     y, ty, branch = x, t, k
-                y, ty = step(y, ty, s), s
+                y, ty, solo = step(y, ty, s), s, ty == t  # solo: y is one step from the chain
                 emit(y, framed(s))
-            x = step(x, t, end)
+            x = y if ty == end and solo else step(x, t, end)
             x = frame_leave(j, x) if framed(end) else x
             x = renormalized(x, renorms)
             t = end
