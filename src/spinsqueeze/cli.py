@@ -255,18 +255,15 @@ def _sha256(path) -> str:
 
 
 def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
 def _write_manifest(out_dir, cfg, extra, written) -> Path:
-    manifest = {"config": asdict(cfg)}
-    manifest.update(extra)
+    manifest = {"config": asdict(cfg), **extra}
     manifest["artifacts"] = {
         Path(p).name: _sha256(p) for p in sorted(written, key=lambda p: Path(p).name)
     }
@@ -363,7 +360,7 @@ def _scenario_drive(cfg, out_dir, written) -> dict:
     eff_times = [t for t in record.times() if t <= seg.duration]
     eff = effective_drive_record(cfg.n, cfg.omega0_over_omega, eff_times)
     written.append(write_run_csv(out_dir / "drive_effective.csv", eff, cfg.chi_hz))
-    # under a freeze the pass's block at t* is the check's steps_per_period run: one chain
+    # under a freeze the check takes the pass's block at t* for its first run when that run jumps
     check = driven_doubling_check(bundle.initial_state, seg, bundle.at_freeze)
     convergence = {"method": "strang split-step, exact envelope integral", "doubling": check}
     return _protocol_outputs(cfg, out_dir, written, bundle, record, convergence)
@@ -376,9 +373,8 @@ def _scenario_noise(cfg, out_dir, written) -> dict:
     written.append(write_mean_csv(out_dir / "noise_mean.csv", mc, cfg.chi_hz))
     written.append(write_realizations_csv(out_dir / "noise_realizations.csv", mc))
     limits = _emit_limits(out_dir, cfg.n, cfg.samples, cfg.chi_hz, written)
-    meta = dict(bundle.meta)
     return {
-        "protocol": meta,
+        "protocol": bundle.meta,
         "noise": {"eta": cfg.eta, "realizations": cfg.realizations, "master_seed": cfg.seed},
         "limits": limits,
         "convergence": {

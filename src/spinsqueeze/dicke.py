@@ -375,3 +375,15 @@ def overlap(a: DickeState, b: DickeState) -> complex:
 def fidelity(a: DickeState, b: DickeState) -> float:
     """Phase-insensitive |<a|b>|; the only comparison used across the package."""
     return abs(overlap(a, b))
+
+
+def rotate_classical(vec, axis, angle):
+    """Rodrigues rotation of a 3-vector; oracle for mean-spin covariance."""
+    v = np.asarray(vec, dtype=float)
+    k = np.asarray(axis, dtype=float)
+    k = k / np.linalg.norm(k)
+    return (
+        v * np.cos(angle)
+        + np.cross(k, v) * np.sin(angle)
+        + k * (k @ v) * (1 - np.cos(angle))
+    )

@@ -332,16 +332,16 @@ def evolve_block(
             step, framed, branch_point = _stepper(j, seg)
             end = t + seg.duration
             x = frame_enter(j, x) if framed(t) else x
-            branch = ty = None  # the half period (quadratic: the sample) that the branch y serves
+            branch = None  # the half period (quadratic: the sample) that the branch y serves
             while due(end):
                 s = min(max(samples[si], t), end)
                 k, stop = branch_point(s)
                 if k != branch:
                     x, t = step(x, t, max(stop, t)), max(stop, t)
                     y, ty, branch = x, t, k
-                y, ty, solo = step(y, ty, s), s, ty == t  # solo: y is one step from the chain
+                y, ty = step(y, ty, s), s
                 emit(y, framed(s))
-            x = y if ty == end and solo else step(x, t, end)
+            x = step(x, t, end)
             x = frame_leave(j, x) if framed(end) else x
             x = renormalized(x, renorms)
             t = end
@@ -371,17 +371,19 @@ def driven_doubling_check(
 ) -> dict:
     """One-shot integrator self-check: the terminal fidelity gap 1 - |<a|b>| / (|a| |b|) between
     the segment run from state at its steps_per_period and at twice that, each a one-segment
-    schedule sampled raw at its end, and each run's norm drift |.| - 1; terminal is the first
-    run's raw block there when a chain at that steps_per_period sampled it already (a sample
-    reads a branch, so a longer chain's sample at the segment's end has the same bits)."""
+    schedule sampled raw at its end, and each run's norm drift |.| - 1. terminal, a longer chain's
+    raw block sampled at the segment's end, stands in for the first run when that run jumps
+    periods: both chains then stop at whole periods alone and take the same products. Without
+    period operators each stop splits a junction, so the first run runs."""
     spp = segment.steps_per_period
+    jumps = DrivenEngine.jumps_pay(state.j, segment.env, spp, segment.duration)
 
     def run(seg):
         keep = {seg.duration: None}
         evolve_block(state.j, state.amplitudes[:, None], ProtocolSchedule((seg,), (seg.duration,)), keep=keep)
         return keep[seg.duration][0]
 
-    single = run(segment) if terminal is None else terminal
+    single = terminal if jumps and terminal is not None else run(segment)
     doubled = run(replace(segment, steps_per_period=2 * spp))
     norms = np.linalg.norm(single), np.linalg.norm(doubled)
     return {

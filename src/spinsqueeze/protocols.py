@@ -134,7 +134,7 @@ def reference_optimum(n_particles: int) -> OptimumResult:
 class ProtocolBundle:
     """A built protocol: timeline, initial state, metadata, and when frozen the state right after
     the freeze pulses (run on from at_freeze, the raw block the record's pass samples at the
-    freeze instant, which the doubling check reuses) and the noiseless record."""
+    freeze instant, which the doubling check reuses when its run jumps) and the noiseless record."""
 
     schedule: ProtocolSchedule
     initial_state: DickeState
@@ -345,7 +345,8 @@ def build_modulated_drive(
         zeros = drive_zero_times(env, t_end).tolist()
         t_lo, t_hi = max(0.0, FINE_WINDOW[0] * center), min(t_end, FINE_WINDOW[1] * center)
         fine = t_lo + (period / 8) * np.arange(int(np.floor((t_hi - t_lo) / (period / 8))) + 1)
-        samples = _dedupe_times(zeros + fine.tolist())
+        times = sorted(zeros + fine.tolist())  # a fine sample on a zero is dropped
+        samples = [t for s, t in zip([-np.inf] + times, times) if t - s > 1e-12 * max(1.0, abs(t))]
         segments = (DrivenSegment(env, 1.0, t_end, steps_per_period),)
         schedule = ProtocolSchedule(segments, tuple(samples), meta)
         return ProtocolBundle(schedule, initial, meta)
@@ -363,14 +364,6 @@ def build_modulated_drive(
     prefix = (DrivenSegment(env, 1.0, t_star, steps_per_period),)
     align = RotationSpec((0.0, 1.0, 0.0), env.omega0 / env.omega)
     return _freeze(initial, meta, prefix, t_star, (align, FREEZE_TURN), probe, kept[t_star])
-
-
-def _dedupe_times(times):
-    out = []
-    for t in sorted(times):
-        if not out or t - out[-1] > 1e-12 * max(1.0, abs(t)):
-            out.append(t)
-    return out
 
 
 # ---------------------------------------------------------------------------

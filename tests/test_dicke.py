@@ -14,6 +14,7 @@ from spinsqueeze.dicke import (
     make_css,
     make_dicke_state,
     rotate,
+    rotate_classical,
     rotate_vector,
     spin_matrix,
 )
@@ -21,18 +22,6 @@ from spinsqueeze.errors import DomainError
 from spinsqueeze.propagator import dicke_isometry, full_spin_ops
 
 UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def rotate_classical(vec, axis, angle):
-    """Rodrigues rotation of a 3-vector; oracle for mean-spin covariance."""
-    v = np.asarray(vec, dtype=float)
-    k = np.asarray(axis, dtype=float)
-    k = k / np.linalg.norm(k)
-    return (
-        v * np.cos(angle)
-        + np.cross(k, v) * np.sin(angle)
-        + k * (k @ v) * (1 - np.cos(angle))
-    )
 
 
 def second_moment(state, unit_a, unit_b):

@@ -44,8 +44,8 @@ def test_driven_stepping_goes_through_advance(monkeypatch):
     # the propagator.advance row times DrivenEngine.advance as driven stepping: a
     # driven schedule and the doubling check both step through it. The chain steps
     # to the whole period before a sample's half period, the sample's branch from
-    # there, and the chain on to the end; each check run samples its own end, and
-    # that sample's branch is the chain's last step
+    # there, and the chain on to the end; each check run samples its own end, so
+    # its branch and its chain both step from the last whole period to the end
     calls = []
     advance = propagator.DrivenEngine.advance
     monkeypatch.setattr(
@@ -58,4 +58,4 @@ def test_driven_stepping_goes_through_advance(monkeypatch):
     assert [a[:2] for a in calls] == [(0.0, t10), (t10, seg.duration / 2), (t10, seg.duration)]
     calls.clear()
     propagator.driven_doubling_check(state, seg)
-    assert [a[:2] for a in calls] == [(0.0, t20), (t20, seg.duration)] * 2
+    assert [a[:2] for a in calls] == [(0.0, t20), (t20, seg.duration), (t20, seg.duration)] * 2
