@@ -255,15 +255,18 @@ def _sha256(path) -> str:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
 def _write_manifest(out_dir, cfg, extra, written) -> Path:
-    manifest = {"config": asdict(cfg), **extra}
+    manifest = {"config": asdict(cfg)}
+    manifest.update(extra)
     manifest["artifacts"] = {
         Path(p).name: _sha256(p) for p in sorted(written, key=lambda p: Path(p).name)
     }
@@ -373,8 +376,9 @@ def _scenario_noise(cfg, out_dir, written) -> dict:
     written.append(write_mean_csv(out_dir / "noise_mean.csv", mc, cfg.chi_hz))
     written.append(write_realizations_csv(out_dir / "noise_realizations.csv", mc))
     limits = _emit_limits(out_dir, cfg.n, cfg.samples, cfg.chi_hz, written)
+    meta = dict(bundle.meta)
     return {
-        "protocol": bundle.meta,
+        "protocol": meta,
         "noise": {"eta": cfg.eta, "realizations": cfg.realizations, "master_seed": cfg.seed},
         "limits": limits,
         "convergence": {

@@ -345,8 +345,7 @@ def build_modulated_drive(
         zeros = drive_zero_times(env, t_end).tolist()
         t_lo, t_hi = max(0.0, FINE_WINDOW[0] * center), min(t_end, FINE_WINDOW[1] * center)
         fine = t_lo + (period / 8) * np.arange(int(np.floor((t_hi - t_lo) / (period / 8))) + 1)
-        times = sorted(zeros + fine.tolist())  # a fine sample on a zero is dropped
-        samples = [t for s, t in zip([-np.inf] + times, times) if t - s > 1e-12 * max(1.0, abs(t))]
+        samples = _dedupe_times(zeros + fine.tolist())
         segments = (DrivenSegment(env, 1.0, t_end, steps_per_period),)
         schedule = ProtocolSchedule(segments, tuple(samples), meta)
         return ProtocolBundle(schedule, initial, meta)
@@ -364,6 +363,14 @@ def build_modulated_drive(
     prefix = (DrivenSegment(env, 1.0, t_star, steps_per_period),)
     align = RotationSpec((0.0, 1.0, 0.0), env.omega0 / env.omega)
     return _freeze(initial, meta, prefix, t_star, (align, FREEZE_TURN), probe, kept[t_star])
+
+
+def _dedupe_times(times):
+    out = []
+    for t in sorted(times):
+        if not out or t - out[-1] > 1e-12 * max(1.0, abs(t)):
+            out.append(t)
+    return out
 
 
 # ---------------------------------------------------------------------------
