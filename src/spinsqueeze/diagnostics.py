@@ -10,7 +10,7 @@ import numpy as np
 from .dicke import DickeState, css_amplitudes, ladder_parts, m_values, spin_action
 from .errors import DegenerateDirectionError, DomainError
 
-MEAN_SPIN_FLOOR = 1e-9  # times j; below this the perpendicular plane is undefined
+MEAN_SPIN_FLOOR = 1e-6  # times j; below it xi^2 is not resolved, and a sample's squeezing fields read NaN
 ISOTROPY_EPS = 1e-12
 
 
@@ -75,11 +75,8 @@ def squeezing_columns(j: float, x: np.ndarray) -> SqueezingReport:
     parts = ladder_parts(j, x)
     ms = _mean_spin(x, parts)
     length = np.sqrt((ms**2).sum(axis=0))
-    if np.any(length <= MEAN_SPIN_FLOOR * j):
-        raise DegenerateDirectionError(
-            f"mean spin length {length.min():.3e} too short to define a direction"
-        )
-    n1, n2 = perpendicular_frame(ms / length)
+    defined = length > MEAN_SPIN_FLOOR * j
+    n1, n2 = perpendicular_frame(ms / np.where(defined, length, 1.0))
     v1 = spin_action(n1, parts)
     v2 = spin_action(n2, parts)
     e11 = (v1.real**2 + v1.imag**2).sum(axis=0)
@@ -92,19 +89,23 @@ def squeezing_columns(j: float, x: np.ndarray) -> SqueezingReport:
     theta = 0.5 * np.arctan2(-b, -a)
     theta = np.where(theta < 0, theta + np.pi, theta)
     theta = np.where(theta >= np.pi, theta - np.pi, theta)
+    var_min, var_max, theta = (np.where(defined, v, np.nan) for v in (var_min, (e11 + e22 + r) / 2.0, theta))
     return SqueezingReport(
         xi2=var_min / (2.0 * j / 4.0),
         theta_min=np.where(isotropic, 0.0, theta),
         mean_spin=ms,
         var_min=var_min,
-        var_max=(e11 + e22 + r) / 2.0,
-        isotropic=isotropic,
+        var_max=var_max,
+        isotropic=isotropic & defined,
     )
 
 
 def squeezing_report(state: DickeState) -> SqueezingReport:
-    """Squeezing report of one state; see squeezing_columns."""
-    return squeezing_columns(state.j, state.amplitudes[:, None]).column(0)
+    """Squeezing report of one state (see squeezing_columns); an undefined direction raises."""
+    report = squeezing_columns(state.j, state.amplitudes[:, None]).column(0)
+    if np.isnan(report.xi2):
+        raise DegenerateDirectionError(f"mean spin {report.mean_spin} too short to define a direction")
+    return report
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,10 @@ def find_optimum(record) -> OptimumResult:
     """Refined minimum of a xi^2 time series.
 
     Accepts a RunRecord or a (times, values) pair. Around the sampled
-    minimum a parabola through the three neighboring points gives the
-    refined vertex; a minimum on the first or last sample is returned as-is
-    with at_boundary set.
+    minimum (NaN samples skipped; all NaN gives the first) a parabola through
+    the three neighboring points gives the refined vertex; a minimum on the
+    first or last sample, or next to a NaN, is returned as-is, at_boundary set
+    on an end.
     """
     if isinstance(record, RunRecord):
         times, values = record.times(), record.xi2()
@@ -209,7 +211,7 @@ def find_optimum(record) -> OptimumResult:
         times, values = (np.asarray(a, dtype=float) for a in record)
     if len(times) < 3:
         raise DomainError("need at least 3 samples")
-    k = int(np.argmin(values))
+    k = int(np.argmin(np.nan_to_num(values, nan=np.inf)))
     if k == 0 or k == len(times) - 1:
         return OptimumResult(float(times[k]), float(values[k]), at_boundary=True)
     t0, t1, t2 = times[k - 1 : k + 2]

@@ -212,28 +212,33 @@ class RotationSpec:
         return RotationSpec(self.axis, self.angle * factor)
 
 
-def check_eigenvectors(j: float, entries: int) -> None:
-    """Raise ResourceError before entries float64 eigenvector entries for spin j outgrow PHYSICAL_MEMORY."""
+def check_memory(j: float, entries: int, what: str = "eigenvectors") -> None:
+    """Raise ResourceError naming what before entries float64 entries for spin j outgrow PHYSICAL_MEMORY."""
     need, have = 8 * entries / 2**30, PHYSICAL_MEMORY / 2**30
     if need > have:
-        raise ResourceError(f"N = {round(2 * j)} needs {need:.3g} GiB of eigenvectors, more than the "
+        raise ResourceError(f"N = {round(2 * j)} needs {need:.3g} GiB of {what}, more than the "
                             f"machine's {have:.3g} GiB of physical memory")
 
 
-@lru_cache(maxsize=8)  # one real dim^2 basis each: 12.5 MB at N = 1250
+@lru_cache(maxsize=8)  # two real (dim/2)^2 bases each: 6.3 MB at N = 1250
 def axis_eigensystem(j: float):
-    """Real eigenbasis of Jx, a real symmetric tridiagonal matrix, with the
-    eigenvalues snapped to the exact half-integer ladder so repeated pulses
-    stay exact. It serves y as well: Jy = Rz(pi/2) Jx Rz(pi/2)^dagger."""
+    """(vals, U_s, U_a): Jx's eigenvalues, snapped to the half-integer ladder so repeated pulses
+    stay exact, and the halves of its real eigenbasis W, which fold and unfold apply. Jx commutes
+    with m -> -m, so each column of W is symmetric (class s, j - lambda even) or antisymmetric (a);
+    the frame order is [s, a], each ascending. Jy = Rz(pi/2) Jx Rz(pi/2)^dagger shares W."""
     j = _check_j(j)
-    check_eigenvectors(j, dim_for(j) ** 2)
-    vals, vecs = sla.eigh_tridiagonal(np.zeros(dim_for(j)), ladder_values(j) / 2)
-    exact = np.round(vals * 2) / 2
-    if np.max(np.abs(vals - exact)) > 1e-9 * max(1.0, j):
+    h, odd = divmod(dim_for(j), 2)
+    check_memory(j, (h + odd) ** 2 + h**2)
+    e = ladder_values(j)[:h] / 2  # the top half's band; e[-1] joins it to the middle row or to its mirror
+    d = np.r_[np.zeros(h - 1), 0.0 if odd else e[-1]]  # even dim: +-e[-1] on the last diagonal entry
+    top = (np.zeros(h + 1), np.r_[e[:-1], np.sqrt(2.0) * e[-1]]) if odd else (d, e[:-1])
+    (vs, us), (va, ua) = (sla.eigh_tridiagonal(*half) for half in (top, (-d, e[:-1])))
+    exact = np.round(np.r_[vs, va] * 2) / 2
+    if np.max(np.abs(np.r_[vs, va] - exact)) > 1e-9 * max(1.0, j):
         raise RuntimeError("axis eigenvalues failed half-integer snap")
-    exact.setflags(write=False)
-    vecs.setflags(write=False)
-    return exact, vecs
+    for a in (exact, us, ua):
+        a.setflags(write=False)
+    return exact, us, ua
 
 
 def basis_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -250,6 +255,24 @@ def basis_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (v @ x).view(complex)
 
 
+def fold(j: float, x: np.ndarray) -> np.ndarray:
+    """W^T x for a (dim, R) block: the reversal's symmetric and antisymmetric parts of x,
+    (top +- reversed bottom half) / sqrt(2), s with an odd dim's middle row, each through its half."""
+    _, us, ua = axis_eigensystem(j)
+    h = len(x) // 2
+    top, bottom = x[:h], x[: -h - 1 : -1]
+    s = np.concatenate(((top + bottom) * 0.5**0.5, x[h : len(x) - h]))
+    return np.concatenate((basis_product(us.T, s), basis_product(ua.T, (top - bottom) * 0.5**0.5)))
+
+
+def unfold(j: float, c: np.ndarray) -> np.ndarray:
+    """W c for a (dim, R) block c in the frame order [s, a], fold's inverse."""
+    _, us, ua = axis_eigensystem(j)
+    s, a = basis_product(us, c[: len(us)]), basis_product(ua, c[len(us) :]) * 0.5**0.5
+    top = s[: len(a)] * 0.5**0.5
+    return np.concatenate((top + a, s[len(a) :], (top - a)[::-1]))
+
+
 def quarter_turn(j: float) -> np.ndarray:
     """Rz(pi/2) as a (dim, 1) column of phases. Jy = Rz(pi/2) Jx Rz(pi/2)^dagger,
     so Rz(pi/2) W is an eigenbasis of Jy for the real Jx eigenbasis W."""
@@ -258,12 +281,12 @@ def quarter_turn(j: float) -> np.ndarray:
 
 def frame_enter(j: float, x: np.ndarray) -> np.ndarray:
     """A z-basis block in the Jy eigenbasis Rz(pi/2) W, the drive's frame."""
-    return basis_product(axis_eigensystem(j)[1].T, quarter_turn(j).conj() * x)
+    return fold(j, quarter_turn(j).conj() * x)
 
 
 def frame_leave(j: float, y: np.ndarray) -> np.ndarray:
     """The z-basis block Rz(pi/2) W y of a frame block y."""
-    return quarter_turn(j) * basis_product(axis_eigensystem(j)[1], y)
+    return quarter_turn(j) * unfold(j, y)
 
 
 def axis_apply(j: float, axis: str, f, x: np.ndarray) -> np.ndarray:
@@ -273,9 +296,9 @@ def axis_apply(j: float, axis: str, f, x: np.ndarray) -> np.ndarray:
     f(Jy) = Rz(pi/2) W f W^T Rz(pi/2)^dagger, with Rz(pi/2) diagonal."""
     if axis == "z":
         return f(m_values(j)) * x
-    vals, vecs = axis_eigensystem(j)
+    vals = axis_eigensystem(j)[0]
     if axis == "x":
-        return basis_product(vecs, f(vals) * basis_product(vecs.T, x))
+        return unfold(j, f(vals) * fold(j, x))
     return frame_leave(j, f(vals) * frame_enter(j, x))
 
 

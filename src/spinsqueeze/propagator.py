@@ -24,10 +24,11 @@ from .dicke import (
     axis_apply,
     axis_eigensystem,
     basis_product,
-    check_eigenvectors,
+    check_memory,
     dim_for,
     frame_enter,
     frame_leave,
+    m_values,
     quarter_turn,
     rotate_block,
 )
@@ -66,7 +67,7 @@ class SpectralPropagator:
     the basis index; a block without a band is diagonal and stores no vectors."""
 
     def __init__(self, diag: np.ndarray, band: np.ndarray):
-        check_eigenvectors((len(diag) - 1) / 2, sum(len(diag[p::2]) ** 2 for p in (0, 1) if band[p::2].any()))
+        check_memory((len(diag) - 1) / 2, sum(len(diag[p::2]) ** 2 for p in (0, 1) if band[p::2].any()))
         self.blocks = tuple(
             (slice(p, None, 2), *sla.eigh_tridiagonal(diag[p::2], band[p::2]))
             if band[p::2].any() else (slice(p, None, 2), diag[p::2], None)
@@ -112,19 +113,18 @@ def _aligned_grid(t0: float, t1: float, h: float) -> list:
 
 @lru_cache(maxsize=8)  # two complex (dim/2)^2 blocks each: 12.5 MB at N = 1250
 def junction_blocks(j: float, chi_h: float) -> tuple:
-    """The two parity blocks of W^T exp(-i chi h Jz^2) W. Jz^2 and Jx commute
-    with Rx(pi), diagonal in W with eigenvalue exp(-i pi lambda), so no entry
-    joins the classes (lambda + j) mod 2: W's even and odd columns, as lambda
-    ascends from -j in unit steps."""
-    halves = [axis_eigensystem(j)[1][:, p::2] for p in (0, 1)]
-    return tuple(basis_product(w.T, _quadratic(j, "z", 1.0, chi_h, w)) for w in halves)
+    """The s and a blocks U_c^T (d_top U_c) of W^T exp(-i chi h Jz^2) W, d_top the phases
+    on the top half and middle row: Jz^2 commutes with m -> -m, so no entry joins the classes."""
+    _, *basis = axis_eigensystem(j)
+    check_memory(j, 3 * sum(len(u) ** 2 for u in basis), "junction blocks")  # the blocks, one d_top U_c
+    return tuple(basis_product(u.T, np.exp(-1j * chi_h * m_values(j)[: len(u), None] ** 2) * u) for u in basis)
 
 
 def _by_parity(blocks: tuple, y: np.ndarray) -> np.ndarray:
-    """diag(blocks) y for a frame block y, the classes on its even and odd rows."""
-    out = np.empty_like(y)
-    for p, block in enumerate(blocks):
-        out[p::2] = block @ y[p::2]
+    """diag(blocks) y for a frame block y, the s class on its top rows, the a class below."""
+    out, ns = np.empty_like(y), len(blocks[0])
+    np.matmul(blocks[0], y[:ns], out=out[:ns])
+    np.matmul(blocks[1], y[ns:], out=out[ns:])
     return out
 
 
@@ -161,28 +161,33 @@ def _split_steps(j, x, chi, env, h, t0, t1, frame=(False, False)):
 class _PeriodOperators:
     """Drive periods in the frame as parity blocks: U = Mh P Mh over the first
     half (Mh the half-step junction, P the walk between), and the whole period
-    R U R^dagger U, as Omega(t + T/2) = -Omega(t). R = W^T Rz(pi) W sends i to
-    dim-1-i with a phase, keeping the classes for even N, swapping odd N's."""
+    R U R^dagger U, as Omega(t + T/2) = -Omega(t). R = W^T Rz(pi) W sends frame
+    index i (lambda) to perm[i] (-lambda) with a phase, reversing each class for
+    even N, and the whole frame, swapping the classes, for odd N."""
 
     def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int):
         if spp % 2:
             raise DomainError("period operators need even steps_per_period")
-        h, vecs = env.period / spp, axis_eigensystem(j)[1]
-        # identities in the even and odd rows, the classes' blocks after the walk
-        ident = np.repeat(np.eye((len(vecs) + 1) // 2, dtype=complex), 2, axis=0)[: len(vecs)]
+        vals, us, ua = axis_eigensystem(j)
+        dim, ns, na, h = len(vals), len(us), len(ua), env.period / spp
+        check_memory(j, 16 * dim * ns, "period operators")  # the build peaks at 14.4 dim ns entries (N = 300)
+        ident = np.eye(dim, ns, dtype=complex) + np.eye(dim, ns, -ns)  # the s and a rows' identities
         y = _drive_walk(j, ident.copy(), chi, env, h, [k * h for k in range(spp // 2 + 1)])
-        self.blocks = tuple(m @ y[p::2, : len(m)] @ m for p, m in enumerate(junction_blocks(j, chi * h / 2)))
-        # R[dim-1-i, i], with Rz(pi) = Rz(pi/2)^2, rounded to its exact value: +-1 or +-i
-        self.phase = np.round(np.einsum("ki,ki->i", vecs[:, ::-1], quarter_turn(j) ** 2 * vecs))[:, None]
+        self.blocks = tuple(m @ c @ m for m, c in zip(junction_blocks(j, chi * h / 2), (y[:ns], y[ns:, :na])))
+        # R[perm[i], i] = (B^T Rz(pi) A)[., i], A and B the bases of i's class and of its image: +-1 or +-i
+        self.perm = np.r_[ns - 1 : -1 : -1, dim - 1 : ns - 1 : -1] if dim % 2 else np.arange(dim)[::-1]
+        pairs, z = zip((us, ua), (us, ua) if dim % 2 else (ua, us)), quarter_turn(j) ** 2
+        phases = [(b[:, ::-1] * z[: len(a)] * a).sum(axis=0) for a, b in pairs]
+        self.phase = np.round(np.concatenate(phases))[:, None]
         whole = self.jump(self.jump(ident, 0), 1)
-        self.period = tuple(np.ascontiguousarray(whole[p::2, : len(b)]) for p, b in enumerate(self.blocks))
+        self.period = tuple(np.array(c) for c in (whole[:ns], whole[ns:, :na]))  # copies: whole goes
 
     def jump(self, y: np.ndarray, half_index: int, halves: int = 1) -> np.ndarray:
         """Advance a (dim, R) frame block from half_index * T/2 by one half
         period (U, or R U R^dagger for an odd half) or, from an even one, two."""
         if half_index % 2 == 0:
             return _by_parity(self.period if halves == 2 else self.blocks, y)
-        return self.phase[::-1] * _by_parity(self.blocks, self.phase.conj() * y[::-1])[::-1]
+        return (self.phase * _by_parity(self.blocks, self.phase.conj() * y[self.perm]))[self.perm]
 
 
 @lru_cache(maxsize=4)  # four complex (dim/2)^2 blocks each: 25 MB at N = 1250

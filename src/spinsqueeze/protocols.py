@@ -165,13 +165,13 @@ def _best_signs(state: DickeState, rotations) -> tuple[tuple, float]:
 
 def _probe(initial: DickeState, segments, samples, candidates, meta: dict) -> tuple:
     """One noiseless pass of the segments, sampled at the candidates among
-    the samples: the index of the candidate of least xi^2 (meta records each
+    the samples: the index of the candidate of least xi^2, NaN skipped (meta records each
     with its xi^2), the pass's record, and what evolve_block keeps at the candidates."""
     schedule, kept = ProtocolSchedule(tuple(segments), tuple(samples)), dict.fromkeys(candidates)
     _, (record,) = evolve_block(initial.j, initial.amplitudes[:, None], schedule, None, 1, kept)
     xi2 = record.xi2()[[schedule.sample_times.index(t) for t in candidates]]
     meta["freeze_candidates"] = list(zip(candidates, xi2.tolist()))
-    return int(np.argmin(xi2)), record, kept
+    return int(np.argmin(np.nan_to_num(xi2, nan=np.inf))), record, kept
 
 
 def _freeze(initial, meta, prefix, t_star, rotations, probe, kept) -> ProtocolBundle:

@@ -20,8 +20,11 @@ from spinsqueeze.diagnostics import (
     squeezing_columns,
     squeezing_report,
 )
+from spinsqueeze.cli import write_run_csv
 from spinsqueeze.errors import DegenerateDirectionError, DomainError
-from spinsqueeze.propagator import full_hilbert_oracle, spectral
+from spinsqueeze.propagator import evolve_schedule, full_hilbert_oracle, spectral
+from spinsqueeze.protocols import _probe
+from spinsqueeze.schedule import ProtocolSchedule, QuadraticSegment
 
 
 def jz2_phase(state, chi_t):
@@ -229,6 +232,51 @@ class TestFindOptimum:
     def test_too_few_samples(self):
         with pytest.raises(DomainError):
             find_optimum(((0.0, 1.0), (1.0, 2.0)))
+
+    def test_skips_undefined_samples(self):
+        # np.argmin would pick the NaN; next to it the sampled point stands
+        ts = np.linspace(0, 1, 6)
+        res = find_optimum((ts, [3.0, 2.0, np.nan, 1.5, 4.0, 5.0]))
+        assert (res.chi_t, res.xi2, res.at_boundary) == (ts[3], 1.5, False)
+        res = find_optimum((ts, [np.nan] * 6))  # no defined sample: the first, undefined
+        assert res.chi_t == 0.0 and np.isnan(res.xi2) and res.at_boundary
+
+
+class TestUndefinedDirectionAtN2:
+    """At N = 2 the x-pointing state under Jz^2 loses its mean spin at chi t = pi/2
+    (<J+> ~ cos(chi t)): that sample's squeezing fields read NaN, the run goes on,
+    and the optimum and the freeze decision skip it."""
+
+    TIMES = (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi)
+
+    def run(self):
+        css = make_css(1, np.pi / 2, 0.0)
+        segments = (QuadraticSegment("z", 1.0, np.pi),)
+        return css, segments, evolve_schedule(css, ProtocolSchedule(segments, self.TIMES))[1]
+
+    def test_sample_reads_nan_and_the_run_goes_on(self, tmp_path):
+        _, _, record = self.run()
+        rep = record.report
+        assert np.linalg.norm(rep.mean_spin[:, 2]) <= 1e-15
+        for field in (rep.xi2, rep.theta_min, rep.var_min, rep.var_max):
+            assert np.isnan(field[2]) and np.all(np.isfinite(np.delete(field, 2)))
+        assert not rep.isotropic[2]
+        opt = find_optimum(record)
+        assert np.isfinite(opt.xi2) and opt.chi_t != np.pi / 2
+        write_run_csv(tmp_path / "run.csv", record)  # warnings are errors: no log10 warning either
+        row = (tmp_path / "run.csv").read_text().splitlines()[3].split(",")
+        assert row[1:3] == ["nan", "nan"] and row[-1] == "nan"
+
+    def test_freeze_decision_skips_it(self):
+        css, segments, _ = self.run()
+        meta = {}
+        best, _, _ = _probe(css, segments, self.TIMES[1:4], list(self.TIMES[1:4]), meta)
+        assert best != 1 and np.isnan(meta["freeze_candidates"][1][1])
+
+    def test_only_that_column_reads_nan(self):
+        x = np.stack([make_css(1, np.pi / 2, 0.0).amplitudes, np.array([0, 1, 0], dtype=complex)], axis=1)
+        rep = squeezing_columns(1, x)
+        assert np.isfinite(rep.xi2[0]) and np.isnan(rep.xi2[1])
 
 
 class TestScalingFit:

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from spinsqueeze.diagnostics import squeezing_columns
-from spinsqueeze.dicke import DickeState, axis_eigensystem, dim_for, m_values, spin_matrix
+from spinsqueeze.dicke import DickeState, dim_for, m_values, spin_matrix
 from spinsqueeze.hamiltonians import DriveEnvelope, drive_integral, quadratic_matrix
 from spinsqueeze.propagator import (
     DrivenEngine,
@@ -25,7 +25,7 @@ from spinsqueeze.propagator import (
 from spinsqueeze.protocols import drive_zero_times
 from spinsqueeze.schedule import DrivenSegment, ProtocolSchedule, QuadraticSegment
 
-from drive_helpers import raw_end, split_steps_only
+from drive_helpers import dense_axis_basis, raw_end, split_steps_only
 
 PHASES = [0.0, 0.3, np.pi / 2, -np.pi / 2, 0.9]
 SPP = 32
@@ -54,9 +54,10 @@ def dense_split_steps(j, chi, env, grid):
 
 @pytest.mark.parametrize("j", [1.5, 2.5, 3, 20, 20.5])
 def test_junction_is_block_diagonal_by_parity(j):
-    vals, vecs = axis_eigensystem(j)
-    classes = np.round(vals + j).astype(int) % 2
-    assert np.array_equal(classes, np.arange(dim_for(j)) % 2)
+    # the frame order puts the s class (j - lambda even) on the top rows, the a class below
+    vals, vecs = dense_axis_basis(j)
+    classes = np.round(j - vals).astype(int) % 2
+    assert np.array_equal(classes, (np.arange(dim_for(j)) >= (dim_for(j) + 1) // 2).astype(int))
     chi_h = 0.37
     dense = vecs.T @ (np.exp(-1j * chi_h * m_values(j) ** 2)[:, None] * vecs)
     off = dense[np.ix_(classes == 0, classes == 1)]
@@ -102,7 +103,7 @@ def test_half_period_operators_match_split_steps(n, phase):
 
 def dense_reversal(j):
     """R = W^T Rz(pi) W in the frame, dense."""
-    vecs = axis_eigensystem(j)[1]
+    vecs = dense_axis_basis(j)[1]
     return vecs.T @ (np.exp(-1j * np.pi * m_values(j))[:, None] * vecs)
 
 
@@ -116,18 +117,21 @@ def test_frame_blocks_are_unitary(n):
 
 @pytest.mark.parametrize("n", [5, 6, 41, 100])
 def test_reversal_is_a_phased_reversal_by_class(n):
-    j, dim = n / 2, n + 1
+    # R sends frame index i to rows[i]: each class reversed for even N, the whole frame for odd N
+    j, dim, ns = n / 2, n + 1, (n + 2) // 2
     dense = dense_reversal(j)
-    rows = dim - 1 - np.arange(dim)
+    rows = np.r_[ns - 1 : -1 : -1, dim - 1 : ns - 1 : -1] if n % 2 == 0 else dim - 1 - np.arange(dim)
     on = dense[rows, np.arange(dim)]
     off = dense.copy()
     off[rows, np.arange(dim)] = 0
     assert np.max(np.abs(off)) <= 1e-12
     ops = _PeriodOperators(j, 1.0, envelope(0.3), SPP)
+    assert np.array_equal(ops.perm, rows)
     assert np.max(np.abs(ops.phase[:, 0] - on)) <= 1e-12
     assert set(np.abs(ops.phase[:, 0]).tolist()) == {1.0}
-    # even N keeps the classes (lambda + j) mod 2 = index mod 2, odd N swaps them
-    assert np.all((rows % 2 == np.arange(dim) % 2) == (n % 2 == 0))
+    # even N keeps the classes, the top ns rows and the rest, odd N swaps them
+    assert np.all((rows < ns) == (np.arange(dim) < ns)) == (n % 2 == 0)
+    assert np.all((rows < ns) != (np.arange(dim) < ns)) == (n % 2 == 1)
 
 
 @pytest.mark.parametrize("n", [5, 6, 41, 100])
@@ -136,8 +140,8 @@ def test_odd_half_and_whole_period_by_reversal(n, phase):
     j = n / 2
     ops = _PeriodOperators(j, 1.0, envelope(phase), SPP)
     u = np.zeros((n + 1, n + 1), dtype=complex)
-    for p, block in enumerate(ops.blocks):
-        u[p::2, p::2] = block
+    ns = len(ops.blocks[0])
+    u[:ns, :ns], u[ns:, ns:] = ops.blocks
     r = dense_reversal(j)
     y = random_block(j, 3, seed=n)
     assert np.max(np.abs(ops.jump(y, 0) - u @ y)) <= 1e-12

@@ -25,7 +25,9 @@ from spinsqueeze.propagator import (
     evolve_schedule,
     full_hilbert_oracle,
     full_spin_ops,
+    junction_blocks,
     lift_to_full,
+    period_operators,
     project_to_dicke,
     spectral,
 )
@@ -407,15 +409,29 @@ class TestOversizedN:
         monkeypatch.setattr(dicke, "PHYSICAL_MEMORY", 2**20)
 
     def test_axis_eigensystem(self):
-        # a 502^2 float64 basis: 1.9 MiB
-        with pytest.raises(ResourceError, match=r"^N = 501 needs 0\.00188 GiB of eigenvectors, more than the machine's 0\.000977 GiB"):
-            axis_eigensystem(250.5)
+        # two 251^2 float64 halves: 0.96 MiB fit, 701's two 351^2 halves (1.9 MiB) do not
+        axis_eigensystem(250)
+        with pytest.raises(ResourceError, match=r"^N = 701 needs 0\.00184 GiB of eigenvectors, more than the machine's 0\.000977 GiB"):
+            axis_eigensystem(350.5)
 
     def test_spectral_propagator(self):
         # two 251^2 parity blocks for Jz^2 - Jy^2: 0.96 MiB fit, 701's two 351^2 blocks do not
         SpectralPropagator(*quadratic_bands(250.5, 1.0, 0.0, -1.0))
         with pytest.raises(ResourceError, match=r"^N = 701 needs 0\.00184 GiB"):
             SpectralPropagator(*quadratic_bands(350.5, 1.0, 0.0, -1.0))
+
+    def test_drive_builds_check_their_bytes(self, tmp_path, capsys, monkeypatch):
+        # at 2 MiB N = 300's axis halves (0.35 MiB) and junction blocks (1.0 MiB at their build's peak)
+        # fit, and its period operators (5.5 MiB at their build's peak) do not
+        monkeypatch.setattr(dicke, "PHYSICAL_MEMORY", 2 * 2**20)
+        period_operators.cache_clear()
+        axis_eigensystem(150)
+        junction_blocks(150, 1e-3)
+        cfg = parse_config(["drive", "--n", "300", "--freeze", "--out-dir", str(tmp_path)])
+        assert run_scenario(cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("spinsqueeze: N = 300 needs 0.00542 GiB of period operators, more than the machine's 0.00195 GiB")
 
     @pytest.mark.parametrize("scenario", ["tact", "pulses"])
     def test_cli_names_it(self, tmp_path, capsys, scenario):

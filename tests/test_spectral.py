@@ -11,6 +11,8 @@ from spinsqueeze.dicke import DickeState, axis_eigensystem, dim_for, make_css, r
 from spinsqueeze.hamiltonians import DriveEnvelope, matrix
 from spinsqueeze.propagator import full_hilbert_oracle, period_operators, spectral
 
+from drive_helpers import dense_axis_basis
+
 J_VALUES = [0.5, 1, 1.5, 2.5, 30]
 
 # (name, (cz, cx, cy)) for every quadratic generator the engine diagonalizes;
@@ -75,7 +77,7 @@ def test_real_basis_rotations_match_expm(j, axis):
 
 @pytest.mark.parametrize("j", J_VALUES)
 def test_axis_basis_is_real_and_snapped(j):
-    vals, vecs = axis_eigensystem(j)
+    vals, vecs = dense_axis_basis(j)
     assert vecs.dtype == np.float64
     assert np.array_equal(vals, np.round(2 * vals) / 2)
     jx = spin_matrix(j, (1, 0, 0)).real
