@@ -247,10 +247,10 @@ def basis_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     product, and no complex copy of v."""
     x = np.ascontiguousarray(x, dtype=complex).view(np.float64)
     if v.flags.f_contiguous and x.shape[1] <= 64:
-        # an F-ordered v (LAPACK's layout) and at most 32 complex columns: on
-        # one OpenBLAS thread (x^T v^T)^T is 1.6-3.5x faster at dim 1251 and
-        # within 0.5-1.3x of v @ x at dim 201-401; from 64 columns at dim 301,
-        # and at full width at every dim, v @ x is faster (1.1-1.7x)
+        # an F-ordered v (LAPACK's layout) and at most 32 complex columns. One OpenBLAS thread,
+        # best of 9: (x^T v^T)^T takes 0.69-0.90x the time of v @ x at 626 rows (N = 1250) and
+        # 2-32 columns, 1.04-1.06x at 1 column; at 151-201 rows, 1.2-1.8x at 1-2 columns and
+        # 0.95-1.4x at 16-32; at full width (626 columns) v @ x is 1.3x faster
         return np.ascontiguousarray((x.T @ v.T).T).view(complex)
     return (v @ x).view(complex)
 
@@ -289,25 +289,18 @@ def frame_leave(j: float, y: np.ndarray) -> np.ndarray:
     return quarter_turn(j) * unfold(j, y)
 
 
-def axis_apply(j: float, axis: str, f, x: np.ndarray) -> np.ndarray:
-    """f(J_axis) x on a (dim, R) block, for axis x, y or z; f maps the axis
-    eigenvalues to a (dim, 1) column or to one column per column of x. Jz
-    is diagonal. x and y share the real Jx eigenbasis W: f(Jx) = W f W^T and
-    f(Jy) = Rz(pi/2) W f W^T Rz(pi/2)^dagger, with Rz(pi/2) diagonal."""
-    if axis == "z":
-        return f(m_values(j)) * x
-    vals = axis_eigensystem(j)[0]
-    if axis == "x":
-        return unfold(j, f(vals) * fold(j, x))
-    return frame_leave(j, f(vals) * frame_enter(j, x))
-
-
 def _rotate_axis(j: float, x: np.ndarray, axis: str, angle) -> np.ndarray:
-    """exp(-i*angle*J_axis) on a (dim, R) block; angle is a scalar or one
-    value per column."""
+    """exp(-i*angle*J_axis) on a (dim, R) block, for axis x, y or z; angle is a scalar or one
+    value per column. Jz is diagonal; x and y share the real Jx eigenbasis W, with e the phases
+    of its eigenvalues: Rx = W e W^T and Ry = Rz(pi/2) W e W^T Rz(pi/2)^dagger."""
     if not np.any(angle):
         return x.copy()
-    return axis_apply(j, axis, lambda vals: np.exp(-1j * np.outer(vals, angle)), x)
+    if axis == "z":
+        return np.exp(-1j * np.outer(m_values(j), angle)) * x
+    phases = np.exp(-1j * np.outer(axis_eigensystem(j)[0], angle))
+    if axis == "x":
+        return unfold(j, phases * fold(j, x))
+    return frame_leave(j, phases * frame_enter(j, x))
 
 
 def rotate_block(j: float, x: np.ndarray, axis, angle) -> np.ndarray:
@@ -389,15 +382,11 @@ def css_amplitudes(j: float, theta: float, phi: float) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def overlap(a: DickeState, b: DickeState) -> complex:
-    if a.j != b.j:
-        raise DomainError("states have different spin length")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def fidelity(a: DickeState, b: DickeState) -> float:
     """Phase-insensitive |<a|b>|; the only comparison used across the package."""
-    return abs(overlap(a, b))
+    if a.j != b.j:
+        raise DomainError("states have different spin length")
+    return abs(complex(np.vdot(a.amplitudes, b.amplitudes)))
 
 
 def rotate_classical(vec, axis, angle):

@@ -1,14 +1,14 @@
 """Time-evolution engines.
 
 One kernel, evolve_block, runs a schedule on a (dim x R) block of states,
-one column per run: pulses turn each column by its own angle, quadratic
-generators evolve exactly (diagonal phases or the cached real axis basis), and
-the driven model uses second-order split-stepping in the Jy eigenbasis on
-the multiples of h = T/spp from clock 0, with half- and whole-period operators
-as parity blocks for long runs. The drive zeros fall on that grid only when
-(pi/2 - phase) * spp / (2 pi) is an integer (spp even), as at the default
-phase -pi/2. A single run is a block of one column; a 2^N
-tensor-product oracle validates the symmetric-subspace reduction at small N.
+one column per run: pulses turn each column by its own angle, a quadratic
+segment is one diagonal Jz^2 phase, and the driven model uses second-order
+split-stepping in the Jy eigenbasis on the multiples of h = T/spp from clock
+0, with half- and whole-period operators as parity blocks for long runs. The
+drive zeros fall on that grid only when (pi/2 - phase) * spp / (2 pi) is an
+integer (spp even), as at the default phase -pi/2. A single run is a block
+of one column; a 2^N tensor-product oracle validates the symmetric-subspace
+reduction at small N.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import scipy.linalg as sla
 
 from .dicke import (
     DickeState,
-    axis_apply,
     axis_eigensystem,
     basis_product,
     check_memory,
@@ -56,9 +55,9 @@ TILE = 16
 # ---------------------------------------------------------------------------
 # quadratic generators
 
-def _quadratic(j: float, axis: str, chi: float, duration: float, x: np.ndarray) -> np.ndarray:
-    """exp(-i chi t J_axis^2) on a (dim, R) block."""
-    return axis_apply(j, axis, lambda vals: np.exp(-1j * chi * duration * vals**2)[:, None], x)
+def _quadratic(j: float, a: float, x: np.ndarray) -> np.ndarray:
+    """exp(-i a Jz^2) on a (dim, R) block, or on the top rows of one: its phases down x's rows."""
+    return np.exp(-1j * a * m_values(j)[: len(x), None] ** 2) * x
 
 
 class SpectralPropagator:
@@ -117,7 +116,7 @@ def junction_blocks(j: float, chi_h: float) -> tuple:
     on the top half and middle row: Jz^2 commutes with m -> -m, so no entry joins the classes."""
     _, *basis = axis_eigensystem(j)
     check_memory(j, 3 * sum(len(u) ** 2 for u in basis), "junction blocks")  # the blocks, one d_top U_c
-    return tuple(basis_product(u.T, np.exp(-1j * chi_h * m_values(j)[: len(u), None] ** 2) * u) for u in basis)
+    return tuple(basis_product(u.T, _quadratic(j, chi_h, u)) for u in basis)
 
 
 def _by_parity(blocks: tuple, y: np.ndarray) -> np.ndarray:
@@ -132,7 +131,7 @@ def _junction(j: float, y: np.ndarray, chi_s: float, chi_h: float) -> np.ndarray
     """W^T exp(-i chi s Jz^2) W y: junction_blocks when chi s is chi h, else via z."""
     if abs(chi_s - chi_h) <= 1e-9 * abs(chi_h):
         return _by_parity(junction_blocks(j, chi_h), y)
-    return frame_enter(j, _quadratic(j, "z", 1.0, chi_s, frame_leave(j, y)))  # Rz(pi/2) commutes with Jz^2
+    return frame_enter(j, _quadratic(j, chi_s, frame_leave(j, y)))  # Rz(pi/2) commutes with Jz^2
 
 
 def _drive_walk(j, y, chi, env, h, grid) -> np.ndarray:
@@ -153,9 +152,9 @@ def _split_steps(j, x, chi, env, h, t0, t1, frame=(False, False)):
     whether it comes and goes in the frame; a z end costs one product."""
     grid = _aligned_grid(t0, t1, h)
     first, last, half = chi * (grid[1] - grid[0]) / 2, chi * (grid[-1] - grid[-2]) / 2, chi * h / 2
-    y = _junction(j, x, first, half) if frame[0] else frame_enter(j, _quadratic(j, "z", 1.0, first, x))
+    y = _junction(j, x, first, half) if frame[0] else frame_enter(j, _quadratic(j, first, x))
     y = _drive_walk(j, y, chi, env, h, grid)
-    return _junction(j, y, last, half) if frame[1] else _quadratic(j, "z", 1.0, last, frame_leave(j, y))
+    return _junction(j, y, last, half) if frame[1] else _quadratic(j, last, frame_leave(j, y))
 
 
 class _PeriodOperators:
@@ -253,7 +252,7 @@ def _stepper(j: float, seg) -> tuple:
     """(advance, framed, branch_point) as in DrivenEngine; a quadratic chain steps through every sample."""
     if isinstance(seg, QuadraticSegment):
         def step(x, t_from, t_to):
-            return _quadratic(j, seg.axis, seg.chi, t_to - t_from, x) if t_to > t_from else x
+            return _quadratic(j, seg.chi * (t_to - t_from), x) if t_to > t_from else x
 
         return step, lambda _: False, lambda t: (t, t)
     engine = DrivenEngine(j, seg.chi, seg.env, seg.steps_per_period, seg.duration)
@@ -515,8 +514,7 @@ def full_hilbert_oracle(
             axis_op = sum(a * op for a, op in zip(seg.rotation.axis, (jx, jy, jz)))
             vec = sla.expm(-1j * seg.rotation.angle * axis_op) @ vec
         elif isinstance(seg, QuadraticSegment):
-            op = {"x": jx, "y": jy, "z": jz}[seg.axis]
-            vec = sla.expm(-1j * seg.chi * seg.duration * (op @ op)) @ vec
+            vec = sla.expm(-1j * seg.chi * seg.duration * (jz @ jz)) @ vec
         elif isinstance(seg, DrivenSegment):
             vec = _full_driven_evolve(n, vec, seg.chi, seg.env, t, t + seg.duration)
         elif not isinstance(seg, FreezeMarker):

@@ -188,7 +188,7 @@ def _freeze(initial, meta, prefix, t_star, rotations, probe, kept) -> ProtocolBu
     meta.update({"freeze_time": t_star, "freeze_var_z": var_z})
     meta.update({"freeze_sign": signs[0]} if len(signs) == 1 else {"freeze_signs": signs})
 
-    hold = QuadraticSegment("z", 1.0, POST_TIME_FACTOR * meta["t_opt"])
+    hold = QuadraticSegment(1.0, POST_TIME_FACTOR * meta["t_opt"])
     post = (t_star + np.linspace(0.0, hold.duration, POST_SAMPLES + 1)[1:]).tolist()
     turns = tuple(Pulse(rot.scaled(sign)) for rot, sign in zip(rotations, signs))
     before = probe.chi_t[probe.chi_t <= t_star].tolist()
@@ -213,9 +213,9 @@ def _pulse_period_segments(delta_t: float) -> list:
     bare Jz^2 for delta_t."""
     return [
         Pulse(RotationSpec((0.0, 1.0, 0.0), np.pi / 2)),
-        QuadraticSegment("z", 1.0, 2 * delta_t),
+        QuadraticSegment(1.0, 2 * delta_t),
         Pulse(RotationSpec((0.0, 1.0, 0.0), -np.pi / 2)),
-        QuadraticSegment("z", 1.0, delta_t),
+        QuadraticSegment(1.0, delta_t),
     ]
 
 
@@ -272,7 +272,7 @@ def build_repeated_pulse(n_particles: int, n_periods: int = 50, freeze: bool = F
     best, probe, kept = _probe(initial, segments, mid_samples(last) + times[-1:], times, meta)
     n_star = meta["freeze_period_index"] = candidates[best]
 
-    prefix = segments[: 4 * n_star + 1] + [QuadraticSegment("z", 1.0, delta_t)]  # to mid Jx^2 of n_star
+    prefix = segments[: 4 * n_star + 1] + [QuadraticSegment(1.0, delta_t)]  # to mid Jx^2 of n_star
     return _freeze(initial, meta, tuple(prefix), times[best], (FREEZE_TURN,), probe, kept[times[best]])
 
 
@@ -392,9 +392,8 @@ def _decided(record: RunRecord, meta: dict) -> RunRecord:
     return record
 
 
-def _run_batch(schedule, initial, noises) -> tuple[np.ndarray, list]:
-    """Final block and records of runs of one schedule that differ only in
-    their pulse noise.
+def _run_batch(schedule, initial, noises) -> list:
+    """Records of runs of one schedule that differ only in their pulse noise.
 
     Noisy runs (at most TILE) become the columns of one TILE-wide block, padded by repeating the
     last run, so a run's bits depend neither on its position nor on the other runs. A noiseless
@@ -405,8 +404,8 @@ def _run_batch(schedule, initial, noises) -> tuple[np.ndarray, list]:
         factors = np.stack([_noise_factors(schedule, noise) for noise in noises], axis=1)
         scales = factors[:, np.minimum(np.arange(TILE), len(noises) - 1)]
         block = np.repeat(block, TILE, axis=1)
-    block, records = evolve_block(initial.j, block, schedule, scales, len(noises))
-    return block, [_decided(record, schedule.meta) for record in records]
+    _, records = evolve_block(initial.j, block, schedule, scales, len(noises))
+    return [_decided(record, schedule.meta) for record in records]
 
 
 def run_protocol(
@@ -416,7 +415,7 @@ def run_protocol(
     is scaled by its own 1 + r*eta draw. A noisy run is computed in a
     TILE-wide block, so it replays the matching Monte Carlo realization bit
     for bit."""
-    return _run_batch(schedule, initial, [noise])[1][0]
+    return _run_batch(schedule, initial, [noise])[0]
 
 
 @dataclass
@@ -457,7 +456,7 @@ def run_monte_carlo(
     def tile(start: int) -> list:
         idx = range(start, min(start + TILE, realizations))
         noises = [NoiseModel(noise.eta, seeds[i]) for i in idx]
-        return _run_batch(schedule, initial, noises)[1]
+        return _run_batch(schedule, initial, noises)
 
     starts = range(0, realizations, TILE)
     if not _noisy(noise):  # every realization is the noiseless run: run it once

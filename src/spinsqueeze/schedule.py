@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from math import isfinite
 
 from .dicke import RotationSpec
 from .errors import DomainError
@@ -13,17 +14,21 @@ from .hamiltonians import DriveEnvelope
 
 @dataclass(frozen=True)
 class QuadraticSegment:
-    """Evolution under chi * J_axis^2 for the given duration (chi*t units)."""
+    """Evolution under chi * Jz^2, one-axis twisting, for the given duration (chi*t units)."""
 
-    axis: str
     chi: float
     duration: float
 
     def __post_init__(self):
-        if self.axis not in ("x", "y", "z"):
-            raise DomainError(f"axis must be x/y/z, got {self.axis!r}")
-        if self.duration < 0:
-            raise DomainError("segment duration must be nonnegative")
+        _check_timing(self)
+
+
+def _check_timing(seg) -> None:
+    """A segment's chi is finite, and its duration finite and nonnegative."""
+    if not isfinite(seg.chi):
+        raise DomainError(f"segment chi must be finite, got {seg.chi}")
+    if not (isfinite(seg.duration) and seg.duration >= 0):
+        raise DomainError(f"segment duration must be finite and nonnegative, got {seg.duration}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,7 @@ class DrivenSegment:
     steps_per_period: int = 64
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise DomainError("segment duration must be nonnegative")
+        _check_timing(self)
         if self.steps_per_period < 16:
             raise DomainError("steps_per_period must be at least 16")
 
@@ -80,8 +84,8 @@ class ProtocolSchedule:
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.sample_times)
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-            raise DomainError("sample_times must be strictly increasing")
+        if not all(map(isfinite, times)) or any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
+            raise DomainError("sample_times must be finite and strictly increasing")
         total = self.total_time()
         if times and (times[0] < -1e-15 or times[-1] > total * (1 + 1e-12) + 1e-15):
             raise DomainError("sample_times must lie within the schedule span")

@@ -86,7 +86,7 @@ def test_criterion_02_oracle_equivalence():
         j = n / 2
         css = make_css(j, np.pi / 2, 0.0)
         # one-axis twisting
-        got, _ = evolve_schedule(css, ProtocolSchedule((QuadraticSegment("z", 1.0, 0.3),), ()))
+        got, _ = evolve_schedule(css, ProtocolSchedule((QuadraticSegment(1.0, 0.3),), ()))
         want, _ = full_hilbert_oracle(css, (1.0, 0.0, 0.0), 0.3)
         f_oat = fidelity(got, want)
         # two-axis

@@ -1,6 +1,6 @@
 """The half-size Jx eigenbasis: U_s and U_a against the dense eigenpairs of Jx,
 fold (W^T) and unfold (W), the junction blocks in both of _junction's branches, the form of
-the reversal R = W^T Rz(pi) W, and axis_apply against expm.
+the reversal R = W^T Rz(pi) W, and x and y rotations against expm.
 
 Two mutations of dicke.axis_eigensystem make all five tests fail at some N:
 dropping the sqrt(2) on the odd-dim middle coupling (the eigenvalues then miss
@@ -13,7 +13,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsqueeze.dicke import axis_apply, axis_eigensystem, dim_for, fold, m_values, spin_matrix, unfold
+from spinsqueeze.dicke import _rotate_axis, axis_eigensystem, dim_for, fold, m_values, spin_matrix, unfold
 from spinsqueeze.hamiltonians import DriveEnvelope
 from spinsqueeze.propagator import _junction, _PeriodOperators, junction_blocks
 
@@ -102,9 +102,9 @@ def test_reversal_form(n):
     cols=st.integers(1, 3),
     seed=st.integers(0, 2**16),
 )
-def test_axis_apply_matches_expm(n, axis, angle, cols, seed):
+def test_rotate_axis_matches_expm(n, axis, angle, cols, seed):
     j = n / 2
     x = random_block(dim_for(j), cols, seed)
     want = sla.expm(-1j * angle * spin_matrix(j, (float(axis == "x"), float(axis == "y"), 0.0))) @ x
-    got = axis_apply(j, axis, lambda vals: np.exp(-1j * angle * vals)[:, None], x)
+    got = _rotate_axis(j, x, axis, angle)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(x)))

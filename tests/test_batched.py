@@ -35,7 +35,6 @@ from spinsqueeze.protocols import (
     NoiseModel,
     _noise_factors,
     _best_signs,
-    _run_batch,
     build_repeated_pulse,
     drive_zero_times,
     reference_runs,
@@ -71,7 +70,7 @@ def cut_at(schedule, s):
         if isinstance(seg, (Pulse, FreezeMarker)):
             segments.append(seg)
         elif isinstance(seg, QuadraticSegment):
-            segments.append(seg if t + seg.duration <= s else QuadraticSegment(seg.axis, seg.chi, s - t))
+            segments.append(seg if t + seg.duration <= s else QuadraticSegment(seg.chi, s - t))
             t += seg.duration
         else:
             end, half = min(t + seg.duration, s), seg.env.period / 2
@@ -172,7 +171,10 @@ class TestKernelCorrectness:
     def test_monte_carlo_columns_match_single_state_loop(self, pulse_bundle):
         schedule, initial = pulse_bundle.schedule, pulse_bundle.initial_state
         noises = [NoiseModel(0.05, seed=s) for s in (1, 2, 3)]
-        block, _ = _run_batch(schedule, initial, noises)
+        # the block of a Monte Carlo tile: TILE columns, padded by repeating the last run
+        scales = np.stack([_noise_factors(schedule, noise) for noise in noises], axis=1)
+        block, _ = evolve_block(initial.j, np.repeat(initial.amplitudes[:, None], TILE, axis=1), schedule,
+                                scales[:, np.minimum(np.arange(TILE), len(noises) - 1)])
         for r, noise in enumerate(noises):
             factors = iter(_noise_factors(schedule, noise))
             state = initial
@@ -181,7 +183,6 @@ class TestKernelCorrectness:
                     rot = seg.rotation.scaled(next(factors))
                     state = DickeState(state.j, rotate_vector(state.j, state.amplitudes, rot))
                 else:
-                    assert seg.axis == "z"
                     state = jz2_phase(state, seg.chi * seg.duration)
             assert fidelity(DickeState(initial.j, block[:, r]), state) >= 1 - 1e-10
 
@@ -193,8 +194,8 @@ class TestKernelCorrectness:
             RotationSpec((0.6, 0, 0.8), 1.1),
         ]
         segments = []
-        for rot, axis in zip(rotations, "zxy"):
-            segments += [Pulse(rot), QuadraticSegment(axis, 1.0, 0.13)]
+        for rot in rotations:
+            segments += [Pulse(rot), QuadraticSegment(1.0, 0.13)]
         schedule = ProtocolSchedule(tuple(segments), ())
         scales = np.array([[1.0, 1.3], [0.8, 1.0], [1.2, 0.5]])
         initial = make_css(n / 2, 0.4, 0.2)
@@ -304,8 +305,8 @@ class TestReportTiles:
         # the first sample sits on a segment end whose renormalization
         # divides the block in place; its report must keep the drifted norm
         j = 10
-        segments = (QuadraticSegment("z", 1.0, 0.3), Pulse(RotationSpec((1, 0, 0), 0.4)),
-                    QuadraticSegment("x", 1.0, 0.2))
+        segments = (QuadraticSegment(1.0, 0.3), Pulse(RotationSpec((1, 0, 0), 0.4)),
+                    QuadraticSegment(1.0, 0.2))
         x = make_css(j, np.pi / 2, 0.0).amplitudes[:, None] * (1 + 1e-8)
         schedule = ProtocolSchedule(segments, (0.3, 0.5))
         final, (record,) = evolve_block(j, x, schedule, None, 1)

@@ -159,7 +159,7 @@ def test_period_operator_path_matches_plain_split_stepping(n, phase):
     t0, t1 = 0.123 * env.period, 23.61 * env.period
     assert DrivenEngine(j, chi, env, SPP, t1 - t0)._ops is not None
     # a chi = 0 hold to t0 leaves the state as it is, then the drive from t0 to t1
-    segments = (QuadraticSegment("z", 0.0, t0), DrivenSegment(env, chi, t1 - t0, SPP))
+    segments = (QuadraticSegment(0.0, t0), DrivenSegment(env, chi, t1 - t0, SPP))
     state = DickeState(j, random_block(j, 1, seed=n)[:, 0])
     with split_steps_only():
         a = raw_end(state, *segments)
