@@ -157,29 +157,60 @@ def _split_steps(j, x, chi, env, h, t0, t1, frame=(False, False)):
     return _junction(j, y, last, half) if frame[1] else _quadratic(j, last, frame_leave(j, y))
 
 
+def _stacked(blocks: tuple) -> np.ndarray:
+    """The frame block of an s and an a class block: s on the top rows, a below in the first columns."""
+    ns, na = len(blocks[0]), len(blocks[1])
+    y = np.zeros((ns + na, ns), dtype=complex)
+    y[:ns], y[ns:, :na] = blocks
+    return y
+
+
 class _PeriodOperators:
     """Drive periods in the frame as parity blocks: U = Mh P Mh over the first
     half (Mh the half-step junction, P the walk between), and the whole period
     R U R^dagger U, as Omega(t + T/2) = -Omega(t). R = W^T Rz(pi) W sends frame
     index i (lambda) to perm[i] (-lambda) with a phase, reversing each class for
-    even N, and the whole frame, swapping the classes, for odd N."""
+    even N, and the whole frame, swapping the classes, for odd N.
+
+    At phase = pi/2 mod pi, Omega is symmetric about T/4 on [0, T/2], so the
+    walk P = D_n J ... J D_1 (D_k the substeps' diagonal y-phases, J the
+    complex symmetric junction) has D_k = D_{n+1-k} and is A^T J A, with A the
+    walk over the first quarter period. That walk started from Mh is C = A Mh,
+    and U = C^T J C; for an odd n = spp/2 the lone middle substep D_mid stands
+    between the halves, U = C^T J D_mid J C. spp 2 has no quarter walk."""
 
     def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int):
         if spp % 2:
             raise DomainError("period operators need even steps_per_period")
         vals, us, ua = axis_eigensystem(j)
-        dim, ns, na, h = len(vals), len(us), len(ua), env.period / spp
-        check_memory(j, 16 * dim * ns, "period operators")  # the build peaks at 14.4 dim ns entries (N = 300)
-        ident = np.eye(dim, ns, dtype=complex) + np.eye(dim, ns, -ns)  # the s and a rows' identities
-        y = _drive_walk(j, ident.copy(), chi, env, h, [k * h for k in range(spp // 2 + 1)])
-        self.blocks = tuple(m @ c @ m for m, c in zip(junction_blocks(j, chi * h / 2), (y[:ns], y[ns:, :na])))
+        dim, ns, na = len(vals), len(us), len(ua)
+        check_memory(j, 16 * dim * ns, "period operators")  # the build peaks at 12.4 dim ns entries (N = 300)
+        self.blocks = self._half(j, chi, env, spp)
         # R[perm[i], i] = (B^T Rz(pi) A)[., i], A and B the bases of i's class and of its image: +-1 or +-i
         self.perm = np.r_[ns - 1 : -1 : -1, dim - 1 : ns - 1 : -1] if dim % 2 else np.arange(dim)[::-1]
         pairs, z = zip((us, ua), (us, ua) if dim % 2 else (ua, us)), quarter_turn(j) ** 2
         phases = [(b[:, ::-1] * z[: len(a)] * a).sum(axis=0) for a, b in pairs]
         self.phase = np.round(np.concatenate(phases))[:, None]
-        whole = self.jump(self.jump(ident, 0), 1)
+        whole = self.jump(_stacked(self.blocks), 1)
         self.period = tuple(np.array(c) for c in (whole[:ns], whole[ns:, :na]))  # copies: whole goes
+
+    @staticmethod
+    def _half(j: float, chi: float, env: DriveEnvelope, spp: int) -> tuple:
+        """U's class blocks, walked or, at a mirror phase, mirrored; the walks' blocks go on return."""
+        h = env.period / spp
+        mh = junction_blocks(j, chi * h / 2)
+        ns, na = len(mh[0]), len(mh[1])
+        # Omega is symmetric about T/4 where cos(phase) = 0: 2e-16 at the floats nearest +-pi/2, +-3pi/2
+        if spp < 4 or abs(np.cos(env.phase)) > 1e-15:
+            grid = [k * h for k in range(spp // 2 + 1)]
+            y = _drive_walk(j, _stacked((np.eye(ns), np.eye(na))), chi, env, h, grid)
+            return tuple(m @ c @ m for m, c in zip(mh, (y[:ns], y[ns:, :na])))
+        q, jh = spp // 4, junction_blocks(j, chi * h)
+        c = _drive_walk(j, _stacked(mh), chi, env, h, [k * h for k in range(q + 1)])  # C = A Mh
+        y = _by_parity(jh, c)
+        if spp % 4:  # spp/2 odd: the middle substep
+            y = _by_parity(jh, _drive_walk(j, y, chi, env, h, [q * h, (q + 1) * h]))
+        return c[:ns].T @ y[:ns], c[ns:, :na].T @ y[ns:, :na]
 
     def jump(self, y: np.ndarray, half_index: int, halves: int = 1) -> np.ndarray:
         """Advance a (dim, R) frame block from half_index * T/2 by one half
@@ -205,7 +236,8 @@ class DrivenEngine:
 
     @staticmethod
     def jumps_pay(j: float, env: DriveEnvelope, spp: int, span: float) -> bool:
-        """Period operators pay from 3, 15-20, 52-59 periods at N = 100, 300, 1250 (spp 64, one thread)."""
+        """Period operators pay from 1.3-1.7, 10-11, 27-32 periods at N = 100, 300, 1250 at phase -pi/2,
+        and from 2.7, 15-19, 51-52 at phase 0.3 (spp 64, one thread)."""
         return spp % 2 == 0 and span / env.period >= max(16, dim_for(j) / 20)
 
     def framed(self, t: float) -> bool:

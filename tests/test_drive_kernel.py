@@ -1,19 +1,24 @@
 """The drive kernel in the Jy eigenbasis: the parity blocks of the fused
 Jz^2 junction, split steps against a dense product of exact exponentials,
 the frame's half-period blocks and the reversal R against their dense
-definitions, the period operators and a sampled frame chain against plain
-split stepping, and the bound of the junction cache."""
+definitions, the mirrored half period against the walked one and the path
+each phase takes, the period operators and a sampled frame chain against
+plain split stepping, and the bound of the junction cache."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from spinsqueeze import propagator
 from spinsqueeze.diagnostics import squeezing_columns
 from spinsqueeze.dicke import DickeState, dim_for, m_values, spin_matrix
 from spinsqueeze.hamiltonians import DriveEnvelope, drive_integral, quadratic_matrix
 from spinsqueeze.propagator import (
     DrivenEngine,
     _aligned_grid,
+    _drive_walk,
     _PeriodOperators,
     _split_steps,
     evolve_block,
@@ -99,6 +104,49 @@ def test_half_period_operators_match_split_steps(n, phase):
         assert np.max(np.abs(got - want)) <= 1e-12
     for block in ops.blocks:
         assert np.max(np.abs(block.conj().T @ block - np.eye(len(block)))) <= 1e-12
+
+
+def walked_blocks(j, chi, env, spp):
+    """U's class blocks as Mh P Mh, the walk P over all spp/2 substeps from the identity."""
+    h = env.period / spp
+    mh = junction_blocks(j, chi * h / 2)
+    ns, na = len(mh[0]), len(mh[1])
+    y = np.zeros((ns + na, ns), dtype=complex)
+    y[:ns], y[ns:, :na] = np.eye(ns), np.eye(na)
+    y = _drive_walk(j, y, chi, env, h, [k * h for k in range(spp // 2 + 1)])
+    return tuple(m @ c @ m for m, c in zip(mh, (y[:ns], y[ns:, :na])))
+
+
+@pytest.mark.parametrize("n", [60, 61, 300])
+@pytest.mark.parametrize("phase", [np.pi / 2, -np.pi / 2])
+@pytest.mark.parametrize("spp", [32, 34, 64, 128])
+def test_mirrored_half_period_matches_walk(n, phase, spp):
+    # spp 34 has an odd spp/2: the lone middle substep stands between the mirrored halves
+    env = envelope(phase)
+    ops = _PeriodOperators(n / 2, 1.0, env, spp)
+    for got, want in zip(ops.blocks, walked_blocks(n / 2, 1.0, env, spp)):
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "phase,mirror",
+    [(0.0, False), (0.3, False), (np.pi / 2, True), (-np.pi / 2, True), (0.9, False),
+     (3 * np.pi / 2, True), (-3 * np.pi / 2, True)],
+)
+@pytest.mark.parametrize("spp", [2, 32, 34])
+def test_each_phase_takes_its_half_period_path(phase, mirror, spp):
+    # the substeps each _drive_walk call is given: the whole half period's spp/2 for
+    # the walk; at phase = pi/2 mod pi the first quarter's spp//4, then the middle
+    # substep when spp/2 is odd. spp 2 has no quarter walk and walks.
+    substeps, walk = [], _drive_walk
+
+    def counted(j, y, chi, env, h, grid):
+        substeps.append(len(grid) - 1)
+        return walk(j, y, chi, env, h, grid)
+
+    with mock.patch.object(propagator, "_drive_walk", counted):
+        _PeriodOperators(2.5, 1.0, envelope(phase), spp)
+    assert substeps == ([spp // 4] + [1] * (spp % 4 // 2) if mirror and spp >= 4 else [spp // 2])
 
 
 def dense_reversal(j):

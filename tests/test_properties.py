@@ -109,7 +109,7 @@ def driven_schedules(draw):
         else:
             phase = draw(st.sampled_from([0.0, 0.3, np.pi / 2, -np.pi / 2, 0.9]))
             env = DriveEnvelope(0.9057 * DRIVE_OMEGA, DRIVE_OMEGA, phase)
-            spp = draw(st.sampled_from([16, 32]))
+            spp = draw(st.sampled_from([16, 18, 32]))
             h, duration = env.period / spp, env.period * draw(st.floats(16.5, 20.0))
             t1 = t + duration
             segments.append(DrivenSegment(env, 1.0, duration, spp))

@@ -23,7 +23,7 @@ from pathlib import Path  # noqa: E402
 
 from spinsqueeze import cli  # noqa: E402
 
-DRIVE_PHASES = {"phase-pi2": repr(-math.pi / 2), "phase0.3": "0.3"}
+DRIVE_PHASES = {"phase-pi2": repr(-math.pi / 2), "phase+pi2": repr(math.pi / 2), "phase0.3": "0.3"}
 
 RUNS = [
     ("oat300", ["oat", "--n", "300"]),
