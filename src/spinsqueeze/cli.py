@@ -22,8 +22,13 @@ from .diagnostics import find_optimum, husimi_q, scaling_fit
 from .errors import DomainError, ResourceError
 from .propagator import driven_doubling_check
 from .protocols import (
+    DRIVE_PHASE,
     MODELS,
+    N_PERIODS,
+    N_SAMPLES,
+    OMEGA_OVER_CHI,
     PAPER_RATIO,
+    STEPS_PER_PERIOD,
     NoiseModel,
     build_modulated_drive,
     build_repeated_pulse,
@@ -53,15 +58,15 @@ class ScenarioConfig:
     chi_hz: float | None = None
     seed: int = 42
     out_dir: str = "."
-    samples: int = 600
-    nc: int = 50
+    samples: int = N_SAMPLES
+    nc: int = N_PERIODS
     freeze: bool = False
     eta: float = 0.001
     realizations: int = 100
-    omega_over_chi: float = 2 * np.pi * 2e4
+    omega_over_chi: float = OMEGA_OVER_CHI
     omega0_over_omega: float = PAPER_RATIO
-    phase: float = -np.pi / 2
-    steps_per_period: int = 64
+    phase: float = DRIVE_PHASE
+    steps_per_period: int = STEPS_PER_PERIOD
     model: str = "oat"
     n_list: str = "100,200,400,800,1600"
     state: str | None = None

@@ -2,7 +2,8 @@
 
 One kernel, evolve_block, runs a schedule on a (dim x R) block of states,
 one column per run: pulses turn each column by its own angle, a quadratic
-segment is one diagonal Jz^2 phase, and the driven model uses second-order
+segment is one diagonal Jz^2 phase, and the driven model Jz^2 + Omega(t) Jy
+(chi = 1, so every time and phase length is chi*t) uses second-order
 split-stepping in the Jy eigenbasis on the multiples of h = T/spp from clock
 0, with half- and whole-period operators as parity blocks for long runs. The
 drive zeros fall on that grid only when (pi/2 - phase) * spp / (2 pi) is an
@@ -111,12 +112,12 @@ def _aligned_grid(t0: float, t1: float, h: float) -> list:
 
 
 @lru_cache(maxsize=8)  # two complex (dim/2)^2 blocks each: 12.5 MB at N = 1250
-def junction_blocks(j: float, chi_h: float) -> tuple:
-    """The s and a blocks U_c^T (d_top U_c) of W^T exp(-i chi h Jz^2) W, d_top the phases
+def junction_blocks(j: float, h: float) -> tuple:
+    """The s and a blocks U_c^T (d_top U_c) of W^T exp(-i h Jz^2) W, d_top the phases
     on the top half and middle row: Jz^2 commutes with m -> -m, so no entry joins the classes."""
     _, *basis = axis_eigensystem(j)
     check_memory(j, 3 * sum(len(u) ** 2 for u in basis), "junction blocks")  # the blocks, one d_top U_c
-    return tuple(basis_product(u.T, _quadratic(j, chi_h, u)) for u in basis)
+    return tuple(basis_product(u.T, _quadratic(j, h, u)) for u in basis)
 
 
 def _by_parity(blocks: tuple, y: np.ndarray) -> np.ndarray:
@@ -127,33 +128,33 @@ def _by_parity(blocks: tuple, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _junction(j: float, y: np.ndarray, chi_s: float, chi_h: float) -> np.ndarray:
-    """W^T exp(-i chi s Jz^2) W y: junction_blocks when chi s is chi h, else via z."""
-    if abs(chi_s - chi_h) <= 1e-9 * abs(chi_h):
-        return _by_parity(junction_blocks(j, chi_h), y)
-    return frame_enter(j, _quadratic(j, chi_s, frame_leave(j, y)))  # Rz(pi/2) commutes with Jz^2
+def _junction(j: float, y: np.ndarray, s: float, h: float) -> np.ndarray:
+    """W^T exp(-i s Jz^2) W y: junction_blocks when s is h, else via z."""
+    if abs(s - h) <= 1e-9 * abs(h):
+        return _by_parity(junction_blocks(j, h), y)
+    return frame_enter(j, _quadratic(j, s, frame_leave(j, y)))  # Rz(pi/2) commutes with Jz^2
 
 
-def _drive_walk(j, y, chi, env, h, grid) -> np.ndarray:
+def _drive_walk(j, y, env, h, grid) -> np.ndarray:
     """Strang steps over the grid, less the outer two Jz^2 half-steps, on a
     frame block y, where each y-rotation is diagonal. Rz(pi/2) commutes with
     Jz^2, so the half-steps that meet fuse into the junction for their sum."""
     vals = axis_eigensystem(j)[0]
     for k in range(1, len(grid)):
         if k > 1:
-            y = _junction(j, y, chi * (grid[k] - grid[k - 2]) / 2, chi * h)
+            y = _junction(j, y, (grid[k] - grid[k - 2]) / 2, h)
         y *= np.exp(-1j * drive_integral(env, grid[k - 1], grid[k]) * vals)[:, None]
     return y
 
 
-def _split_steps(j, x, chi, env, h, t0, t1, frame=(False, False)):
+def _split_steps(j, x, env, h, t0, t1, frame=(False, False)):
     """Strang steps on the grid aligned to h from t0 to t1 on a (dim, R)
     block: half Jz^2 phase, exact y-rotation, half Jz^2 phase. frame says
     whether it comes and goes in the frame; a z end costs one product."""
     grid = _aligned_grid(t0, t1, h)
-    first, last, half = chi * (grid[1] - grid[0]) / 2, chi * (grid[-1] - grid[-2]) / 2, chi * h / 2
+    first, last, half = (grid[1] - grid[0]) / 2, (grid[-1] - grid[-2]) / 2, h / 2
     y = _junction(j, x, first, half) if frame[0] else frame_enter(j, _quadratic(j, first, x))
-    y = _drive_walk(j, y, chi, env, h, grid)
+    y = _drive_walk(j, y, env, h, grid)
     return _junction(j, y, last, half) if frame[1] else _quadratic(j, last, frame_leave(j, y))
 
 
@@ -179,13 +180,13 @@ class _PeriodOperators:
     and U = C^T J C; for an odd n = spp/2 the lone middle substep D_mid stands
     between the halves, U = C^T J D_mid J C. spp 2 has no quarter walk."""
 
-    def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int):
+    def __init__(self, j: float, env: DriveEnvelope, spp: int):
         if spp % 2:
             raise DomainError("period operators need even steps_per_period")
         vals, us, ua = axis_eigensystem(j)
         dim, ns, na = len(vals), len(us), len(ua)
         check_memory(j, 16 * dim * ns, "period operators")  # the build peaks at 12.4 dim ns entries (N = 300)
-        self.blocks = self._half(j, chi, env, spp)
+        self.blocks = self._half(j, env, spp)
         # R[perm[i], i] = (B^T Rz(pi) A)[., i], A and B the bases of i's class and of its image: +-1 or +-i
         self.perm = np.r_[ns - 1 : -1 : -1, dim - 1 : ns - 1 : -1] if dim % 2 else np.arange(dim)[::-1]
         pairs, z = zip((us, ua), (us, ua) if dim % 2 else (ua, us)), quarter_turn(j) ** 2
@@ -195,21 +196,21 @@ class _PeriodOperators:
         self.period = tuple(np.array(c) for c in (whole[:ns], whole[ns:, :na]))  # copies: whole goes
 
     @staticmethod
-    def _half(j: float, chi: float, env: DriveEnvelope, spp: int) -> tuple:
+    def _half(j: float, env: DriveEnvelope, spp: int) -> tuple:
         """U's class blocks, walked or, at a mirror phase, mirrored; the walks' blocks go on return."""
         h = env.period / spp
-        mh = junction_blocks(j, chi * h / 2)
+        mh = junction_blocks(j, h / 2)
         ns, na = len(mh[0]), len(mh[1])
         # Omega is symmetric about T/4 where cos(phase) = 0: 2e-16 at the floats nearest +-pi/2, +-3pi/2
         if spp < 4 or abs(np.cos(env.phase)) > 1e-15:
             grid = [k * h for k in range(spp // 2 + 1)]
-            y = _drive_walk(j, _stacked((np.eye(ns), np.eye(na))), chi, env, h, grid)
+            y = _drive_walk(j, _stacked((np.eye(ns), np.eye(na))), env, h, grid)
             return tuple(m @ c @ m for m, c in zip(mh, (y[:ns], y[ns:, :na])))
-        q, jh = spp // 4, junction_blocks(j, chi * h)
-        c = _drive_walk(j, _stacked(mh), chi, env, h, [k * h for k in range(q + 1)])  # C = A Mh
+        q, jh = spp // 4, junction_blocks(j, h)
+        c = _drive_walk(j, _stacked(mh), env, h, [k * h for k in range(q + 1)])  # C = A Mh
         y = _by_parity(jh, c)
         if spp % 4:  # spp/2 odd: the middle substep
-            y = _by_parity(jh, _drive_walk(j, y, chi, env, h, [q * h, (q + 1) * h]))
+            y = _by_parity(jh, _drive_walk(j, y, env, h, [q * h, (q + 1) * h]))
         return c[:ns].T @ y[:ns], c[ns:, :na].T @ y[ns:, :na]
 
     def jump(self, y: np.ndarray, half_index: int, halves: int = 1) -> np.ndarray:
@@ -221,8 +222,8 @@ class _PeriodOperators:
 
 
 @lru_cache(maxsize=4)  # four complex (dim/2)^2 blocks each: 25 MB at N = 1250
-def period_operators(j: float, chi: float, env: DriveEnvelope, spp: int) -> _PeriodOperators:
-    return _PeriodOperators(j, chi, env, spp)
+def period_operators(j: float, env: DriveEnvelope, spp: int) -> _PeriodOperators:
+    return _PeriodOperators(j, env, spp)
 
 
 class DrivenEngine:
@@ -230,9 +231,9 @@ class DrivenEngine:
     block in the frame at multiples of h and in z elsewhere. The span it will
     cover decides whether the period operators pay for their build."""
 
-    def __init__(self, j: float, chi: float, env: DriveEnvelope, spp: int, span: float):
-        self.j, self.chi, self.env, self.h, self.h2 = j, chi, env, env.period / spp, env.period / 2
-        self._ops = period_operators(j, chi, env, spp) if self.jumps_pay(j, env, spp, span) else None
+    def __init__(self, j: float, env: DriveEnvelope, spp: int, span: float):
+        self.j, self.env, self.h, self.h2 = j, env, env.period / spp, env.period / 2
+        self._ops = period_operators(j, env, spp) if self.jumps_pay(j, env, spp, span) else None
 
     @staticmethod
     def jumps_pay(j: float, env: DriveEnvelope, spp: int, span: float) -> bool:
@@ -250,7 +251,7 @@ class DrivenEngine:
         return k, (k - k % 2) * self.h2
 
     def _walk(self, y, t0, t1):
-        return _split_steps(self.j, y, self.chi, self.env, self.h, t0, t1, (self.framed(t0), self.framed(t1)))
+        return _split_steps(self.j, y, self.env, self.h, t0, t1, (self.framed(t0), self.framed(t1)))
 
     def advance(self, y: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
         """Evolve a (dim, R) block from t_from to t_to, ends held as framed() says: split steps
@@ -284,10 +285,10 @@ def _stepper(j: float, seg) -> tuple:
     """(advance, framed, branch_point) as in DrivenEngine; a quadratic chain steps through every sample."""
     if isinstance(seg, QuadraticSegment):
         def step(x, t_from, t_to):
-            return _quadratic(j, seg.chi * (t_to - t_from), x) if t_to > t_from else x
+            return _quadratic(j, t_to - t_from, x) if t_to > t_from else x
 
         return step, lambda _: False, lambda t: (t, t)
-    engine = DrivenEngine(j, seg.chi, seg.env, seg.steps_per_period, seg.duration)
+    engine = DrivenEngine(j, seg.env, seg.steps_per_period, seg.duration)
     return engine.advance, engine.framed, engine.branch_point
 
 
@@ -495,7 +496,7 @@ def project_to_dicke(n: int, full_vec: np.ndarray) -> tuple[DickeState, float]:
     return DickeState(n / 2, amps / norm), deficit
 
 
-def _full_driven_evolve(n, vec, chi, env, t0, t1):
+def _full_driven_evolve(n, vec, env, t0, t1):
     from scipy.integrate import solve_ivp  # pulls in scipy.optimize: only the oracle pays for it
 
     jx, jy, jz = full_spin_ops(n)
@@ -504,7 +505,7 @@ def _full_driven_evolve(n, vec, chi, env, t0, t1):
 
     def rhs(t, y):
         psi = y[:dim] + 1j * y[dim:]
-        dpsi = -1j * (chi * (jz2 @ psi) + (env.omega0 * np.cos(env.omega * t + env.phase)) * (jy @ psi))
+        dpsi = -1j * (jz2 @ psi + (env.omega0 * np.cos(env.omega * t + env.phase)) * (jy @ psi))
         return np.concatenate([dpsi.real, dpsi.imag])
 
     sol = solve_ivp(
@@ -546,9 +547,9 @@ def full_hilbert_oracle(
             axis_op = sum(a * op for a, op in zip(seg.rotation.axis, (jx, jy, jz)))
             vec = sla.expm(-1j * seg.rotation.angle * axis_op) @ vec
         elif isinstance(seg, QuadraticSegment):
-            vec = sla.expm(-1j * seg.chi * seg.duration * (jz @ jz)) @ vec
+            vec = sla.expm(-1j * seg.duration * (jz @ jz)) @ vec
         elif isinstance(seg, DrivenSegment):
-            vec = _full_driven_evolve(n, vec, seg.chi, seg.env, t, t + seg.duration)
+            vec = _full_driven_evolve(n, vec, seg.env, t, t + seg.duration)
         elif not isinstance(seg, FreezeMarker):
             raise DomainError(f"unknown segment type {type(seg).__name__}")
         t += seg.duration

@@ -38,9 +38,14 @@ from .schedule import (
     ProtocolSchedule,
     Pulse,
     QuadraticSegment,
+    STEPS_PER_PERIOD,
 )
 
 PAPER_RATIO = 0.9057  # omega0/omega putting the averaged model on the TACT point
+OMEGA_OVER_CHI = 2 * np.pi * 2e4  # the paper's drive frequency
+DRIVE_PHASE = -np.pi / 2  # the paper's drive phase: Omega(t) = Omega0 sin(omega t)
+N_PERIODS = 50  # pulse periods to the protocol optimum
+N_SAMPLES = 600  # samples of a reference curve
 REFERENCE_SPAN = 3.0  # reference runs cover this many analytic optima
 DRIVE_SPAN = 1.25  # an unfrozen drive runs this many t_opt
 FINE_WINDOW = (0.85, 1.1)  # eighth-period drive samples between these multiples of the optimum
@@ -90,7 +95,7 @@ def _spectral_record(initial, times, prop: SpectralPropagator) -> RunRecord:
     return run_records(times, tiles, 1)[0]
 
 
-def reference_runs(n_particles: int, model: str = "oat", n_samples: int = 600) -> RunRecord:
+def reference_runs(n_particles: int, model: str = "oat", n_samples: int = N_SAMPLES) -> RunRecord:
     """Squeezing time series for the bare one-axis or two-axis model.
 
     one-axis: x-pointing coherent state under Jz^2 (diagonal phases);
@@ -188,7 +193,7 @@ def _freeze(initial, meta, prefix, t_star, rotations, probe, kept) -> ProtocolBu
     meta.update({"freeze_time": t_star, "freeze_var_z": var_z})
     meta.update({"freeze_sign": signs[0]} if len(signs) == 1 else {"freeze_signs": signs})
 
-    hold = QuadraticSegment(1.0, POST_TIME_FACTOR * meta["t_opt"])
+    hold = QuadraticSegment(POST_TIME_FACTOR * meta["t_opt"])
     post = (t_star + np.linspace(0.0, hold.duration, POST_SAMPLES + 1)[1:]).tolist()
     turns = tuple(Pulse(rot.scaled(sign)) for rot, sign in zip(rotations, signs))
     before = probe.chi_t[probe.chi_t <= t_star].tolist()
@@ -213,13 +218,15 @@ def _pulse_period_segments(delta_t: float) -> list:
     bare Jz^2 for delta_t."""
     return [
         Pulse(RotationSpec((0.0, 1.0, 0.0), np.pi / 2)),
-        QuadraticSegment(1.0, 2 * delta_t),
+        QuadraticSegment(2 * delta_t),
         Pulse(RotationSpec((0.0, 1.0, 0.0), -np.pi / 2)),
-        QuadraticSegment(1.0, delta_t),
+        QuadraticSegment(delta_t),
     ]
 
 
-def build_repeated_pulse(n_particles: int, n_periods: int = 50, freeze: bool = False) -> ProtocolBundle:
+def build_repeated_pulse(
+    n_particles: int, n_periods: int = N_PERIODS, freeze: bool = False
+) -> ProtocolBundle:
     """Pulse-pair protocol from the north-pole state.
 
     Each period of length t_c = 3*delta_t spends 2*delta_t under Jx^2
@@ -272,7 +279,7 @@ def build_repeated_pulse(n_particles: int, n_periods: int = 50, freeze: bool = F
     best, probe, kept = _probe(initial, segments, mid_samples(last) + times[-1:], times, meta)
     n_star = meta["freeze_period_index"] = candidates[best]
 
-    prefix = segments[: 4 * n_star + 1] + [QuadraticSegment(1.0, delta_t)]  # to mid Jx^2 of n_star
+    prefix = segments[: 4 * n_star + 1] + [QuadraticSegment(delta_t)]  # to mid Jx^2 of n_star
     return _freeze(initial, meta, tuple(prefix), times[best], (FREEZE_TURN,), probe, kept[times[best]])
 
 
@@ -296,11 +303,11 @@ def drive_zero_times(env: DriveEnvelope, t_max: float) -> np.ndarray:
 
 def build_modulated_drive(
     n_particles: int,
-    omega_over_chi: float = 2 * np.pi * 2e4,
+    omega_over_chi: float = OMEGA_OVER_CHI,
     omega0_over_omega: float = PAPER_RATIO,
-    phase: float = -np.pi / 2,
+    phase: float = DRIVE_PHASE,
     freeze: bool = False,
-    steps_per_period: int = 64,
+    steps_per_period: int = STEPS_PER_PERIOD,
 ) -> ProtocolBundle:
     """Modulated-drive protocol from the drive-phase-matched initial state
     exp(-i (omega0/omega) sin(phase) Jy) |j,j>_x.
@@ -346,7 +353,7 @@ def build_modulated_drive(
         t_lo, t_hi = max(0.0, FINE_WINDOW[0] * center), min(t_end, FINE_WINDOW[1] * center)
         fine = t_lo + (period / 8) * np.arange(int(np.floor((t_hi - t_lo) / (period / 8))) + 1)
         samples = _dedupe_times(zeros + fine.tolist())
-        segments = (DrivenSegment(env, 1.0, t_end, steps_per_period),)
+        segments = (DrivenSegment(env, t_end, steps_per_period),)
         schedule = ProtocolSchedule(segments, tuple(samples), meta)
         return ProtocolBundle(schedule, initial, meta)
 
@@ -355,12 +362,12 @@ def build_modulated_drive(
     zeros_all = drive_zero_times(env, center + (DRIVE_WINDOW + 1) * period)
     candidates = zeros_all[np.abs(zeros_all - center) <= DRIVE_WINDOW * period * (1 + 1e-12)].tolist()
     last = candidates[-1]
-    segments = (DrivenSegment(env, 1.0, last, steps_per_period),)
+    segments = (DrivenSegment(env, last, steps_per_period),)
     best, probe, kept = _probe(initial, segments, drive_zero_times(env, last), candidates, meta)
     t_star = candidates[best]
     meta["drive_value_at_freeze"] = float(drive_value(env, t_star))
 
-    prefix = (DrivenSegment(env, 1.0, t_star, steps_per_period),)
+    prefix = (DrivenSegment(env, t_star, steps_per_period),)
     align = RotationSpec((0.0, 1.0, 0.0), env.omega0 / env.omega)
     return _freeze(initial, meta, prefix, t_star, (align, FREEZE_TURN), probe, kept[t_star])
 

@@ -1,22 +1,25 @@
 """Timeline types: evolution segments, instantaneous pulses, freeze events,
-and the noise model that perturbs pulse areas."""
+and the noise model that perturbs pulse areas. Times are chi*t with chi = 1,
+so no segment names a coupling."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
 from math import isfinite
+from numbers import Integral
 
 from .dicke import RotationSpec
 from .errors import DomainError
 from .hamiltonians import DriveEnvelope
 
+STEPS_PER_PERIOD = 64  # split steps per drive period unless a segment says otherwise
+
 
 @dataclass(frozen=True)
 class QuadraticSegment:
-    """Evolution under chi * Jz^2, one-axis twisting, for the given duration (chi*t units)."""
+    """Evolution under Jz^2, one-axis twisting, for the given duration (chi*t units)."""
 
-    chi: float
     duration: float
 
     def __post_init__(self):
@@ -24,31 +27,28 @@ class QuadraticSegment:
 
 
 def _check_timing(seg) -> None:
-    """A segment's chi is finite, and its duration finite and nonnegative."""
-    if not isfinite(seg.chi):
-        raise DomainError(f"segment chi must be finite, got {seg.chi}")
     if not (isfinite(seg.duration) and seg.duration >= 0):
         raise DomainError(f"segment duration must be finite and nonnegative, got {seg.duration}")
 
 
 @dataclass(frozen=True)
 class DrivenSegment:
-    """Evolution under chi*Jz^2 + Omega(t)*Jy for the given duration (chi*t units).
+    """Evolution under Jz^2 + Omega(t)*Jy for the given duration (chi*t units).
 
     Omega(t) is read off the schedule clock, so the drive phase stays
     referenced to the schedule origin wherever the segment starts;
-    steps_per_period controls the split-step grid.
+    steps_per_period, an integer, controls the split-step grid.
     """
 
     env: DriveEnvelope
-    chi: float
     duration: float
-    steps_per_period: int = 64
+    steps_per_period: int = STEPS_PER_PERIOD
 
     def __post_init__(self):
         _check_timing(self)
-        if self.steps_per_period < 16:
-            raise DomainError("steps_per_period must be at least 16")
+        spp = self.steps_per_period
+        if isinstance(spp, bool) or not isinstance(spp, Integral) or spp < 16:
+            raise DomainError(f"steps_per_period must be an integer of at least 16, got {spp!r}")
 
 
 @dataclass(frozen=True)
@@ -109,5 +109,5 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise DomainError("eta must be nonnegative")
+        if not (isfinite(self.eta) and self.eta >= 0):
+            raise DomainError(f"eta must be finite and nonnegative, got {self.eta}")

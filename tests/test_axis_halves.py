@@ -63,14 +63,14 @@ def test_fold_then_unfold_is_the_identity(n):
 @pytest.mark.parametrize("ratio", [1.0, 0.37], ids=["on-grid", "off-grid"])
 def test_junction_matches_dense_blocks(n, ratio):
     # on-grid lengths take junction_blocks, off-grid ones the path through z
-    j, chi_h = n / 2, 0.29
+    j, h = n / 2, 0.29
     w = dense_axis_basis(j)[1]
-    dense = w.T @ (np.exp(-1j * ratio * chi_h * m_values(j) ** 2)[:, None] * w)
+    dense = w.T @ (np.exp(-1j * ratio * h * m_values(j) ** 2)[:, None] * w)
     y = random_block(n + 1, 2, seed=n)
-    assert np.max(np.abs(_junction(j, y, ratio * chi_h, chi_h) - dense @ y)) <= 1e-12
+    assert np.max(np.abs(_junction(j, y, ratio * h, h) - dense @ y)) <= 1e-12
     if ratio == 1.0:
         ns = (n + 2) // 2
-        blocks = junction_blocks(j, chi_h)
+        blocks = junction_blocks(j, h)
         assert np.max(np.abs(blocks[0] - dense[:ns, :ns])) <= 1e-13
         assert np.max(np.abs(blocks[1] - dense[ns:, ns:])) <= 1e-13
 
@@ -82,7 +82,7 @@ def test_reversal_form(n):
     j, dim, ns = n / 2, n + 1, (n + 2) // 2
     w = dense_axis_basis(j)[1]
     dense = w.T @ (np.exp(-1j * np.pi * m_values(j))[:, None] * w)
-    ops = _PeriodOperators(j, 1.0, DriveEnvelope(0.9 * 2 * np.pi * 40, 2 * np.pi * 40, 0.3), 16)
+    ops = _PeriodOperators(j, DriveEnvelope(0.9 * 2 * np.pi * 40, 2 * np.pi * 40, 0.3), 16)
     if n % 2 == 0:
         want = np.r_[np.arange(ns)[::-1], ns + np.arange(dim - ns)[::-1]]
     else:

@@ -70,7 +70,7 @@ def cut_at(schedule, s):
         if isinstance(seg, (Pulse, FreezeMarker)):
             segments.append(seg)
         elif isinstance(seg, QuadraticSegment):
-            segments.append(seg if t + seg.duration <= s else QuadraticSegment(seg.chi, s - t))
+            segments.append(seg if t + seg.duration <= s else QuadraticSegment(s - t))
             t += seg.duration
         else:
             end, half = min(t + seg.duration, s), seg.env.period / 2
@@ -78,7 +78,7 @@ def cut_at(schedule, s):
             stops = [u for u in schedule.sample_times if max(t, start) < u < end] + [end]
             stops = ([start] if t < start < end else []) + stops
             for a, b in zip([t, *stops], stops):
-                segments.append(DrivenSegment(seg.env, seg.chi, b - a, seg.steps_per_period))
+                segments.append(DrivenSegment(seg.env, b - a, seg.steps_per_period))
             t += seg.duration
     return ProtocolSchedule(tuple(segments), ())
 
@@ -183,7 +183,7 @@ class TestKernelCorrectness:
                     rot = seg.rotation.scaled(next(factors))
                     state = DickeState(state.j, rotate_vector(state.j, state.amplitudes, rot))
                 else:
-                    state = jz2_phase(state, seg.chi * seg.duration)
+                    state = jz2_phase(state, seg.duration)
             assert fidelity(DickeState(initial.j, block[:, r]), state) >= 1 - 1e-10
 
     def test_two_columns_against_full_oracle(self):
@@ -195,7 +195,7 @@ class TestKernelCorrectness:
         ]
         segments = []
         for rot in rotations:
-            segments += [Pulse(rot), QuadraticSegment(1.0, 0.13)]
+            segments += [Pulse(rot), QuadraticSegment(0.13)]
         schedule = ProtocolSchedule(tuple(segments), ())
         scales = np.array([[1.0, 1.3], [0.8, 1.0], [1.2, 0.5]])
         initial = make_css(n / 2, 0.4, 0.2)
@@ -215,7 +215,7 @@ class TestKernelCorrectness:
     def test_driven_block_matches_single_runs(self):
         omega = 2 * np.pi * 300.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
-        schedule = ProtocolSchedule((DrivenSegment(env, 1.0, 40.5 * env.period),), ())
+        schedule = ProtocolSchedule((DrivenSegment(env, 40.5 * env.period),), ())
         states = [make_css(6, 1.0, 0.0), make_css(6, 0.3, 1.2)]
         block, _ = evolve_block(6, np.stack([s.amplitudes for s in states], axis=1), schedule)
         for r, s in enumerate(states):
@@ -266,7 +266,7 @@ class TestReportTiles:
         omega = 2 * np.pi * 300.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         zeros = drive_zero_times(env, 40 * env.period)
-        segment = DrivenSegment(env, 1.0, float(zeros[-1]))
+        segment = DrivenSegment(env, float(zeros[-1]))
         initial = make_css(n / 2, np.pi / 2, 0.0).amplitudes[:, None]
         target = 40
         reports, finals = [], []
@@ -295,7 +295,7 @@ class TestReportTiles:
         end = 20 * env.period
         rng = np.random.default_rng(4)
         times = np.sort(np.concatenate([drive_zero_times(env, end)[::3], rng.uniform(0, end, 9)]))
-        schedule = ProtocolSchedule((DrivenSegment(env, 1.0, end),), tuple(times.tolist()))
+        schedule = ProtocolSchedule((DrivenSegment(env, end),), tuple(times.tolist()))
         x = make_css(6, np.pi / 2, 0.0).amplitudes[:, None]
         _, (record,) = evolve_block(6, x, schedule, None, 1)
         assert len(record.times()) > TILE
@@ -305,8 +305,8 @@ class TestReportTiles:
         # the first sample sits on a segment end whose renormalization
         # divides the block in place; its report must keep the drifted norm
         j = 10
-        segments = (QuadraticSegment(1.0, 0.3), Pulse(RotationSpec((1, 0, 0), 0.4)),
-                    QuadraticSegment(1.0, 0.2))
+        segments = (QuadraticSegment(0.3), Pulse(RotationSpec((1, 0, 0), 0.4)),
+                    QuadraticSegment(0.2))
         x = make_css(j, np.pi / 2, 0.0).amplitudes[:, None] * (1 + 1e-8)
         schedule = ProtocolSchedule(segments, (0.3, 0.5))
         final, (record,) = evolve_block(j, x, schedule, None, 1)

@@ -20,6 +20,7 @@ from spinsqueeze.protocols import (
     reference_runs,
     run_monte_carlo,
 )
+from spinsqueeze.schedule import DrivenSegment
 
 
 def run_cli(argv):
@@ -150,7 +151,7 @@ class TestParseConfig:
         cli_keys = {"nc": "n_periods", "samples": "n_samples", "omega_over_chi": "omega_over_chi",
                     "omega0_over_omega": "omega0_over_omega", "phase": "phase",
                     "steps_per_period": "steps_per_period", "freeze": "freeze"}
-        builders = (build_repeated_pulse, build_modulated_drive, reference_runs)
+        builders = (build_repeated_pulse, build_modulated_drive, reference_runs, DrivenSegment)
         seen = set()
         for fn in builders:
             params = inspect.signature(fn).parameters

@@ -251,7 +251,7 @@ class TestUndefinedDirectionAtN2:
 
     def run(self):
         css = make_css(1, np.pi / 2, 0.0)
-        segments = (QuadraticSegment(1.0, np.pi),)
+        segments = (QuadraticSegment(np.pi),)
         return css, segments, evolve_schedule(css, ProtocolSchedule(segments, self.TIMES))[1]
 
     def test_sample_reads_nan_and_the_run_goes_on(self, tmp_path):

@@ -46,13 +46,13 @@ def random_block(j, cols, seed=0):
     return x / np.linalg.norm(x, axis=0)
 
 
-def dense_split_steps(j, chi, env, grid):
+def dense_split_steps(j, env, grid):
     """Strang steps as one dense product of expm factors."""
     jz2 = quadratic_matrix(j, "z")
     jy = spin_matrix(j, (0, 1, 0))
     u = np.eye(dim_for(j), dtype=complex)
     for a, b in zip(grid[:-1], grid[1:]):
-        half = sla.expm(-0.5j * chi * (b - a) * jz2)
+        half = sla.expm(-0.5j * (b - a) * jz2)
         u = half @ sla.expm(-1j * drive_integral(env, a, b) * jy) @ half @ u
     return u
 
@@ -63,11 +63,11 @@ def test_junction_is_block_diagonal_by_parity(j):
     vals, vecs = dense_axis_basis(j)
     classes = np.round(j - vals).astype(int) % 2
     assert np.array_equal(classes, (np.arange(dim_for(j)) >= (dim_for(j) + 1) // 2).astype(int))
-    chi_h = 0.37
-    dense = vecs.T @ (np.exp(-1j * chi_h * m_values(j) ** 2)[:, None] * vecs)
+    h = 0.37
+    dense = vecs.T @ (np.exp(-1j * h * m_values(j) ** 2)[:, None] * vecs)
     off = dense[np.ix_(classes == 0, classes == 1)]
     assert np.max(np.abs(off)) <= 1e-13
-    for p, block in enumerate(junction_blocks(j, chi_h)):
+    for p, block in enumerate(junction_blocks(j, h)):
         assert np.max(np.abs(block - dense[np.ix_(classes == p, classes == p)])) <= 1e-13
 
 
@@ -80,40 +80,40 @@ def test_junction_is_block_diagonal_by_parity(j):
     ids=["both-ends-off-grid", "on-grid", "two-partial-steps", "one-partial-step", "end-off-grid"],
 )
 def test_split_steps_match_dense_product(n, phase, cols, span):
-    j, chi = n / 2, 1.0
+    j = n / 2
     env = envelope(phase)
     h = env.period / SPP
     t0, t1 = span[0] * h, span[1] * h
     x = random_block(j, cols, seed=n)
-    want = dense_split_steps(j, chi, env, _aligned_grid(t0, t1, h)) @ x
-    got = _split_steps(j, x, chi, env, h, t0, t1)
+    want = dense_split_steps(j, env, _aligned_grid(t0, t1, h)) @ x
+    got = _split_steps(j, x, env, h, t0, t1)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [5, 6, 40])
 @pytest.mark.parametrize("phase", PHASES)
 def test_half_period_operators_match_split_steps(n, phase):
-    j, chi = n / 2, 1.0
+    j = n / 2
     env = envelope(phase)
     h, half = env.period / SPP, env.period / 2
-    ops = _PeriodOperators(j, chi, env, SPP)
+    ops = _PeriodOperators(j, env, SPP)
     x = random_block(j, 2, seed=n)
     for k, halves in ((0, 1), (1, 1), (0, 2)):  # the jumps act on frame blocks: enter, jump, leave
-        want = _split_steps(j, x, chi, env, h, k * half, (k + halves) * half)
+        want = _split_steps(j, x, env, h, k * half, (k + halves) * half)
         got = frame_leave(j, ops.jump(frame_enter(j, x), k, halves))
         assert np.max(np.abs(got - want)) <= 1e-12
     for block in ops.blocks:
         assert np.max(np.abs(block.conj().T @ block - np.eye(len(block)))) <= 1e-12
 
 
-def walked_blocks(j, chi, env, spp):
+def walked_blocks(j, env, spp):
     """U's class blocks as Mh P Mh, the walk P over all spp/2 substeps from the identity."""
     h = env.period / spp
-    mh = junction_blocks(j, chi * h / 2)
+    mh = junction_blocks(j, h / 2)
     ns, na = len(mh[0]), len(mh[1])
     y = np.zeros((ns + na, ns), dtype=complex)
     y[:ns], y[ns:, :na] = np.eye(ns), np.eye(na)
-    y = _drive_walk(j, y, chi, env, h, [k * h for k in range(spp // 2 + 1)])
+    y = _drive_walk(j, y, env, h, [k * h for k in range(spp // 2 + 1)])
     return tuple(m @ c @ m for m, c in zip(mh, (y[:ns], y[ns:, :na])))
 
 
@@ -123,8 +123,8 @@ def walked_blocks(j, chi, env, spp):
 def test_mirrored_half_period_matches_walk(n, phase, spp):
     # spp 34 has an odd spp/2: the lone middle substep stands between the mirrored halves
     env = envelope(phase)
-    ops = _PeriodOperators(n / 2, 1.0, env, spp)
-    for got, want in zip(ops.blocks, walked_blocks(n / 2, 1.0, env, spp)):
+    ops = _PeriodOperators(n / 2, env, spp)
+    for got, want in zip(ops.blocks, walked_blocks(n / 2, env, spp)):
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -140,12 +140,12 @@ def test_each_phase_takes_its_half_period_path(phase, mirror, spp):
     # substep when spp/2 is odd. spp 2 has no quarter walk and walks.
     substeps, walk = [], _drive_walk
 
-    def counted(j, y, chi, env, h, grid):
+    def counted(j, y, env, h, grid):
         substeps.append(len(grid) - 1)
-        return walk(j, y, chi, env, h, grid)
+        return walk(j, y, env, h, grid)
 
     with mock.patch.object(propagator, "_drive_walk", counted):
-        _PeriodOperators(2.5, 1.0, envelope(phase), spp)
+        _PeriodOperators(2.5, envelope(phase), spp)
     assert substeps == ([spp // 4] + [1] * (spp % 4 // 2) if mirror and spp >= 4 else [spp // 2])
 
 
@@ -157,7 +157,7 @@ def dense_reversal(j):
 
 @pytest.mark.parametrize("n", [5, 6, 41, 100])
 def test_frame_blocks_are_unitary(n):
-    ops = _PeriodOperators(n / 2, 1.0, envelope(0.3), SPP)
+    ops = _PeriodOperators(n / 2, envelope(0.3), SPP)
     assert [len(block) for block in ops.blocks] == [(n + 2) // 2, (n + 1) // 2]
     for block in ops.blocks:
         assert np.max(np.abs(block.conj().T @ block - np.eye(len(block)))) <= 1e-12
@@ -173,7 +173,7 @@ def test_reversal_is_a_phased_reversal_by_class(n):
     off = dense.copy()
     off[rows, np.arange(dim)] = 0
     assert np.max(np.abs(off)) <= 1e-12
-    ops = _PeriodOperators(j, 1.0, envelope(0.3), SPP)
+    ops = _PeriodOperators(j, envelope(0.3), SPP)
     assert np.array_equal(ops.perm, rows)
     assert np.max(np.abs(ops.phase[:, 0] - on)) <= 1e-12
     assert set(np.abs(ops.phase[:, 0]).tolist()) == {1.0}
@@ -186,7 +186,7 @@ def test_reversal_is_a_phased_reversal_by_class(n):
 @pytest.mark.parametrize("phase", PHASES)
 def test_odd_half_and_whole_period_by_reversal(n, phase):
     j = n / 2
-    ops = _PeriodOperators(j, 1.0, envelope(phase), SPP)
+    ops = _PeriodOperators(j, envelope(phase), SPP)
     u = np.zeros((n + 1, n + 1), dtype=complex)
     ns = len(ops.blocks[0])
     u[:ns, :ns], u[ns:, ns:] = ops.blocks
@@ -202,12 +202,12 @@ def test_odd_half_and_whole_period_by_reversal(n, phase):
 @pytest.mark.parametrize("n", [5, 6, 41, 100])
 @pytest.mark.parametrize("phase", PHASES)
 def test_period_operator_path_matches_plain_split_stepping(n, phase):
-    j, chi = n / 2, 1.0
+    j = n / 2
     env = envelope(phase, omega=2 * np.pi * 300.0)
     t0, t1 = 0.123 * env.period, 23.61 * env.period
-    assert DrivenEngine(j, chi, env, SPP, t1 - t0)._ops is not None
-    # a chi = 0 hold to t0 leaves the state as it is, then the drive from t0 to t1
-    segments = (QuadraticSegment(0.0, t0), DrivenSegment(env, chi, t1 - t0, SPP))
+    assert DrivenEngine(j, env, SPP, t1 - t0)._ops is not None
+    # a Jz^2 hold to t0 that both runs share, then the drive from t0 to t1
+    segments = (QuadraticSegment(t0), DrivenSegment(env, t1 - t0, SPP))
     state = DickeState(j, random_block(j, 1, seed=n)[:, 0])
     with split_steps_only():
         a = raw_end(state, *segments)
@@ -225,17 +225,17 @@ def test_sampled_frame_chain_matches_plain_split_stepping(n, phase):
     # period holding the start of each sample's half period, and a sample reads
     # the chain stepped from there to that start and through the half period's
     # earlier samples; the final block is the unsampled run's
-    j, chi = n / 2, 1.0
+    j = n / 2
     env = envelope(phase, omega=2 * np.pi * 300.0)
     h, half = env.period / SPP, env.period / 2
     t1 = 23.5 * env.period
     times = [0.0, 3 * half, 3 * half + 0.37 * h, 3 * half + 5 * h, 11.3 * half, 20 * half, 20 * half + h, t1]
     x0 = random_block(j, 1, seed=n)
-    schedule = ProtocolSchedule((DrivenSegment(env, chi, t1, SPP),), tuple(times))
+    schedule = ProtocolSchedule((DrivenSegment(env, t1, SPP),), tuple(times))
     final, record = evolve_schedule(DickeState(j, x0[:, 0]), schedule)
 
     def plain(x, a, b):
-        return _split_steps(j, x, chi, env, h, a, b) if b > a else x
+        return _split_steps(j, x, env, h, a, b) if b > a else x
 
     chain, at, branch, want = x0, 0.0, None, []
     for s in times:
@@ -258,7 +258,7 @@ def test_samples_do_not_steer_the_driven_chain(n, phase, omega, periods):
     # with period operators a sampled driven chain takes the unsampled chain's
     # products; without them a stop at a whole period splits a fused junction
     j, env = n / 2, envelope(phase, omega)
-    seg = DrivenSegment(env, 1.0, periods * env.period, 64)
+    seg = DrivenSegment(env, periods * env.period, 64)
     uniform = np.random.default_rng(n).uniform(0.0, seg.duration, 25)
     times = np.unique(np.concatenate([drive_zero_times(env, seg.duration), uniform]))
     x0 = random_block(j, 1, seed=n)

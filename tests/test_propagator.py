@@ -34,6 +34,7 @@ from spinsqueeze.propagator import (
 from spinsqueeze.schedule import (
     DrivenSegment,
     FreezeMarker,
+    NoiseModel,
     ProtocolSchedule,
     Pulse,
     QuadraticSegment,
@@ -56,15 +57,16 @@ def jz2_phase(state, chi_t):
 
 def quadratic_run(state, chi_t):
     """exp(-i chi t Jz^2) |state> through evolve_schedule."""
-    return evolve_schedule(state, ProtocolSchedule((QuadraticSegment(1.0, chi_t),), ()))[0]
+    return evolve_schedule(state, ProtocolSchedule((QuadraticSegment(chi_t),), ()))[0]
 
 
-def drive_run(state, chi, env, t0, t1, spp=64):
+def drive_run(state, env, t0, t1, spp=64):
     """The driven model from t0 to t1 on split steps alone, as a state: one driven
-    segment, after a chi = 0 hold from 0 to t0 that leaves the state as it is."""
-    hold = (QuadraticSegment(0.0, t0),) if t0 else ()
+    segment, after a Jz^2 hold from 0 to t0 applied to the state compensated in
+    advance, exp(+i t0 Jz^2) |state>, so the hold gives the state back."""
+    hold = (QuadraticSegment(t0),) if t0 else ()
     with split_steps_only():
-        return DickeState(state.j, raw_end(state, *hold, DrivenSegment(env, chi, t1 - t0, spp)))
+        return DickeState(state.j, raw_end(jz2_phase(state, -t0), *hold, DrivenSegment(env, t1 - t0, spp)))
 
 
 class TestQuadratic:
@@ -87,7 +89,7 @@ class TestQuadratic:
 
     def test_negative_duration_rejected(self):
         with pytest.raises(DomainError):
-            QuadraticSegment(1.0, -0.1)
+            QuadraticSegment(-0.1)
 
     def test_axis_x_equals_rotation_sandwich(self):
         # exp(-i chi t Jx^2) == Ry(-pi/2) exp(-i chi t Jz^2) Ry(pi/2)
@@ -101,26 +103,31 @@ class TestQuadratic:
 
 
 class TestNonFiniteTimeline:
-    """A NaN or infinite chi or duration, or a NaN sample time, is a named DomainError:
-    unchecked, a NaN duration was a silent no-op that made total_time() NaN, an
-    infinite chi gave a non-finite block, and a NaN sample was reported at chi t = NaN."""
+    """A NaN or infinite duration, or a NaN sample time, is a named DomainError:
+    unchecked, a NaN duration was a silent no-op that made total_time() NaN, and
+    a NaN sample was reported at chi t = NaN."""
 
-    @pytest.mark.parametrize("field, value", [("chi", np.inf), ("chi", np.nan), ("duration", np.nan),
-                                              ("duration", np.inf)])
+    @pytest.mark.parametrize("field, value", [("duration", np.nan), ("duration", np.inf)])
     def test_quadratic_segment(self, field, value):
         with pytest.raises(DomainError, match=f"{field} must be finite"):
-            QuadraticSegment(**{"chi": 1.0, "duration": 0.2, field: value})
+            QuadraticSegment(**{"duration": 0.2, field: value})
 
-    @pytest.mark.parametrize("field, value", [("chi", np.nan), ("duration", np.nan), ("duration", np.inf)])
+    @pytest.mark.parametrize("field, value", [("duration", np.nan), ("duration", np.inf)])
     def test_driven_segment(self, field, value):
         env = DriveEnvelope(0.9057 * 2 * np.pi * 100, 2 * np.pi * 100)
         with pytest.raises(DomainError, match=f"{field} must be finite"):
-            DrivenSegment(**{"env": env, "chi": 1.0, "duration": 0.02, field: value})
+            DrivenSegment(**{"env": env, "duration": 0.02, field: value})
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_noise_model(self, eta):
+        # unchecked, NaN ran as the noiseless protocol and inf gave NaN xi^2
+        with pytest.raises(DomainError, match="eta must be finite"):
+            NoiseModel(eta)
 
     @pytest.mark.parametrize("times", [(0.1, np.nan), (np.nan, 0.1)])
     def test_sample_times(self, times):
         with pytest.raises(DomainError, match="sample_times must be finite"):
-            ProtocolSchedule((QuadraticSegment(1.0, 0.2),), times)
+            ProtocolSchedule((QuadraticSegment(0.2),), times)
 
 
 class TestSpectral:
@@ -145,20 +152,9 @@ class TestDriven:
     def test_drive_off_equals_diagonal(self):
         s = make_css(4, np.pi / 2, 0.0)
         env = DriveEnvelope(0.0, 2 * np.pi * 100, -np.pi / 2)
-        a = drive_run(s, 1.0, env, 0.0, 0.05)
+        a = drive_run(s, env, 0.0, 0.05)
         b = jz2_phase(s, 0.05)
         assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
-
-    def test_chi_zero_is_pure_rotation(self):
-        s = make_css(6, np.pi / 2, 0.0)
-        env = DriveEnvelope(3.0, 2 * np.pi * 5, 0.4)
-        t0, t1 = 0.013, 0.31
-        out = drive_run(s, 0.0, env, t0, t1)
-        angle = (env.omega0 / env.omega) * (
-            np.sin(env.omega * t1 + env.phase) - np.sin(env.omega * t0 + env.phase)
-        )
-        want = rotate(s, RotationSpec((0, 1, 0), angle))
-        assert fidelity(out, want) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.slow
     def test_matches_full_oracle_n4(self):
@@ -167,8 +163,8 @@ class TestDriven:
         omega = 2 * np.pi * 2000.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         s0 = rotate(s, RotationSpec((0, 1, 0), (env.omega0 / env.omega) * np.sin(env.phase)))
-        got = drive_run(s0, 1.0, env, 0.0, 0.2)
-        want, deficit = full_hilbert_oracle(s0, ProtocolSchedule((DrivenSegment(env, 1.0, 0.2),), ()))
+        got = drive_run(s0, env, 0.0, 0.2)
+        want, deficit = full_hilbert_oracle(s0, ProtocolSchedule((DrivenSegment(env, 0.2),), ()))
         assert deficit < 1e-10
         assert fidelity(got, want) >= 1 - 1e-6
 
@@ -176,10 +172,10 @@ class TestDriven:
         s = make_css(10, np.pi / 2, 0.0)
         omega = 2 * np.pi * 300.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
-        once = drive_run(s, 1.0, env, 0.0, 0.02)
+        once = drive_run(s, env, 0.0, 0.02)
         split_t = 0.0123456  # deliberately off-grid
         with split_steps_only():
-            twice = raw_end(s, DrivenSegment(env, 1.0, split_t), DrivenSegment(env, 1.0, 0.02 - split_t))
+            twice = raw_end(s, DrivenSegment(env, split_t), DrivenSegment(env, 0.02 - split_t))
         twice = DickeState(s.j, twice)
         assert fidelity(once, twice) >= 1 - 1e-9
 
@@ -190,10 +186,10 @@ class TestDriven:
         omega = 2 * np.pi * 20.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         t1 = 0.3
-        ref = drive_run(s, 1.0, env, 0.0, t1, spp=1024)
+        ref = drive_run(s, env, 0.0, t1, spp=1024)
         errs = []
         for spp in (32, 64, 128):
-            out = drive_run(s, 1.0, env, 0.0, t1, spp=spp)
+            out = drive_run(s, env, 0.0, t1, spp=spp)
             # phase-minimized state error sqrt(2(1-fid)) is the 2nd-order one
             errs.append(np.sqrt(max(2 * (1 - fidelity(out, ref)), 0.0)))
         r1 = errs[0] / errs[1]
@@ -203,18 +199,27 @@ class TestDriven:
 
     def test_too_few_steps_rejected(self):
         with pytest.raises(DomainError):
-            DrivenSegment(DriveEnvelope(1, 1, 0), 1.0, 1, steps_per_period=8)
+            DrivenSegment(DriveEnvelope(1, 1, 0), 1, steps_per_period=8)
+
+    @pytest.mark.parametrize("spp", [64.0, 20.5, np.float64(64.0), True, 0.2],
+                             ids=["float", "fraction", "numpy-float", "bool", "old-style-call"])
+    def test_non_integer_steps_rejected(self, spp):
+        # 64.0 failed deep in the period-operator build and 20.5 ran with h = T/20.5; 0.2 is
+        # an old-style DrivenSegment(env, chi, duration) call, which would run with the duration
+        # as its step count
+        with pytest.raises(DomainError, match="steps_per_period must be an integer"):
+            DrivenSegment(DriveEnvelope(1, 1, 0), 1.0, spp)
 
     def test_backwards_rejected(self):
         with pytest.raises(DomainError):
-            DrivenSegment(DriveEnvelope(1, 1, 0), 1.0, -0.5)
+            DrivenSegment(DriveEnvelope(1, 1, 0), -0.5)
 
     def test_norm_preserved_long_run(self):
         s = make_css(20, np.pi / 2, 0.0)
         omega = 2 * np.pi * 100.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         with split_steps_only():
-            out = raw_end(s, DrivenSegment(env, 1.0, 0.5))
+            out = raw_end(s, DrivenSegment(env, 0.5))
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
@@ -225,10 +230,10 @@ class TestPeriodOperators:
         omega = 2 * np.pi * 500.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         t1 = 137.25 * env.period
-        assert DrivenEngine(j, 1.0, env, 64, t1)._ops is not None
+        assert DrivenEngine(j, env, 64, t1)._ops is not None
         with split_steps_only():
-            a = raw_end(s, DrivenSegment(env, 1.0, t1, 64))
-        b = raw_end(s, DrivenSegment(env, 1.0, t1, 64))
+            a = raw_end(s, DrivenSegment(env, t1, 64))
+        b = raw_end(s, DrivenSegment(env, t1, 64))
         assert abs(np.vdot(a, b)) >= 1 - 1e-11
 
     def test_fast_path_nonzero_phase(self):
@@ -237,17 +242,17 @@ class TestPeriodOperators:
         omega = 2 * np.pi * 400.0
         env = DriveEnvelope(0.7 * omega, omega, 0.9)
         t1 = 55 * env.period
-        assert DrivenEngine(j, 1.0, env, 32, t1)._ops is not None
+        assert DrivenEngine(j, env, 32, t1)._ops is not None
         with split_steps_only():
-            a = raw_end(s, DrivenSegment(env, 1.0, t1, 32))
-        b = raw_end(s, DrivenSegment(env, 1.0, t1, 32))
+            a = raw_end(s, DrivenSegment(env, t1, 32))
+        b = raw_end(s, DrivenSegment(env, t1, 32))
         assert abs(np.vdot(a, b)) >= 1 - 1e-11
 
     def test_doubling_check_reports_small_gap(self):
         s = make_css(5, np.pi / 2, 0.0)
         omega = 2 * np.pi * 1000.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
-        rep = driven_doubling_check(s, DrivenSegment(env, 1.0, 0.05))
+        rep = driven_doubling_check(s, DrivenSegment(env, 0.05))
         assert rep["terminal_fidelity_gap"] < 1e-8
         assert rep["doubled"] == 128
 
@@ -255,7 +260,7 @@ class TestPeriodOperators:
         # the gap compares directions: a terminal block at twice its norm moves only its drift
         s = make_css(5, np.pi / 2, 0.0)
         omega = 2 * np.pi * 1000.0
-        seg = DrivenSegment(DriveEnvelope(0.9057 * omega, omega, 0.3), 1.0, 0.05)
+        seg = DrivenSegment(DriveEnvelope(0.9057 * omega, omega, 0.3), 0.05)
         plain = driven_doubling_check(s, seg)
         scaled = driven_doubling_check(s, seg, 2 * raw_end(s, seg))
         assert scaled["terminal_fidelity_gap"] == pytest.approx(plain["terminal_fidelity_gap"], abs=1e-15)
@@ -268,7 +273,7 @@ class TestPeriodOperators:
         # is the raw end of that schedule
         s = make_css(5, np.pi / 2, 0.0)
         omega = 2 * np.pi * 1000.0
-        seg = DrivenSegment(DriveEnvelope(0.9057 * omega, omega, -np.pi / 2), 1.0, 0.05)
+        seg = DrivenSegment(DriveEnvelope(0.9057 * omega, omega, -np.pi / 2), 0.05)
         plain = driven_doubling_check(s, seg)
         given = driven_doubling_check(s, seg, raw_end(s, seg))
         assert given == plain
@@ -294,7 +299,7 @@ class TestSchedule:
     def test_sample_inside_segment(self):
         j = 6
         sched = ProtocolSchedule(
-            (QuadraticSegment(1.0, 0.2),),
+            (QuadraticSegment(0.2),),
             (0.0, 0.07, 0.2),
         )
         s = make_css(j, np.pi / 2, 0.0)
@@ -307,9 +312,9 @@ class TestSchedule:
         j = 3
         sched = ProtocolSchedule(
             (
-                QuadraticSegment(1.0, 0.1),
+                QuadraticSegment(0.1),
                 Pulse(RotationSpec((1, 0, 0), np.pi)),
-                QuadraticSegment(1.0, 0.1),
+                QuadraticSegment(0.1),
             ),
             (0.1,),
         )
@@ -321,21 +326,21 @@ class TestSchedule:
         assert np.allclose(got.mean_spin, want.mean_spin, atol=1e-9)
 
     def test_driven_segment_reads_schedule_clock(self):
-        # after a chi = 0 hold of t0, the envelope is read from t0 on: the same as a drive
+        # after a hold of t0, the envelope is read from t0 on: the same as a drive
         # from clock 0 whose phase is advanced by omega * t0
         s = make_css(6, np.pi / 2, 0.0)
         omega = 2 * np.pi * 100.0
         env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
         t0 = 0.0013
-        late = drive_run(s, 1.0, env, t0, t0 + 0.02)
+        late = drive_run(s, env, t0, t0 + 0.02)
         shifted = DriveEnvelope(env.omega0, omega, env.phase + omega * t0)
-        early = drive_run(s, 1.0, shifted, 0.0, 0.02)
+        early = drive_run(s, shifted, 0.0, 0.02)
         assert fidelity(late, early) >= 1 - 1e-10
-        assert fidelity(late, drive_run(s, 1.0, env, 0.0, 0.02)) < 1 - 1e-6
+        assert fidelity(late, drive_run(s, env, 0.0, 0.02)) < 1 - 1e-6
 
     def test_freeze_marker_logged(self):
         sched = ProtocolSchedule(
-            (QuadraticSegment(1.0, 0.1), FreezeMarker()),
+            (QuadraticSegment(0.1), FreezeMarker()),
             (),
         )
         _, record = evolve_schedule(make_css(2, np.pi / 2, 0.0), sched)
@@ -343,7 +348,7 @@ class TestSchedule:
 
     def test_sample_beyond_end_rejected(self):
         with pytest.raises(DomainError):
-            ProtocolSchedule((QuadraticSegment(1.0, 0.1),), (0.2,))
+            ProtocolSchedule((QuadraticSegment(0.1),), (0.2,))
 
     def test_pulse_schedule_matches_full_oracle(self):
         # mini pulse sequence checked against the tensor-product oracle
@@ -353,9 +358,9 @@ class TestSchedule:
         for _ in range(3):
             segs += [
                 Pulse(RotationSpec((0, 1, 0), np.pi / 2)),
-                QuadraticSegment(1.0, 2 * dt),
+                QuadraticSegment(2 * dt),
                 Pulse(RotationSpec((0, 1, 0), -np.pi / 2)),
-                QuadraticSegment(1.0, dt),
+                QuadraticSegment(dt),
             ]
         sched = ProtocolSchedule(tuple(segs), ())
         s = make_dicke_state(n / 2, n / 2)

@@ -278,7 +278,7 @@ class TestDriveFreeze:
 
         def run(phase):
             b = build_modulated_drive(n, omega_over_chi=omega_over_chi, phase=phase)
-            return raw_end(b.initial_state, DrivenSegment(b.schedule.segments[0].env, 1.0, t_k))
+            return raw_end(b.initial_state, DrivenSegment(b.schedule.segments[0].env, t_k))
 
         ref = run(0.0)
         for phase in (-np.pi / 2, 0.8):
@@ -333,19 +333,19 @@ class TestFrozenStateHandoff:
         y_turn = RotationSpec((0.0, 1.0, 0.0), np.pi / 2)
         if protocol == "pulses":
             dt, n_star = meta["delta_t"], meta["freeze_period_index"]
-            period = [Pulse(y_turn), QuadraticSegment(1.0, 2 * dt),
-                      Pulse(y_turn.scaled(-1.0)), QuadraticSegment(1.0, dt)]
-            prefix = period * n_star + [Pulse(y_turn), QuadraticSegment(1.0, dt)]
+            period = [Pulse(y_turn), QuadraticSegment(2 * dt),
+                      Pulse(y_turn.scaled(-1.0)), QuadraticSegment(dt)]
+            prefix = period * n_star + [Pulse(y_turn), QuadraticSegment(dt)]
             signs = (meta["freeze_sign"],)
             turns = [((-1.0, 0.0, 0.0), np.pi / 4)]
         else:
             env = segments[0].env
-            prefix = [DrivenSegment(env, 1.0, t_star, 64)]
+            prefix = [DrivenSegment(env, t_star, 64)]
             signs = meta["freeze_signs"]
             turns = [((0.0, 1.0, 0.0), env.omega0 / env.omega),
                      ((-1.0, 0.0, 0.0), np.pi / 4)]
         pulses = [Pulse(RotationSpec(axis, sign * angle)) for (axis, angle), sign in zip(turns, signs)]
-        hold = QuadraticSegment(1.0, 10 * t_opt)
+        hold = QuadraticSegment(10 * t_opt)
         assert list(segments) == prefix + [FreezeMarker()] + pulses + [hold]
         times = np.array(bundle.schedule.sample_times)
         assert t_star in times
@@ -361,7 +361,7 @@ class TestFrozenStateHandoff:
         t_star, record = bundle.meta["freeze_time"], bundle.record
         after = record.chi_t > t_star
         hold = ProtocolSchedule(
-            (QuadraticSegment(1.0, 10 * bundle.meta["t_opt"]),), record.chi_t[after] - t_star
+            (QuadraticSegment(10 * bundle.meta["t_opt"]),), record.chi_t[after] - t_star
         )
         _, want = evolve_schedule(bundle.frozen_state(), hold)
         np.testing.assert_allclose(record.xi2()[after], want.xi2(), rtol=1e-10, atol=0)
@@ -398,7 +398,7 @@ def frozen_hold(bundle):
     """The frozen state's Jz^2 hold, sampled at the record's times after t* less t*."""
     t_star, times = bundle.meta["freeze_time"], bundle.record.chi_t
     after = times[times > t_star] - t_star
-    hold = ProtocolSchedule((QuadraticSegment(1.0, 10 * bundle.meta["t_opt"]),), after)
+    hold = ProtocolSchedule((QuadraticSegment(10 * bundle.meta["t_opt"]),), after)
     return evolve_schedule(bundle.frozen_state(), hold)[1]
 
 
@@ -612,7 +612,7 @@ class TestSpecInvariants:
             bundle = build_modulated_drive(n, omega_over_chi=2 * np.pi * om_fac, phase=phase)
             env = bundle.schedule.segments[0].env
             t_k = round(3 * reference_optimum(n).chi_t / env.period) * env.period
-            got = raw_end(bundle.initial_state, DrivenSegment(env, 1.0, t_k))
+            got = raw_end(bundle.initial_state, DrivenSegment(env, t_k))
             eff = prop.evolve(make_css(n / 2, np.pi / 2, 0.0), t_k).amplitudes
             want = rotate_vector(
                 n / 2,

@@ -90,7 +90,7 @@ def test_axis_basis_is_real_and_snapped(j):
     [
         (axis_eigensystem, lambda j: axis_eigensystem(j)),
         (spectral, lambda j: spectral(j, 1.0, 0.0, -1.0)),
-        (period_operators, lambda j: period_operators(j, 1.0, DriveEnvelope(2.0, 10.0, 0.3), 16)),
+        (period_operators, lambda j: period_operators(j, DriveEnvelope(2.0, 10.0, 0.3), 16)),
     ],
     ids=["axis_eigensystem", "spectral", "period_operators"],
 )

@@ -52,7 +52,7 @@ def test_driven_stepping_goes_through_advance(monkeypatch):
         propagator.DrivenEngine, "advance", lambda eng, y, *a: calls.append(a) or advance(eng, y, *a)
     )
     env = DriveEnvelope(0.9057 * 2 * np.pi * 40.0, 2 * np.pi * 40.0, -np.pi / 2)
-    state, seg = make_css(4, np.pi / 2, 0.0), DrivenSegment(env, 1.0, 20.3 * env.period)
+    state, seg = make_css(4, np.pi / 2, 0.0), DrivenSegment(env, 20.3 * env.period)
     propagator.evolve_schedule(state, ProtocolSchedule((seg,), (seg.duration / 2,)))
     t10, t20 = 10 * env.period, 20 * env.period
     assert [a[:2] for a in calls] == [(0.0, t10), (t10, seg.duration / 2), (t10, seg.duration)]

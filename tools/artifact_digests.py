@@ -33,6 +33,8 @@ RUNS = [
     *((f"drive{n}-{tag}", ["drive", "--n", str(n), "--freeze", "--samples", "100", "--phase", phase])
       for n in (60, 61, 300) for tag, phase in DRIVE_PHASES.items()),
     ("drive60-unfrozen", ["drive", "--n", "60", "--phase", "0.3"]),
+    # the default phase: fine-window samples branch off a chain that jumps half periods
+    *((f"drive{n}-unfrozen-pi2", ["drive", "--n", str(n)]) for n in (60, 61)),
     ("noise-eta0.001", ["noise", "--n", "60", "--eta", "0.001", "--realizations", "40"]),
     ("noise-eta0", ["noise", "--n", "60", "--eta", "0", "--realizations", "40"]),
     ("sweep-tact", ["sweep", "--model", "tact", "--n-list", "40,60,80"]),
