@@ -220,6 +220,32 @@ def check_memory(j: float, entries: int, what: str = "eigenvectors") -> None:
                             f"machine's {have:.3g} GiB of physical memory")
 
 
+def reversal_fold(x: np.ndarray) -> tuple:
+    """The reversal m -> -m's symmetric and antisymmetric parts (s, a) of a (n, R) block x:
+    (top +- reversed bottom half) / sqrt(2), s with an odd n's middle row."""
+    h = len(x) // 2
+    top, bottom = x[:h], x[: -h - 1 : -1]
+    return np.concatenate(((top + bottom) * 0.5**0.5, x[h : len(x) - h])), (top - bottom) * 0.5**0.5
+
+
+def reversal_unfold(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The (n, R) block whose reversal_fold is (s, a)."""
+    a = a * 0.5**0.5
+    top = s[: len(a)] * 0.5**0.5
+    return np.concatenate((top + a, s[len(a) :], (top - a)[::-1]))
+
+
+def fold_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple:
+    """The s and a classes, each (diagonal, band), of a real symmetric tridiagonal (d, e) that
+    commutes with the reversal, in reversal_fold's rows: the coupling e[q-1] across the middle
+    becomes sqrt(2) e[q-1] into an odd length's middle row, or +-e[q-1] on the last diagonal
+    entry for an even length 2q."""
+    q, odd = divmod(len(d), 2)
+    if odd:
+        return (d[: q + 1], np.r_[e[: q - 1], np.sqrt(2.0) * e[q - 1 : q]]), (d[:q], e[: q - 1])
+    return tuple((np.r_[d[: q - 1], d[q - 1] + sign * e[q - 1]], e[: q - 1]) for sign in (1.0, -1.0))
+
+
 @lru_cache(maxsize=8)  # two real (dim/2)^2 bases each: 6.3 MB at N = 1250
 def axis_eigensystem(j: float):
     """(vals, U_s, U_a): Jx's eigenvalues, snapped to the half-integer ladder so repeated pulses
@@ -229,10 +255,8 @@ def axis_eigensystem(j: float):
     j = _check_j(j)
     h, odd = divmod(dim_for(j), 2)
     check_memory(j, (h + odd) ** 2 + h**2)
-    e = ladder_values(j)[:h] / 2  # the top half's band; e[-1] joins it to the middle row or to its mirror
-    d = np.r_[np.zeros(h - 1), 0.0 if odd else e[-1]]  # even dim: +-e[-1] on the last diagonal entry
-    top = (np.zeros(h + 1), np.r_[e[:-1], np.sqrt(2.0) * e[-1]]) if odd else (d, e[:-1])
-    (vs, us), (va, ua) = (sla.eigh_tridiagonal(*half) for half in (top, (-d, e[:-1])))
+    classes = fold_tridiagonal(np.zeros(2 * h + odd), ladder_values(j) / 2)
+    (vs, us), (va, ua) = (sla.eigh_tridiagonal(*c) for c in classes)
     exact = np.round(np.r_[vs, va] * 2) / 2
     if np.max(np.abs(np.r_[vs, va] - exact)) > 1e-9 * max(1.0, j):
         raise RuntimeError("axis eigenvalues failed half-integer snap")
@@ -246,31 +270,27 @@ def basis_product(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     2R float64 columns of x's real view, half the flops of the complex
     product, and no complex copy of v."""
     x = np.ascontiguousarray(x, dtype=complex).view(np.float64)
-    if v.flags.f_contiguous and x.shape[1] <= 64:
-        # an F-ordered v (LAPACK's layout) and at most 32 complex columns. One OpenBLAS thread,
-        # best of 9: (x^T v^T)^T takes 0.69-0.90x the time of v @ x at 626 rows (N = 1250) and
-        # 2-32 columns, 1.04-1.06x at 1 column; at 151-201 rows, 1.2-1.8x at 1-2 columns and
-        # 0.95-1.4x at 16-32; at full width (626 columns) v @ x is 1.3x faster
+    if v.flags.f_contiguous and len(v) >= 200 and 2 < x.shape[1] <= 64:
+        # an F-ordered v (LAPACK's layout) of at least 200 rows and 2-32 complex columns. One
+        # OpenBLAS thread, best of 9-15: (x^T v^T)^T takes 0.69-0.90x the time of v @ x at 626 rows
+        # (N = 1250) and 2-32 columns, 0.84-1.02x at 200-301 rows and 16 columns; it takes
+        # 1.3-1.5x at 76-176 rows, 1.0-1.7x at 1 column up to 626 rows, and at full width (626
+        # columns) v @ x is 1.3x faster
         return np.ascontiguousarray((x.T @ v.T).T).view(complex)
     return (v @ x).view(complex)
 
 
 def fold(j: float, x: np.ndarray) -> np.ndarray:
-    """W^T x for a (dim, R) block: the reversal's symmetric and antisymmetric parts of x,
-    (top +- reversed bottom half) / sqrt(2), s with an odd dim's middle row, each through its half."""
+    """W^T x for a (dim, R) block: x's reversal_fold, each part through its half."""
     _, us, ua = axis_eigensystem(j)
-    h = len(x) // 2
-    top, bottom = x[:h], x[: -h - 1 : -1]
-    s = np.concatenate(((top + bottom) * 0.5**0.5, x[h : len(x) - h]))
-    return np.concatenate((basis_product(us.T, s), basis_product(ua.T, (top - bottom) * 0.5**0.5)))
+    s, a = reversal_fold(x)
+    return np.concatenate((basis_product(us.T, s), basis_product(ua.T, a)))
 
 
 def unfold(j: float, c: np.ndarray) -> np.ndarray:
     """W c for a (dim, R) block c in the frame order [s, a], fold's inverse."""
     _, us, ua = axis_eigensystem(j)
-    s, a = basis_product(us, c[: len(us)]), basis_product(ua, c[len(us) :]) * 0.5**0.5
-    top = s[: len(a)] * 0.5**0.5
-    return np.concatenate((top + a, s[len(a) :], (top - a)[::-1]))
+    return reversal_unfold(basis_product(us, c[: len(us)]), basis_product(ua, c[len(us) :]))
 
 
 def quarter_turn(j: float) -> np.ndarray:

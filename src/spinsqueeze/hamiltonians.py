@@ -72,10 +72,12 @@ def quadratic_bands(j: float, cz: float, cx: float, cy: float) -> tuple:
     cz*m^2 + (cx + cy)*(j(j+1) - m^2)/2, and band entry k, coupling basis
     indices k and k+2, is (cx - cy)/4 times the ladder values of k and k+1.
     So each parity of the basis index is a real symmetric tridiagonal block.
+    Both are exactly symmetric under the reversal m -> -m (the ladder product
+    is taken first), as the spectral classes assume.
     """
     m2 = m_values(j) ** 2
     lad = ladder_values(j)
-    return cz * m2 + (cx + cy) * (j * (j + 1) - m2) / 2, (cx - cy) / 4 * lad[:-1] * lad[1:]
+    return cz * m2 + (cx + cy) * (j * (j + 1) - m2) / 2, (cx - cy) / 4 * (lad[:-1] * lad[1:])
 
 
 def matrix(j: float, cz: float, cx: float, cy: float) -> np.ndarray:

@@ -14,6 +14,7 @@ reduction at small N.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 from functools import lru_cache
 
@@ -26,10 +27,13 @@ from .dicke import (
     basis_product,
     check_memory,
     dim_for,
+    fold_tridiagonal,
     frame_enter,
     frame_leave,
     m_values,
     quarter_turn,
+    reversal_fold,
+    reversal_unfold,
     rotate_block,
 )
 from .diagnostics import RunRecord, run_records, squeezing_columns
@@ -62,30 +66,58 @@ def _quadratic(j: float, a: float, x: np.ndarray) -> np.ndarray:
 
 
 class SpectralPropagator:
-    """Exact evolution under a fixed real generator given as quadratic_bands'
-    (diagonal, band), held as one real tridiagonal eigensystem per parity of
-    the basis index; a block without a band is diagonal and stores no vectors."""
+    """Exact evolution under a fixed real generator given as quadratic_bands' (diagonal, band), held
+    as real tridiagonal classes: the reversal_folds of the basis indices ordered even ones, then
+    odd. An odd dim folds each parity: four classes. An even dim, where the reversal swaps the
+    parities and the odd block is the even one reversed, folds the whole order: two classes under
+    the even block's one eigensystem. A class is diagonalized the first time a state populates it
+    (its folded rows are not all exactly zero); one without a band stores no vectors."""
 
     def __init__(self, diag: np.ndarray, band: np.ndarray):
-        check_memory((len(diag) - 1) / 2, sum(len(diag[p::2]) ** 2 for p in (0, 1) if band[p::2].any()))
-        self.blocks = tuple(
-            (slice(p, None, 2), *sla.eigh_tridiagonal(diag[p::2], band[p::2]))
-            if band[p::2].any() else (slice(p, None, 2), diag[p::2], None)
-            for p in (0, 1)
-        )
-        self.dim = sum(len(vals) for _, vals, _ in self.blocks)
+        dim = self.dim = len(diag)
+        if dim % 2:
+            self.cuts, self.classes = [(dim + 1) // 2], (0, 1, 2, 3)
+            self.tridiagonals = tuple(c for p in (0, 1) for c in fold_tridiagonal(diag[p::2], band[p::2]))
+        else:
+            self.cuts, self.classes = [], (0, 0)
+            self.tridiagonals = ((diag[0::2], band[0::2]),)
+        check_memory((dim - 1) / 2, sum(len(d) ** 2 for d, e in self.tridiagonals if e.any()))
+        self._systems, self._lock = [None] * len(self.tridiagonals), threading.Lock()
+
+    def eigensystem(self, c: int) -> tuple:
+        """(vals, vecs) of class c, diagonalized on first use; vecs is None without a band."""
+        k = self.classes[c]
+        with self._lock:
+            if self._systems[k] is None:
+                d, e = self.tridiagonals[k]
+                self._systems[k] = sla.eigh_tridiagonal(d, e) if e.any() else (d, None)
+        return self._systems[k]
 
     def coefficients(self, x: np.ndarray) -> list:
-        """Eigenbasis coefficients V^T x of each block of a (dim, R) block x."""
-        return [x[i] if v is None else basis_product(v.T, x[i]) for i, _, v in self.blocks]
+        """Eigenbasis coefficients V^T x of each class of a (dim, R) block x; None for a class that
+        x leaves empty."""
+        ordered = np.concatenate((x[0::2], x[1::2]))
+        parts = [half for piece in np.split(ordered, self.cuts) for half in reversal_fold(piece)]
+        coeffs = [None] * len(parts)
+        for c, part in enumerate(parts):
+            if part.any():
+                vecs = self.eigensystem(c)[1]
+                coeffs[c] = part if vecs is None else basis_product(vecs.T, part)
+        return coeffs
 
     def synthesize(self, coeffs: list, times) -> np.ndarray:
-        """The block at the given times from its coefficients: one column per
-        time from one-column coefficients, or every column at one time."""
-        out = np.empty((self.dim, max(len(times), coeffs[0].shape[1])), dtype=complex)
-        for (idx, vals, vecs), c in zip(self.blocks, coeffs):
-            part = np.exp(-1j * np.outer(vals, times)) * c
-            out[idx] = part if vecs is None else basis_product(vecs, part)
+        """The block at the given times from its coefficients: one column per time from one-column
+        coefficients, or every column at one time. An empty class stays zero."""
+        width = max([len(times)] + [c.shape[1] for c in coeffs if c is not None])
+        parts = [np.zeros((len(self.tridiagonals[k][0]), width), dtype=complex) for k in self.classes]
+        for c, coeff in enumerate(coeffs):
+            if coeff is not None:
+                vals, vecs = self.eigensystem(c)
+                part = np.exp(-1j * np.outer(vals, times)) * coeff
+                parts[c] = part if vecs is None else basis_product(vecs, part)
+        ordered = np.concatenate([reversal_unfold(s, a) for s, a in zip(parts[::2], parts[1::2])])
+        out = np.empty_like(ordered)
+        out[0::2], out[1::2] = np.split(ordered, [(self.dim + 1) // 2])
         return out
 
     def evolve(self, state: DickeState, duration: float) -> DickeState:
@@ -95,9 +127,9 @@ class SpectralPropagator:
         return DickeState(state.j, self.synthesize(coeffs, [duration])[:, 0])
 
 
-@lru_cache(maxsize=8)  # two real (dim/2)^2 bases each: 6 MB at N = 1250
+@lru_cache(maxsize=8)  # class bases of ~(dim/4)^2: at most 3.1 MB at N = 1250, 1.6 MB for the x state
 def spectral(j: float, cz: float, cx: float, cy: float) -> SpectralPropagator:
-    """Parity-split eigensystem of cz*Jz^2 + cx*Jx^2 + cy*Jy^2."""
+    """Reversal-class eigensystems of cz*Jz^2 + cx*Jx^2 + cy*Jy^2, each built when first populated."""
     return SpectralPropagator(*quadratic_bands(j, cz, cx, cy))
 
 

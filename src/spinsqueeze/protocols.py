@@ -79,7 +79,10 @@ def t_opt_protocol(n_particles: float) -> float:
 
 
 def _css_x(n_particles: int) -> DickeState:
-    return DickeState(n_particles / 2, css_amplitudes(n_particles / 2, np.pi / 2, 0.0))
+    """The x-pointing coherent state, made exactly symmetric under m -> -m (the closed form misses
+    by rounding), so that it populates only the symmetric spectral classes."""
+    amps = css_amplitudes(n_particles / 2, np.pi / 2, 0.0)
+    return DickeState(n_particles / 2, (amps + amps[::-1]) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +102,8 @@ def reference_runs(n_particles: int, model: str = "oat", n_samples: int = N_SAMP
     """Squeezing time series for the bare one-axis or two-axis model.
 
     one-axis: x-pointing coherent state under Jz^2 (diagonal phases);
-    two-axis: same state under Jz^2 - Jy^2 via its cached parity-split
-    eigensystem. Spans [0, REFERENCE_SPAN * analytic optimum].
+    two-axis: same state under Jz^2 - Jy^2 via its cached reversal-class
+    eigensystems. Spans [0, REFERENCE_SPAN * analytic optimum].
     """
     if model not in MODELS:
         raise DomainError(f"model must be one of {tuple(MODELS)}, got {model!r}")

@@ -111,3 +111,5 @@ class NoiseModel:
     def __post_init__(self):
         if not (isfinite(self.eta) and self.eta >= 0):
             raise DomainError(f"eta must be finite and nonnegative, got {self.eta}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")

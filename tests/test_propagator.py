@@ -124,6 +124,15 @@ class TestNonFiniteTimeline:
         with pytest.raises(DomainError, match="eta must be finite"):
             NoiseModel(eta)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.nan])
+    def test_noise_seed(self, seed):
+        # unchecked, -1 ended in a bare ValueError from SeedSequence and 1.5 in a bare TypeError
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            NoiseModel(0.01, seed)
+
+    def test_noise_seed_takes_numpy_integers(self):
+        assert NoiseModel(0.01, np.int64(3)).seed == 3
+
     @pytest.mark.parametrize("times", [(0.1, np.nan), (np.nan, 0.1)])
     def test_sample_times(self, times):
         with pytest.raises(DomainError, match="sample_times must be finite"):
@@ -425,10 +434,13 @@ class TestOversizedN:
             axis_eigensystem(350.5)
 
     def test_spectral_propagator(self):
-        # two 251^2 parity blocks for Jz^2 - Jy^2: 0.96 MiB fit, 701's two 351^2 blocks do not
-        SpectralPropagator(*quadratic_bands(250.5, 1.0, 0.0, -1.0))
-        with pytest.raises(ResourceError, match=r"^N = 701 needs 0\.00184 GiB"):
-            SpectralPropagator(*quadratic_bands(350.5, 1.0, 0.0, -1.0))
+        # the class bases of Jz^2 - Jy^2: N = 701's one 351^2 system (0.94 MiB) and N = 700's four
+        # of 176 and 175 rows fit; N = 1001's one 501^2 system and N = 1000's four of 251 and 250 do not
+        SpectralPropagator(*quadratic_bands(350.5, 1.0, 0.0, -1.0))
+        SpectralPropagator(*quadratic_bands(350, 1.0, 0.0, -1.0))
+        for j in (500.5, 500):
+            with pytest.raises(ResourceError, match=rf"^N = {round(2 * j)} needs 0\.00187 GiB"):
+                SpectralPropagator(*quadratic_bands(j, 1.0, 0.0, -1.0))
 
     def test_drive_builds_check_their_bytes(self, tmp_path, capsys, monkeypatch):
         # at 2 MiB N = 300's axis halves (0.35 MiB) and junction blocks (1.0 MiB at their build's peak)

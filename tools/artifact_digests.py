@@ -28,6 +28,7 @@ DRIVE_PHASES = {"phase-pi2": repr(-math.pi / 2), "phase+pi2": repr(math.pi / 2),
 RUNS = [
     ("oat300", ["oat", "--n", "300"]),
     ("tact300", ["tact", "--n", "300"]),
+    ("tact301", ["tact", "--n", "301"]),  # an even dim: one eigensystem serves both parities
     ("pulses60", ["pulses", "--n", "60", "--freeze"]),
     ("pulses61", ["pulses", "--n", "61", "--freeze"]),
     *((f"drive{n}-{tag}", ["drive", "--n", str(n), "--freeze", "--samples", "100", "--phase", phase])
@@ -38,6 +39,7 @@ RUNS = [
     ("noise-eta0.001", ["noise", "--n", "60", "--eta", "0.001", "--realizations", "40"]),
     ("noise-eta0", ["noise", "--n", "60", "--eta", "0", "--realizations", "40"]),
     ("sweep-tact", ["sweep", "--model", "tact", "--n-list", "40,60,80"]),
+    ("sweep-tact-odd", ["sweep", "--model", "tact", "--n-list", "41,61,81"]),
     ("husimi60", ["husimi", "--state", "{drive60-phase-pi2}/frozen_state.json"]),
 ]
 
