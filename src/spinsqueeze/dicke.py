@@ -201,7 +201,7 @@ class RotationSpec:
         if len(axis) != 3:
             raise DomainError("axis must be a 3-vector")
         norm = float(np.linalg.norm(axis))
-        if abs(norm - 1.0) > UNIT_AXIS_TOL:
+        if not abs(norm - 1.0) <= UNIT_AXIS_TOL:  # a NaN norm fails too
             raise DomainError(f"axis must be unit length, |axis|={norm}")
         if not np.isfinite(self.angle):
             raise DomainError("angle must be finite")

@@ -27,10 +27,10 @@ class DriveEnvelope:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
-        if self.omega0 < 0:
-            raise DomainError(f"omega0 must be nonnegative, got {self.omega0}")
+        if not 0 < self.omega < np.inf:  # NaN fails too; an infinite omega has a zero period
+            raise DomainError(f"omega must be positive and finite, got {self.omega}")
+        if not 0 <= self.omega0 < np.inf:  # NaN fails too
+            raise DomainError(f"omega0 must be nonnegative and finite, got {self.omega0}")
         if not abs(self.phase) <= 2 * np.pi:  # far out, cos(omega*t + phase) loses omega*t to rounding
             raise DomainError(f"phase {self.phase} lies outside [-2pi, 2pi]")
 

@@ -49,6 +49,7 @@ from .schedule import (
 
 RENORM_STEP_TOL = 1e-12
 TIME_TOL = 1e-9
+GRID_TOL = 1e-9  # a drive time t is k h when k lies in t / h -+ GRID_TOL; every grid decision reads these bounds
 # Width of the blocks that noisy runs share. A column's bits depend on the
 # width of the matrix products it goes through (one column takes the GEMV
 # path, and wider blocks can round differently) but not on its position or
@@ -137,10 +138,9 @@ def spectral(j: float, cz: float, cx: float, cy: float) -> SpectralPropagator:
 # driven model: split-step, aligned grid, period operators, all in the Jy frame
 
 def _aligned_grid(t0: float, t1: float, h: float) -> list:
-    """Substep boundaries: t0, interior multiples of h, t1."""
-    inner = (np.arange(np.ceil(t0 / h - 1e-9), np.floor(t1 / h + 1e-9) + 1) * h).tolist()
-    tol = 1e-12 * h
-    return [t0, *(t for t in inner if t0 + tol < t < t1 - tol), t1]
+    """Substep boundaries: t0, the multiples of h strictly after t0 and before t1 as GRID_TOL reads them, t1."""
+    inner = np.arange(np.floor(t0 / h + GRID_TOL) + 1, np.ceil(t1 / h - GRID_TOL)) * h
+    return [t0, *inner.tolist(), t1]
 
 
 @lru_cache(maxsize=8)  # two complex (dim/2)^2 blocks each: 12.5 MB at N = 1250
@@ -162,7 +162,7 @@ def _by_parity(blocks: tuple, y: np.ndarray) -> np.ndarray:
 
 def _junction(j: float, y: np.ndarray, s: float, h: float) -> np.ndarray:
     """W^T exp(-i s Jz^2) W y: junction_blocks when s is h, else via z."""
-    if abs(s - h) <= 1e-9 * abs(h):
+    if abs(s - h) <= GRID_TOL * h:
         return _by_parity(junction_blocks(j, h), y)
     return frame_enter(j, _quadratic(j, s, frame_leave(j, y)))  # Rz(pi/2) commutes with Jz^2
 
@@ -264,7 +264,7 @@ class DrivenEngine:
     cover decides whether the period operators pay for their build."""
 
     def __init__(self, j: float, env: DriveEnvelope, spp: int, span: float):
-        self.j, self.env, self.h, self.h2 = j, env, env.period / spp, env.period / 2
+        self.j, self.env, self.h, self.h2, self.half_steps = j, env, env.period / spp, env.period / 2, spp / 2
         self._ops = period_operators(j, env, spp) if self.jumps_pay(j, env, spp, span) else None
 
     @staticmethod
@@ -274,12 +274,12 @@ class DrivenEngine:
         return spp % 2 == 0 and span / env.period >= max(16, dim_for(j) / 20)
 
     def framed(self, t: float) -> bool:
-        """Whether advance holds the block at time t in the frame."""
-        return abs(t / self.h - round(t / self.h)) <= 1e-9
+        """Whether advance holds the block at t in the frame: a multiple of h in t / h -+ GRID_TOL."""
+        return (t / self.h + GRID_TOL) // 1 >= t / self.h - GRID_TOL
 
     def branch_point(self, t: float) -> tuple:
         """k of the half period [k T/2, (k+1) T/2) holding t, and the chain's stop for t's branch."""
-        k = int(np.floor(t / self.h2 + 1e-9))
+        k = int(np.floor((t / self.h + GRID_TOL) / self.half_steps))
         return k, (k - k % 2) * self.h2
 
     def _walk(self, y, t0, t1):
@@ -290,14 +290,14 @@ class DrivenEngine:
         to the first half-period instant, whole periods from an even one and single halves
         elsewhere, split steps from the last. Cut at whole-period instants, where a sampled
         chain stops (its samples read branches), a stretch takes the same products."""
-        a, b = int(np.ceil(t_from / self.h2 - 1e-9)), int(np.floor(t_to / self.h2 + 1e-9))
+        a, b = int(np.ceil((t_from / self.h - GRID_TOL) / self.half_steps)), self.branch_point(t_to)[0]
         if self._ops is None or b < a:
             return self._walk(y, t_from, t_to) if t_to > t_from else y
-        y = self._walk(y, t_from, a * self.h2) if a * self.h2 > t_from + 1e-12 * self.h2 else y
+        y = self._walk(y, t_from, a * self.h2) if a * self.half_steps > t_from / self.h + GRID_TOL else y
         while a < b:
             halves = 2 if a % 2 == 0 and a + 1 < b else 1
             y, a = self._ops.jump(y, a, halves), a + halves
-        return self._walk(y, b * self.h2, t_to) if t_to > b * self.h2 + 1e-12 * self.h2 else y
+        return self._walk(y, b * self.h2, t_to) if b * self.half_steps < t_to / self.h - GRID_TOL else y
 
 
 # ---------------------------------------------------------------------------

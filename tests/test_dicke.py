@@ -195,6 +195,9 @@ class TestRotations:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(DomainError):
             RotationSpec((1, 1, 0), 0.5)
+        for axis in ((np.nan, 0, 0), (1, np.nan, 0)):  # abs(nan - 1) > tol is False: NaN must fail too
+            with pytest.raises(DomainError, match="unit length"):
+                RotationSpec(axis, 0.5)
 
 
 class TestCss:

@@ -3,19 +3,23 @@ Jz^2 junction, split steps against a dense product of exact exponentials,
 the frame's half-period blocks and the reversal R against their dense
 definitions, the mirrored half period against the walked one and the path
 each phase takes, the period operators and a sampled frame chain against
-plain split stepping, and the bound of the junction cache."""
+plain split stepping, the bound of the junction cache, and the one instant
+rule (GRID_TOL) that every grid decision of the drive clock reads."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsqueeze import propagator
 from spinsqueeze.diagnostics import squeezing_columns
-from spinsqueeze.dicke import DickeState, dim_for, m_values, spin_matrix
+from spinsqueeze.dicke import DickeState, dim_for, make_css, m_values, spin_matrix
 from spinsqueeze.hamiltonians import DriveEnvelope, drive_integral, quadratic_matrix
 from spinsqueeze.propagator import (
+    GRID_TOL,
     DrivenEngine,
     _aligned_grid,
     _drive_walk,
@@ -277,3 +281,92 @@ def test_junction_cache_is_bounded():
         junction_blocks(2.5, 0.01 * k)
         assert junction_blocks.cache_info().currsize <= limit
     assert junction_blocks.cache_info().currsize == limit
+
+
+# The instant rule. Every grid decision of the drive clock (whether advance holds a block in
+# the frame, which half period a sample's branch starts from, where jumps start and stop, which
+# walks are skipped, the substep grid and the cached junctions) reads one tolerance: a drive
+# time within GRID_TOL * h of a multiple of h is that multiple. A decision that disagreed with
+# the others would read a frame block as a z-basis block, or the reverse, near an instant.
+
+CSS10 = make_css(5, np.pi / 2, 0)  # N = 10 along x
+
+
+def sampled_xi2(spp, times, duration=None):
+    """xi^2 of CSS10 sampled at times on a drive of the duration, by default 20.3 periods, over
+    which the N = 10 chain jumps half periods."""
+    env = envelope(-np.pi / 2)
+    seg = DrivenSegment(env, 20.3 * env.period if duration is None else duration, spp)
+    return evolve_schedule(CSS10, ProtocolSchedule((seg,), tuple(times)))[1].xi2()
+
+
+def walked(spp, t):
+    """CSS10 split-stepped from 0 to t in one walk, outside the engine, z basis at both ends."""
+    env = envelope(-np.pi / 2)
+    return _split_steps(5, CSS10.amplitudes[:, None], env, env.period / spp, 0.0, t)
+
+
+@pytest.mark.parametrize("spp", [64, 4096])
+@pytest.mark.parametrize("offset", [-2e-9, -1.1e-9, -0.9e-9, -5e-10, 0.0, 5e-10, 0.9e-9, 1.1e-9, 1.6e-9, 1e-8])
+def test_every_grid_decision_reads_one_rule(spp, offset):
+    # t = 10 T + offset * h: on the grid, at the instant of half period 20, exactly when |offset| <= GRID_TOL
+    env = envelope(-np.pi / 2)
+    h = env.period / spp
+    engine, t = DrivenEngine(2.5, env, spp, 20.3 * env.period), 10 * env.period + offset * h
+    at = abs(offset) <= GRID_TOL
+    assert engine.framed(t) == at
+    assert engine.branch_point(t)[0] == (20 if offset >= -GRID_TOL else 19)
+    assert len(_aligned_grid(t, t + 3 * h, h)) == (4 if at else 5)
+    assert len(_aligned_grid(t - 3 * h, t, h)) == (4 if at else 5)
+
+
+@pytest.mark.parametrize(
+    "spp, offsets",
+    [(64, [-2e-9]), (64, [1e-8, 0.3 * 64]), (4096, [1.6e-9])],
+    ids=["just-before-an-instant", "after-one-just-past-it", "just-past-an-instant-fine-grid"],
+)
+def test_samples_near_an_instant_read_their_own_time(spp, offsets):
+    # samples at 10 T + offset * h against one walk to each; a block read in the wrong basis
+    # reads several times the state's xi^2
+    h = envelope(-np.pi / 2).period / spp
+    times = [10 * spp * h + off * h for off in offsets]
+    want = [squeezing_columns(5, walked(spp, t)).column(0).xi2 for t in times]
+    assert np.allclose(sampled_xi2(spp, times), want, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("spp", [64, 34])
+@pytest.mark.parametrize("edge", [-1e-9, 1e-9])
+def test_samples_at_the_tolerance_edge_read_their_own_time(spp, edge):
+    # 25 consecutive floats around 10 T + edge * h, where t / h -+ GRID_TOL rounds either way: every
+    # decision reads the same bounds, so a sample is framed exactly when its branch and walks say so
+    h = envelope(-np.pi / 2).period / spp
+    base = 10 * spp * h + edge * h
+    for t in base + np.spacing(base) * np.arange(-12, 13):
+        want = squeezing_columns(5, walked(spp, t)).column(0).xi2
+        assert sampled_xi2(spp, [t])[0] == pytest.approx(want, rel=1e-9)
+
+
+def test_segment_ending_just_before_an_instant():
+    # the end 20 T - 2e-9 h lies in half period 39: the chain must not run on to 20 T and
+    # hand back its frame block as the z-basis end state
+    env = envelope(-np.pi / 2)
+    t1 = 20 * env.period - 2e-9 * env.period / 64
+    got = raw_end(CSS10, DrivenSegment(env, t1, 64))
+    want = walked(64, t1)[:, 0]
+    assert abs(np.vdot(want, got)) / (np.linalg.norm(got) * np.linalg.norm(want)) >= 1 - 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(
+    spp=st.sampled_from([64, 4096]),
+    picks=st.lists(st.tuples(st.integers(1, 6), st.floats(-1e-7, 1e-7)), min_size=1, max_size=3),
+)
+def test_samples_near_instants_match_each_sample_alone(spp, picks):
+    # samples at k T/2 + offset * h, read off a chain that jumps half periods, against each
+    # sample alone in a schedule that ends at it, on split steps alone
+    h = envelope(-np.pi / 2).period / spp
+    times = sorted({k * spp // 2 * h + off * h for k, off in picks})
+    got = sampled_xi2(spp, times)
+    with split_steps_only():
+        alone = [sampled_xi2(spp, [t], duration=t)[0] for t in times]
+    assert np.allclose(got, alone, rtol=1e-9, atol=0)

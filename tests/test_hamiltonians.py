@@ -64,6 +64,11 @@ class TestDrive:
             DriveEnvelope(1.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             DriveEnvelope(-1.0, 1.0, 0.0)
+        # unchecked, a NaN or infinite omega0 ran on to a NaN state norm, and an infinite omega
+        # to a bare ZeroDivisionError
+        for omega0, omega, field in ((np.nan, 1.0, "omega0"), (np.inf, 1.0, "omega0"), (1.0, np.inf, "omega")):
+            with pytest.raises(DomainError, match=f"{field} must be [a-z]+ and finite"):
+                DriveEnvelope(omega0, omega, 0.0)
         for phase in (1e300, -7.0, np.nan):  # far out, cos(omega*t + phase) loses omega*t to rounding
             with pytest.raises(DomainError, match=re.escape(f"phase {phase} lies outside [-2pi, 2pi]")):
                 DriveEnvelope(1.0, 1.0, phase)

@@ -34,6 +34,8 @@ RUNS = [
     *((f"drive{n}-{tag}", ["drive", "--n", str(n), "--freeze", "--samples", "100", "--phase", phase])
       for n in (60, 61, 300) for tag, phase in DRIVE_PHASES.items()),
     ("drive60-unfrozen", ["drive", "--n", "60", "--phase", "0.3"]),
+    # odd steps_per_period: no period operators, so the driven chain walks split steps alone
+    ("drive60-spp17", ["drive", "--n", "60", "--freeze", "--samples", "100", "--steps-per-period", "17"]),
     # the default phase: fine-window samples branch off a chain that jumps half periods
     *((f"drive{n}-unfrozen-pi2", ["drive", "--n", str(n)]) for n in (60, 61)),
     ("noise-eta0.001", ["noise", "--n", "60", "--eta", "0.001", "--realizations", "40"]),
