@@ -4,10 +4,11 @@ Jz-projection distribution, optimum detection, and scaling fits."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
-from .dicke import DickeState, css_amplitudes, ladder_parts, m_values, spin_action
+from .dicke import DickeState, check_memory, css_amplitudes, ladder_values, m_values
 from .errors import DegenerateDirectionError, DomainError
 
 MEAN_SPIN_FLOOR = 1e-6  # times j; below it xi^2 is not resolved, and a sample's squeezing fields read NaN
@@ -39,16 +40,40 @@ class SqueezingReport:
         return SqueezingReport(xi2, theta, spin, lo, hi, bool(self.isotropic[r]))
 
 
-def _mean_spin(x: np.ndarray, parts: tuple) -> np.ndarray:
-    """(3, R) mean spin of the columns of x; <J+> = <Jx> + i<Jy>."""
-    jp = (x[:-1].conj() * parts[1]).sum(axis=0)
-    return np.array([jp.real, jp.imag, (x.conj() * parts[0]).real.sum(axis=0)])
+@lru_cache(maxsize=32)  # nine dim-vectors of floats each: 90 kB at N = 1250
+def _moment_weights(j: float) -> tuple:
+    """Weights of the per-column sums that _moments reads: m, m^2 and j(j+1) - m^2 on |x_k|^2;
+    J+'s ladder entry and that entry times (m_k + m_(k+1)) on conj(x_k) x_(k+1); and the product
+    of two consecutive ladder entries on conj(x_k) x_(k+2). The last two are stored complex, so
+    their products cast nothing."""
+    m, lad = m_values(j), ladder_values(j)
+    weights = (np.stack([m, m * m, j * (j + 1) - m * m], axis=1),
+               np.stack([lad, lad * (m[:-1] + m[1:])], axis=1).astype(complex),
+               (lad[:-1] * lad[1:])[:, None].astype(complex))
+    for w in weights:
+        w.setflags(write=False)
+    return weights
+
+
+def _moments(j: float, x: np.ndarray) -> tuple:
+    """Mean spin (3, R) and second moments S_ab = <J_a J_b + J_b J_a>/2 (3, 3, R) of the columns
+    of a (dim, R) block, from <Jz>, <Jz^2> and <Jx^2 + Jy^2> (weighted |x_k|^2), <J+> and
+    <J+ Jz + Jz J+> (conj(x_k) x_(k+1)) and <J+^2> (conj(x_k) x_(k+2)). Each column's sums are
+    their own (1, n) @ (n, k) product, so its bits do not depend on the other columns."""
+    w0, w1, w2 = _moment_weights(j)
+    xt = np.ascontiguousarray(x.T)
+    c = xt.conj()
+    jz, z2, t = ((xt.real**2 + xt.imag**2)[:, None] @ w0)[:, 0].T
+    jp, q = ((c[:, :-1] * xt[:, 1:])[:, None] @ w1)[:, 0].T
+    p = ((c[:, :-2] * xt[:, 2:])[:, None] @ w2)[:, 0, 0]
+    sxy, sxz, syz = p.imag / 2.0, q.real / 2.0, q.imag / 2.0  # J+^2 = Jx^2 - Jy^2 + i{Jx, Jy}
+    s = np.array([[(t + p.real) / 2.0, sxy, sxz], [sxy, (t - p.real) / 2.0, syz], [sxz, syz, z2]])
+    return np.array([jp.real, jp.imag, jz]), s
 
 
 def mean_spin(state: DickeState) -> np.ndarray:
     """(<Jx>, <Jy>, <Jz>)."""
-    x = state.amplitudes[:, None]
-    return _mean_spin(x, ladder_parts(state.j, x))[:, 0]
+    return _moments(state.j, state.amplitudes[:, None])[0][:, 0]
 
 
 def perpendicular_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,18 +95,16 @@ def squeezing_columns(j: float, x: np.ndarray) -> SqueezingReport:
     A = <J1^2 - J2^2> and B = <{J1, J2}> the variance along
     cos(t) n1 + sin(t) n2 is [<J1^2+J2^2> + A cos(2t) + B sin(2t)] / 2
     (mean values vanish perpendicular to the mean spin), minimized at
-    2t = atan2(-B, -A). Every operation acts on each column alone.
+    2t = atan2(-B, -A). <J1^2>, <J2^2> and <{J1, J2}>/2 are n1.S n1, n2.S n2
+    and n1.S n2 for the column's second moments S (_moments). Every
+    operation acts on each column alone.
     """
-    parts = ladder_parts(j, x)
-    ms = _mean_spin(x, parts)
+    ms, s = _moments(j, x)
     length = np.sqrt((ms**2).sum(axis=0))
     defined = length > MEAN_SPIN_FLOOR * j
     n1, n2 = perpendicular_frame(ms / np.where(defined, length, 1.0))
-    v1 = spin_action(n1, parts)
-    v2 = spin_action(n2, parts)
-    e11 = (v1.real**2 + v1.imag**2).sum(axis=0)
-    e22 = (v2.real**2 + v2.imag**2).sum(axis=0)
-    e12 = (v1.real * v2.real + v1.imag * v2.imag).sum(axis=0)
+    s1, s2 = (s * n1).sum(axis=1), (s * n2).sum(axis=1)
+    e11, e22, e12 = (n1 * s1).sum(axis=0), (n2 * s2).sum(axis=0), (n1 * s2).sum(axis=0)
     a, b = e11 - e22, 2.0 * e12
     r = np.hypot(a, b)
     var_min = (e11 + e22 - r) / 2.0
@@ -137,6 +160,8 @@ def husimi_q(
     if theta_count < 16 or phi_count < 32:
         raise DomainError("husimi grid must be at least 16 x 32")
     j = state.j
+    # complex theta x phi overlaps and dim x phi phases, real theta x dim magnitudes
+    check_memory(j, 2 * (theta_count + state.dim) * phi_count + theta_count * state.dim, "Husimi grid")
     thetas = (np.arange(theta_count) + 0.5) * (np.pi / theta_count)
     phis = (np.arange(phi_count) + 0.5) * (2 * np.pi / phi_count)
     m = m_values(j)

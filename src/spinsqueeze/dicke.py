@@ -364,16 +364,24 @@ def make_dicke_state(j: float, m: float) -> DickeState:
     return DickeState(j, amps)
 
 
+def _check_angles(theta: float, phi: float) -> tuple:
+    for name, value in (("theta", theta), ("phi", phi)):
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    return float(theta), float(phi)
+
+
 def make_css(j: float, theta: float, phi: float) -> DickeState:
     """Coherent spin state along (theta, phi), built by rotating |j,j>.
 
     Defined operationally as Rz(phi) Ry(theta) |j,j> so one global phase
     convention holds everywhere; mean spin is j*(sin t cos p, sin t sin p, cos t).
     """
+    theta, phi = _check_angles(theta, phi)
     vec = np.zeros((dim_for(_check_j(j)), 1), dtype=complex)
     vec[0] = 1.0
-    vec = _rotate_axis(j, vec, "y", float(theta))
-    vec = _rotate_axis(j, vec, "z", float(phi))
+    vec = _rotate_axis(j, vec, "y", theta)
+    vec = _rotate_axis(j, vec, "z", phi)
     return DickeState(j, vec[:, 0])
 
 
@@ -388,6 +396,7 @@ def css_amplitudes(j: float, theta: float, phi: float) -> np.ndarray:
     from scipy.special import gammaln
 
     j = _check_j(j)
+    theta, phi = _check_angles(theta, phi)
     if not 0.0 <= theta <= np.pi + 1e-12:
         raise DomainError("css_amplitudes requires theta in [0, pi]")
     m = m_values(j)

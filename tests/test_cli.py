@@ -413,6 +413,17 @@ class TestScenarios:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["normalization_check"] == pytest.approx(1.0, abs=1e-3)
 
+    def test_oversized_husimi_grid_is_one_named_error(self, tmp_path, capsys):
+        # numpy would refuse the grid's 80 GB of angles at once; the memory check comes before them
+        path = tmp_path / "state.json"
+        make_css(20, 1.2, 0.7).save(path)
+        _, status = run_cli(["husimi", "--state", str(path), "--grid", "16x10000000000",
+                             "--out-dir", str(tmp_path / "h")])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.count("\n") == 1 and err.startswith("spinsqueeze: N = 40 needs ")
+        assert "GiB of Husimi grid" in err
+
     def test_missing_state_file_is_runtime_error(self, tmp_path, capsys):
         cfg = parse_config(["husimi", "--state", str(tmp_path / "nope.json"),
                             "--out-dir", str(tmp_path)])

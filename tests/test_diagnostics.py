@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from spinsqueeze.dicke import (
     DickeState,
     RotationSpec,
+    apply_spin,
     m_values,
     make_css,
     make_dicke_state,
@@ -11,17 +14,19 @@ from spinsqueeze.dicke import (
 )
 from spinsqueeze.diagnostics import (
     RunRecord,
+    SqueezingReport,
     find_optimum,
     husimi_q,
     m_distribution,
     mean_spin,
+    perpendicular_frame,
     run_records,
     scaling_fit,
     squeezing_columns,
     squeezing_report,
 )
 from spinsqueeze.cli import write_run_csv
-from spinsqueeze.errors import DegenerateDirectionError, DomainError
+from spinsqueeze.errors import DegenerateDirectionError, DomainError, ResourceError
 from spinsqueeze.propagator import evolve_schedule, full_hilbert_oracle, spectral
 from spinsqueeze.protocols import _probe
 from spinsqueeze.schedule import ProtocolSchedule, QuadraticSegment
@@ -123,6 +128,57 @@ class TestSqueezingReport:
         assert dist < 0.02
 
 
+def tact_block(n, count):
+    """count TACT states of N = n from the x-pointing CSS, at times from half to one and a half
+    times the analytic optimum."""
+    j = n / 2
+    prop, css = spectral(j, 1.0, 0.0, -1.0), make_css(j, np.pi / 2, 0)
+    t_opt = np.log(4 * n) / (2 * n)
+    return j, np.stack([prop.evolve(css, t_opt * f).amplitudes for f in np.linspace(0.5, 1.5, count)], axis=1)
+
+
+def spin_action_report(j, x):
+    """(xi^2, theta_min, var_max, mean spin) of one amplitude vector from v = (n.J)x, the
+    spin-action form: <J_a> = <x|J_a x> and e_ab = Re <v_a|v_b> in the perpendicular frame."""
+    ms = np.array([np.vdot(x, apply_spin(j, unit, x)).real for unit in np.eye(3)])
+    n1, n2 = perpendicular_frame(ms / np.linalg.norm(ms))
+    v1, v2 = apply_spin(j, tuple(n1), x), apply_spin(j, tuple(n2), x)
+    e11, e22, e12 = np.vdot(v1, v1).real, np.vdot(v2, v2).real, np.vdot(v1, v2).real
+    r = np.hypot(e11 - e22, 2.0 * e12)
+    return (e11 + e22 - r) / j, 0.5 * np.arctan2(-2.0 * e12, e22 - e11) % np.pi, (e11 + e22 + r) / 2.0, ms
+
+
+class TestMomentKernel:
+    """squeezing_columns reads each column's first and second moments of J."""
+
+    @pytest.mark.parametrize("n", [2, 60, 61, 300, 301])
+    def test_each_column_reports_as_if_alone(self, n):
+        j, x = tact_block(n, 17)
+        x[:, 1] = 0.0  # (|j, j> + |j, -j>)/sqrt(2): no mean spin, under the NaN floor
+        x[0, 1] = x[-1, 1] = 0.5**0.5
+        x[:, 2] = make_css(j, 1.1, 0.4).amplitudes  # coherent: isotropic
+        for width in (1, 3, 16, 17):
+            rep = squeezing_columns(j, x[:, :width])
+            for r in range(width):
+                alone = squeezing_columns(j, x[:, r : r + 1]).column(0)
+                got = rep.column(r)
+                for f in fields(SqueezingReport):
+                    assert np.asarray(getattr(got, f.name)).tobytes() == np.asarray(getattr(alone, f.name)).tobytes()
+        assert np.isnan(rep.xi2[1]) and rep.isotropic[2] and not rep.isotropic[[0, *range(3, 17)]].any()
+
+    @pytest.mark.parametrize("n", [60, 61, 300, 1250])
+    def test_agrees_with_the_spin_action_form(self, n):
+        j, x = tact_block(n, 9)
+        rep = squeezing_columns(j, x)
+        for r in range(x.shape[1]):
+            xi2, theta, var_max, ms = spin_action_report(j, x[:, r])
+            assert rep.xi2[r] == pytest.approx(xi2, rel=1e-9, abs=0)
+            assert rep.var_max[r] == pytest.approx(var_max, rel=1e-9, abs=0)
+            gap = abs(rep.theta_min[r] - theta)
+            assert min(gap, np.pi - gap) <= 1e-12
+            assert np.allclose(rep.mean_spin[:, r], ms, rtol=0, atol=1e-12 * j)
+
+
 class TestMDistribution:
     def test_basis_state_delta(self):
         d = m_distribution(make_dicke_state(3, -2))
@@ -177,6 +233,12 @@ class TestHusimi:
     def test_grid_too_small(self):
         with pytest.raises(DomainError):
             husimi_q(make_css(2, 0.3, 0.1), 8, 64)
+
+    @pytest.mark.parametrize("grid", [(16, 10**10), (10**10, 32)])
+    def test_oversized_grid_is_a_resource_error(self, grid):
+        # numpy would refuse either grid's 80 GB of angles at once; the check comes before them
+        with pytest.raises(ResourceError, match=r"^N = 60 needs .* GiB of Husimi grid"):
+            husimi_q(make_css(30, 1.2, 0.7), *grid)
 
 
 def css_columns(count):

@@ -238,6 +238,13 @@ class TestCss:
             b = css_amplitudes(j, theta, phi)
             assert abs(np.vdot(a, b)) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("build", [make_css, css_amplitudes])
+    @pytest.mark.parametrize("theta,phi,name", [(np.nan, 0.0, "theta"), (np.inf, 0.0, "theta"),
+                                                (0.3, np.inf, "phi"), (0.3, np.nan, "phi"), (0.3, -np.inf, "phi")])
+    def test_non_finite_angle_is_named(self, build, theta, phi, name):
+        with pytest.raises(DomainError, match=rf"^{name} must be finite"):
+            build(5, theta, phi)
+
     def test_casimir(self):
         for j in (0.5, 2, 9):
             s = make_css(j, 0.77, 1.2)

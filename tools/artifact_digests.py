@@ -40,6 +40,9 @@ RUNS = [
     *((f"drive{n}-unfrozen-pi2", ["drive", "--n", str(n)]) for n in (60, 61)),
     ("noise-eta0.001", ["noise", "--n", "60", "--eta", "0.001", "--realizations", "40"]),
     ("noise-eta0", ["noise", "--n", "60", "--eta", "0", "--realizations", "40"]),
+    # Jx halves of 200 rows or more take basis_product's transposed form, under SPINSQUEEZE_THREADS too
+    ("noise400", ["noise", "--n", "400", "--nc", "10", "--eta", "0.001", "--realizations", "20",
+                  "--samples", "32"]),
     ("sweep-tact", ["sweep", "--model", "tact", "--n-list", "40,60,80"]),
     ("sweep-tact-odd", ["sweep", "--model", "tact", "--n-list", "41,61,81"]),
     ("husimi60", ["husimi", "--state", "{drive60-phase-pi2}/frozen_state.json"]),
