@@ -256,7 +256,11 @@ def write_husimi_csv(path, thetas, phis, q) -> None:
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):  # 64 kB at a time, not the whole file
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _json_default(obj):

@@ -13,6 +13,7 @@ from .errors import DegenerateDirectionError, DomainError
 
 MEAN_SPIN_FLOOR = 1e-6  # times j; below it xi^2 is not resolved, and a sample's squeezing fields read NaN
 ISOTROPY_EPS = 1e-12
+TAIL_COLUMNS = 4096  # columns per squeezing tail: a record's tail temporaries stay at a few MB
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,20 @@ class SqueezingReport:
         spin = tuple(float(c[r]) for c in self.mean_spin)
         return SqueezingReport(xi2, theta, spin, lo, hi, bool(self.isotropic[r]))
 
+    def columns(self, picked) -> "SqueezingReport":
+        """The report of the columns an index or slice picks."""
+        return SqueezingReport(*(getattr(self, f.name)[..., picked] for f in fields(self)))
+
+    @staticmethod
+    def joined(reports) -> "SqueezingReport":
+        """The reports' columns side by side."""
+        return SqueezingReport(*(np.concatenate([getattr(r, f.name) for r in reports], axis=-1)
+                                 for f in fields(SqueezingReport)))
+
 
 @lru_cache(maxsize=32)  # nine dim-vectors of floats each: 90 kB at N = 1250
 def _moment_weights(j: float) -> tuple:
-    """Weights of the per-column sums that _moments reads: m, m^2 and j(j+1) - m^2 on |x_k|^2;
+    """Weights of the per-column sums that spin_moments reads: m, m^2 and j(j+1) - m^2 on |x_k|^2;
     J+'s ladder entry and that entry times (m_k + m_(k+1)) on conj(x_k) x_(k+1); and the product
     of two consecutive ladder entries on conj(x_k) x_(k+2). The last two are stored complex, so
     their products cast nothing."""
@@ -55,7 +66,7 @@ def _moment_weights(j: float) -> tuple:
     return weights
 
 
-def _moments(j: float, x: np.ndarray) -> tuple:
+def spin_moments(j: float, x: np.ndarray) -> tuple:
     """Mean spin (3, R) and second moments S_ab = <J_a J_b + J_b J_a>/2 (3, 3, R) of the columns
     of a (dim, R) block, from <Jz>, <Jz^2> and <Jx^2 + Jy^2> (weighted |x_k|^2), <J+> and
     <J+ Jz + Jz J+> (conj(x_k) x_(k+1)) and <J+^2> (conj(x_k) x_(k+2)). Each column's sums are
@@ -73,7 +84,7 @@ def _moments(j: float, x: np.ndarray) -> tuple:
 
 def mean_spin(state: DickeState) -> np.ndarray:
     """(<Jx>, <Jy>, <Jz>)."""
-    return _moments(state.j, state.amplitudes[:, None])[0][:, 0]
+    return spin_moments(state.j, state.amplitudes[:, None])[0][:, 0]
 
 
 def perpendicular_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,17 +100,21 @@ def perpendicular_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def squeezing_columns(j: float, x: np.ndarray) -> SqueezingReport:
-    """Squeezing report of every column of a (dim, R) block at once.
+    """Squeezing report of every column of a (dim, R) block: its spin_moments through _squeezing_tail."""
+    return _squeezing_tail(j, *spin_moments(j, x))
+
+
+def _squeezing_tail(j: float, ms: np.ndarray, s: np.ndarray) -> SqueezingReport:
+    """Squeezing report of columns given by their mean spin ms (3, R) and second moments s (3, 3, R).
 
     The minimal perpendicular variance is in closed form: with
     A = <J1^2 - J2^2> and B = <{J1, J2}> the variance along
     cos(t) n1 + sin(t) n2 is [<J1^2+J2^2> + A cos(2t) + B sin(2t)] / 2
     (mean values vanish perpendicular to the mean spin), minimized at
     2t = atan2(-B, -A). <J1^2>, <J2^2> and <{J1, J2}>/2 are n1.S n1, n2.S n2
-    and n1.S n2 for the column's second moments S (_moments). Every
-    operation acts on each column alone.
+    and n1.S n2. Every operation acts on each column alone, so a column's
+    report does not depend on the columns that share the call.
     """
-    ms, s = _moments(j, x)
     length = np.sqrt((ms**2).sum(axis=0))
     defined = length > MEAN_SPIN_FLOOR * j
     n1, n2 = perpendicular_frame(ms / np.where(defined, length, 1.0))
@@ -159,17 +174,19 @@ def husimi_q(
     """
     if theta_count < 16 or phi_count < 32:
         raise DomainError("husimi grid must be at least 16 x 32")
-    j = state.j
-    # complex theta x phi overlaps and dim x phi phases, real theta x dim magnitudes
-    check_memory(j, 2 * (theta_count + state.dim) * phi_count + theta_count * state.dim, "Husimi grid")
+    j, dim = state.j, state.dim
+    folds = -(-dim // phi_count)  # an FFT of folds * phi_count >= dim points holds every m
+    # real theta x phi values, and one theta row's complex FFT and its input
+    check_memory(j, theta_count * phi_count + 4 * folds * phi_count, "Husimi grid")
     thetas = (np.arange(theta_count) + 0.5) * (np.pi / theta_count)
     phis = (np.arange(phi_count) + 0.5) * (2 * np.pi / phi_count)
-    m = m_values(j)
-    # <css|psi> = sum_m conj(c_m) psi_m with c_m = mag_m(theta) e^{-im phi}
-    mags = np.stack([np.abs(css_amplitudes(j, t, 0.0)) for t in thetas])
-    phase = np.exp(1j * np.outer(m, phis))
-    overlaps = (mags * state.amplitudes[None, :]) @ phase
-    return thetas, phis, np.abs(overlaps) ** 2
+    # <css|psi>(phi_p) e^{-i j phi_p}: entry folds p of the length folds P FFT of mag_n psi_n e^{-i pi n / P}
+    tilted = state.amplitudes * np.exp(-1j * np.pi / phi_count * np.arange(dim))
+    q = np.empty((theta_count, phi_count))
+    for row, theta in zip(q, thetas):
+        terms = np.abs(css_amplitudes(j, theta, 0.0)) * tilted
+        row[:] = np.abs(np.fft.fft(terms, folds * phi_count)[::folds]) ** 2
+    return thetas, phis, q
 
 
 @dataclass
@@ -202,16 +219,16 @@ class RunRecord:
         return self.report.column(int(np.argmin(np.abs(self.chi_t - chi_t))))
 
 
-def run_records(times, tiles, runs: int, width: int = 1) -> list:
-    """A RunRecord for each of the first runs columns from the report tiles of a block
-    of width columns sampled at times: (report, used) pairs in sample order,
-    whose first used columns hold width columns per sample, the rest padding.
-    Run r takes the columns r, r + width, r + 2 width, ... of their join."""
-    none = np.empty(0)
-    parts = [(SqueezingReport(none, none, np.empty((3, 0)), none, none, none.astype(bool)), 0), *tiles]
-    cols = [np.concatenate([getattr(rep, f.name)[..., :used] for rep, used in parts], axis=-1)
-            for f in fields(SqueezingReport)]
-    return [RunRecord(times, SqueezingReport(*(c[..., r::width] for c in cols))) for r in range(runs)]
+def run_records(j: float, times, tiles, runs: int, width: int = 1) -> list:
+    """A RunRecord for each of the first runs columns of a block of width columns sampled at
+    times, from the spin_moments of its samples' columns in tiles, in sample order. Run r takes
+    the columns r, r + width, r + 2 width, ... of their join. One _squeezing_tail serves every
+    record, TAIL_COLUMNS columns at a time."""
+    ms, s = (np.concatenate(p, axis=-1) for p in zip((np.empty((3, 0)), np.empty((3, 3, 0))), *tiles))
+    order = np.arange(len(times) * width).reshape(-1, width)[:, :runs].T.ravel()  # run by run
+    chunks = np.split(order, range(TAIL_COLUMNS, len(order), TAIL_COLUMNS))
+    report = SqueezingReport.joined([_squeezing_tail(j, ms[:, c], s[..., c]) for c in chunks])
+    return [RunRecord(times, report.columns(slice(r * len(times), (r + 1) * len(times)))) for r in range(runs)]
 
 
 @dataclass(frozen=True)

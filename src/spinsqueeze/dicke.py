@@ -293,10 +293,26 @@ def unfold(j: float, c: np.ndarray) -> np.ndarray:
     return reversal_unfold(basis_product(us, c[: len(us)]), basis_product(ua, c[len(us) :]))
 
 
+def ladder_phases(j: float, values: np.ndarray, angle) -> np.ndarray:
+    """exp(-i*angle*values) as a (len(values), R) array, angle a scalar (R = 1) or one value per
+    column, for values on the spin ladder -j, -j + 1, ..., j in any order (m_values, the frame
+    eigenvalues). A value is (b q - j) + r with b about sqrt(dim): a coarse table over q times a
+    fine table over r, 2b exponentials per column instead of one per value."""
+    dim = dim_for(j)
+    b = int(np.sqrt(dim)) + 1
+    q, r = np.divmod(np.rint(values + j).astype(np.intp), b)
+    phases = np.exp(-1j * np.outer(b * np.arange(-(-dim // b)) - j, angle))[q]
+    phases *= np.exp(-1j * np.outer(np.arange(b), angle))[r]
+    return phases
+
+
+@lru_cache(maxsize=32)  # one dim-column each: 20 kB at N = 1250
 def quarter_turn(j: float) -> np.ndarray:
     """Rz(pi/2) as a (dim, 1) column of phases. Jy = Rz(pi/2) Jx Rz(pi/2)^dagger,
     so Rz(pi/2) W is an eigenbasis of Jy for the real Jx eigenbasis W."""
-    return np.exp(-0.5j * np.pi * m_values(j))[:, None]
+    z = np.exp(-0.5j * np.pi * m_values(j))[:, None]
+    z.setflags(write=False)
+    return z
 
 
 def frame_enter(j: float, x: np.ndarray) -> np.ndarray:
@@ -312,12 +328,13 @@ def frame_leave(j: float, y: np.ndarray) -> np.ndarray:
 def _rotate_axis(j: float, x: np.ndarray, axis: str, angle) -> np.ndarray:
     """exp(-i*angle*J_axis) on a (dim, R) block, for axis x, y or z; angle is a scalar or one
     value per column. Jz is diagonal; x and y share the real Jx eigenbasis W, with e the phases
-    of its eigenvalues: Rx = W e W^T and Ry = Rz(pi/2) W e W^T Rz(pi/2)^dagger."""
+    of its eigenvalues: Rx = W e W^T and Ry = Rz(pi/2) W e W^T Rz(pi/2)^dagger. Both phase
+    sets are ladder_phases."""
     if not np.any(angle):
         return x.copy()
     if axis == "z":
-        return np.exp(-1j * np.outer(m_values(j), angle)) * x
-    phases = np.exp(-1j * np.outer(axis_eigensystem(j)[0], angle))
+        return ladder_phases(j, m_values(j), angle) * x
+    phases = ladder_phases(j, axis_eigensystem(j)[0], angle)
     if axis == "x":
         return unfold(j, phases * fold(j, x))
     return frame_leave(j, phases * frame_enter(j, x))

@@ -30,13 +30,14 @@ from .dicke import (
     fold_tridiagonal,
     frame_enter,
     frame_leave,
+    ladder_phases,
     m_values,
     quarter_turn,
     reversal_fold,
     reversal_unfold,
     rotate_block,
 )
-from .diagnostics import RunRecord, run_records, squeezing_columns
+from .diagnostics import RunRecord, run_records, spin_moments
 from .errors import DomainError, ResourceError
 from .hamiltonians import DriveEnvelope, drive_integral, quadratic_bands
 from .schedule import (
@@ -175,7 +176,7 @@ def _drive_walk(j, y, env, h, grid) -> np.ndarray:
     for k in range(1, len(grid)):
         if k > 1:
             y = _junction(j, y, (grid[k] - grid[k - 2]) / 2, h)
-        y *= np.exp(-1j * drive_integral(env, grid[k - 1], grid[k]) * vals)[:, None]
+        y *= ladder_phases(j, vals, drive_integral(env, grid[k - 1], grid[k]))
     return y
 
 
@@ -343,9 +344,9 @@ def evolve_block(
     Boundary convention: a sample time equal to a segment boundary is taken
     before any zero-duration event listed after that boundary. A column
     whose norm drifts beyond 1e-12 is renormalized and counted in its
-    record. Reports go TILE columns at a time: a narrower block is queued as
-    a copy (in the frame while a driven segment holds it there), TILE // width
-    samples a report, padded with its last column.
+    record. Moments go TILE columns at a time (run_records reports them): a narrower block is
+    queued as a copy (in the frame while a driven segment holds it there), TILE // width
+    samples a tile, padded with its last column.
 
     A driven chain stops only at whole-period instants, so its final block has an unsampled run's bits
     when it jumps (without jumps, a stop splits a junction: rounding). A sample reads a branch: the chain
@@ -359,8 +360,8 @@ def evolve_block(
     renorms = np.zeros(width, dtype=int)
     samples = schedule.sample_times
     t, si, pulse_index = 0.0, 0, 0  # clock, next sample, next pulse
-    queue = []  # (block, framed) awaiting their report
-    tiles, freezes = [], []  # (report, used columns); freeze times
+    queue = []  # (block, framed) awaiting their moments
+    tiles, freezes = [], []  # spin_moments of the sampled columns; freeze times
 
     def due(limit):
         return si < len(samples) and samples[si] <= limit + TIME_TOL * max(1.0, abs(limit))
@@ -368,12 +369,13 @@ def evolve_block(
     def flush():
         if queue:
             blocks, framed = zip(*queue)
-            pad = max(0, TILE - width * len(blocks))
+            used = width * len(blocks)
+            pad = max(0, TILE - used)
             tile = np.concatenate(blocks + (blocks[-1][:, -1:],) * pad, axis=1) if width < TILE else blocks[0]
             if any(framed):  # the tile leaves the frame in one product; z columns keep their bits
                 mask = np.repeat(framed + framed[-1:], [width] * len(blocks) + [pad])
                 tile = np.where(mask, frame_leave(j, tile), tile)
-            tiles.append((squeezing_columns(j, tile), width * len(blocks)))
+            tiles.append(spin_moments(j, tile[:, :used]))
             queue.clear()
 
     def emit(x, framed=False):  # the block at samples[si]
@@ -421,7 +423,7 @@ def evolve_block(
         emit(x)
     flush()
 
-    records = run_records(samples, tiles, runs, width)
+    records = run_records(j, samples, tiles, runs, width)
     for record, count in zip(records, renorms):
         record.events += [{"kind": "freeze", "time": time} for time in freezes]
         if count:

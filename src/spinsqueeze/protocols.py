@@ -27,7 +27,7 @@ from .dicke import (
     m_values,
     rotate,
 )
-from .diagnostics import OptimumResult, RunRecord, find_optimum, run_records, squeezing_columns
+from .diagnostics import OptimumResult, RunRecord, SqueezingReport, find_optimum, run_records, spin_moments
 from .errors import DomainError, ResourceError
 from .hamiltonians import DriveEnvelope, alpha0, drive_value
 from .propagator import TILE, SpectralPropagator, evolve_block, evolve_schedule, renormalized, spectral
@@ -94,8 +94,8 @@ def _spectral_record(initial, times, prop: SpectralPropagator) -> RunRecord:
     columns of one block."""
     coeffs = prop.coefficients(initial.amplitudes[:, None])
     chunks = [np.asarray(times[k : k + TILE], dtype=float) for k in range(0, len(times), TILE)]
-    tiles = [(squeezing_columns(initial.j, prop.synthesize(coeffs, c)), len(c)) for c in chunks]
-    return run_records(times, tiles, 1)[0]
+    tiles = [spin_moments(initial.j, prop.synthesize(coeffs, c)) for c in chunks]
+    return run_records(initial.j, times, tiles, 1)[0]
 
 
 def reference_runs(n_particles: int, model: str = "oat", n_samples: int = N_SAMPLES) -> RunRecord:
@@ -204,8 +204,8 @@ def _freeze(initial, meta, prefix, t_star, rotations, probe, kept) -> ProtocolBu
     x, (turned,) = evolve_block(j, at_star, ProtocolSchedule(turns, ()), None, 1)
     frozen = DickeState(j, x[:, 0])
     _, held = evolve_schedule(frozen, ProtocolSchedule((hold,), [t - t_star for t in post]))
-    tiles = [(probe.report, len(before)), (held.report, len(post))]
-    record = run_records(schedule.sample_times, tiles, 1)[0]
+    head = probe.report.columns(slice(len(before)))
+    record = RunRecord(schedule.sample_times, SqueezingReport.joined([head, held.report]))
     record.add_event("freeze", time=clock)
     count = int(renorms[0]) + sum(event["count"] for run in (turned, held) for event in run.events)
     if count:

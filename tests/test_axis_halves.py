@@ -1,8 +1,9 @@
 """The half-size Jx eigenbasis: U_s and U_a against the dense eigenpairs of Jx,
 fold (W^T) and unfold (W), the junction blocks in both of _junction's branches, the form of
-the reversal R = W^T Rz(pi) W, and x and y rotations against expm.
+the reversal R = W^T Rz(pi) W, x and y rotations against expm, and the ladder phase tables of
+every rotation against direct exponentials.
 
-Two mutations of dicke.axis_eigensystem make all five tests fail at some N:
+Two mutations of dicke.axis_eigensystem make the five basis tests fail at some N:
 dropping the sqrt(2) on the odd-dim middle coupling (the eigenvalues then miss
 the half-integer snap, and axis_eigensystem raises), and swapping the classes,
 U_s for U_a."""
@@ -13,7 +14,16 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsqueeze.dicke import _rotate_axis, axis_eigensystem, dim_for, fold, m_values, spin_matrix, unfold
+from spinsqueeze.dicke import (
+    _rotate_axis,
+    axis_eigensystem,
+    dim_for,
+    fold,
+    ladder_phases,
+    m_values,
+    spin_matrix,
+    unfold,
+)
 from spinsqueeze.hamiltonians import DriveEnvelope
 from spinsqueeze.propagator import _junction, _PeriodOperators, junction_blocks
 
@@ -108,3 +118,20 @@ def test_rotate_axis_matches_expm(n, axis, angle, cols, seed):
     want = sla.expm(-1j * angle * spin_matrix(j, (float(axis == "x"), float(axis == "y"), 0.0))) @ x
     got = _rotate_axis(j, x, axis, angle)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 41, 400, 1251, 4000])
+def test_ladder_phases_match_direct_exponentials(n):
+    """Both ladders, m_values and the frame eigenvalues, against np.exp of the outer product, per
+    entry within 4 eps (1 + |angle| j). Dropping the - j of the coarse table in
+    dicke.ladder_phases fails every N at every nonzero angle."""
+    j = n / 2
+    rng = np.random.default_rng(n)
+    per_column = np.r_[0.0, -np.pi / 2, np.pi, -2 * np.pi, rng.uniform(-2 * np.pi, 2 * np.pi, 12)]
+    for angle in (0.0, 0.37, -1.9, per_column):
+        bound = 4 * np.finfo(float).eps * (1 + np.abs(np.atleast_1d(angle)) * j)
+        for vals in (m_values(j), axis_eigensystem(j)[0]):
+            got, want = ladder_phases(j, vals, angle), np.exp(-1j * np.outer(vals, angle))
+            assert got.shape == want.shape == (dim_for(j), np.size(angle))
+            assert np.all(np.abs(got - want) <= bound)
+            assert np.array_equal(ladder_phases(j, vals, 0.0), np.ones((dim_for(j), 1)))

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinsqueeze import propagator, protocols
 from spinsqueeze.cli import parse_config, run_scenario
 from spinsqueeze.dicke import (
     DickeState,
@@ -22,11 +23,12 @@ from spinsqueeze.dicke import (
     make_css,
     rotate_vector,
 )
-from spinsqueeze.diagnostics import SqueezingReport, squeezing_columns, squeezing_report
+from spinsqueeze.diagnostics import TAIL_COLUMNS, SqueezingReport, squeezing_columns, squeezing_report
 from spinsqueeze.errors import DomainError
 from spinsqueeze.hamiltonians import DriveEnvelope
 from spinsqueeze.propagator import (
     TILE,
+    DrivenEngine,
     evolve_block,
     full_hilbert_oracle,
     spectral,
@@ -43,6 +45,7 @@ from spinsqueeze.protocols import (
     worker_count,
 )
 from spinsqueeze.schedule import (
+    STEPS_PER_PERIOD,
     DrivenSegment,
     FreezeMarker,
     ProtocolSchedule,
@@ -314,6 +317,79 @@ class TestReportTiles:
         at_first = np.exp(-0.3j * m_values(j)[:, None] ** 2) * x
         want = [squeezing_columns(j, y).column(0) for y in (at_first, final)]
         assert_reports_close(sample_reports(record), want)
+
+
+def tile_reports(monkeypatch, module) -> list:
+    """Make module's spin_moments append, for each tile it reads, that tile's squeezing_columns
+    report to the returned list."""
+    reports, moments = [], module.spin_moments
+
+    def recorded(j, x):
+        reports.append(squeezing_columns(j, x))
+        return moments(j, x)
+
+    monkeypatch.setattr(module, "spin_moments", recorded)
+    return reports
+
+
+def same_bits(a, b):
+    """Every field of two reports has the same shape, dtype and bytes (NaN included)."""
+    pairs = [(np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))) for f in fields(SqueezingReport)]
+    return all(x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in pairs)
+
+
+class TestOneTailPerRecord:
+    """A record's report, one squeezing tail over all its samples, is bit for bit the
+    squeezing_columns report of each tile it came from."""
+
+    @pytest.mark.parametrize("width", [1, 3, 16])
+    def test_evolve_block_joins_its_tiles(self, monkeypatch, width):
+        # 21 samples: width 1 fills a tile and pads the next, width 3 pads its fifth
+        j, omega = 5, 2 * np.pi * 300.0
+        env = DriveEnvelope(0.9057 * omega, omega, -np.pi / 2)
+        h = env.period / STEPS_PER_PERIOD
+        segments = (QuadraticSegment(0.01), Pulse(RotationSpec((0, 1, 0), 0.7)), DrivenSegment(env, 3 * env.period))
+        grid = [k * h for k in range(200, 380, 15)]  # multiples of h, where the chain is in the frame
+        off = [0.01 + f * env.period for f in (0.37, 1.21, 1.8, 2.33, 2.9)]
+        times = sorted([0.0, 0.003, 0.007, 0.01] + grid + off)
+        assert any(DrivenEngine(j, env, STEPS_PER_PERIOD, 3 * env.period).framed(t) for t in grid)
+        block = np.stack([make_css(j, 0.3 + 0.2 * r, 0.1 * r).amplitudes for r in range(width)], axis=1)
+        scales = 1.0 + 0.01 * np.arange(width)[None, :]
+        runs = max(1, width - 1)  # the last column is padding when there are several
+        reports = tile_reports(monkeypatch, propagator)
+        _, records = evolve_block(j, block, ProtocolSchedule(segments, tuple(times)), scales, runs)
+        assert len(reports) == -(-len(times) // max(1, TILE // width))
+        joined = SqueezingReport.joined(reports)
+        for r, record in enumerate(records):
+            assert same_bits(record.report, joined.columns(slice(r, None, width)))
+            assert np.isfinite(record.xi2()).all()
+
+    def test_spectral_record_joins_its_tiles(self, monkeypatch):
+        reports = tile_reports(monkeypatch, protocols)
+        record = reference_runs(60, "tact", n_samples=2 * TILE + 5)
+        assert [rep.xi2.size for rep in reports] == [TILE, TILE, 5]
+        assert same_bits(record.report, SqueezingReport.joined(reports))
+
+    def test_schedule_without_samples(self, monkeypatch):
+        reports = tile_reports(monkeypatch, propagator)
+        block = np.stack([make_css(2, 0.5 * r, 0.0).amplitudes for r in range(3)], axis=1)
+        schedule = ProtocolSchedule((QuadraticSegment(0.1), Pulse(RotationSpec((1, 0, 0), 0.4))), ())
+        _, records = evolve_block(2, block, schedule, None, 2)
+        assert reports == [] and len(records) == 2
+        for record in records:
+            assert record.times().shape == record.xi2().shape == record.report.isotropic.shape == (0,)
+            assert record.report.mean_spin.shape == (3, 0)
+
+    def test_record_longer_than_one_tail_chunk(self, monkeypatch):
+        # two runs of 2100 samples: the second tail chunk starts inside the second run
+        times = tuple(np.linspace(0.0, 2.0, 2100).tolist())
+        block = np.stack([make_css(1, 1.0 + 0.5 * r, 0.2).amplitudes for r in range(2)], axis=1)
+        reports = tile_reports(monkeypatch, propagator)
+        _, records = evolve_block(1, block, ProtocolSchedule((QuadraticSegment(2.0),), times), None, 2)
+        assert 2 * len(times) > TAIL_COLUMNS
+        joined = SqueezingReport.joined(reports)
+        for r, record in enumerate(records):
+            assert same_bits(record.report, joined.columns(slice(r, None, 2)))
 
 
 class TestThreadSetting:

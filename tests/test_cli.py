@@ -1,16 +1,18 @@
+import hashlib
 import inspect
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spinsqueeze
 from spinsqueeze import propagator
-from spinsqueeze.cli import DEFAULTS, parse_config, run_scenario, write_run_csv
+from spinsqueeze.cli import DEFAULTS, _sha256, parse_config, run_scenario, write_run_csv
 from spinsqueeze.diagnostics import RunRecord, squeezing_columns
 from spinsqueeze.dicke import make_css
 from spinsqueeze.protocols import (
@@ -423,6 +425,17 @@ class TestScenarios:
         assert status == 1
         assert err.count("\n") == 1 and err.startswith("spinsqueeze: N = 40 needs ")
         assert "GiB of Husimi grid" in err
+
+    def test_manifest_hash_reads_in_blocks(self, tmp_path, monkeypatch):
+        # the digest of a file read a block at a time, never as one bytes object
+        rng = np.random.default_rng(3)
+        monkeypatch.setattr(Path, "read_bytes", None)
+        for size in (0, 1, 1 << 16, 3 * (1 << 16) + 5):
+            data = rng.bytes(size)
+            path = tmp_path / f"a{size}.bin"
+            with open(path, "wb") as fh:
+                fh.write(data)
+            assert _sha256(path) == hashlib.sha256(data).hexdigest()
 
     def test_missing_state_file_is_runtime_error(self, tmp_path, capsys):
         cfg = parse_config(["husimi", "--state", str(tmp_path / "nope.json"),

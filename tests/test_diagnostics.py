@@ -7,6 +7,7 @@ from spinsqueeze.dicke import (
     DickeState,
     RotationSpec,
     apply_spin,
+    css_amplitudes,
     m_values,
     make_css,
     make_dicke_state,
@@ -22,6 +23,7 @@ from spinsqueeze.diagnostics import (
     perpendicular_frame,
     run_records,
     scaling_fit,
+    spin_moments,
     squeezing_columns,
     squeezing_report,
 )
@@ -230,6 +232,17 @@ class TestHusimi:
         total *= (2 * s.j + 1) / (4 * np.pi)
         assert total == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("n, grid", [(20, (64, 128)), (100, (16, 32)), (300, (128, 256))])
+    def test_matches_the_dense_overlap_sum(self, n, grid):
+        # past a dim of phi_count the FFT's phi sums wrap the m ladder
+        rng = np.random.default_rng(n)
+        vec = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        state = DickeState(n / 2, vec / np.linalg.norm(vec))
+        thetas, phis, q = husimi_q(state, *grid)
+        mags = np.stack([np.abs(css_amplitudes(state.j, t, 0.0)) for t in thetas])
+        want = np.abs((mags * state.amplitudes) @ np.exp(1j * np.outer(m_values(state.j), phis))) ** 2
+        assert q.shape == grid and np.max(np.abs(q - want)) <= 1e-14
+
     def test_grid_too_small(self):
         with pytest.raises(DomainError):
             husimi_q(make_css(2, 0.3, 0.1), 8, 64)
@@ -259,11 +272,11 @@ class TestRunRecord:
         assert np.allclose(rec.xi2(), [1, 1, 1], atol=1e-9)
 
     def test_run_records_take_each_runs_columns(self):
-        # two runs sampled three times: a full tile of two samples, then one
-        # sample and a padding column
-        block = np.stack([make_css(2, 0.2 + 0.3 * k, 0.1 * k).amplitudes for k in range(7)], axis=1)
+        # two runs sampled three times: a tile of two samples, then one of one sample
+        block = np.stack([make_css(2, 0.2 + 0.3 * k, 0.1 * k).amplitudes for k in range(6)], axis=1)
+        tiles = [spin_moments(2, block[:, :4]), spin_moments(2, block[:, 4:])]
+        records = run_records(2, [0.0, 0.1, 0.2], tiles, 2, 2)
         full, last = squeezing_columns(2, block[:, :4]), squeezing_columns(2, block[:, 4:])
-        records = run_records([0.0, 0.1, 0.2], [(full, 4), (last, 2)], 2, 2)
         for r, rec in enumerate(records):
             assert np.array_equal(rec.times(), [0.0, 0.1, 0.2])
             want = [full.column(r), full.column(2 + r), last.column(r)]
@@ -271,7 +284,7 @@ class TestRunRecord:
             assert rec.report.mean_spin.shape == (3, 3)
 
     def test_run_records_without_samples(self):
-        (rec,) = run_records([], [], 1)
+        (rec,) = run_records(2, [], [], 1)
         assert rec.times().shape == rec.xi2().shape == (0,)
         assert rec.report.mean_spin.shape == (3, 0)
 

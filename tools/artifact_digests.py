@@ -46,6 +46,8 @@ RUNS = [
     ("sweep-tact", ["sweep", "--model", "tact", "--n-list", "40,60,80"]),
     ("sweep-tact-odd", ["sweep", "--model", "tact", "--n-list", "41,61,81"]),
     ("husimi60", ["husimi", "--state", "{drive60-phase-pi2}/frozen_state.json"]),
+    # a dim past the phi count: the grid's phi sums wrap
+    ("husimi300", ["husimi", "--state", "{drive300-phase-pi2}/frozen_state.json", "--grid", "128x256"]),
 ]
 
 
