@@ -406,12 +406,11 @@ def css_amplitudes(j: float, theta: float, phi: float) -> np.ndarray:
     """Closed-form CSS amplitudes matching make_css's phase convention.
 
     c_m = binom(2j, j-m)^(1/2) cos(t/2)^(j+m) sin(t/2)^(j-m) e^(-i m phi)
-    for theta in [0, pi], evaluated through log-gamma so large j stays
-    stable. Used for initial states and fast Husimi grids; agreement with
-    make_css is covered by tests.
+    for theta in [0, pi], evaluated in logs so large j stays stable: with
+    n = 2j, row k = j-m takes log binom(n, k)/2 as the running sum of
+    log((n+1-i)/i)/2 over i = 1..k. Used for initial states and fast Husimi
+    grids; agreement with make_css is covered by tests.
     """
-    from scipy.special import gammaln
-
     j = _check_j(j)
     theta, phi = _check_angles(theta, phi)
     if not 0.0 <= theta <= np.pi + 1e-12:
@@ -420,10 +419,9 @@ def css_amplitudes(j: float, theta: float, phi: float) -> np.ndarray:
     half = theta / 2.0
     log_c = np.log(max(np.cos(half), 1e-300))
     log_s = np.log(max(np.sin(half), 1e-300))
-    log_binom = 0.5 * (
-        gammaln(2 * j + 1) - gammaln(j - m + 1) - gammaln(j + m + 1)
-    )
-    mag = np.exp(log_binom + (j + m) * log_c + (j - m) * log_s)
+    i = np.arange(1.0, len(m))
+    half_log_binom = np.concatenate(([0.0], np.cumsum(0.5 * np.log((len(m) - i) / i))))
+    mag = np.exp(half_log_binom + (j + m) * log_c + (j - m) * log_s)
     amps = mag * np.exp(-1j * m * phi)
     return amps / np.linalg.norm(amps)
 

@@ -63,8 +63,11 @@ TILE = 16
 # quadratic generators
 
 def _quadratic(j: float, a: float, x: np.ndarray) -> np.ndarray:
-    """exp(-i a Jz^2) on a (dim, R) block, or on the top rows of one: its phases down x's rows."""
-    return np.exp(-1j * a * m_values(j)[: len(x), None] ** 2) * x
+    """exp(-i a Jz^2) on a (dim, R) block, or on the top rows of one: its phases down x's rows.
+    m^2 is even in m, so the upper half of the ladder's phases, mirrored, gives the lower half."""
+    m = m_values(j)
+    half = np.exp(-1j * a * m[: (len(m) + 1) // 2] ** 2)
+    return np.concatenate((half, half[len(m) // 2 - 1 :: -1]))[: len(x), None] * x
 
 
 class SpectralPropagator:

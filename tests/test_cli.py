@@ -40,6 +40,28 @@ def test_cli_import_leaves_the_ode_solver_out():
     assert out.stdout.strip() == "False"
 
 
+def test_scenarios_leave_scipy_special_out(tmp_path):
+    # J0 and the CSS binomials are numpy code: the CLI and every scenario load scipy.linalg alone
+    src = os.path.dirname(os.path.dirname(spinsqueeze.__file__))
+    runs = [["oat", "--n", "20"], ["tact", "--n", "20"], ["sweep", "--model", "tact", "--n-list", "10,12,14"],
+            ["pulses", "--n", "20", "--freeze"], ["noise", "--n", "20", "--realizations", "4"],
+            ["drive", "--n", "20", "--freeze", "--samples", "20"],
+            ["husimi", "--state", str(tmp_path / "5" / "frozen_state.json"), "--grid", "16x32"]]
+    code = (
+        "import json, sys\n"
+        "from spinsqueeze import cli\n"
+        "seen = ['scipy.special' in sys.modules]\n"
+        "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    assert cli.run_scenario(cli.parse_config(argv + ['--out-dir', sys.argv[2] + f'/{k}'])) == 0, argv\n"
+        "    seen.append('scipy.special' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs), str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == str([False] * (len(runs) + 1))
+
+
 class TestParseConfig:
     def test_paper_defaults_pulses(self):
         cfg = parse_config(["pulses", "--n", "1250", "--nc", "50", "--freeze"])

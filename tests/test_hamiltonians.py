@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from spinsqueeze.dicke import spin_matrix
 from spinsqueeze.errors import DomainError
@@ -95,6 +96,14 @@ class TestBessel:
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
             bessel_j0(float("nan"))
+
+    def test_against_scipy_on_both_sides_of_the_split(self):
+        grid = np.linspace(-40.0, 40.0, 80_001)  # quadrature inside |x| <= 25, Hankel's series beyond
+        split = 25.0 + np.array([-1e-9, 0.0, 1e-9])
+        far = np.logspace(-6, 300, 3_001)
+        xs = np.concatenate([grid, split, -split, far, -far])
+        got = np.array([bessel_j0(x) for x in xs])
+        assert np.max(np.abs(got - j0(xs))) <= 1e-14
 
 
 class TestAlpha0:

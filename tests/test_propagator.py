@@ -20,6 +20,7 @@ from spinsqueeze.hamiltonians import DriveEnvelope, matrix, quadratic_bands, qua
 from spinsqueeze.propagator import (
     DrivenEngine,
     SpectralPropagator,
+    _quadratic,
     dicke_isometry,
     driven_doubling_check,
     evolve_schedule,
@@ -100,6 +101,17 @@ class TestQuadratic:
         sandwich = jz2_phase(sandwich, chi_t)
         sandwich = rotate(sandwich, RotationSpec((0, 1, 0), -np.pi / 2))
         assert fidelity(direct, sandwich) >= 1 - 1e-10
+
+    @pytest.mark.parametrize("j", [0.5, 1, 7.5, 8, 200])
+    def test_mirrored_phases_match_the_full_ladder(self, j):
+        # the phases come from the upper half of the ladder, mirrored: bit for bit the direct form
+        dim = int(round(2 * j)) + 1
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        for rows in {dim, max(dim // 2, 1), dim // 2 + 1, dim - 1}:
+            for a in (0.0, 0.37, -2.9, 1e3):
+                full = np.exp(-1j * a * m_values(j)[:rows, None] ** 2) * x[:rows]
+                assert np.array_equal(_quadratic(j, a, x[:rows]), full)
 
 
 class TestNonFiniteTimeline:
