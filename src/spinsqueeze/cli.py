@@ -38,17 +38,7 @@ from .protocols import (
     run_protocol,
 )
 
-SCENARIOS = (*MODELS, "pulses", "drive", "noise", "sweep", "husimi")
-
 _COMMON_KEYS = ("n", "chi_hz", "seed", "out_dir", "samples")
-_SCENARIO_KEYS = {
-    **dict.fromkeys(MODELS, _COMMON_KEYS),
-    "pulses": _COMMON_KEYS + ("nc", "freeze"),
-    "drive": _COMMON_KEYS + ("omega_over_chi", "omega0_over_omega", "phase", "steps_per_period", "freeze"),
-    "noise": _COMMON_KEYS + ("nc", "eta", "realizations"),
-    "sweep": _COMMON_KEYS + ("n_list", "model"),
-    "husimi": ("out_dir", "state", "grid"),
-}
 
 
 @dataclass
@@ -126,10 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Collective-spin squeezing scenarios; emits figure-data CSVs.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIOS:
+    for name, (keys, _) in SCENARIOS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="flat JSON config file")
-        for key in _SCENARIO_KEYS[name]:
+        for key in keys:
             flag, kind = "--" + key.replace("_", "-"), _flag_type(key)
             if kind is bool:
                 p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction, default=None)
@@ -144,7 +134,7 @@ def parse_config(argv) -> ScenarioConfig:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     scenario = ns.scenario
-    allowed = set(_SCENARIO_KEYS[scenario])
+    allowed = set(SCENARIOS[scenario][0])
     merged = {k: DEFAULTS[k] for k in allowed if k in DEFAULTS}
     if ns.config:
         try:
@@ -429,13 +419,15 @@ def _scenario_husimi(cfg, out_dir, written) -> dict:
     }
 
 
-_RUNNERS = {
-    **dict.fromkeys(MODELS, _scenario_reference),
-    "pulses": _scenario_pulses,
-    "drive": _scenario_drive,
-    "noise": _scenario_noise,
-    "sweep": _scenario_sweep,
-    "husimi": _scenario_husimi,
+# every scenario, in subcommand order: (its config keys, its runner)
+SCENARIOS = {
+    **dict.fromkeys(MODELS, (_COMMON_KEYS, _scenario_reference)),
+    "pulses": (_COMMON_KEYS + ("nc", "freeze"), _scenario_pulses),
+    "drive": (_COMMON_KEYS + ("omega_over_chi", "omega0_over_omega", "phase", "steps_per_period", "freeze"),
+              _scenario_drive),
+    "noise": (_COMMON_KEYS + ("nc", "eta", "realizations"), _scenario_noise),
+    "sweep": (_COMMON_KEYS + ("n_list", "model"), _scenario_sweep),
+    "husimi": (("out_dir", "state", "grid"), _scenario_husimi),
 }
 
 
@@ -445,7 +437,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         written = []
-        extra = _RUNNERS[cfg.scenario](cfg, out_dir, written)
+        extra = SCENARIOS[cfg.scenario][1](cfg, out_dir, written)
         extra = {k: v for k, v in extra.items() if v is not None}
         _write_manifest(out_dir, cfg, extra, written)
         return 0

@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dicke import DickeState, check_memory, css_amplitudes, ladder_values, m_values
-from .errors import DegenerateDirectionError, DomainError
+from .errors import DegenerateDirectionError, DomainError, check_count
 
 MEAN_SPIN_FLOOR = 1e-6  # times j; below it xi^2 is not resolved, and a sample's squeezing fields read NaN
 ISOTROPY_EPS = 1e-12
@@ -172,8 +172,8 @@ def husimi_q(
     quadrature sum Q * sin(theta) * dtheta * dphi * (2j+1)/(4pi) is 1 up to
     grid error.
     """
-    if theta_count < 16 or phi_count < 32:
-        raise DomainError("husimi grid must be at least 16 x 32")
+    check_count("theta_count", theta_count, 16)
+    check_count("phi_count", phi_count, 32)
     j, dim = state.j, state.dim
     folds = -(-dim // phi_count)  # an FFT of folds * phi_count >= dim points holds every m
     # real theta x phi values, and one theta row's complex FFT and its input

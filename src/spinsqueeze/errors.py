@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of an integer count."""
+
+from numbers import Integral
 
 
 class DomainError(ValueError):
@@ -11,3 +13,10 @@ class DegenerateDirectionError(DomainError):
 
 class ResourceError(RuntimeError):
     """Requested computation exceeds a hard size limit."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise DomainError naming the count unless value is an integer, not a bool, of at least least."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        bound = f"an integer of at least {least}" if least else "a nonnegative integer"
+        raise DomainError(f"{name} must be {bound}, got {value!r}")

@@ -46,10 +46,10 @@ from .schedule import (
     ProtocolSchedule,
     Pulse,
     QuadraticSegment,
+    at_or_before,
 )
 
 RENORM_STEP_TOL = 1e-12
-TIME_TOL = 1e-9
 GRID_TOL = 1e-9  # a drive time t is k h when k lies in t / h -+ GRID_TOL; every grid decision reads these bounds
 # Width of the blocks that noisy runs share. A column's bits depend on the
 # width of the matrix products it goes through (one column takes the GEMV
@@ -202,6 +202,11 @@ def _stacked(blocks: tuple) -> np.ndarray:
     return y
 
 
+def _unstacked(y: np.ndarray, ns: int) -> tuple:
+    """Copies of the s and a class blocks of a frame block from _stacked with ns s rows."""
+    return np.array(y[:ns]), np.array(y[ns:, : len(y) - ns])
+
+
 class _PeriodOperators:
     """Drive periods in the frame as parity blocks: U = Mh P Mh over the first
     half (Mh the half-step junction, P the walk between), and the whole period
@@ -209,12 +214,12 @@ class _PeriodOperators:
     index i (lambda) to perm[i] (-lambda) with a phase, reversing each class for
     even N, and the whole frame, swapping the classes, for odd N.
 
-    At phase = pi/2 mod pi, Omega is symmetric about T/4 on [0, T/2], so the
-    walk P = D_n J ... J D_1 (D_k the substeps' diagonal y-phases, J the
-    complex symmetric junction) has D_k = D_{n+1-k} and is A^T J A, with A the
-    walk over the first quarter period. That walk started from Mh is C = A Mh,
-    and U = C^T J C; for an odd n = spp/2 the lone middle substep D_mid stands
-    between the halves, U = C^T J D_mid J C. spp 2 has no quarter walk."""
+    Both shapes walk from Mh: P = D_n J ... J D_1 (D_k the substeps' diagonal y-phases, J the
+    complex symmetric junction) from Mh is C = P Mh, and U = Mh C. At phase = pi/2 mod pi, Omega
+    is symmetric about T/4 on [0, T/2], so D_k = D_{n+1-k} and P = A^T J A, A the walk over the
+    first quarter period: the walk stops at C = A Mh, and U = C^T J C; for an odd n = spp/2 the
+    lone middle substep D_mid stands between the halves, U = C^T J D_mid J C. spp 2 has no
+    quarter walk."""
 
     def __init__(self, j: float, env: DriveEnvelope, spp: int):
         if spp % 2:
@@ -228,22 +233,21 @@ class _PeriodOperators:
         pairs, z = zip((us, ua), (us, ua) if dim % 2 else (ua, us)), quarter_turn(j) ** 2
         phases = [(b[:, ::-1] * z[: len(a)] * a).sum(axis=0) for a, b in pairs]
         self.phase = np.round(np.concatenate(phases))[:, None]
-        whole = self.jump(_stacked(self.blocks), 1)
-        self.period = tuple(np.array(c) for c in (whole[:ns], whole[ns:, :na]))  # copies: whole goes
+        self.period = _unstacked(self.jump(_stacked(self.blocks), 1), ns)
 
     @staticmethod
     def _half(j: float, env: DriveEnvelope, spp: int) -> tuple:
-        """U's class blocks, walked or, at a mirror phase, mirrored; the walks' blocks go on return."""
+        """U's class blocks: Mh C or, at a mirror phase, C^T J C; the walks' blocks go on return."""
         h = env.period / spp
         mh = junction_blocks(j, h / 2)
         ns, na = len(mh[0]), len(mh[1])
         # Omega is symmetric about T/4 where cos(phase) = 0: 2e-16 at the floats nearest +-pi/2, +-3pi/2
-        if spp < 4 or abs(np.cos(env.phase)) > 1e-15:
-            grid = [k * h for k in range(spp // 2 + 1)]
-            y = _drive_walk(j, _stacked((np.eye(ns), np.eye(na))), env, h, grid)
-            return tuple(m @ c @ m for m, c in zip(mh, (y[:ns], y[ns:, :na])))
-        q, jh = spp // 4, junction_blocks(j, h)
-        c = _drive_walk(j, _stacked(mh), env, h, [k * h for k in range(q + 1)])  # C = A Mh
+        mirror = spp >= 4 and abs(np.cos(env.phase)) <= 1e-15
+        q = spp // 4 if mirror else spp // 2
+        c = _drive_walk(j, _stacked(mh), env, h, [k * h for k in range(q + 1)])  # C = A Mh, or P Mh
+        if not mirror:
+            return _unstacked(_by_parity(mh, c), ns)
+        jh = junction_blocks(j, h)
         y = _by_parity(jh, c)
         if spp % 4:  # spp/2 odd: the middle substep
             y = _by_parity(jh, _drive_walk(j, y, env, h, [q * h, (q + 1) * h]))
@@ -344,8 +348,8 @@ def evolve_block(
     final block and one RunRecord for each of the first runs columns;
     later columns are padding and leave no record.
 
-    Boundary convention: a sample time equal to a segment boundary is taken
-    before any zero-duration event listed after that boundary. A column
+    Boundary convention: a sample time at or before a segment boundary, as schedule.at_or_before
+    reads it, is taken before any zero-duration event listed after that boundary. A column
     whose norm drifts beyond 1e-12 is renormalized and counted in its
     record. Moments go TILE columns at a time (run_records reports them): a narrower block is
     queued as a copy (in the frame while a driven segment holds it there), TILE // width
@@ -362,12 +366,12 @@ def evolve_block(
         scales = np.ones((len(schedule.pulses()), width))
     renorms = np.zeros(width, dtype=int)
     samples = schedule.sample_times
-    t, si, pulse_index = 0.0, 0, 0  # clock, next sample, next pulse
+    t, si, pulse_index = 0.0, 0, 0  # clock at the last duration's end, next sample, next pulse
     queue = []  # (block, framed) awaiting their moments
     tiles, freezes = [], []  # spin_moments of the sampled columns; freeze times
 
     def due(limit):
-        return si < len(samples) and samples[si] <= limit + TIME_TOL * max(1.0, abs(limit))
+        return si < len(samples) and at_or_before(samples[si], limit)
 
     def flush():
         if queue:
@@ -390,21 +394,20 @@ def evolve_block(
         if len(queue) >= TILE // width:
             flush()
 
-    if due(0.0):
+    while due(0.0):
         emit(x)
 
-    for seg in schedule.segments:
+    for seg, end in zip(schedule.segments, schedule.ends):
         if isinstance(seg, Pulse):
             angles = seg.rotation.angle * scales[pulse_index]
             pulse_index += 1
             x = renormalized(rotate_block(j, x, seg.rotation.axis, angles), renorms)
             continue
         if isinstance(seg, FreezeMarker):
-            freezes.append(t)
+            freezes.append(end)
             continue
         if isinstance(seg, (QuadraticSegment, DrivenSegment)):
             step, framed, branch_point = _stepper(j, seg)
-            end = t + seg.duration
             x = frame_enter(j, x) if framed(t) else x
             branch = None  # the half period (quadratic: the sample) that the branch y serves
             while due(end):
@@ -422,9 +425,7 @@ def evolve_block(
             continue
         raise DomainError(f"unknown segment type {type(seg).__name__}")
 
-    while si < len(samples):  # ProtocolSchedule keeps every sample within due(t)
-        emit(x)
-    flush()
+    flush()  # ProtocolSchedule keeps every sample due by the last duration's end
 
     records = run_records(j, samples, tiles, runs, width)
     for record, count in zip(records, renorms):

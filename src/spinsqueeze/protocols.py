@@ -28,7 +28,7 @@ from .dicke import (
     rotate,
 )
 from .diagnostics import OptimumResult, RunRecord, SqueezingReport, find_optimum, run_records, spin_moments
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, check_count
 from .hamiltonians import DriveEnvelope, alpha0, drive_value
 from .propagator import TILE, SpectralPropagator, evolve_block, evolve_schedule, renormalized, spectral
 from .schedule import (
@@ -39,6 +39,7 @@ from .schedule import (
     Pulse,
     QuadraticSegment,
     STEPS_PER_PERIOD,
+    at_or_before,
 )
 
 PAPER_RATIO = 0.9057  # omega0/omega putting the averaged model on the TACT point
@@ -107,6 +108,7 @@ def reference_runs(n_particles: int, model: str = "oat", n_samples: int = N_SAMP
     """
     if model not in MODELS:
         raise DomainError(f"model must be one of {tuple(MODELS)}, got {model!r}")
+    check_count("n_samples", n_samples, 0)
     t_opt, generator = MODELS[model]
     initial = _css_x(n_particles)
     times = np.linspace(0.0, REFERENCE_SPAN * t_opt(n_particles), n_samples)
@@ -190,7 +192,6 @@ def _freeze(initial, meta, prefix, t_star, rotations, probe, kept) -> ProtocolBu
     the pass record probe's samples up to t_star, then the frozen state's hold: its events are
     the freeze, the renormalizations of that chain and the freeze decisions."""
     j, (at_freeze, renorms) = initial.j, kept
-    clock = ProtocolSchedule(prefix, ()).total_time()  # the schedule's clock at the freeze marker
     at_star = renormalized(at_freeze.copy(), renorms)
     signs, var_z = _best_signs(DickeState(j, at_star[:, 0]), rotations)
     meta.update({"freeze_time": t_star, "freeze_var_z": var_z})
@@ -206,7 +207,7 @@ def _freeze(initial, meta, prefix, t_star, rotations, probe, kept) -> ProtocolBu
     _, held = evolve_schedule(frozen, ProtocolSchedule((hold,), [t - t_star for t in post]))
     head = probe.report.columns(slice(len(before)))
     record = RunRecord(schedule.sample_times, SqueezingReport.joined([head, held.report]))
-    record.add_event("freeze", time=clock)
+    record.add_event("freeze", time=schedule.ends[len(prefix)])  # the freeze marker's clock
     count = int(renorms[0]) + sum(event["count"] for run in (turned, held) for event in run.events)
     if count:
         record.add_event("renormalization", count=count)
@@ -241,8 +242,7 @@ def build_repeated_pulse(
     periods either side of the reference optimum, then hands over to plain
     Jz^2 evolution.
     """
-    if n_periods < 1:
-        raise DomainError("n_periods must be at least 1")
+    check_count("n_periods", n_periods, 1)
     if n_particles < 2:
         raise DomainError("need at least 2 particles")
     delta_t = t_opt_protocol(n_particles) / (3 * n_periods)
@@ -301,7 +301,7 @@ def drive_zero_times(env: DriveEnvelope, t_max: float) -> np.ndarray:
         )
     ks = np.arange(int(k_min), int(k_max) + 1)
     ts = (np.pi / 2 - env.phase + ks * np.pi) / env.omega
-    return ts[(ts >= -1e-15) & (ts <= t_max * (1 + 1e-12))]
+    return ts[at_or_before(0.0, ts) & at_or_before(ts, t_max)]
 
 
 def build_modulated_drive(
@@ -378,7 +378,7 @@ def build_modulated_drive(
 def _dedupe_times(times):
     out = []
     for t in sorted(times):
-        if not out or t - out[-1] > 1e-12 * max(1.0, abs(t)):
+        if not out or not at_or_before(t, out[-1]):
             out.append(t)
     return out
 
@@ -457,8 +457,7 @@ def run_monte_carlo(
     the tiles over worker_count() threads. A realization's record is bit-identical
     whatever the pool size or the number of realizations, and equals
     run_protocol with that realization's seed."""
-    if realizations < 1:
-        raise DomainError("realizations must be at least 1")
+    check_count("realizations", realizations, 1)
     children = np.random.SeedSequence(noise.seed).spawn(realizations)
     seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
     workers = worker_count()

@@ -5,15 +5,20 @@ so no segment names a coupling."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from itertools import accumulate
 from math import isfinite
-from numbers import Integral
 
 from .dicke import RotationSpec
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .hamiltonians import DriveEnvelope
 
 STEPS_PER_PERIOD = 64  # split steps per drive period unless a segment says otherwise
+INSTANT_TOL = 1e-12  # an instant's relative width, over a 1e-15 floor; at_or_before owns the rule
+
+
+def at_or_before(t, c):
+    """Whether time t is at or before instant c: the one rule for a sample against a boundary."""
+    return t <= c + INSTANT_TOL * abs(c) + 1e-15
 
 
 @dataclass(frozen=True)
@@ -46,9 +51,7 @@ class DrivenSegment:
 
     def __post_init__(self):
         _check_timing(self)
-        spp = self.steps_per_period
-        if isinstance(spp, bool) or not isinstance(spp, Integral) or spp < 16:
-            raise DomainError(f"steps_per_period must be an integer of at least 16, got {spp!r}")
+        check_count("steps_per_period", self.steps_per_period, 16)
 
 
 @dataclass(frozen=True)
@@ -73,28 +76,30 @@ class ProtocolSchedule:
     """Ordered timeline plus the diagnostic sample times (chi*t units).
 
     Segments are laid back to back; zero-duration events (pulses, freeze
-    markers) act at the instant between their neighbors. A sample falling
-    exactly on a boundary reports the state before any event listed after
-    that boundary.
+    markers) act at the instant between their neighbors; ends holds each segment's end on the clock.
+    A sample at or before a boundary, as at_or_before reads it, reports the state before any event
+    listed after that boundary.
     """
 
     segments: tuple
     sample_times: tuple
     meta: dict = field(default_factory=dict)
+    ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.sample_times)
         if not all(map(isfinite, times)) or any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise DomainError("sample_times must be finite and strictly increasing")
-        total = self.total_time()
-        if times and (times[0] < -1e-15 or times[-1] > total * (1 + 1e-12) + 1e-15):
-            raise DomainError("sample_times must lie within the schedule span")
         object.__setattr__(self, "segments", tuple(self.segments))
+        ends = accumulate((getattr(seg, "duration", 0.0) for seg in self.segments), initial=0.0)
+        object.__setattr__(self, "ends", tuple(ends)[1:])
+        if times and not (at_or_before(0.0, times[0]) and at_or_before(times[-1], self.total_time())):
+            raise DomainError("sample_times must lie within the schedule span")
         object.__setattr__(self, "sample_times", times)
 
     def total_time(self) -> float:
-        """The clock at the end, added segment by segment as evolve_block adds it."""
-        return reduce(lambda t, seg: t + getattr(seg, "duration", 0.0), self.segments, 0.0)
+        """The clock at the end: the last segment's end."""
+        return self.ends[-1] if self.ends else 0.0
 
     def pulses(self):
         return [seg for seg in self.segments if isinstance(seg, Pulse)]
@@ -111,5 +116,4 @@ class NoiseModel:
     def __post_init__(self):
         if not (isfinite(self.eta) and self.eta >= 0):
             raise DomainError(f"eta must be finite and nonnegative, got {self.eta}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        check_count("seed", self.seed, 0)

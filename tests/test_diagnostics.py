@@ -247,6 +247,12 @@ class TestHusimi:
         with pytest.raises(DomainError):
             husimi_q(make_css(2, 0.3, 0.1), 8, 64)
 
+    @pytest.mark.parametrize("grid,name", [((16.5, 32), "theta_count"), ((16, 32.0), "phi_count")], ids=["theta", "phi"])
+    def test_non_integer_grid_rejected(self, grid, name):
+        # either ended in a bare TypeError
+        with pytest.raises(DomainError, match=f"{name} must be an integer of at least"):
+            husimi_q(make_css(10, 0.3, 0.1), *grid)
+
     @pytest.mark.parametrize("grid", [(16, 10**10), (10**10, 32)])
     def test_oversized_grid_is_a_resource_error(self, grid):
         # numpy would refuse either grid's 80 GB of angles at once; the check comes before them

@@ -346,6 +346,29 @@ class TestSchedule:
         assert got.xi2 == pytest.approx(want.xi2, rel=1e-12)
         assert np.allclose(got.mean_spin, want.mean_spin, atol=1e-9)
 
+    # a pi/2 pulse about z turns the x-pointing coherent state at j = 10 onto y; a sample
+    # past the pulse's instant by more than the instant rule's width reads the turned state
+    def test_sample_just_after_an_origin_pulse_reads_it(self):
+        turn = Pulse(RotationSpec((0, 0, 1), np.pi / 2))
+        s = make_css(10, np.pi / 2, 0.0)
+        reads = []
+        for times in [(5e-10,), (0.0, 5e-10)]:  # with and without a neighbour at the boundary
+            _, record = evolve_schedule(s, ProtocolSchedule((turn, QuadraticSegment(0.1)), times))
+            reads.append(record.report.column(len(times) - 1))
+        for rep in reads:
+            assert np.allclose(rep.mean_spin, [0, 10, 0], atol=1e-6)
+        assert reads[0].xi2 == reads[1].xi2 and np.array_equal(reads[0].mean_spin, reads[1].mean_spin)
+
+    def test_sample_just_after_an_inner_pulse_reads_it(self):
+        turn = Pulse(RotationSpec((0, 0, 1), np.pi / 2))
+        s = make_css(10, np.pi / 2, 0.0)
+        sched = ProtocolSchedule((QuadraticSegment(3), turn, QuadraticSegment(3)), (3, 3 + 2e-9, 3 + 5e-9))
+        _, record = evolve_schedule(s, sched)
+        x, y, z = squeezing_report(jz2_phase(s, 3)).mean_spin  # (-8.26, 0, 0)
+        assert np.allclose(record.report.column(0).mean_spin, [x, y, z], atol=1e-9)
+        for k in (1, 2):
+            assert np.allclose(record.report.column(k).mean_spin, [-y, x, z], atol=1e-6)
+
     def test_driven_segment_reads_schedule_clock(self):
         # after a hold of t0, the envelope is read from t0 on: the same as a drive
         # from clock 0 whose phase is advanced by omega * t0

@@ -163,19 +163,27 @@ boundary_quadratics = st.builds(QuadraticSegment, st.one_of(st.just(0.0), st.flo
 @given(
     n=st.integers(1, 8),
     segments=st.lists(st.one_of(pulses, boundary_quadratics), min_size=1, max_size=8),
+    offset=st.sampled_from((0.0, 0.5, 2.0)),
     seed=st.integers(0, 2**16),
 )
-def test_boundary_sample_precedes_the_events_after_it(n, segments, seed):
-    # a sample at each segment boundary reports the state after the shortest
-    # prefix reaching that time, before any zero-duration event listed later
+def test_boundary_sample_precedes_the_events_after_it(n, segments, offset, seed):
+    # a sample offset from each segment boundary by at most the instant rule's width
+    # (offset counts widths) reports the state after the shortest prefix reaching that
+    # time, before any zero-duration event listed later; a sample past that width reports
+    # the state after the longest such prefix, run on to the sample by the next segment
     state = random_state(n / 2, seed)
-    ends, t = {0.0: 0}, 0.0
+    first, last, t = {0.0: 0}, {0.0: 0}, 0.0
     for k, seg in enumerate(segments, 1):
         t += seg.duration
-        ends.setdefault(t, k)
-    _, record = evolve_schedule(state, ProtocolSchedule(tuple(segments), tuple(ends)))
-    assert np.array_equal(record.times(), list(ends))
-    for (time, k), rep in zip(ends.items(), map(record.report.column, range(len(ends)))):
-        want = squeezing_report(evolve_schedule(state, ProtocolSchedule(tuple(segments[:k]), ()))[0])
+        first.setdefault(t, k)
+        last[t] = k
+    inside = offset <= 1
+    bounds = list(first) if inside else list(first)[:-1]  # nothing lies past the last end
+    times = [b + offset * (1e-12 * b + 1e-15) for b in bounds]  # the width at b >= 0
+    _, record = evolve_schedule(state, ProtocolSchedule(tuple(segments), tuple(times)))
+    assert np.array_equal(record.times(), times)
+    for b, time, rep in zip(bounds, times, map(record.report.column, range(len(times)))):
+        prefix = segments[: first[b]] if inside else segments[: last[b]] + [QuadraticSegment(time - b)]
+        want = squeezing_report(evolve_schedule(state, ProtocolSchedule(tuple(prefix), ()))[0])
         assert rep.xi2 == pytest.approx(want.xi2, rel=1e-9, abs=1e-12)
         assert np.allclose(rep.mean_spin, want.mean_spin, rtol=0, atol=1e-9)

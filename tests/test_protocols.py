@@ -87,6 +87,12 @@ class TestRepeatedPulseBuilder:
         with pytest.raises(DomainError):
             build_repeated_pulse(10, n_periods=0)
 
+    @pytest.mark.parametrize("n_periods", [2.5, True])
+    def test_non_integer_periods_rejected(self, n_periods):
+        # 2.5 ended in a bare TypeError after the Trotter warning, and True ran as 1
+        with pytest.raises(DomainError, match="n_periods must be an integer of at least 1"):
+            build_repeated_pulse(20, n_periods)
+
     def test_total_time_is_optimum(self):
         bundle = build_repeated_pulse(200, n_periods=7)
         assert bundle.schedule.total_time() == pytest.approx(t_opt_protocol(200), rel=1e-12)
@@ -554,6 +560,13 @@ class TestNoiseAndMonteCarlo:
         with pytest.raises(DomainError):
             run_monte_carlo(bundle.schedule, bundle.initial_state, NoiseModel(0.001), 0)
 
+    @pytest.mark.parametrize("realizations", [2.5, True])
+    def test_non_integer_realizations_rejected(self, realizations):
+        # 2.5 ended in a bare TypeError, and True ran one realization
+        bundle = build_repeated_pulse(20, n_periods=6)
+        with pytest.raises(DomainError, match="realizations must be an integer of at least 1"):
+            run_monte_carlo(bundle.schedule, bundle.initial_state, NoiseModel(0.001), realizations)
+
 
 class TestReferenceRuns:
     def test_oat_optimum_small_n(self):
@@ -594,6 +607,12 @@ class TestReferenceRuns:
     def test_invalid_model(self):
         with pytest.raises(DomainError):
             reference_runs(100, model="owt")
+
+    def test_non_integer_sample_count_rejected(self):
+        # 20.5 ended in a bare TypeError; 0 stays allowed and gives an empty record
+        with pytest.raises(DomainError, match="n_samples must be a nonnegative integer, got 20.5"):
+            reference_runs(20, "oat", 20.5)
+        assert len(reference_runs(20, "oat", 0).times()) == 0
 
 
 class TestSpecInvariants:

@@ -31,6 +31,10 @@ RUNS = [
     ("tact301", ["tact", "--n", "301"]),  # an even dim: one eigensystem serves both parities
     ("pulses60", ["pulses", "--n", "60", "--freeze"]),
     ("pulses61", ["pulses", "--n", "61", "--freeze"]),
+    # TestOnePass's freeze boundaries: at nc = 10 the schedule's clock ends the freeze
+    # segment past t*, and nc = 1 (which fails the Trotter gate, so it warns) freezes in period 0
+    ("pulses61-nc10", ["pulses", "--n", "61", "--freeze", "--nc", "10"]),
+    ("pulses60-nc1", ["pulses", "--n", "60", "--freeze", "--nc", "1"]),
     *((f"drive{n}-{tag}", ["drive", "--n", str(n), "--freeze", "--samples", "100", "--phase", phase])
       for n in (60, 61, 300) for tag, phase in DRIVE_PHASES.items()),
     ("drive60-unfrozen", ["drive", "--n", "60", "--phase", "0.3"]),
